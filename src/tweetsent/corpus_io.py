@@ -21,6 +21,10 @@ Sentiment lexicon::
 
     term<TAB>affect<TAB>score
 
+Terms are unigrams, optionally prefixed ``uni:``; bigrams ``bi:A B``;
+and pairs ``pair:A---B``, whose parts ``A`` and ``B`` are unigrams or
+space-joined bigrams.
+
 Cluster map::
 
     token<TAB>cluster-id
@@ -35,6 +39,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 # Fixed class order used for model weights, reports and tie-breaking.
 CLASS_ORDER = ("negative", "neutral", "positive")
@@ -42,6 +47,12 @@ CLASS_ORDER = ("negative", "neutral", "positive")
 POSITIVE = "positive"
 NEGATIVE = "negative"
 NEUTRAL = "neutral"
+
+# Joins the two parts of a pair term.
+PAIR_SEPARATOR = "---"
+
+# A part of a pair: inclusive token span and its text.
+PairPart = tuple[int, int, str]
 
 
 class CorpusFormatError(ValueError):
@@ -119,6 +130,65 @@ class Lexicon:
             object.__setattr__(self, "_namespace_cache", cached)
         return cached
 
+    def unit_scores(self, namespace: str) -> dict[str, tuple[float | None, ...]]:
+        """Scores of the ``namespace`` units, keyed by unprefixed unit text.
+
+        Each value holds one score per affect in ``affects`` order, None
+        where the term lacks that affect.  A ``bi`` or ``pair`` unit is
+        the term under its ``bi:`` or ``pair:`` prefix.  A ``uni`` unit
+        takes each affect from its ``uni:`` term and, where that term is
+        absent or lacks the affect, from the unprefixed term.  Cached after
+        the first call.
+        """
+        tables = getattr(self, "_unit_tables", None)
+        if tables is None:
+            tables = self._build_unit_tables()
+            object.__setattr__(self, "_unit_tables", tables)
+        return tables[namespace]
+
+    def _build_unit_tables(self) -> dict[str, dict[str, tuple[float | None, ...]]]:
+        rows = {
+            term: tuple(by_affect.get(a) for a in self.affects)
+            for term, by_affect in self.entries.items()
+        }
+        # Any term can match a unigram's plain-surface lookup.
+        tables: dict[str, dict[str, tuple[float | None, ...]]] = {
+            "uni": dict(rows),
+            "bi": {},
+            "pair": {},
+        }
+        for term, row in rows.items():
+            namespace, sep, text = term.partition(":")
+            if not sep or namespace not in tables:
+                continue
+            plain = rows.get(text) if namespace == "uni" else None
+            if plain is not None:
+                row = tuple(p if s is None else s for s, p in zip(row, plain))
+            tables[namespace][text] = row
+        return tables
+
+    def pair_heads_tails(self) -> tuple[frozenset[str], frozenset[str]]:
+        """Texts that occur as the first and as the second part of a pair.
+
+        A key splits at every occurrence of the separator, since a part
+        may itself be or contain a ``---`` token: ``x ------y`` yields
+        heads ``x ``, ``x -``, ``x --`` and ``x ---``.  Cached after the
+        first call.
+        """
+        cached = getattr(self, "_pair_part_cache", None)
+        if cached is None:
+            heads, tails = set(), set()
+            width = len(PAIR_SEPARATOR)
+            for key in self.unit_scores("pair"):
+                at = key.find(PAIR_SEPARATOR)
+                while at != -1:
+                    heads.add(key[:at])
+                    tails.add(key[at + width :])
+                    at = key.find(PAIR_SEPARATOR, at + 1)
+            cached = (frozenset(heads), frozenset(tails))
+            object.__setattr__(self, "_pair_part_cache", cached)
+        return cached
+
     @classmethod
     def from_word_lists(
         cls,
@@ -138,6 +208,34 @@ class Lexicon:
         for w in negative_words:
             entries.setdefault(w.lower(), {})[NEGATIVE] = -1.0
         return cls(name=name, affects=(POSITIVE, NEGATIVE), entries=entries)
+
+
+def pair_units(
+    heads: Sequence[PairPart],
+    tails: Sequence[PairPart],
+    window: int | None = None,
+) -> list[tuple[PairPart, PairPart, str]]:
+    """Ordered pairs of a head part and a later tail part, with pair text.
+
+    The tail starts at least one token after the head ends, and at most
+    ``window`` tokens after when set.  Pairs come head-major, in the
+    order of ``heads`` and then ``tails``.
+    """
+    pairs = []
+    for head in heads:
+        first = head[1] + 2
+        joined = head[2] + PAIR_SEPARATOR
+        if window is None:
+            pairs += [
+                (head, tail, joined + tail[2]) for tail in tails if first <= tail[0]
+            ]
+        else:
+            pairs += [
+                (head, tail, joined + tail[2])
+                for tail in tails
+                if first <= tail[0] < first + window
+            ]
+    return pairs
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,19 @@ Feature names are namespaced ``group|detail``.  The groups:
 
 Lexicon statistics are emitted per (lexicon, term namespace, scope,
 affect): ``lex|<name>|<uni/bi/pair>[|<scope>]|<stat>|<affect>``.  The
-scope segment is omitted for the all-tokens scope and is ``pos:TAG``,
-``hashtag`` or ``caps`` otherwise.  The four stats are ``cnt`` (tokens
-scoring above zero), ``sum``, ``max`` and ``last`` (score of the last
-token scoring above zero).  Units inside a negated context feed a
-separate block whose affect segment carries a ``_NEG`` suffix; the
-lexicon is still consulted with the plain surface.
+scoring units of the three namespaces are the message's unigrams, its
+bigrams, and its pairs ``A---B``, where ``A`` and ``B`` are unigrams or
+bigrams and at least one token separates them.  A unit belongs to a
+scope when all its tokens do.  The scope segment is omitted for the
+all-tokens scope and is ``pos:TAG``, ``hashtag`` or ``caps`` otherwise.
+The four stats are ``cnt`` (scoring units with a score above zero),
+``sum``, ``max`` and ``last`` (score of the last unit, in order of its
+final token, with a score above zero).  A unigram takes each affect's
+score from its ``uni:`` term and, where that term is absent or lacks
+the affect, from the unprefixed term.  Units whose tokens all lie
+inside a negated context feed a separate block whose affect segment
+carries a ``_NEG`` suffix; the lexicon is still consulted with the
+plain surface.
 
 Ngram and count features are binary or raw counts; zero-valued entries
 are never stored.
@@ -35,7 +42,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus_io import ClusterMap, Lexicon
+from .corpus_io import ClusterMap, Lexicon, pair_units
 from .negation import EMPTY_ANNOTATION, NegationAnnotation, apply_negation_suffix
 from .tokenizer import TokenizedMessage, emoticon_polarity
 
@@ -164,48 +171,9 @@ class MessageFeatureConfig:
 DEFAULT_MESSAGE_CONFIG = MessageFeatureConfig()
 
 
-# A scoring unit is a set of token positions plus the lookup text, e.g.
-# positions (0, 2, 3) for the pair "a---b c".
-Unit = tuple[tuple[int, ...], str]
-
-
-def _unigram_units(surfaces: Sequence[str]) -> list[Unit]:
-    return [((i,), s) for i, s in enumerate(surfaces)]
-
-
-def _bigram_units(surfaces: Sequence[str]) -> list[Unit]:
-    return [
-        ((i, i + 1), f"{surfaces[i]} {surfaces[i + 1]}")
-        for i in range(len(surfaces) - 1)
-    ]
-
-
-def _pair_units(surfaces: Sequence[str]) -> list[Unit]:
-    parts: list[tuple[int, int, str]] = [
-        (i, i, s) for i, s in enumerate(surfaces)
-    ] + [
-        (i, i + 1, f"{surfaces[i]} {surfaces[i + 1]}")
-        for i in range(len(surfaces) - 1)
-    ]
-    units = []
-    for a_start, a_end, a_text in parts:
-        for b_start, b_end, b_text in parts:
-            if b_start - a_end - 1 < 1:
-                continue
-            positions = tuple(range(a_start, a_end + 1)) + tuple(
-                range(b_start, b_end + 1)
-            )
-            units.append((positions, f"{a_text}---{b_text}"))
-    # Order by final position so "last" statistics follow message order.
-    units.sort(key=lambda u: (u[0][-1], u[0]))
-    return units
-
-
-def _lexicon_lookup(lexicon: Lexicon, namespace: str, text: str, affect: str):
-    score = lexicon.score(f"{namespace}:{text}", affect)
-    if score is None and namespace == "uni":
-        score = lexicon.score(text, affect)
-    return score
+# Units of each namespace as (lookup text, scope mask): the AND of the
+# masks of the unit's tokens, from _scope_masks.
+Unit = tuple[str, int]
 
 
 def _emit_lexicon_block(
@@ -231,26 +199,72 @@ def _emit_lexicon_block(
     fv.set(f"{prefix}|last|{affect}", last)
 
 
-def _scopes(message: TokenizedMessage) -> list[tuple[str, set[int]]]:
-    n = len(message.tokens)
-    scopes: list[tuple[str, set[int]]] = [("all", set(range(n)))]
-    by_tag: dict[str, set[int]] = {}
-    hashtags: set[int] = set()
-    caps: set[int] = set()
-    for i, t in enumerate(message.tokens):
+def _scope_masks(
+    message: TokenizedMessage, annotation: NegationAnnotation
+) -> tuple[list[str], list[int], int]:
+    """Scope name segments, one bitmask per token, and the negation bit.
+
+    Bit ``k`` of a token's mask is set when the token belongs to scope
+    ``k``; scope 0 (all tokens, empty segment) is followed by each POS
+    tag in sorted order, then hashtags and all-caps tokens when present.
+    The negation bit marks tokens inside a negated context.
+    """
+    tokens = message.tokens
+    tags = sorted({t.pos_tag for t in tokens if t.pos_tag is not None})
+    segments = [""] + [f"|pos:{tag}" for tag in tags]
+    tag_bit = {tag: 1 << k for k, tag in enumerate(tags, start=1)}
+    hashtag_bit = caps_bit = 0
+    if any(t.kind == "hashtag" for t in tokens):
+        hashtag_bit = 1 << len(segments)
+        segments.append("|hashtag")
+    if any(t.all_caps for t in tokens):
+        caps_bit = 1 << len(segments)
+        segments.append("|caps")
+    negated_bit = 1 << len(segments)
+    masks = []
+    for i, t in enumerate(tokens):
+        mask = 1
         if t.pos_tag is not None:
-            by_tag.setdefault(t.pos_tag, set()).add(i)
+            mask |= tag_bit[t.pos_tag]
         if t.kind == "hashtag":
-            hashtags.add(i)
+            mask |= hashtag_bit
         if t.all_caps:
-            caps.add(i)
-    for tag in sorted(by_tag):
-        scopes.append((f"pos:{tag}", by_tag[tag]))
-    if hashtags:
-        scopes.append(("hashtag", hashtags))
-    if caps:
-        scopes.append(("caps", caps))
-    return scopes
+            mask |= caps_bit
+        if annotation.in_scope(i):
+            mask |= negated_bit
+        masks.append(mask)
+    return segments, masks, negated_bit
+
+
+def _pair_units(
+    surfaces: Sequence[str],
+    bigrams: Sequence[str],
+    masks: Sequence[int],
+    lexicons: Sequence[Lexicon],
+) -> list[Unit]:
+    """Pair units whose head and tail both occur in some lexicon's pairs."""
+    heads: set[str] = set()
+    tails: set[str] = set()
+    for lex in lexicons:
+        if "pair" in lex.namespaces():
+            lex_heads, lex_tails = lex.pair_heads_tails()
+            heads |= lex_heads
+            tails |= lex_tails
+    parts = [(i, i, s) for i, s in enumerate(surfaces)] + [
+        (i, i + 1, text) for i, text in enumerate(bigrams)
+    ]
+    pairs = pair_units(
+        [p for p in parts if p[2] in heads], [p for p in parts if p[2] in tails]
+    )
+    # Order by final position, then by the unit's token positions, so
+    # "last" statistics follow message order.  On spans that is (tail end,
+    # head start, longer head first, tail start): a bigram head's second
+    # token precedes every tail token.
+    pairs.sort(key=lambda u: (u[1][1], u[0][0], -u[0][1], u[1][0]))
+    return [
+        (text, masks[head[0]] & masks[head[1]] & masks[tail[0]] & masks[tail[1]])
+        for head, tail, text in pairs
+    ]
 
 
 def _lexicon_features(
@@ -259,46 +273,46 @@ def _lexicon_features(
     surfaces: Sequence[str],
     annotation: NegationAnnotation,
     lexicons: Sequence[Lexicon],
-    config: MessageFeatureConfig,
 ) -> None:
-    wanted = set()
-    for lex in lexicons:
-        wanted |= lex.namespaces()
-    units_by_ns: dict[str, list[Unit]] = {}
-    if "uni" in wanted:
-        units_by_ns["uni"] = _unigram_units(surfaces)
-    if "bi" in wanted:
-        units_by_ns["bi"] = _bigram_units(surfaces)
-    if "pair" in wanted:
-        units_by_ns["pair"] = _pair_units(surfaces)
-
-    scopes = _scopes(message)
+    segments, masks, negated_bit = _scope_masks(message, annotation)
+    wanted = frozenset().union(*(lex.namespaces() for lex in lexicons))
+    units_by_ns: dict[str, list[Unit]] = {"uni": list(zip(surfaces, masks))}
+    if "bi" in wanted or "pair" in wanted:
+        bigrams = [
+            f"{surfaces[i]} {surfaces[i + 1]}" for i in range(len(surfaces) - 1)
+        ]
+        units_by_ns["bi"] = [
+            (text, masks[i] & masks[i + 1]) for i, text in enumerate(bigrams)
+        ]
+        if "pair" in wanted:
+            units_by_ns["pair"] = _pair_units(surfaces, bigrams, masks, lexicons)
     for lexicon in lexicons:
         for namespace in ("uni", "bi", "pair"):
             if namespace not in lexicon.namespaces():
                 continue
-            units = units_by_ns[namespace]
-            for scope_name, members in scopes:
+            table = lexicon.unit_scores(namespace)
+            hits = [
+                (mask, row)
+                for text, mask in units_by_ns[namespace]
+                if (row := table.get(text)) is not None
+            ]
+            if not hits:
+                continue
+            for k, segment in enumerate(segments):
+                bit = 1 << k
                 in_scope = [
-                    u for u in units if all(p in members for p in u[0])
+                    (mask & negated_bit, row) for mask, row in hits if mask & bit
                 ]
                 if not in_scope:
                     continue
-                scope_part = "" if scope_name == "all" else f"|{scope_name}"
-                prefix = f"lex|{lexicon.name}|{namespace}{scope_part}"
-                for affect in lexicon.affects:
+                prefix = f"lex|{lexicon.name}|{namespace}{segment}"
+                for j, affect in enumerate(lexicon.affects):
                     plain: list[float] = []
                     negated: list[float] = []
-                    for positions, text in in_scope:
-                        score = _lexicon_lookup(lexicon, namespace, text, affect)
-                        if score is None:
-                            continue
-                        if annotation.spans and all(
-                            annotation.in_scope(p) for p in positions
-                        ):
-                            negated.append(score)
-                        else:
-                            plain.append(score)
+                    for is_negated, row in in_scope:
+                        score = row[j]
+                        if score is not None:
+                            (negated if is_negated else plain).append(score)
                     _emit_lexicon_block(fv, prefix, affect, plain)
                     _emit_lexicon_block(fv, prefix, f"{affect}_NEG", negated)
 
@@ -406,7 +420,7 @@ def extract_message_features(
             if (config.manual_lexicons if lex.kind == "manual" else config.auto_lexicons)
         ]
         if active:
-            _lexicon_features(fv, msg, surfaces, annotation, active, config)
+            _lexicon_features(fv, msg, surfaces, annotation, active)
     if config.punctuation:
         _punctuation_features(fv, msg)
     if config.emoticons:

@@ -25,8 +25,11 @@ from .corpus_io import (
     CorpusFormatError,
     Lexicon,
     NEGATIVE,
+    PAIR_SEPARATOR,
     POSITIVE,
+    PairPart,
     _data_lines,
+    pair_units,
 )
 from .tokenizer import TokenizedMessage, emoticon_polarity, is_emoticon, normalize, tokenize
 from .wordlists import default_function_words
@@ -141,7 +144,7 @@ def extract_candidates(
 
     # Pair parts: unigrams (i, i) and bigrams (i, i + 1), each clean of
     # blocked tokens and function words.
-    parts: list[tuple[int, int, str]] = []
+    parts: list[PairPart] = []
     for i, tok in enumerate(tokens):
         if not blocked(tok) and tok.lower() not in function_words:
             parts.append((i, i, tok))
@@ -154,20 +157,13 @@ def extract_candidates(
             and b.lower() not in function_words
         ):
             parts.append((i, i + 1, f"{a} {b}"))
-    for a_start, a_end, a_text in parts:
-        for b_start, b_end, b_text in parts:
-            gap = b_start - a_end - 1
-            if gap < 1:
-                continue
-            if pair_window is not None and gap > pair_window:
-                continue
-            out.append(f"{a_text}---{b_text}")
+    out += [pair[2] for pair in pair_units(parts, parts, pair_window)]
     return out
 
 
 def term_namespace(term: str) -> str:
     """Candidate namespace by shape: pair, bi or uni."""
-    if "---" in term:
+    if PAIR_SEPARATOR in term:
         return "pair"
     if " " in term:
         return "bi"

@@ -330,6 +330,10 @@ def load_model(path: str | Path) -> LinearModel:
                 f"{len(class_order)} classes"
             )
         weights[:, i] = row
+    if len(weight_rows) != dim + 1:
+        raise ModelFormatError(
+            f"expected {dim + 1} weight rows (0..{dim}), found {len(weight_rows)}"
+        )
     dictionary = FeatureDictionary(
         names=ordered_names,
         index={n: i for i, n in enumerate(ordered_names)},

@@ -2,9 +2,10 @@
 
 Each oracle recomputes a result through a deliberately different route
 from the library: candidate terms via index-span enumeration, lexicon
-scores via exact rational arithmetic and a single logarithm, and the
-SVM dual via projected gradient with an active-set polish.  None of
-them import library internals beyond public dataclasses.
+scores via exact rational arithmetic and a single logarithm, the SVM
+dual via projected gradient with an active-set polish, and message
+lexicon features via per-(scope, affect) lookups over every pair.  None
+of them import library internals beyond public dataclasses.
 """
 
 from __future__ import annotations
@@ -203,3 +204,114 @@ def oracle_kkt_violation(
         np.where(at_upper, np.maximum(grad, 0.0), grad),
     )
     return float(np.max(np.abs(projected)))
+
+
+def _oracle_pair_units(surfaces):
+    parts = [(i, i, s) for i, s in enumerate(surfaces)] + [
+        (i, i + 1, f"{surfaces[i]} {surfaces[i + 1]}")
+        for i in range(len(surfaces) - 1)
+    ]
+    units = []
+    for a_start, a_end, a_text in parts:
+        for b_start, b_end, b_text in parts:
+            if b_start - a_end - 1 < 1:
+                continue
+            positions = tuple(range(a_start, a_end + 1)) + tuple(
+                range(b_start, b_end + 1)
+            )
+            units.append((positions, f"{a_text}---{b_text}"))
+    units.sort(key=lambda u: (u[0][-1], u[0]))
+    return units
+
+
+def _oracle_lexicon_lookup(lexicon, namespace, text, affect):
+    score = lexicon.score(f"{namespace}:{text}", affect)
+    if score is None and namespace == "uni":
+        score = lexicon.score(text, affect)
+    return score
+
+
+def _oracle_emit_block(fv, prefix, affect, scores):
+    if not scores:
+        return
+    count = sum(1 for s in scores if s > 0)
+    total = sum(scores)
+    top = max(scores)
+    if count == 0:
+        top = 0.0
+    last = 0.0
+    for s in scores:
+        if s > 0:
+            last = s
+    fv.set(f"{prefix}|cnt|{affect}", count)
+    fv.set(f"{prefix}|sum|{affect}", total)
+    fv.set(f"{prefix}|max|{affect}", top)
+    fv.set(f"{prefix}|last|{affect}", last)
+
+
+def _oracle_scopes(message):
+    n = len(message.tokens)
+    scopes = [("all", set(range(n)))]
+    by_tag, hashtags, caps = {}, set(), set()
+    for i, t in enumerate(message.tokens):
+        if t.pos_tag is not None:
+            by_tag.setdefault(t.pos_tag, set()).add(i)
+        if t.kind == "hashtag":
+            hashtags.add(i)
+        if t.all_caps:
+            caps.add(i)
+    for tag in sorted(by_tag):
+        scopes.append((f"pos:{tag}", by_tag[tag]))
+    if hashtags:
+        scopes.append(("hashtag", hashtags))
+    if caps:
+        scopes.append(("caps", caps))
+    return scopes
+
+
+def oracle_lexicon_features(fv, message, surfaces, annotation, lexicons):
+    """Lexicon statistics of one message, added to ``fv``.
+
+    Enumerates every unit of every namespace, including all O(n^2)
+    pairs, and looks each one up separately per scope and affect.
+    """
+    wanted = set()
+    for lex in lexicons:
+        wanted |= lex.namespaces()
+    units_by_ns = {}
+    if "uni" in wanted:
+        units_by_ns["uni"] = [((i,), s) for i, s in enumerate(surfaces)]
+    if "bi" in wanted:
+        units_by_ns["bi"] = [
+            ((i, i + 1), f"{surfaces[i]} {surfaces[i + 1]}")
+            for i in range(len(surfaces) - 1)
+        ]
+    if "pair" in wanted:
+        units_by_ns["pair"] = _oracle_pair_units(surfaces)
+
+    scopes = _oracle_scopes(message)
+    for lexicon in lexicons:
+        for namespace in ("uni", "bi", "pair"):
+            if namespace not in lexicon.namespaces():
+                continue
+            units = units_by_ns[namespace]
+            for scope_name, members in scopes:
+                in_scope = [u for u in units if all(p in members for p in u[0])]
+                if not in_scope:
+                    continue
+                scope_part = "" if scope_name == "all" else f"|{scope_name}"
+                prefix = f"lex|{lexicon.name}|{namespace}{scope_part}"
+                for affect in lexicon.affects:
+                    plain, negated = [], []
+                    for positions, text in in_scope:
+                        score = _oracle_lexicon_lookup(lexicon, namespace, text, affect)
+                        if score is None:
+                            continue
+                        if annotation.spans and all(
+                            annotation.in_scope(p) for p in positions
+                        ):
+                            negated.append(score)
+                        else:
+                            plain.append(score)
+                    _oracle_emit_block(fv, prefix, affect, plain)
+                    _oracle_emit_block(fv, prefix, f"{affect}_NEG", negated)

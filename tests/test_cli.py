@@ -217,6 +217,21 @@ def test_corrupt_model_exits_1(message_files, tmp_path, capsys):
     assert "error: unknown record 'junk'" in err
 
 
+def test_truncated_model_exits_1(message_files, tmp_path, capsys):
+    train, test = message_files
+    model_path = tmp_path / "model.tsv"
+    run(capsys, "train", "--input", str(train), "--model", str(model_path))
+    lines = model_path.read_text().splitlines(keepends=True)
+    model_path.write_text("".join(lines[:-1]))
+    code, out, err = run(
+        capsys, "predict", "--input", str(test), "--model", str(model_path)
+    )
+    assert code == 1
+    assert out == ""
+    assert "error: expected" in err
+    assert "weight rows" in err
+
+
 def test_missing_class_exits_1(tmp_path, capsys):
     only_two = tmp_path / "two.tsv"
     write_message_corpus(

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from oracles import oracle_lexicon_features
 
 from tweetsent.corpus_io import ClusterMap, Lexicon
 from tweetsent.features_message import (
@@ -234,3 +237,93 @@ def test_vectorize_drops_unknown_names():
 def test_format_feature_dump_sorted():
     fv = FeatureVector(entries={"b": 2.0, "a": 1.0})
     assert format_feature_dump(fv) == "a\t1\nb\t2\n"
+
+
+_WORDS = ["good", "Bad", "LOL", "#win", "not", "never", "x", "y", ",", ".", "---"]
+_LEX_WORDS = ["good", "bad", "lol", "#win", "not", "x", "y", ",", "---"]
+_AFFECTS = ("positive", "negative", "anger")
+_LEX_ONLY = replace(
+    MessageFeatureConfig.unigrams_only(),
+    word_ngrams=False,
+    lexicons=True,
+    negation=True,
+)
+
+
+def _lexicon_terms():
+    word = st.sampled_from(_LEX_WORDS)
+    bigram = st.builds(lambda a, b: f"{a} {b}", word, word)
+    part = word | bigram
+    return st.one_of(
+        word,
+        word.map(lambda w: f"uni:{w}"),
+        bigram.map(lambda b: f"bi:{b}"),
+        st.builds(lambda a, b: f"pair:{a}---{b}", part, part),
+    )
+
+
+_lexicon_entries = st.dictionaries(
+    _lexicon_terms(),
+    st.dictionaries(
+        st.sampled_from(_AFFECTS),
+        st.floats(-4, 4, allow_nan=False, allow_infinity=False),
+        max_size=3,
+    ),
+    max_size=14,
+)
+
+
+# A pair key that splits at more than one "---", and a uni: term lacking
+# an affect that the plain term carries.
+@example(
+    words=["good", "x", "---", "not", "y", "good"],
+    tags=None,
+    entries=(
+        {
+            "uni:good": {"positive": 1.5},
+            "good": {"positive": 9.0, "negative": -2.0},
+            "pair:x ------y": {"anger": 0.5},
+        },
+        {"pair:good---y good": {"positive": 1.0}, "bi:y good": {"negative": 3.0}},
+    ),
+    affects=(_AFFECTS, _AFFECTS[::-1]),
+)
+# Pairs whose head-major order differs from the order of their tokens,
+# which sets the "last" statistic: a later tail end, and at one tail end
+# a bigram head or tail against a unigram one.
+@example(
+    words=["x", "good", "y", "bad", "lol"],
+    tags=None,
+    entries=(
+        {"pair:x---lol": {"positive": 1.0}, "pair:good---bad": {"positive": 2.0}},
+        {
+            "pair:x good---bad": {"positive": 3.0},
+            "pair:x---bad": {"positive": 4.0},
+            "pair:x---y bad": {"positive": 5.0},
+        },
+    ),
+    affects=(_AFFECTS, _AFFECTS),
+)
+@settings(max_examples=300)
+@given(
+    words=st.lists(st.sampled_from(_WORDS), max_size=9),
+    tags=st.none() | st.lists(st.sampled_from(["A", "N", "V"]), min_size=9, max_size=9),
+    entries=st.tuples(_lexicon_entries, _lexicon_entries),
+    affects=st.tuples(st.permutations(_AFFECTS), st.permutations(_AFFECTS)),
+)
+def test_lexicon_features_match_oracle(words, tags, entries, affects):
+    if tags is None:
+        message = tokenize(" ".join(words))
+    else:
+        message = tokens_from_tagged(tuple(zip(words, tags)))
+    lexicons = [
+        Lexicon(name=f"L{k}", affects=tuple(affects[k]), entries=entries[k])
+        for k in range(2)
+    ]
+    annotation = mark_negation(message)
+    fv = extract_message_features(message, annotation, lexicons, config=_LEX_ONLY)
+    got = FeatureVector({k: v for k, v in fv.entries.items() if k.startswith("lex|")})
+    want = FeatureVector()
+    surfaces = [t.surface.lower() for t in message.tokens]
+    oracle_lexicon_features(want, message, surfaces, annotation, lexicons)
+    assert format_feature_dump(got) == format_feature_dump(want)

@@ -265,13 +265,17 @@ def test_load_golden_file(tmp_path):
     assert predict(model, iv([1.0])) == "negative"
 
 
-def test_load_defaults_missing_weight_rows_to_zero(tmp_path):
-    path = tmp_path / "m.tsv"
-    path.write_text(
-        "classes\tnegative\tpositive\ndim\t1\nC\t1\ntol\t0.1\nfeat\t0\tf0\n"
-    )
-    model = load_model(path)
-    np.testing.assert_array_equal(model.weights, np.zeros((2, 2)))
+def test_load_rejects_truncated_model(tmp_path):
+    model = _fixture_model()
+    path = tmp_path / "model.tsv"
+    save_model(model, path)
+    # Cut the file after the first weight row.
+    text = path.read_text()
+    path.write_text(text[: text.index("\nw\t1\t") + 1])
+    with pytest.raises(
+        ModelFormatError, match=r"expected 3 weight rows \(0\.\.2\), found 1"
+    ):
+        load_model(path)
 
 
 @pytest.mark.parametrize(
@@ -289,6 +293,10 @@ def test_load_defaults_missing_weight_rows_to_zero(tmp_path):
          "weight row index 99 out of range"),
         ("classes\tnegative\tpositive\ndim\t1\nC\t1\ntol\t0.1\nfeat\t0\tf0\n"
          "w\t0\t1.0\n", "has 1 values for 2 classes"),
+        ("classes\tnegative\tpositive\ndim\t1\nC\t1\ntol\t0.1\nfeat\t0\tf0\n",
+         r"expected 2 weight rows \(0\.\.1\), found 0"),
+        ("classes\tnegative\ndim\t1\nC\t1\ntol\t0.1\nfeat\t0\tf0\nw\t1\t0.5\n"
+         "w\t1\t0.5\n", "expected 2 weight rows .*, found 1"),
     ],
 )
 def test_load_error_cases(tmp_path, text, message):
