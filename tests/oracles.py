@@ -6,6 +6,8 @@ scores via exact rational arithmetic and a single logarithm, the SVM
 dual via projected gradient with an active-set polish, and message
 lexicon features via per-(scope, affect) lookups over every pair.  None
 of them import library internals beyond public dataclasses.
+The model-file reader and writer are the per-record loops that the
+bulk versions in ``linear_model`` replaced, kept as written.
 """
 
 from __future__ import annotations
@@ -14,8 +16,12 @@ import itertools
 import math
 import string
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+
+from tweetsent.features_message import FeatureDictionary
+from tweetsent.linear_model import LinearModel, ModelFormatError
 
 _PUNCT = set(string.punctuation)
 
@@ -315,3 +321,99 @@ def oracle_lexicon_features(fv, message, surfaces, annotation, lexicons):
                             plain.append(score)
                     _oracle_emit_block(fv, prefix, affect, plain)
                     _oracle_emit_block(fv, prefix, f"{affect}_NEG", negated)
+
+
+def oracle_save_model(model: LinearModel, path: str | Path) -> None:
+    """Write the model as a TSV: header, feature names, weight rows.
+
+    Weights use 9 significant digits; save/load/save is byte-stable.
+    """
+    path = Path(path)
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write("# linear model\n")
+        fh.write("classes\t" + "\t".join(model.class_order) + "\n")
+        fh.write(f"dim\t{model.dictionary.size}\n")
+        fh.write(f"C\t{model.C:.9g}\n")
+        fh.write(f"tol\t{model.tol:.9g}\n")
+        for i, name in enumerate(model.dictionary.names):
+            fh.write(f"feat\t{i}\t{name}\n")
+        for i in range(model.dictionary.size + 1):
+            row = "\t".join(f"{w:.9g}" for w in model.weights[:, i])
+            fh.write(f"w\t{i}\t{row}\n")
+
+
+def oracle_load_model(path: str | Path) -> LinearModel:
+    """Read a model file written by :func:`save_model`."""
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"no such file: {path}")
+    class_order: tuple[str, ...] | None = None
+    dim: int | None = None
+    c_value: float | None = None
+    tol_value: float | None = None
+    names: dict[int, str] = {}
+    weight_rows: dict[int, list[float]] = {}
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line.strip() or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            key = parts[0]
+            try:
+                if key == "classes":
+                    class_order = tuple(parts[1:])
+                elif key == "dim":
+                    dim = int(parts[1])
+                elif key == "C":
+                    c_value = float(parts[1])
+                elif key == "tol":
+                    tol_value = float(parts[1])
+                elif key == "feat":
+                    names[int(parts[1])] = parts[2]
+                elif key == "w":
+                    weight_rows[int(parts[1])] = [float(x) for x in parts[2:]]
+                else:
+                    raise ModelFormatError(
+                        f"unknown record '{key}' at line {lineno}"
+                    )
+            except (IndexError, ValueError) as err:
+                if isinstance(err, ModelFormatError):
+                    raise
+                raise ModelFormatError(
+                    f"malformed record at line {lineno}: {line!r}"
+                ) from None
+    if class_order is None or dim is None or c_value is None or tol_value is None:
+        raise ModelFormatError("missing header record (classes, dim, C or tol)")
+    if sorted(names) != list(range(dim)):
+        raise ModelFormatError(
+            f"feature records do not cover indices 0..{dim - 1} exactly"
+        )
+    ordered_names = tuple(names[i] for i in range(dim))
+    if len(set(ordered_names)) != dim:
+        raise ModelFormatError("duplicate feature names")
+    weights = np.zeros((len(class_order), dim + 1))
+    for i, row in weight_rows.items():
+        if not 0 <= i <= dim:
+            raise ModelFormatError(f"weight row index {i} out of range 0..{dim}")
+        if len(row) != len(class_order):
+            raise ModelFormatError(
+                f"weight row {i} has {len(row)} values for "
+                f"{len(class_order)} classes"
+            )
+        weights[:, i] = row
+    if len(weight_rows) != dim + 1:
+        raise ModelFormatError(
+            f"expected {dim + 1} weight rows (0..{dim}), found {len(weight_rows)}"
+        )
+    dictionary = FeatureDictionary(
+        names=ordered_names,
+        index={n: i for i, n in enumerate(ordered_names)},
+    )
+    return LinearModel(
+        class_order=class_order,
+        weights=weights,
+        dictionary=dictionary,
+        C=c_value,
+        tol=tol_value,
+    )

@@ -232,6 +232,20 @@ def test_truncated_model_exits_1(message_files, tmp_path, capsys):
     assert "weight rows" in err
 
 
+def test_non_utf8_model_exits_1(message_files, tmp_path, capsys):
+    _, test = message_files
+    bad_model = tmp_path / "latin1.tsv"
+    bad_model.write_bytes("classes\tn\u00e9gative\n".encode("latin-1"))
+    code, out, err = run(
+        capsys, "predict", "--input", str(test), "--model", str(bad_model)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: not valid UTF-8 text in ")
+    assert str(bad_model) in err
+    assert "Traceback" not in err
+
+
 def test_missing_class_exits_1(tmp_path, capsys):
     only_two = tmp_path / "two.tsv"
     write_message_corpus(

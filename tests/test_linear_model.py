@@ -297,13 +297,38 @@ def test_load_rejects_truncated_model(tmp_path):
          r"expected 2 weight rows \(0\.\.1\), found 0"),
         ("classes\tnegative\ndim\t1\nC\t1\ntol\t0.1\nfeat\t0\tf0\nw\t1\t0.5\n"
          "w\t1\t0.5\n", "expected 2 weight rows .*, found 1"),
+        ("classes\tnegative\ndim\t1\nC\t1\ntol\t0.1\nfeat\t0\tf0\nfeat\t0\tf1\n"
+         "w\t0\t0.5\nw\t1\t0.5\n", "feature index 0 repeated"),
+        ("classes\tnegative\ndim\t0\nC\t1\nC\t2\ntol\t0.1\nw\t0\t0.5\n",
+         "repeated record 'C' at line 4"),
+        ("classes\tnegative\ndim\t1\nC\t1\ntol\t0.1\nfeat\t0\tf0\textra\n"
+         "w\t0\t0.5\nw\t1\t0.5\n", "malformed record at line 5"),
+        ("classes\tnegative\ndim\t1\nC\t1\ntol\t0.1\nfeat\t0\tf0\nw\t0\t0.5\n"
+         "w\t1\t0.5\nw\t1\t0.5\n", "weight row index 1 repeated"),
+        ("classes\ndim\t0\nC\t1\ntol\t0.1\nw\t0\n", "no class names at line 1"),
+        ("classes\tnegative\tnegative\ndim\t0\nC\t1\ntol\t0.1\nw\t0\t1\t2\n",
+         "duplicate class names at line 1"),
+        ("classes\tnegative\ndim\t-1\nC\t1\ntol\t0.1\n", "negative dim at line 2"),
+        ("classes\tnegative\ndim\t0\nC\t1\ntol\t0.1\nw\t0\tnan\n",
+         "non-finite weight at line 5"),
+        ("classes\tnegative\ndim\t0\nC\tinf\ntol\t0.1\nw\t0\t1\n",
+         "non-finite C at line 3"),
+        ("classes\tnegative\ndim\t0\nC\t1\ntol\tnan\nw\t0\t1\n",
+         "non-finite tol at line 4"),
+        ("classes\tnegative\ndim\t0\textra\nC\t1\ntol\t0.1\nw\t0\t1\n",
+         "malformed record at line 2"),
+        # Checked against the feat record count before anything of size
+        # dim is allocated.
+        ("classes\tnegative\ndim\t1000000000000000\nC\t1\ntol\t0.1\nw\t0\t1\n",
+         "feature records do not cover indices"),
     ],
 )
 def test_load_error_cases(tmp_path, text, message):
     path = tmp_path / "m.tsv"
     path.write_text(text)
-    with pytest.raises(ModelFormatError, match=message):
+    with pytest.raises(ModelFormatError, match=message) as err:
         load_model(path)
+    assert str(path) in str(err.value)
 
 
 def test_load_missing_file(tmp_path):
