@@ -36,6 +36,7 @@ tabs inside message text are escaped as ``\\t`` (and backslash as
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -254,42 +255,37 @@ def _data_lines(path: Path) -> list[tuple[int, str]]:
         raise FileNotFoundError(f"no such file: {path}")
     out = []
     with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            out.append((lineno, line))
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\n")
+                if not line.strip() or line.lstrip().startswith("#"):
+                    continue
+                out.append((lineno, line))
+        except UnicodeDecodeError:
+            raise CorpusFormatError(f"not valid UTF-8 text in {path}") from None
     return out
 
 
+# Backslash escapes, read left to right, so "\\t" is a backslash and t.
+_ESCAPE = re.compile(r"\\([t\\])")
+_UNESCAPED = {"t": "\t", "\\": "\\"}
+
+
 def _unescape_text(text: str) -> str:
-    # Backslash escapes first, so "\\t" round-trips to a backslash and t.
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            if nxt == "t":
-                out.append("\t")
-                i += 2
-                continue
-            if nxt == "\\":
-                out.append("\\")
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    if "\\" not in text:
+        return text
+    return _ESCAPE.sub(lambda m: _UNESCAPED[m.group(1)], text)
 
 
-def _check_label(label: str, lineno: int) -> str:
+def _check_label(label: str, lineno: int, path: Path) -> str:
     if label not in CLASS_ORDER:
-        raise CorpusFormatError(f"unknown label '{label}' at line {lineno}")
+        raise CorpusFormatError(f"unknown label '{label}' at line {lineno} of {path}")
     return label
 
 
-def _parse_tagged_column(column: str, lineno: int) -> tuple[tuple[str, str], ...]:
+def _parse_tagged_column(
+    column: str, lineno: int, path: Path
+) -> tuple[tuple[str, str], ...]:
     pairs = []
     for chunk in column.split(" "):
         if not chunk:
@@ -297,11 +293,11 @@ def _parse_tagged_column(column: str, lineno: int) -> tuple[tuple[str, str], ...
         surface, sep, tag = chunk.rpartition("/")
         if not sep or not surface or not tag:
             raise CorpusFormatError(
-                f"malformed surface/TAG pair '{chunk}' at line {lineno}"
+                f"malformed surface/TAG pair '{chunk}' at line {lineno} of {path}"
             )
         pairs.append((surface, tag))
     if not pairs:
-        raise CorpusFormatError(f"empty tagged-token column at line {lineno}")
+        raise CorpusFormatError(f"empty tagged-token column at line {lineno} of {path}")
     return tuple(pairs)
 
 
@@ -320,19 +316,20 @@ def load_message_corpus(path: str | Path, format: str = "plain") -> list[Labeled
         parts = line.split("\t", want - 1)
         if len(parts) != want:
             raise CorpusFormatError(
-                f"expected {want} tab-separated fields at line {lineno}, got {len(parts)}"
+                f"expected {want} tab-separated fields at line {lineno} of {path}, "
+                f"got {len(parts)}"
             )
         if format == "plain":
             msg_id, label, text = parts
             tagged = None
         else:
             msg_id, label, text, tagged_col = parts
-            tagged = _parse_tagged_column(tagged_col, lineno)
+            tagged = _parse_tagged_column(tagged_col, lineno, path)
         messages.append(
             LabeledMessage(
                 id=msg_id,
                 text=_unescape_text(text),
-                label=_check_label(label, lineno),
+                label=_check_label(label, lineno, path),
                 tagged=tagged,
             )
         )
@@ -345,12 +342,14 @@ def load_raw_corpus(path: str | Path) -> list[tuple[str, str]]:
     Used as input for lexicon induction, where labels come from hashtag
     or emoticon pseudo-labeling rather than annotation.
     """
+    path = Path(path)
     rows = []
-    for lineno, line in _data_lines(Path(path)):
+    for lineno, line in _data_lines(path):
         parts = line.split("\t", 1)
         if len(parts) != 2:
             raise CorpusFormatError(
-                f"expected 2 tab-separated fields at line {lineno}, got {len(parts)}"
+                f"expected 2 tab-separated fields at line {lineno} of {path}, "
+                f"got {len(parts)}"
             )
         rows.append((parts[0], _unescape_text(parts[1])))
     return rows
@@ -360,32 +359,35 @@ def load_term_corpus(path: str | Path) -> list[TermInstance]:
     """Load a term corpus and validate every span against the tokenizer."""
     from .tokenizer import normalize, tokenize
 
+    path = Path(path)
     instances = []
-    for lineno, line in _data_lines(Path(path)):
+    for lineno, line in _data_lines(path):
         parts = line.split("\t", 4)
         if len(parts) != 5:
             raise CorpusFormatError(
-                f"expected 5 tab-separated fields at line {lineno}, got {len(parts)}"
+                f"expected 5 tab-separated fields at line {lineno} of {path}, "
+                f"got {len(parts)}"
             )
         inst_id, start_s, end_s, label, text = parts
         try:
             start, end = int(start_s), int(end_s)
         except ValueError:
             raise CorpusFormatError(
-                f"non-integer span bounds at line {lineno}: {start_s!r}, {end_s!r}"
+                f"non-integer span bounds at line {lineno} of {path}: "
+                f"{start_s!r}, {end_s!r}"
             ) from None
         text = _unescape_text(text)
         n_tokens = len(tokenize(normalize(text)).tokens)
         if not (0 <= start <= end < n_tokens):
             raise CorpusFormatError(
                 f"span [{start}, {end}] of instance '{inst_id}' out of range "
-                f"for {n_tokens} tokens (line {lineno})"
+                f"for {n_tokens} tokens (line {lineno} of {path})"
             )
         instances.append(
             TermInstance(
                 id=inst_id,
                 text=text,
-                label=_check_label(label, lineno),
+                label=_check_label(label, lineno, path),
                 start=start,
                 end=end,
             )
@@ -406,14 +408,15 @@ def load_lexicon(path: str | Path, name: str | None = None, kind: str = "manual"
         parts = line.split("\t")
         if len(parts) != 3:
             raise CorpusFormatError(
-                f"expected 3 tab-separated fields at line {lineno}, got {len(parts)}"
+                f"expected 3 tab-separated fields at line {lineno} of {path}, "
+                f"got {len(parts)}"
             )
         term, affect, score_s = parts
         try:
             score = float(score_s)
         except ValueError:
             raise CorpusFormatError(
-                f"non-numeric score {score_s!r} at line {lineno}"
+                f"non-numeric score {score_s!r} at line {lineno} of {path}"
             ) from None
         by_affect = entries.setdefault(term, {})
         if affect in by_affect:
@@ -477,23 +480,25 @@ def write_raw_corpus(rows: list[tuple[str, str]], path: str | Path) -> None:
 
 def load_cluster_map(path: str | Path) -> ClusterMap:
     """Load a ``token<TAB>cluster-id`` map; ids must lie in [0, 999]."""
+    path = Path(path)
     entries: dict[str, int] = {}
-    for lineno, line in _data_lines(Path(path)):
+    for lineno, line in _data_lines(path):
         parts = line.split("\t")
         if len(parts) != 2:
             raise CorpusFormatError(
-                f"expected 2 tab-separated fields at line {lineno}, got {len(parts)}"
+                f"expected 2 tab-separated fields at line {lineno} of {path}, "
+                f"got {len(parts)}"
             )
         token, cluster_s = parts
         try:
             cluster = int(cluster_s)
         except ValueError:
             raise CorpusFormatError(
-                f"non-integer cluster id {cluster_s!r} at line {lineno}"
+                f"non-integer cluster id {cluster_s!r} at line {lineno} of {path}"
             ) from None
         if not 0 <= cluster <= 999:
             raise CorpusFormatError(
-                f"cluster id {cluster} out of range [0, 999] at line {lineno}"
+                f"cluster id {cluster} out of range [0, 999] at line {lineno} of {path}"
             )
         entries[token] = cluster
     return ClusterMap(entries=entries)

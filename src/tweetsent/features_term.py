@@ -119,16 +119,25 @@ def _lexicon_stats(
 
 
 def _lookup_all(
-    lexicon: Lexicon, words: Sequence[str], affect: str
-) -> tuple[list[float], list[bool]]:
-    scores, matched = [], []
-    for w in words:
-        s = lexicon.score(f"uni:{w}", affect)
-        if s is None:
-            s = lexicon.score(w, affect)
-        scores.append(0.0 if s is None else s)
-        matched.append(s is not None)
-    return scores, matched
+    lexicon: Lexicon, words: Sequence[str]
+) -> list[tuple[list[float], list[bool]]]:
+    """Per affect, in ``lexicon.affects`` order: word scores and matches.
+
+    A word takes each affect's score from its ``uni:`` term, else from
+    its plain term; absent scores read 0.0 and unmatched.  Empty when no
+    word has an entry, since unmatched scores add no feature.
+    """
+    table = lexicon.unit_scores("uni")
+    rows = [table.get(w) for w in words]
+    if rows.count(None) == len(rows):
+        return []
+    out = []
+    for k in range(len(lexicon.affects)):
+        found = [None if row is None else row[k] for row in rows]
+        out.append(
+            ([0.0 if s is None else s for s in found], [s is not None for s in found])
+        )
+    return out
 
 
 def _negation_position(
@@ -220,8 +229,8 @@ def _target_features(
         fv.set("tgt|pos|middle", 1)
 
     for lexicon in lexicons:
-        for affect in lexicon.affects:
-            scores, matched = _lookup_all(lexicon, lower, affect)
+        looked_up = zip(lexicon.affects, _lookup_all(lexicon, lower))
+        for affect, (scores, matched) in looked_up:
             if flip_pos is not None:
                 scores = flip_term_polarity(scores, flip_pos)
             _lexicon_stats(fv, f"tgt|lex|{lexicon.name}|{affect}", scores, matched)
@@ -255,8 +264,8 @@ def _context_features(
 
     in_order = sides[0] + sides[1]
     for lexicon in lexicons:
-        for affect in lexicon.affects:
-            scores, matched = _lookup_all(lexicon, in_order, affect)
+        looked_up = zip(lexicon.affects, _lookup_all(lexicon, in_order))
+        for affect, (scores, matched) in looked_up:
             _lexicon_stats(fv, f"ctx|lex|{lexicon.name}|{affect}", scores, matched)
 
 

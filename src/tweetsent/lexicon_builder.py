@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import string
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -59,12 +60,14 @@ class SeedSet:
 
 def load_seed_set(path: str | Path) -> SeedSet:
     """Load seeds from ``hashtag<TAB>positive|negative`` lines."""
+    path = Path(path)
     positive, negative = [], []
-    for lineno, line in _data_lines(Path(path)):
+    for lineno, line in _data_lines(path):
         parts = line.split("\t")
         if len(parts) != 2:
             raise CorpusFormatError(
-                f"expected 2 tab-separated fields at line {lineno}, got {len(parts)}"
+                f"expected 2 tab-separated fields at line {lineno} of {path}, "
+                f"got {len(parts)}"
             )
         term, polarity = parts
         if polarity == POSITIVE:
@@ -73,8 +76,8 @@ def load_seed_set(path: str | Path) -> SeedSet:
             negative.append(term)
         else:
             raise CorpusFormatError(
-                f"seed polarity must be positive or negative at line {lineno}, "
-                f"got '{polarity}'"
+                f"seed polarity must be positive or negative at line {lineno} "
+                f"of {path}, got '{polarity}'"
             )
     return SeedSet.from_words(positive, negative)
 
@@ -129,34 +132,20 @@ def extract_candidates(
     """
     if function_words is None:
         function_words = default_function_words()
-
-    def blocked(tok: str) -> bool:
-        return _is_pure_punctuation(tok) or tok.startswith("@")
-
-    out: list[str] = []
     n = len(tokens)
-    for tok in tokens:
-        if not blocked(tok):
-            out.append(tok)
-    for i in range(n - 1):
-        if not blocked(tokens[i]) and not blocked(tokens[i + 1]):
-            out.append(f"{tokens[i]} {tokens[i + 1]}")
-
+    clean = [not (_is_pure_punctuation(t) or t.startswith("@")) for t in tokens]
     # Pair parts: unigrams (i, i) and bigrams (i, i + 1), each clean of
     # blocked tokens and function words.
-    parts: list[PairPart] = []
-    for i, tok in enumerate(tokens):
-        if not blocked(tok) and tok.lower() not in function_words:
-            parts.append((i, i, tok))
-    for i in range(n - 1):
-        a, b = tokens[i], tokens[i + 1]
-        if (
-            not blocked(a)
-            and not blocked(b)
-            and a.lower() not in function_words
-            and b.lower() not in function_words
-        ):
-            parts.append((i, i + 1, f"{a} {b}"))
+    usable = [ok and t.lower() not in function_words for ok, t in zip(clean, tokens)]
+    bigrams = [
+        (i, f"{tokens[i]} {tokens[i + 1]}")
+        for i in range(n - 1)
+        if clean[i] and clean[i + 1]
+    ]
+    out = [t for t, ok in zip(tokens, clean) if ok]
+    out += [text for _, text in bigrams]
+    parts: list[PairPart] = [(i, i, t) for i, t in enumerate(tokens) if usable[i]]
+    parts += [(i, i + 1, text) for i, text in bigrams if usable[i] and usable[i + 1]]
     out += [pair[2] for pair in pair_units(parts, parts, pair_window)]
     return out
 
@@ -174,11 +163,15 @@ def term_namespace(term: str) -> str:
 class CooccurrenceCounts:
     """Candidate occurrence counts per term and class.
 
+    ``term_count`` counts each term's occurrences in both classes, with
+    terms in order of first occurrence; ``positive_count`` counts those
+    in the positive class, so a term's negative count is the difference.
     ``class_count[c]`` is the total number of candidate occurrences in
     class ``c`` and always equals the per-term counts summed over terms.
     """
 
-    term_class_count: dict[str, dict[str, int]] = field(default_factory=dict)
+    term_count: Counter[str] = field(default_factory=Counter)
+    positive_count: Counter[str] = field(default_factory=Counter)
     class_count: dict[str, int] = field(
         default_factory=lambda: {POSITIVE: 0, NEGATIVE: 0}
     )
@@ -188,8 +181,7 @@ class CooccurrenceCounts:
         return self.class_count[POSITIVE] + self.class_count[NEGATIVE]
 
     def term_total(self, term: str) -> int:
-        by_class = self.term_class_count.get(term, {})
-        return by_class.get(POSITIVE, 0) + by_class.get(NEGATIVE, 0)
+        return self.term_count[term]
 
 
 def count_cooccurrences(
@@ -198,20 +190,21 @@ def count_cooccurrences(
     per_message: bool = False,
     pair_window: int | None = None,
 ) -> CooccurrenceCounts:
-    """Count candidates over (tokens, class) pairs.
+    """Count candidates over (tokens, class) pairs into two counters.
 
     Each occurrence counts once; with ``per_message`` a candidate counts
-    at most once per message.
+    at most once per message.  Every candidate goes into ``term_count``,
+    and those of positive messages also into ``positive_count``.
     """
     counts = CooccurrenceCounts()
     for tokens, label in corpus:
         candidates = extract_candidates(tokens, function_words, pair_window)
         if per_message:
             candidates = sorted(set(candidates))
-        for term in candidates:
-            by_class = counts.term_class_count.setdefault(term, {})
-            by_class[label] = by_class.get(label, 0) + 1
-            counts.class_count[label] += 1
+        counts.class_count[label] += len(candidates)
+        counts.term_count.update(candidates)
+        if label == POSITIVE:
+            counts.positive_count.update(candidates)
     return counts
 
 
@@ -225,17 +218,17 @@ def pmi_score(counts: CooccurrenceCounts, term: str, alpha: float = 0.5) -> floa
     and is computed on count ratios only, so duplicating the corpus
     leaves every score bit-identical.
     """
-    by_class = counts.term_class_count.get(term, {})
-    f_pos = by_class.get(POSITIVE, 0)
-    f_neg = by_class.get(NEGATIVE, 0)
+    f_term = counts.term_count[term]
+    f_pos = counts.positive_count[term]
+    f_neg = f_term - f_pos
     total = counts.total
-    if f_pos + f_neg == 0:
+    if f_term == 0:
         raise ValueError(f"term {term!r} has no occurrences")
     if counts.class_count[POSITIVE] == 0 or counts.class_count[NEGATIVE] == 0:
         raise ValueError("both classes need candidate occurrences to score terms")
     rel_pos = f_pos / total
     rel_neg = f_neg / total
-    rel_term = (f_pos + f_neg) / total
+    rel_term = f_term / total
     share_pos = counts.class_count[POSITIVE] / total
     share_neg = counts.class_count[NEGATIVE] / total
     numerator = (rel_pos + alpha * rel_term * share_pos) * share_neg
@@ -295,8 +288,8 @@ def build_lexicon(
             raise ValueError(f"no {cls} candidates after labeling")
 
     entries: dict[str, dict[str, float]] = {}
-    for term in counts.term_class_count:
-        if counts.term_total(term) < min_count:
+    for term, occurrences in counts.term_count.items():
+        if occurrences < min_count:
             continue
         score = pmi_score(counts, term, alpha)
         key = f"{term_namespace(term)}:{term}"

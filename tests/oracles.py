@@ -6,8 +6,12 @@ scores via exact rational arithmetic and a single logarithm, the SVM
 dual via projected gradient with an active-set polish, and message
 lexicon features via per-(scope, affect) lookups over every pair.  None
 of them import library internals beyond public dataclasses.
+The copies below import only the unchanged public functions they call.
 The model-file reader and writer are the per-record loops that the
-bulk versions in ``linear_model`` replaced, kept as written.
+bulk versions in ``linear_model`` replaced, kept as written; so are the
+dual coordinate descent loop on numpy scalars, lexicon induction over a
+dict of per-term class dicts, the per-character unescaping loop and the
+per-affect term lexicon lookup.
 """
 
 from __future__ import annotations
@@ -20,8 +24,16 @@ from pathlib import Path
 
 import numpy as np
 
+from tweetsent.corpus_io import NEGATIVE, POSITIVE, pair_units
 from tweetsent.features_message import FeatureDictionary
+from tweetsent.lexicon_builder import (
+    pseudo_label_by_emoticon,
+    pseudo_label_by_hashtag,
+    term_namespace,
+)
 from tweetsent.linear_model import LinearModel, ModelFormatError
+from tweetsent.tokenizer import emoticon_polarity, is_emoticon, normalize, tokenize
+from tweetsent.wordlists import default_function_words
 
 _PUNCT = set(string.punctuation)
 
@@ -417,3 +429,178 @@ def oracle_load_model(path: str | Path) -> LinearModel:
         C=c_value,
         tol=tol_value,
     )
+
+
+def oracle_train_binary(rows, targets, dim, C, tol, max_epochs, rng):
+    """One binary dual coordinate descent subproblem, on numpy scalars.
+
+    Returns (weights, epochs run, per-epoch dual objectives, duals).
+    """
+    n = len(rows)
+    w = np.zeros(dim + 1)
+    alpha = np.zeros(n)
+    q_diag = np.array([v @ v + 1.0 for _, v in rows])
+    objectives: list[float] = []
+    epochs_run = 0
+    for _ in range(max_epochs):
+        epochs_run += 1
+        worst = 0.0
+        for i in rng.permutation(n):
+            ind, val = rows[i]
+            y = targets[i]
+            gradient = y * (w[ind] @ val + w[dim]) - 1.0
+            if alpha[i] <= 0.0:
+                projected = min(gradient, 0.0)
+            elif alpha[i] >= C:
+                projected = max(gradient, 0.0)
+            else:
+                projected = gradient
+            magnitude = abs(projected)
+            if magnitude > worst:
+                worst = magnitude
+            if magnitude > 1e-12:
+                updated = min(max(alpha[i] - gradient / q_diag[i], 0.0), C)
+                step = (updated - alpha[i]) * y
+                alpha[i] = updated
+                w[ind] += step * val
+                w[dim] += step
+        objectives.append(float(alpha.sum() - 0.5 * (w @ w)))
+        if worst < tol:
+            break
+    return w, epochs_run, objectives, alpha
+
+
+def _dict_is_pure_punctuation(token: str) -> bool:
+    return bool(token) and all(c in _PUNCT for c in token) and not is_emoticon(token)
+
+
+def _dict_candidates(tokens, function_words, pair_window):
+    def blocked(tok: str) -> bool:
+        return _dict_is_pure_punctuation(tok) or tok.startswith("@")
+
+    out: list[str] = []
+    n = len(tokens)
+    for tok in tokens:
+        if not blocked(tok):
+            out.append(tok)
+    for i in range(n - 1):
+        if not blocked(tokens[i]) and not blocked(tokens[i + 1]):
+            out.append(f"{tokens[i]} {tokens[i + 1]}")
+    parts = []
+    for i, tok in enumerate(tokens):
+        if not blocked(tok) and tok.lower() not in function_words:
+            parts.append((i, i, tok))
+    for i in range(n - 1):
+        a, b = tokens[i], tokens[i + 1]
+        if (
+            not blocked(a)
+            and not blocked(b)
+            and a.lower() not in function_words
+            and b.lower() not in function_words
+        ):
+            parts.append((i, i + 1, f"{a} {b}"))
+    out += [pair[2] for pair in pair_units(parts, parts, pair_window)]
+    return out
+
+
+def _dict_pmi(term_class_count, class_count, term, alpha):
+    by_class = term_class_count.get(term, {})
+    f_pos = by_class.get(POSITIVE, 0)
+    f_neg = by_class.get(NEGATIVE, 0)
+    total = class_count[POSITIVE] + class_count[NEGATIVE]
+    rel_pos = f_pos / total
+    rel_neg = f_neg / total
+    rel_term = (f_pos + f_neg) / total
+    share_pos = class_count[POSITIVE] / total
+    share_neg = class_count[NEGATIVE] / total
+    numerator = (rel_pos + alpha * rel_term * share_pos) * share_neg
+    denominator = (rel_neg + alpha * rel_term * share_neg) * share_pos
+    return math.log2(numerator) - math.log2(denominator)
+
+
+def oracle_induced_entries(
+    corpus,
+    labeling,
+    seeds=None,
+    min_count=5,
+    alpha=0.5,
+    per_message=False,
+    pair_window=None,
+    function_words=None,
+):
+    """Entries of an induced lexicon, counted into per-term class dicts."""
+    if function_words is None:
+        function_words = default_function_words()
+    streams = []
+    for _msg_id, text in corpus:
+        message = tokenize(normalize(text))
+        if labeling == "hashtag":
+            label = pseudo_label_by_hashtag(message, seeds)
+            kept = message.tokens
+        else:
+            label = pseudo_label_by_emoticon(message)
+            kept = [
+                t
+                for t in message.tokens
+                if not (t.kind == "emoticon" and emoticon_polarity(t.surface))
+            ]
+        if label is None:
+            continue
+        streams.append(([t.surface.lower() for t in kept], label))
+    if not streams:
+        raise ValueError("no labeled messages")
+
+    term_class_count: dict[str, dict[str, int]] = {}
+    class_count = {POSITIVE: 0, NEGATIVE: 0}
+    for tokens, label in streams:
+        candidates = _dict_candidates(tokens, function_words, pair_window)
+        if per_message:
+            candidates = sorted(set(candidates))
+        for term in candidates:
+            by_class = term_class_count.setdefault(term, {})
+            by_class[label] = by_class.get(label, 0) + 1
+            class_count[label] += 1
+    for cls in (POSITIVE, NEGATIVE):
+        if class_count[cls] == 0:
+            raise ValueError(f"no {cls} candidates after labeling")
+
+    entries: dict[str, dict[str, float]] = {}
+    for term, by_class in term_class_count.items():
+        if by_class.get(POSITIVE, 0) + by_class.get(NEGATIVE, 0) < min_count:
+            continue
+        score = _dict_pmi(term_class_count, class_count, term, alpha)
+        entries[f"{term_namespace(term)}:{term}"] = {POSITIVE: score, NEGATIVE: -score}
+    return entries
+
+
+def oracle_unescape_text(text: str) -> str:
+    """Undo corpus escaping one character at a time."""
+    out = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\\" and i + 1 < len(text):
+            nxt = text[i + 1]
+            if nxt == "t":
+                out.append("\t")
+                i += 2
+                continue
+            if nxt == "\\":
+                out.append("\\")
+                i += 2
+                continue
+        out.append(ch)
+        i += 1
+    return "".join(out)
+
+
+def oracle_term_lookup(lexicon, words, affect):
+    """Per-word scores and matches for one affect via ``Lexicon.score``."""
+    scores, matched = [], []
+    for w in words:
+        s = lexicon.score(f"uni:{w}", affect)
+        if s is None:
+            s = lexicon.score(w, affect)
+        scores.append(0.0 if s is None else s)
+        matched.append(s is not None)
+    return scores, matched

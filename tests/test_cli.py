@@ -246,6 +246,18 @@ def test_non_utf8_model_exits_1(message_files, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_non_utf8_corpus_exits_1(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.tsv"
+    latin1.write_bytes("m1\tpositive\tcaf\u00e9 ok\n".encode("latin-1"))
+    code, out, err = run(
+        capsys, "train", "--input", str(latin1), "--model", str(tmp_path / "m.tsv")
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: not valid UTF-8 text in {latin1}\n"
+    assert "Traceback" not in err
+
+
 def test_missing_class_exits_1(tmp_path, capsys):
     only_two = tmp_path / "two.tsv"
     write_message_corpus(

@@ -1,6 +1,9 @@
 import warnings
 
 import pytest
+from hypothesis import given, strategies as st
+
+from oracles import oracle_unescape_text
 
 from tweetsent.corpus_io import (
     CLASS_ORDER,
@@ -8,6 +11,7 @@ from tweetsent.corpus_io import (
     LabeledMessage,
     Lexicon,
     TermInstance,
+    _unescape_text,
     load_cluster_map,
     load_lexicon,
     load_message_corpus,
@@ -45,15 +49,17 @@ def test_message_corpus_skips_comments_and_blanks(tmp_path):
 def test_message_corpus_bad_label(tmp_path):
     path = tmp_path / "c.tsv"
     path.write_text("m1\tpos\thi\n")
-    with pytest.raises(CorpusFormatError, match="unknown label 'pos' at line 1"):
+    with pytest.raises(CorpusFormatError, match="unknown label 'pos' at line 1") as err:
         load_message_corpus(path)
+    assert str(path) in str(err.value)
 
 
 def test_message_corpus_bad_column_count(tmp_path):
     path = tmp_path / "c.tsv"
     path.write_text("m1\tpositive\n")
-    with pytest.raises(CorpusFormatError, match="expected 3 tab-separated"):
+    with pytest.raises(CorpusFormatError, match="expected 3 tab-separated") as err:
         load_message_corpus(path)
+    assert str(path) in str(err.value)
 
 
 def test_message_corpus_missing_file(tmp_path):
@@ -71,8 +77,9 @@ def test_tagged_corpus(tmp_path):
 def test_tagged_corpus_malformed_pair(tmp_path):
     path = tmp_path / "c.tsv"
     path.write_text("m1\tpositive\thi\tGoodA\n")
-    with pytest.raises(CorpusFormatError, match="malformed surface/TAG"):
+    with pytest.raises(CorpusFormatError, match="malformed surface/TAG") as err:
         load_message_corpus(path, format="tagged")
+    assert str(path) in str(err.value)
 
 
 def test_unknown_format():
@@ -100,15 +107,17 @@ def test_term_corpus_round_trip(tmp_path):
 def test_term_corpus_span_out_of_range(tmp_path):
     path = tmp_path / "terms.tsv"
     path.write_text("t1\t0\t5\tpositive\tonly three tokens\n")
-    with pytest.raises(CorpusFormatError, match=r"span \[0, 5\].*out of range"):
+    with pytest.raises(CorpusFormatError, match=r"span \[0, 5\].*out of range") as err:
         load_term_corpus(path)
+    assert str(path) in str(err.value)
 
 
 def test_term_corpus_non_integer_span(tmp_path):
     path = tmp_path / "terms.tsv"
     path.write_text("t1\tx\t1\tpositive\thi there\n")
-    with pytest.raises(CorpusFormatError, match="non-integer span"):
+    with pytest.raises(CorpusFormatError, match="non-integer span") as err:
         load_term_corpus(path)
+    assert str(path) in str(err.value)
 
 
 def test_lexicon_round_trip(tmp_path):
@@ -148,8 +157,9 @@ def test_lexicon_duplicate_warns_last_wins(tmp_path):
 def test_lexicon_bad_score(tmp_path):
     path = tmp_path / "d.lex"
     path.write_text("good\tpositive\tNaN?\n")
-    with pytest.raises(CorpusFormatError, match="non-numeric score"):
+    with pytest.raises(CorpusFormatError, match="non-numeric score") as err:
         load_lexicon(path)
+    assert str(path) in str(err.value)
 
 
 def test_empty_lexicon_round_trip(tmp_path):
@@ -191,5 +201,59 @@ def test_cluster_map(tmp_path):
 def test_cluster_map_range(tmp_path):
     path = tmp_path / "clusters.tsv"
     path.write_text("good\t1000\n")
-    with pytest.raises(CorpusFormatError, match=r"out of range \[0, 999\]"):
+    with pytest.raises(CorpusFormatError, match=r"out of range \[0, 999\]") as err:
         load_cluster_map(path)
+    assert str(path) in str(err.value)
+
+
+_LOADERS = {
+    "message": load_message_corpus,
+    "raw": load_raw_corpus,
+    "term": load_term_corpus,
+    "lexicon": load_lexicon,
+    "cluster": load_cluster_map,
+}
+
+
+@pytest.mark.parametrize(
+    "loader,text,message",
+    [
+        ("message", "m1\tpositive\thi\nm2\tpositive\n", "expected 3 tab-separated"),
+        ("message", "m1\tbogus\thi\n", "unknown label 'bogus'"),
+        ("raw", "# c\nno-tab\n", "expected 2 tab-separated"),
+        ("term", "t1\t0\t0\tpositive\n", "expected 5 tab-separated"),
+        ("term", "t1\t0\t0\tbogus\thi\n", "unknown label 'bogus'"),
+        ("lexicon", "good\tpositive\n", "expected 3 tab-separated"),
+        ("cluster", "good\tx\n", "non-integer cluster id 'x'"),
+    ],
+)
+def test_loader_errors_name_the_file(tmp_path, loader, text, message):
+    path = tmp_path / f"{loader}.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as err:
+        _LOADERS[loader](path)
+    line = text.count("\n")
+    assert str(err.value).startswith(message)
+    assert f" at line {line} of {path}" in str(err.value)
+
+
+def test_tagged_loader_error_names_the_file(tmp_path):
+    path = tmp_path / "tagged.tsv"
+    path.write_text("m1\tpositive\thi\t \n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as err:
+        load_message_corpus(path, format="tagged")
+    assert str(err.value) == f"empty tagged-token column at line 1 of {path}"
+
+
+@pytest.mark.parametrize("loader", sorted(_LOADERS))
+def test_non_utf8_file_names_the_file(tmp_path, loader):
+    path = tmp_path / f"{loader}.tsv"
+    path.write_bytes("m1\tpositive\tcaf\u00e9\n".encode("latin-1"))
+    with pytest.raises(CorpusFormatError) as err:
+        _LOADERS[loader](path)
+    assert str(err.value) == f"not valid UTF-8 text in {path}"
+
+
+@given(st.text(alphabet=["\\", "t", "\t", "a", "b"], max_size=24))
+def test_unescape_matches_character_loop(text):
+    assert _unescape_text(text) == oracle_unescape_text(text)

@@ -1,6 +1,10 @@
-import pytest
-from hypothesis import given, strategies as st
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import oracle_term_lookup
+from tweetsent import features_term
 from tweetsent.corpus_io import Lexicon, TermInstance
 from tweetsent.features_term import (
     DEFAULT_TERM_CONFIG,
@@ -10,7 +14,7 @@ from tweetsent.features_term import (
     extract_term_features,
     term_context,
 )
-from tweetsent.tokenizer import tokenize
+from tweetsent.tokenizer import normalize, tokenize
 
 
 def lex(entries, name="L", affects=("positive",)):
@@ -215,3 +219,47 @@ def test_term_context_out_of_range():
         term_context(message, 0, 2)
     with pytest.raises(ValueError, match="out of range"):
         term_context(message, -1, 0)
+
+
+_TERM_WORDS = ["good", "bad", "meh", "not", "day", "#goodday", "@u", ":)", "Fine"]
+_TERM_KEYS = ["good", "uni:good", "bad", "uni:bad", "uni:meh", "fine", "uni:day",
+              "bi:good day", "not", "uni:not", ":)"]
+_AFFECTS = ("positive", "negative", "anger")
+
+
+def _score_route(lexicon, words):
+    return [oracle_term_lookup(lexicon, words, a) for a in lexicon.affects]
+
+
+@st.composite
+def term_lexicons(draw):
+    affects = tuple(draw(st.permutations(_AFFECTS))[: draw(st.integers(1, 3))])
+    keys = draw(st.lists(st.sampled_from(_TERM_KEYS), unique=True, max_size=8))
+    entries = {
+        key: draw(
+            st.dictionaries(
+                st.sampled_from(affects),
+                st.sampled_from([-2.0, -0.5, 0.0, 1.0, 3.25]),
+                max_size=len(affects),
+            )
+        )
+        for key in keys
+    }
+    return lex(entries, name=draw(st.sampled_from(["A", "B"])), affects=affects)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(term_lexicons(), max_size=2),
+    st.lists(st.sampled_from(_TERM_WORDS), min_size=1, max_size=9),
+    st.data(),
+)
+def test_term_lexicon_features_match_score_route(lexicons, words, data):
+    text = " ".join(words)
+    n = len(tokenize(normalize(text)).tokens)
+    start = data.draw(st.integers(0, n - 1))
+    end = data.draw(st.integers(start, n - 1))
+    got = extract(text, start, end, lexicons)
+    with mock.patch.object(features_term, "_lookup_all", _score_route):
+        want = extract(text, start, end, lexicons)
+    assert list(got.entries.items()) == list(want.entries.items())

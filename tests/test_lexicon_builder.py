@@ -1,9 +1,17 @@
 import math
+import re
+from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import oracle_candidates, oracle_counts, oracle_lexicon, oracle_pmi
+from oracles import (
+    oracle_candidates,
+    oracle_counts,
+    oracle_induced_entries,
+    oracle_lexicon,
+    oracle_pmi,
+)
 from tweetsent.corpus_io import NEGATIVE, POSITIVE, CorpusFormatError
 from tweetsent.lexicon_builder import (
     CooccurrenceCounts,
@@ -118,9 +126,16 @@ def test_candidates_default_filter_matches_bundled_list(tokens):
     assert sorted(got) == sorted(want)
 
 
+def _by_class(counts, term):
+    """A term's per-class counts, read off the two counters."""
+    f_pos = counts.positive_count[term]
+    return {POSITIVE: f_pos, NEGATIVE: counts.term_count[term] - f_pos}
+
+
 def test_count_single_message():
     counts = count_cooccurrences([(["good"], POSITIVE)], function_words=NO_FILTER)
-    assert counts.term_class_count == {"good": {POSITIVE: 1}}
+    assert counts.term_count == {"good": 1}
+    assert counts.positive_count == {"good": 1}
     assert counts.class_count == {POSITIVE: 1, NEGATIVE: 0}
     assert counts.total == 1
     assert counts.term_total("good") == 1
@@ -131,20 +146,20 @@ def test_count_doubling():
     once = count_cooccurrences(_COUNT_FIXTURE, function_words=NO_FILTER)
     twice = count_cooccurrences(_COUNT_FIXTURE * 2, function_words=NO_FILTER)
     assert twice.total == 2 * once.total
-    for term, by_class in once.term_class_count.items():
-        for label, count in by_class.items():
-            assert twice.term_class_count[term][label] == 2 * count
+    for term in once.term_count:
+        for label, count in _by_class(once, term).items():
+            assert _by_class(twice, term)[label] == 2 * count
 
 
 def test_count_per_message_collapse():
     corpus = [(["x", "x"], POSITIVE)]
     plain = count_cooccurrences(corpus, function_words=NO_FILTER)
-    assert plain.term_class_count["x"][POSITIVE] == 2
+    assert _by_class(plain, "x")[POSITIVE] == 2
     assert plain.class_count[POSITIVE] == 3
     collapsed = count_cooccurrences(
         corpus, function_words=NO_FILTER, per_message=True
     )
-    assert collapsed.term_class_count["x"][POSITIVE] == 1
+    assert _by_class(collapsed, "x")[POSITIVE] == 1
     assert collapsed.class_count[POSITIVE] == 2
 
 
@@ -156,23 +171,24 @@ def test_count_fixture_matches_oracle(per_message):
     want_terms, want_classes = oracle_counts(
         _COUNT_FIXTURE, per_message=per_message
     )
-    assert set(counts.term_class_count) == set(want_terms)
+    assert set(counts.term_count) == set(want_terms)
     for term, by_class in want_terms.items():
         for label in (POSITIVE, NEGATIVE):
-            got = counts.term_class_count[term].get(label, 0)
+            got = _by_class(counts, term)[label]
             assert got == by_class[label]
     assert counts.class_count == want_classes
     # The class totals are the per-term counts summed over terms.
     for label in (POSITIVE, NEGATIVE):
         summed = sum(
-            by.get(label, 0) for by in counts.term_class_count.values()
+            _by_class(counts, term)[label] for term in counts.term_count
         )
         assert counts.class_count[label] == summed
 
 
 def _counts_from(f_pos, f_neg, cc_pos, cc_neg, term="t"):
     return CooccurrenceCounts(
-        term_class_count={term: {POSITIVE: f_pos, NEGATIVE: f_neg}},
+        term_count=Counter({term: f_pos + f_neg}),
+        positive_count=Counter({term: f_pos}),
         class_count={POSITIVE: cc_pos, NEGATIVE: cc_neg},
     )
 
@@ -283,12 +299,18 @@ def test_load_seed_set_hash_initial_line_is_a_comment(tmp_path):
 def test_load_seed_set_errors(tmp_path):
     bad_fields = tmp_path / "a.txt"
     bad_fields.write_text("good\n")
-    with pytest.raises(CorpusFormatError, match="expected 2 tab-separated"):
+    with pytest.raises(CorpusFormatError, match="expected 2 tab-separated") as err:
         load_seed_set(bad_fields)
+    assert f"at line 1 of {bad_fields}" in str(err.value)
     bad_polarity = tmp_path / "b.txt"
     bad_polarity.write_text("good\tpos\n")
-    with pytest.raises(CorpusFormatError, match="got 'pos'"):
+    with pytest.raises(CorpusFormatError, match="got 'pos'") as err:
         load_seed_set(bad_polarity)
+    assert f"at line 1 of {bad_polarity}" in str(err.value)
+    latin1 = tmp_path / "c.txt"
+    latin1.write_bytes("caf\u00e9\tpositive\n".encode("latin-1"))
+    with pytest.raises(CorpusFormatError, match="not valid UTF-8 text in "):
+        load_seed_set(latin1)
 
 
 def test_pseudo_label_by_hashtag():
@@ -406,3 +428,59 @@ def test_build_lexicon_matches_oracle(per_message, pair_window):
     for key, score in want.items():
         assert lexicon.entries[key][POSITIVE] == pytest.approx(score, abs=1e-9)
         assert lexicon.entries[key][NEGATIVE] == -lexicon.entries[key][POSITIVE]
+
+
+# Words, function words, mentions, pure punctuation and emoticons; the
+# signals label messages under either scheme.
+_INDUCTION_TOKENS = ["aa", "bb", "Cc", "the", "on", "@u", "!!", "...", ":p", "xD"]
+_SIGNALS = ["", ":)", ":(", "#go", "#ugh", ":) #go", ":( #ugh", ":) :("]
+
+
+def _float_bits(entries):
+    return [
+        (key, by[POSITIVE].hex(), by[NEGATIVE].hex()) for key, by in entries.items()
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(_INDUCTION_TOKENS), max_size=7),
+            st.sampled_from(_SIGNALS),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+    st.sampled_from(["emoticon", "hashtag"]),
+    st.booleans(),
+    st.sampled_from([None, 1, 2]),
+    st.integers(min_value=1, max_value=5),
+)
+@example(
+    [(["aa", "@u", "bb"], ":)"), (["bb", "!!", "aa"], ":(")], "emoticon", False, None, 1
+)
+@example(
+    [(["aa", "bb", "aa"], "#go"), (["bb", "the", "bb"], "#ugh")], "hashtag", False, None, 2
+)
+def test_build_lexicon_matches_dict_counting_oracle(
+    messages, labeling, per_message, pair_window, min_count
+):
+    corpus = [
+        (str(i), " ".join(words + [signal])) for i, (words, signal) in enumerate(messages)
+    ]
+    options = dict(
+        seeds=SeedSet.from_words(["go"], ["ugh"]),
+        min_count=min_count,
+        per_message=per_message,
+        pair_window=pair_window,
+    )
+    try:
+        want = oracle_induced_entries(corpus, labeling, **options)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            build_lexicon(corpus, labeling, **options)
+        return
+    got = build_lexicon(corpus, labeling, **options).entries
+    assert list(got) == list(want)
+    assert _float_bits(got) == _float_bits(want)

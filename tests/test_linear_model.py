@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import oracle_kkt_violation, oracle_svm_dual
+from hypothesis import given, settings, strategies as st
+
+from oracles import oracle_kkt_violation, oracle_svm_dual, oracle_train_binary
 from tweetsent.corpus_io import CLASS_ORDER
 from tweetsent.features_message import (
     FeatureDictionary,
@@ -357,3 +359,77 @@ def test_random_problems_match_oracle():
             want = probe @ w_oracle
             np.testing.assert_allclose(got, want, atol=1e-4)
             assert oracle_kkt_violation(X, y, C, model.alphas[position]) < 1e-4
+
+
+def _assert_matches_loop_oracle(vectors, labels, dim, C, tol, max_epochs, seed):
+    """Train, then check every class against the numpy-scalar loop, bit for bit."""
+    model = train(
+        vectors, labels, make_dictionary(dim),
+        C=C, tol=tol, max_epochs=max_epochs, seed=seed,
+    )
+    rows = [(v.indices, v.values) for v in vectors]
+    for position, cls in enumerate(CLASS_ORDER):
+        targets = np.where(np.array(labels) == cls, 1.0, -1.0)
+        w, epochs, objectives, alpha = oracle_train_binary(
+            rows, targets, dim, C, tol, max_epochs,
+            np.random.default_rng([seed, position]),
+        )
+        assert np.array_equal(model.weights[position], w)
+        assert model.weights[position].tobytes() == w.tobytes()
+        assert np.array_equal(model.alphas[position], alpha)
+        assert model.alphas[position].tobytes() == alpha.tobytes()
+        assert model.epochs[position] == epochs
+        assert model.objective_history[position] == tuple(objectives)
+    return model
+
+
+@st.composite
+def sparse_problems(draw):
+    n = draw(st.integers(3, 20))
+    dim = draw(st.integers(1, 10))
+    vectors = []
+    for _ in range(n):
+        indices = sorted(draw(st.sets(st.integers(0, dim - 1), max_size=5)))
+        values = draw(
+            st.lists(
+                st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False),
+                min_size=len(indices),
+                max_size=len(indices),
+            )
+        )
+        vectors.append(
+            IndexedVector(
+                indices=np.array(indices, dtype=np.int64),
+                values=np.array(values, dtype=np.float64),
+            )
+        )
+    labels = draw(st.lists(st.sampled_from(CLASS_ORDER), min_size=n, max_size=n))
+    labels[:3] = CLASS_ORDER
+    return vectors, labels, dim
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sparse_problems(),
+    st.sampled_from([0.001, 0.005, 0.1, 1.0, 10.0]),
+    st.sampled_from([0.1, 1e-4]),
+    st.sampled_from([1, 2, 3, 1000]),
+    st.integers(0, 2**16),
+)
+def test_solver_matches_numpy_scalar_loop(problem, C, tol, max_epochs, seed):
+    vectors, labels, dim = problem
+    _assert_matches_loop_oracle(vectors, labels, dim, C, tol, max_epochs, seed)
+
+
+@pytest.mark.parametrize("C,max_epochs", [(0.001, 1000), (10.0, 2)])
+def test_solver_matches_numpy_scalar_loop_at_bound_and_epoch_cap(C, max_epochs):
+    rng = np.random.default_rng(7)
+    X = np.round(rng.normal(size=(30, 6)), 3) * (rng.random((30, 6)) < 0.5)
+    labels = [CLASS_ORDER[i % 3] for i in range(30)]
+    model = _assert_matches_loop_oracle(
+        dense_rows(X.tolist()), labels, 6, C, 1e-6, max_epochs, 3
+    )
+    if max_epochs == 2:
+        assert max(model.epochs) == 2
+    else:
+        assert any((alpha == C).any() for alpha in model.alphas)
