@@ -41,7 +41,6 @@ from .features_message import (
 )
 from .features_term import (
     TermFeatureConfig,
-    ablate_namespace,
     extract_term_features,
     term_context,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "TermInstance",
     "Token",
     "TokenizedMessage",
-    "ablate_namespace",
     "apply_negation_suffix",
     "build_feature_dictionary",
     "build_lexicon",

@@ -421,8 +421,8 @@ def load_lexicon(path: str | Path, name: str | None = None, kind: str = "manual"
         by_affect = entries.setdefault(term, {})
         if affect in by_affect:
             warnings.warn(
-                f"duplicate lexicon entry ({term!r}, {affect!r}) at line {lineno}; "
-                "keeping the last value",
+                f"duplicate lexicon entry ({term!r}, {affect!r}) at line {lineno} "
+                f"of {path}; keeping the last value",
                 stacklevel=2,
             )
         by_affect[affect] = score

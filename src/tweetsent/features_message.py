@@ -38,6 +38,7 @@ are never stored.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -105,16 +106,21 @@ def build_feature_dictionary(vectors: Iterable[FeatureVector]) -> FeatureDiction
 
 
 def vectorize(vector: FeatureVector, dictionary: FeatureDictionary) -> IndexedVector:
-    """Resolve names to indices; names unknown to the dictionary drop."""
-    pairs = sorted(
-        (dictionary.index[name], value)
-        for name, value in vector.entries.items()
-        if name in dictionary.index
-    )
-    return IndexedVector(
-        indices=np.array([i for i, _ in pairs], dtype=np.int64),
-        values=np.array([v for _, v in pairs], dtype=np.float64),
-    )
+    """Resolve names to indices; names unknown to the dictionary drop.
+
+    The result holds strictly increasing int64 indices and their float64
+    values.  ``linear_model.train`` and ``decision_values`` rely on the
+    order: they check only the last index against the dictionary size.
+    """
+    entries = vector.entries
+    n = len(entries)
+    indices = np.fromiter(map(dictionary.index.get, entries, repeat(-1)), np.int64, n)
+    values = np.fromiter(entries.values(), np.float64, n)
+    known = indices >= 0
+    if not known.all():
+        indices, values = indices[known], values[known]
+    order = indices.argsort()
+    return IndexedVector(indices=indices[order], values=values[order])
 
 
 @dataclass(frozen=True)
@@ -222,7 +228,7 @@ def _scope_masks(
         segments.append("|caps")
     negated_bit = 1 << len(segments)
     masks = []
-    for i, t in enumerate(tokens):
+    for t, negated in zip(tokens, annotation.scope_flags(len(tokens))):
         mask = 1
         if t.pos_tag is not None:
             mask |= tag_bit[t.pos_tag]
@@ -230,7 +236,7 @@ def _scope_masks(
             mask |= hashtag_bit
         if t.all_caps:
             mask |= caps_bit
-        if annotation.in_scope(i):
+        if negated:
             mask |= negated_bit
         masks.append(mask)
     return segments, masks, negated_bit
@@ -320,16 +326,23 @@ def _lexicon_features(
 def _word_ngram_features(
     fv: FeatureVector, suffixed: Sequence[str], config: MessageFeatureConfig
 ) -> None:
-    n_tokens = len(suffixed)
+    # grams[k][i] joins the k tokens from position i; a wildcard n-gram is
+    # a prefix gram, "*" and a suffix gram.  Names keep the order of the
+    # n-gram loop: by n, then by start, each n-gram before its wildcards.
+    grams: list[list[str]] = [[]]
+    names: list[str] = []
     for n in range(1, config.ngram_max + 1):
-        for i in range(n_tokens - n + 1):
-            window = suffixed[i : i + n]
-            fv.set("wng|" + " ".join(window), 1)
-            if n in config.wildcard_sizes:
-                for hole in range(1, n - 1):
-                    gapped = list(window)
-                    gapped[hole] = "*"
-                    fv.set("wng|" + " ".join(gapped), 1)
+        if n == 1:
+            grams.append(list(suffixed))
+        else:
+            grams.append([g + " " + s for g, s in zip(grams[-1], suffixed[n - 1 :])])
+        rows = [["wng|" + g for g in grams[n]]]
+        if n in config.wildcard_sizes:
+            for hole in range(1, n - 1):
+                tails = grams[n - hole - 1][hole + 1 :]
+                rows.append([f"wng|{h} * {t}" for h, t in zip(grams[hole], tails)])
+        names += [name for row in zip(*rows) for name in row]
+    fv.entries.update(dict.fromkeys(names, 1.0))
 
 
 def _char_ngram_features(
@@ -338,12 +351,14 @@ def _char_ngram_features(
     suffixed: Sequence[str],
     config: MessageFeatureConfig,
 ) -> None:
-    for token, surface in zip(message.tokens, suffixed):
-        if token.kind in ("url", "mention"):
-            continue
-        for n in config.char_ngram_sizes:
-            for i in range(len(surface) - n + 1):
-                fv.set(f"cng|{surface[i : i + n]}", 1)
+    names = [
+        "cng|" + surface[i : i + n]
+        for token, surface in zip(message.tokens, suffixed)
+        if token.kind not in ("url", "mention")
+        for n in config.char_ngram_sizes
+        for i in range(len(surface) - n + 1)
+    ]
+    fv.entries.update(dict.fromkeys(names, 1.0))
 
 
 def _punctuation_features(fv: FeatureVector, message: TokenizedMessage) -> None:

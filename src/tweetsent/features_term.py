@@ -295,19 +295,3 @@ def extract_term_features(
     if config.context:
         _context_features(fv, ctx, lexicons, config)
     return fv
-
-
-def ablate_namespace(vector: FeatureVector, namespace: str) -> FeatureVector:
-    """Drop every feature in the ``tgt`` or ``ctx`` namespace."""
-    if namespace not in ("tgt", "ctx"):
-        raise ValueError(
-            f"unknown namespace '{namespace}'; expected one of: tgt, ctx"
-        )
-    prefix = namespace + "|"
-    return FeatureVector(
-        entries={
-            name: value
-            for name, value in vector.entries.items()
-            if not name.startswith(prefix)
-        }
-    )

@@ -195,9 +195,14 @@ def count_cooccurrences(
     Each occurrence counts once; with ``per_message`` a candidate counts
     at most once per message.  Every candidate goes into ``term_count``,
     and those of positive messages also into ``positive_count``.
+    A class other than positive or negative raises ``ValueError``.
     """
     counts = CooccurrenceCounts()
     for tokens, label in corpus:
+        if label not in counts.class_count:
+            raise ValueError(
+                f"unknown class {label!r}; expected {POSITIVE!r} or {NEGATIVE!r}"
+            )
         candidates = extract_candidates(tokens, function_words, pair_window)
         if per_message:
             candidates = sorted(set(candidates))

@@ -13,16 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .tokenizer import Token, TokenizedMessage
-from .wordlists import default_negation_words, load_wordlist
+from .wordlists import default_negation_words
 
 NEG_SUFFIX = "_NEG"
 
 _CLAUSE_PUNCTUATION = set(",.:;!?")
-
-
-def load_negation_words(path) -> frozenset[str]:
-    """Load a negation-word list file, one word per line."""
-    return load_wordlist(path)
 
 
 def _surfaces(tokens) -> list[str]:
@@ -48,6 +43,15 @@ class NegationAnnotation:
 
     def in_scope(self, index: int) -> bool:
         return any(start <= index <= end for start, end in self.spans)
+
+    def scope_flags(self, length: int) -> list[bool]:
+        """``in_scope(i)`` for every ``i`` below ``length``, in one pass."""
+        flags = [False] * length
+        for start, end in self.spans:
+            lo, hi = max(start, 0), min(end + 1, length)
+            if lo < hi:
+                flags[lo:hi] = [True] * (hi - lo)
+        return flags
 
 
 EMPTY_ANNOTATION = NegationAnnotation(spans=(), count=0)
@@ -83,8 +87,8 @@ def apply_negation_suffix(tokens, annotation: NegationAnnotation) -> list[str]:
     """Append ``_NEG`` to every surface inside a negated context."""
     surfaces = _surfaces(tokens)
     return [
-        s + NEG_SUFFIX if annotation.in_scope(i) else s
-        for i, s in enumerate(surfaces)
+        s + NEG_SUFFIX if negated else s
+        for s, negated in zip(surfaces, annotation.scope_flags(len(surfaces)))
     ]
 
 
@@ -106,7 +110,6 @@ __all__ = [
     "NegationAnnotation",
     "EMPTY_ANNOTATION",
     "default_negation_words",
-    "load_negation_words",
     "mark_negation",
     "apply_negation_suffix",
     "flip_term_polarity",

@@ -133,16 +133,16 @@ def _flags(surface: str) -> tuple[bool, bool, bool]:
 
 
 def _make_token(surface: str, kind: str) -> Token:
-    if kind == "word" and not any(c.isalnum() for c in surface):
+    if kind == "word" and not (
+        surface.isalnum() or any(c.isalnum() for c in surface)
+    ):
         kind = "punctuation"
-    all_caps, elongated, initial_cap = _flags(surface)
-    return Token(
-        surface=surface,
-        kind=kind,
-        all_caps=all_caps,
-        elongated=elongated,
-        initial_cap=initial_cap,
-    )
+    if surface.islower():
+        # A lowercase letter and no capital: neither all-caps nor
+        # initial-cap.  Symbols such as U+24D0 are lowercase without being
+        # alphanumeric, so the kind check above still runs.
+        return Token(surface, kind, False, _ELONGATED_RE.search(surface) is not None)
+    return Token(surface, kind, *_flags(surface))
 
 
 def tokenize(text: str) -> TokenizedMessage:
@@ -153,7 +153,7 @@ def tokenize(text: str) -> TokenizedMessage:
         surface = match.group()
         if kind == "other":
             kind = "word" if surface.isalnum() else "punctuation"
-        if kind == "word":
+        if kind == "word" and "'" in surface:
             nt = _NT_SPLIT_RE.match(surface)
             if nt:
                 tokens.append(_make_token(nt.group(1), "word"))

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from importlib import resources
-from pathlib import Path
 
 
 def _read_words(text: str) -> frozenset[str]:
@@ -14,11 +13,6 @@ def _read_words(text: str) -> frozenset[str]:
         if line and not line.startswith("#"):
             words.add(line.lower())
     return frozenset(words)
-
-
-def load_wordlist(path: str | Path) -> frozenset[str]:
-    """Load a one-word-per-line file; ``#`` comments and blanks skipped."""
-    return _read_words(Path(path).read_text(encoding="utf-8"))
 
 
 @lru_cache(maxsize=None)

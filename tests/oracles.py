@@ -11,7 +11,11 @@ The model-file reader and writer are the per-record loops that the
 bulk versions in ``linear_model`` replaced, kept as written; so are the
 dual coordinate descent loop on numpy scalars, lexicon induction over a
 dict of per-term class dicts, the per-character unescaping loop and the
-per-affect term lexicon lookup.
+per-affect term lexicon lookup.  So are the row path's per-token and
+per-feature loops: token flags computed character by character (with the
+tokenizer's unchanged regular expressions), one ``in_scope`` call per
+token, one ``FeatureVector.set`` per n-gram, and vectorizing by sorting
+(index, value) tuples.
 """
 
 from __future__ import annotations
@@ -25,14 +29,25 @@ from pathlib import Path
 import numpy as np
 
 from tweetsent.corpus_io import NEGATIVE, POSITIVE, pair_units
-from tweetsent.features_message import FeatureDictionary
+from tweetsent.features_message import FeatureDictionary, IndexedVector
 from tweetsent.lexicon_builder import (
     pseudo_label_by_emoticon,
     pseudo_label_by_hashtag,
     term_namespace,
 )
 from tweetsent.linear_model import LinearModel, ModelFormatError
-from tweetsent.tokenizer import emoticon_polarity, is_emoticon, normalize, tokenize
+from tweetsent.negation import NEG_SUFFIX
+from tweetsent.tokenizer import (
+    _ELONGATED_RE,
+    _NT_SPLIT_RE,
+    _TOKEN_RE,
+    Token,
+    TokenizedMessage,
+    emoticon_polarity,
+    is_emoticon,
+    normalize,
+    tokenize,
+)
 from tweetsent.wordlists import default_function_words
 
 _PUNCT = set(string.punctuation)
@@ -604,3 +619,122 @@ def oracle_term_lookup(lexicon, words, affect):
         scores.append(0.0 if s is None else s)
         matched.append(s is not None)
     return scores, matched
+
+
+def _oracle_flags(surface: str) -> tuple[bool, bool, bool]:
+    letters = [c for c in surface if c.isalpha()]
+    all_caps = len(letters) >= 2 and not any(c.islower() for c in surface)
+    elongated = _ELONGATED_RE.search(surface) is not None
+    initial_cap = (
+        bool(surface)
+        and surface[0].isupper()
+        and not any(c.isupper() for c in surface[1:])
+        and any(c.islower() for c in surface)
+    )
+    return all_caps, elongated, initial_cap
+
+
+def oracle_make_token(surface: str, kind: str) -> Token:
+    """A token with every flag computed character by character."""
+    if kind == "word" and not any(c.isalnum() for c in surface):
+        kind = "punctuation"
+    all_caps, elongated, initial_cap = _oracle_flags(surface)
+    return Token(
+        surface=surface,
+        kind=kind,
+        all_caps=all_caps,
+        elongated=elongated,
+        initial_cap=initial_cap,
+    )
+
+
+def oracle_tokenize(text: str) -> TokenizedMessage:
+    """Tokenize with the ``n't`` split tried on every word."""
+    tokens: list[Token] = []
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup or "other"
+        surface = match.group()
+        if kind == "other":
+            kind = "word" if surface.isalnum() else "punctuation"
+        if kind == "word":
+            nt = _NT_SPLIT_RE.match(surface)
+            if nt:
+                tokens.append(oracle_make_token(nt.group(1), "word"))
+                tokens.append(oracle_make_token(nt.group(2), "word"))
+                continue
+        tokens.append(oracle_make_token(surface, kind))
+    return TokenizedMessage(tokens=tokens)
+
+
+def oracle_apply_negation_suffix(surfaces, annotation) -> list[str]:
+    """Append ``_NEG`` to each surface that ``in_scope`` reports."""
+    return [
+        s + NEG_SUFFIX if annotation.in_scope(i) else s
+        for i, s in enumerate(surfaces)
+    ]
+
+
+def oracle_scope_masks(message, annotation):
+    """Scope segments, per-token masks and negation bit, one scope test per token."""
+    tokens = message.tokens
+    tags = sorted({t.pos_tag for t in tokens if t.pos_tag is not None})
+    segments = [""] + [f"|pos:{tag}" for tag in tags]
+    tag_bit = {tag: 1 << k for k, tag in enumerate(tags, start=1)}
+    hashtag_bit = caps_bit = 0
+    if any(t.kind == "hashtag" for t in tokens):
+        hashtag_bit = 1 << len(segments)
+        segments.append("|hashtag")
+    if any(t.all_caps for t in tokens):
+        caps_bit = 1 << len(segments)
+        segments.append("|caps")
+    negated_bit = 1 << len(segments)
+    masks = []
+    for i, t in enumerate(tokens):
+        mask = 1
+        if t.pos_tag is not None:
+            mask |= tag_bit[t.pos_tag]
+        if t.kind == "hashtag":
+            mask |= hashtag_bit
+        if t.all_caps:
+            mask |= caps_bit
+        if annotation.in_scope(i):
+            mask |= negated_bit
+        masks.append(mask)
+    return segments, masks, negated_bit
+
+
+def oracle_word_ngram_features(fv, suffixed, config) -> None:
+    """Word and wildcard n-grams, one ``FeatureVector.set`` per window."""
+    n_tokens = len(suffixed)
+    for n in range(1, config.ngram_max + 1):
+        for i in range(n_tokens - n + 1):
+            window = suffixed[i : i + n]
+            fv.set("wng|" + " ".join(window), 1)
+            if n in config.wildcard_sizes:
+                for hole in range(1, n - 1):
+                    gapped = list(window)
+                    gapped[hole] = "*"
+                    fv.set("wng|" + " ".join(gapped), 1)
+
+
+def oracle_char_ngram_features(fv, message, suffixed, config) -> None:
+    """Character n-grams, one ``FeatureVector.set`` per slice."""
+    for token, surface in zip(message.tokens, suffixed):
+        if token.kind in ("url", "mention"):
+            continue
+        for n in config.char_ngram_sizes:
+            for i in range(len(surface) - n + 1):
+                fv.set(f"cng|{surface[i : i + n]}", 1)
+
+
+def oracle_vectorize(vector, dictionary) -> IndexedVector:
+    """Resolve names by sorting (index, value) tuples."""
+    pairs = sorted(
+        (dictionary.index[name], value)
+        for name, value in vector.entries.items()
+        if name in dictionary.index
+    )
+    return IndexedVector(
+        indices=np.array([i for i, _ in pairs], dtype=np.int64),
+        values=np.array([v for _, v in pairs], dtype=np.float64),
+    )

@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import pytest
 
 from tweetsent.cli import main
@@ -358,3 +361,39 @@ def test_evaluate_byte_deterministic(message_files, tmp_path, capsys):
     assert model_path.read_bytes() == first_model
     _, second, _ = run(capsys, *args)
     assert second == first
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden_dump"
+# sha256 of the model files that train writes from the golden fixture.
+GOLDEN_MODEL_SHA256 = {
+    "plain": "9d32c870858270eb25b7aed58298afb67ca3de462227b69960d5df0b07d6a8b3",
+    "tagged": "bc5771e3dcda918f7b9d2460caaa22dee286e03817edb0343904d4a8abda2fa9",
+}
+
+
+@pytest.mark.parametrize("fmt", ["plain", "tagged"])
+def test_train_then_dump_features_matches_golden(fmt, tmp_path, capsys):
+    """Models, predictions and --dump-features output stay byte-identical.
+
+    The fixture has plain or tagged messages with negations, hashtags,
+    caps, elongations, emoticons, urls, mentions and non-ASCII letters,
+    and a planted lexicon with uni, bi and pair terms.
+    """
+    suffix = "" if fmt == "plain" else "_tagged"
+    lexicon = str(GOLDEN / "planted.tsv")
+    model = tmp_path / "model.tsv"
+    dump = tmp_path / "features.txt"
+    code, _, err = run(
+        capsys, "train", "--input", str(GOLDEN / f"train{suffix}.tsv"),
+        "--model", str(model), "--lexicon", lexicon, "--format", fmt, "--C", "1",
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == GOLDEN_MODEL_SHA256[fmt]
+    code, out, err = run(
+        capsys, "predict", "--input", str(GOLDEN / f"test{suffix}.tsv"),
+        "--model", str(model), "--lexicon", lexicon, "--format", fmt,
+        "--dump-features", str(dump),
+    )
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / f"expected_predictions{suffix}.txt").read_bytes()
+    assert dump.read_bytes() == (GOLDEN / f"expected_features{suffix}.txt").read_bytes()

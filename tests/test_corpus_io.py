@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import pytest
@@ -149,7 +150,8 @@ def test_lexicon_name_defaults_to_stem(tmp_path):
 def test_lexicon_duplicate_warns_last_wins(tmp_path):
     path = tmp_path / "d.lex"
     path.write_text("good\tpositive\t1.0\ngood\tpositive\t3.0\n")
-    with pytest.warns(UserWarning, match="duplicate lexicon entry"):
+    warning = f"duplicate lexicon entry ('good', 'positive') at line 2 of {path};"
+    with pytest.warns(UserWarning, match=re.escape(warning)):
         lexicon = load_lexicon(path)
     assert lexicon.entries["good"]["positive"] == 3.0
 

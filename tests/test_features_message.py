@@ -1,12 +1,23 @@
 from dataclasses import replace
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import oracle_lexicon_features
+from oracles import (
+    oracle_apply_negation_suffix,
+    oracle_char_ngram_features,
+    oracle_lexicon_features,
+    oracle_scope_masks,
+    oracle_vectorize,
+    oracle_word_ngram_features,
+)
 
+from tweetsent import features_message
 from tweetsent.corpus_io import ClusterMap, Lexicon
 from tweetsent.features_message import (
     DEFAULT_MESSAGE_CONFIG,
+    FeatureDictionary,
     FeatureVector,
     MessageFeatureConfig,
     build_feature_dictionary,
@@ -14,7 +25,8 @@ from tweetsent.features_message import (
     format_feature_dump,
     vectorize,
 )
-from tweetsent.negation import EMPTY_ANNOTATION, mark_negation
+from tweetsent.linear_model import LinearModel, decision_values
+from tweetsent.negation import EMPTY_ANNOTATION, NegationAnnotation, mark_negation
 from tweetsent.tokenizer import attach_clusters, tokenize, tokens_from_tagged
 
 
@@ -327,3 +339,108 @@ def test_lexicon_features_match_oracle(words, tags, entries, affects):
     surfaces = [t.surface.lower() for t in message.tokens]
     oracle_lexicon_features(want, message, surfaces, annotation, lexicons)
     assert format_feature_dump(got) == format_feature_dump(want)
+
+
+# Row-path inputs: Unicode surfaces including titlecase (U+01C5),
+# uncased (CJK) and "*" (the wildcard's own spelling), negation words,
+# hashtags, caps, mentions and urls (no character n-grams), elongations.
+_ROW_WORDS = st.sampled_from(
+    ["good", "Bad", "LOL", "#win", "not", "never", "don't", "*", ".", ",",
+     "\u01c5x", "\u4e2d\u6587", "_", "sooo", "@bob", "http://x.y", ":)", "a"]
+) | st.text(min_size=1, max_size=4)
+_ROW_CONFIGS = st.builds(
+    MessageFeatureConfig,
+    ngram_max=st.integers(0, 5),
+    wildcard_sizes=st.lists(st.integers(1, 6), max_size=3).map(tuple),
+    char_ngram_sizes=st.lists(st.integers(1, 6), max_size=4).map(tuple),
+)
+_ROW_SPANS = st.lists(
+    st.tuples(st.integers(-2, 10), st.integers(-2, 10)), max_size=3
+).map(tuple)
+
+
+def _row_message(words, tags):
+    if tags is None:
+        return tokenize(" ".join(words))
+    return tokens_from_tagged(tuple(zip(words, tags)))
+
+
+@settings(max_examples=300)
+@example(
+    words=["not", "good", "at", "all"],
+    tags=None,
+    spans=None,
+    config=DEFAULT_MESSAGE_CONFIG,
+)
+@example(words=[], tags=None, spans=None, config=DEFAULT_MESSAGE_CONFIG)
+@example(
+    words=["a", "*", "b", "c", "d"],
+    tags=["N", "N", "V", "A", "N"],
+    spans=((-1, 0), (4, 9), (2, 1)),
+    config=DEFAULT_MESSAGE_CONFIG,
+)
+@given(
+    words=st.lists(_ROW_WORDS, max_size=8),
+    tags=st.none() | st.lists(st.sampled_from(["A", "N", "V"]), min_size=8, max_size=8),
+    spans=st.none() | _ROW_SPANS,
+    config=st.just(DEFAULT_MESSAGE_CONFIG) | _ROW_CONFIGS,
+)
+def test_row_features_match_per_feature_loops(words, tags, spans, config):
+    message = _row_message(words, tags)
+    if spans is None:
+        annotation = mark_negation(message)
+    else:
+        annotation = NegationAnnotation(spans=spans, count=len(spans))
+    assert features_message._scope_masks(message, annotation) == (
+        oracle_scope_masks(message, annotation)
+    )
+    lexicons = [
+        Lexicon(
+            name="L",
+            affects=("positive", "negative"),
+            entries={"good": {"positive": 1.0}, "uni:bad": {"negative": 2.0},
+                     "bi:good at": {"positive": 0.5}},
+        )
+    ]
+    got = extract_message_features(message, annotation, lexicons, config=config)
+    with mock.patch.multiple(
+        features_message,
+        _word_ngram_features=oracle_word_ngram_features,
+        _char_ngram_features=oracle_char_ngram_features,
+        _scope_masks=oracle_scope_masks,
+        apply_negation_suffix=oracle_apply_negation_suffix,
+    ):
+        want = extract_message_features(message, annotation, lexicons, config=config)
+    # Same names, values and insertion order.
+    assert list(got.entries.items()) == list(want.entries.items())
+
+
+_NAMES = [f"f{k}" for k in range(12)]
+
+
+@settings(max_examples=300)
+@example(entries={}, known=["f1"], seed=0)
+@example(entries={"f3": 1.0, "f0": 2.0}, known=[], seed=0)
+@example(entries={"f3": 1.0, "f0": -0.0}, known=["f5", "f6"], seed=0)
+@given(
+    entries=st.dictionaries(
+        st.sampled_from(_NAMES),
+        st.floats(-1e6, 1e6) | st.integers(-3, 3),
+        max_size=12,
+    ),
+    known=st.lists(st.sampled_from(_NAMES), unique=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_vectorize_matches_tuple_sort(entries, known, seed):
+    names = tuple(sorted(known))
+    dictionary = FeatureDictionary(names, {n: i for i, n in enumerate(names)})
+    vector = FeatureVector(dict(entries))
+    got = vectorize(vector, dictionary)
+    want = oracle_vectorize(vector, dictionary)
+    for a, b in ((got.indices, want.indices), (got.values, want.values)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    weights = np.random.default_rng(seed).normal(size=(3, len(names) + 1))
+    model = LinearModel(("pos", "neg", "neu"), weights, dictionary, 1.0, 0.1)
+    scores = decision_values(model, got)
+    assert scores.tobytes() == decision_values(model, want).tobytes()

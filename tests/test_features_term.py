@@ -9,7 +9,6 @@ from tweetsent.corpus_io import Lexicon, TermInstance
 from tweetsent.features_term import (
     DEFAULT_TERM_CONFIG,
     TermFeatureConfig,
-    ablate_namespace,
     build_split_vocabulary,
     extract_term_features,
     term_context,
@@ -190,18 +189,6 @@ def test_target_and_context_toggles():
     )
     assert only_tgt.entries
     assert all(name.startswith("tgt|") for name in only_tgt.entries)
-
-
-def test_ablate_namespace():
-    fv = extract("not good at all", 1, 1, [GOOD_LEX])
-    no_tgt = ablate_namespace(fv, "tgt")
-    assert no_tgt.entries
-    assert all(not name.startswith("tgt|") for name in no_tgt.entries)
-    no_ctx = ablate_namespace(fv, "ctx")
-    assert all(not name.startswith("ctx|") for name in no_ctx.entries)
-    assert len(no_tgt) + len(no_ctx) == len(fv)
-    with pytest.raises(ValueError, match="unknown namespace 'foo'"):
-        ablate_namespace(fv, "foo")
 
 
 def test_term_context_window_and_edges():

@@ -185,6 +185,12 @@ def test_count_fixture_matches_oracle(per_message):
         assert counts.class_count[label] == summed
 
 
+def test_count_rejects_other_classes():
+    expected = "unknown class 'neutral'; expected 'positive' or 'negative'"
+    with pytest.raises(ValueError, match=expected):
+        count_cooccurrences([(["a"], "neutral")])
+
+
 def _counts_from(f_pos, f_neg, cc_pos, cc_neg, term="t"):
     return CooccurrenceCounts(
         term_count=Counter({term: f_pos + f_neg}),

@@ -1,8 +1,10 @@
 from hypothesis import given, strategies as st
+from oracles import oracle_apply_negation_suffix
 
 from tweetsent.negation import (
     EMPTY_ANNOTATION,
     NEG_SUFFIX,
+    NegationAnnotation,
     apply_negation_suffix,
     flip_term_polarity,
     mark_negation,
@@ -120,6 +122,27 @@ def test_tokens_outside_spans_unmodified(tokens):
     for i, (before, after) in enumerate(zip(tokens, suffixed)):
         if not annotation.in_scope(i):
             assert after == before
+
+
+# Any spans, as a caller may build them: negative, past the end,
+# reversed, overlapping.
+_SPANS = st.lists(
+    st.tuples(st.integers(-3, 14), st.integers(-3, 14)), max_size=4
+).map(tuple)
+
+
+@given(_TOKENS, _SPANS)
+def test_suffix_matches_per_token_scope_test(tokens, spans):
+    for annotation in (
+        mark_negation(tokens),
+        NegationAnnotation(spans=spans, count=len(spans)),
+    ):
+        assert apply_negation_suffix(tokens, annotation) == (
+            oracle_apply_negation_suffix(tokens, annotation)
+        )
+        assert annotation.scope_flags(len(tokens)) == [
+            annotation.in_scope(i) for i in range(len(tokens))
+        ]
 
 
 @given(_TOKENS)

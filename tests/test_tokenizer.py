@@ -1,9 +1,11 @@
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from oracles import oracle_make_token, oracle_tokenize
 
 from tweetsent.corpus_io import ClusterMap
 from tweetsent.tokenizer import (
     URL_PLACEHOLDER,
     USER_PLACEHOLDER,
+    _make_token,
     attach_clusters,
     emoticon_polarity,
     is_emoticon,
@@ -181,3 +183,36 @@ def test_attach_clusters():
     assert [t.cluster for t in attached.tokens] == [5, None]
     # The original message is untouched.
     assert [t.cluster for t in message.tokens] == [None, None]
+
+
+# Text that reaches every branch of the token flags and the n't split:
+# titlecase letters (U+01C5), uncased letters (CJK), lowercase symbols that
+# are not alphanumeric (U+24D0, U+0345), underscore-only words,
+# apostrophes, elongations, mixed case, and arbitrary Unicode.
+_PIECES = st.sampled_from(
+    ["\u01c5", "\u01c8a", "\u4e2d\u6587", "_", "__", "'", "n't", "N'T", "can't",
+     "isn'tt", "aaa", "LOOOL", "Sooo", "\u24d0", "\u24b6", "\u0345", "\u00df",
+     "\u0130", "Ab", "aB", "AB", "ab", "x1", "42", "-", " ", "#", "@", ":)",
+     "http://x.y", "!!!", "\u00aa"]
+)
+_UNICODE_TEXT = st.lists(_PIECES | st.text(max_size=3), max_size=12).map("".join)
+_KINDS = st.sampled_from(
+    ["url", "emoticon", "mention", "hashtag", "number", "word", "punctuation"]
+)
+
+
+@settings(max_examples=400)
+@example("\u01c5a DOn't can't__ \u4e2d\u6587 Heyyy \u24d0 x\u0345")
+@given(_UNICODE_TEXT)
+def test_tokenize_matches_per_character_flags(text):
+    assert tokenize(text).tokens == oracle_tokenize(text).tokens
+
+
+@settings(max_examples=400)
+@example("\u24d0", "word")
+@example("\u24d0\u24d1\u24d1\u24d1", "word")
+@example("a\u01c5", "word")
+@example("_", "word")
+@given(_PIECES | st.text(max_size=6), _KINDS)
+def test_make_token_matches_per_character_flags(surface, kind):
+    assert _make_token(surface, kind) == oracle_make_token(surface, kind)
