@@ -397,3 +397,105 @@ def test_train_then_dump_features_matches_golden(fmt, tmp_path, capsys):
     assert (code, err) == (0, "")
     assert out.encode() == (GOLDEN / f"expected_predictions{suffix}.txt").read_bytes()
     assert dump.read_bytes() == (GOLDEN / f"expected_features{suffix}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["plain", "tagged"])
+def test_evaluate_kv_matches_golden(fmt, tmp_path, capsys):
+    suffix = "" if fmt == "plain" else "_tagged"
+    lexicon = str(GOLDEN / "planted.tsv")
+    model = tmp_path / "model.tsv"
+    common = ("--lexicon", lexicon, "--format", fmt)
+    run(capsys, "train", "--input", str(GOLDEN / f"train{suffix}.tsv"),
+        "--model", str(model), "--C", "1", *common)
+    code, out, err = run(
+        capsys, "evaluate", "--input", str(GOLDEN / f"test{suffix}.tsv"),
+        "--model", str(model), "--kv", *common,
+    )
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / f"expected_eval_kv{suffix}.txt").read_bytes()
+
+
+MESSAGE_GROUPS = (
+    "lexicons,manual-lex,auto-lex,ngrams,word-ngrams,char-ngrams,"
+    "negation,pos,clusters,encodings"
+)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "tagged"])
+def test_message_ablate_and_cv_match_golden(fmt, capsys):
+    """Every message ablation variant and the CV folds stay byte-identical.
+
+    Both runs use a manual and an auto lexicon and a cluster map, so
+    each group removes something.
+    """
+    suffix = "" if fmt == "plain" else "_tagged"
+    resources = (
+        "--format", fmt, "--lexicon", str(GOLDEN / "planted.tsv"),
+        "--auto-lexicon", str(GOLDEN / "auto.tsv"),
+        "--clusters", str(GOLDEN / "clusters.tsv"), "--C", "0.05",
+    )
+    code, out, err = run(
+        capsys, "ablate", "--input", str(GOLDEN / f"train{suffix}.tsv"),
+        "--test", str(GOLDEN / f"test{suffix}.tsv"), "--groups", MESSAGE_GROUPS,
+        "--tsv", *resources,
+    )
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / f"expected_ablation{suffix}.tsv").read_bytes()
+    code, out, err = run(
+        capsys, "train", "--input", str(GOLDEN / f"train{suffix}.tsv"),
+        "--cv", "3", "--seed", "5", *resources,
+    )
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / f"expected_cv{suffix}.txt").read_bytes()
+
+
+GOLDEN_TERM = Path(__file__).parent / "data" / "golden_term"
+GOLDEN_TERM_MODEL_SHA256 = (
+    "5ebdda243ee1febd662e80b1a133a512969a12f41a5b14d9e7f63ffc5c11ef98"
+)
+
+
+def test_term_task_matches_golden(tmp_path, capsys):
+    """Term models, reports, dumps, CV folds and ablations stay byte-identical.
+
+    Some test hashtags split only with words from the lexicons, so the
+    ``lexicons`` ablation row pins that the split vocabulary comes from
+    every lexicon given, not from the ones left active.
+    """
+    lexicons = (
+        "--lexicon", str(GOLDEN_TERM / "manual.tsv"),
+        "--auto-lexicon", str(GOLDEN_TERM / "auto.tsv"),
+    )
+    train = ("--task", "term", "--input", str(GOLDEN_TERM / "train.tsv"))
+    test = ("--task", "term", "--input", str(GOLDEN_TERM / "test.tsv"))
+    model = tmp_path / "model.tsv"
+    dump = tmp_path / "features.txt"
+    code, _, err = run(
+        capsys, "train", *train, *lexicons, "--C", "0.05", "--model", str(model)
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == GOLDEN_TERM_MODEL_SHA256
+    code, out, err = run(
+        capsys, "evaluate", *test, *lexicons, "--model", str(model), "--kv"
+    )
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN_TERM / "expected_eval_kv.txt").read_bytes()
+    code, out, err = run(
+        capsys, "predict", *test, *lexicons, "--model", str(model),
+        "--dump-features", str(dump),
+    )
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN_TERM / "expected_predictions.txt").read_bytes()
+    assert dump.read_bytes() == (GOLDEN_TERM / "expected_features.txt").read_bytes()
+    code, out, err = run(
+        capsys, "train", *train, *lexicons, "--C", "0.05", "--cv", "3", "--seed", "5"
+    )
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN_TERM / "expected_cv.txt").read_bytes()
+    code, out, err = run(
+        capsys, "ablate", *train, "--test", str(GOLDEN_TERM / "test.tsv"), *lexicons,
+        "--groups", "lexicons,manual-lex,auto-lex,target,context", "--C", "0.05",
+        "--tsv",
+    )
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN_TERM / "expected_ablation.tsv").read_bytes()
