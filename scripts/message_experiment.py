@@ -27,7 +27,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--messages", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     messages, lexicon = make_message_corpus(n=args.messages, seed=args.seed)
@@ -49,9 +48,7 @@ def main() -> None:
     print(f"majority  {majority_f:.2f}  (always '{majority}')")
     print()
 
-    rows = run_ablation(
-        GROUPS, train, test, lexicons=[lexicon], threads=args.threads
-    )
+    rows = run_ablation(GROUPS, train, test, lexicons=[lexicon])
     print(format_ablation_table(rows), end="")
 
 

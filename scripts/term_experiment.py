@@ -7,7 +7,7 @@ target features, the context features and the lexicons in turn.
 import argparse
 
 from tweetsent.evaluation import format_ablation_table, format_report, run_ablation
-from tweetsent.pipeline import run_term_experiment
+from tweetsent.pipeline import run_experiment
 from tweetsent.synthetic import make_term_corpus
 
 
@@ -21,7 +21,7 @@ def main() -> None:
     split = int(len(instances) * 0.7)
     train, test = instances[:split], instances[split:]
 
-    result = run_term_experiment(train, test, lexicons=[lexicon])
+    result = run_experiment("term", train, test, lexicons=[lexicon])
     print("full feature set")
     print(format_report(result.report))
 

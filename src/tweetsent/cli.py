@@ -13,36 +13,22 @@ import argparse
 import sys
 from pathlib import Path
 
-from .corpus_io import (
-    load_cluster_map,
-    load_lexicon,
-    load_message_corpus,
-    load_raw_corpus,
-    load_term_corpus,
-    write_lexicon,
-)
+from .corpus_io import load_cluster_map, load_lexicon, load_raw_corpus, write_lexicon
 from .evaluation import (
     format_ablation_table,
     format_ablation_tsv,
     format_report,
-    macro_f_pos_neg,
     report_kv,
     run_ablation,
 )
 from .features_message import format_feature_dump
 from .lexicon_builder import build_lexicon, load_seed_set
-from .linear_model import cross_validate, load_model, predict, save_model
-from .pipeline import (
-    extract_message_vectors,
-    extract_term_vectors,
-    prepare_messages,
-    prepare_raw,
-    run_message_experiment,
-    run_term_experiment,
-)
+from .linear_model import load_model, predict, save_model
+from .pipeline import TASKS, cross_validate, featurize, fit, load_corpus, prepare, score
 
 
-def _add_lexicon_args(parser: argparse.ArgumentParser) -> None:
+def _add_task_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--task", choices=tuple(TASKS), default="message")
     parser.add_argument(
         "--lexicon",
         action="append",
@@ -57,21 +43,14 @@ def _add_lexicon_args(parser: argparse.ArgumentParser) -> None:
         metavar="FILE",
         help="corpus-induced lexicon TSV; repeatable",
     )
+    parser.add_argument("--clusters", metavar="FILE", help="token cluster map TSV")
+    parser.add_argument("--format", choices=("plain", "tagged"), default="plain")
 
 
 def _load_lexicons(args) -> list:
     lexicons = [load_lexicon(p, kind="manual") for p in args.lexicon]
     lexicons += [load_lexicon(p, kind="auto") for p in args.auto_lexicon]
     return lexicons
-
-
-def _add_task_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--task", choices=("message", "term"), default="message"
-    )
-    _add_lexicon_args(parser)
-    parser.add_argument("--clusters", metavar="FILE", help="token cluster map TSV")
-    parser.add_argument("--format", choices=("plain", "tagged"), default="plain")
 
 
 def _add_train_args(parser: argparse.ArgumentParser) -> None:
@@ -81,14 +60,15 @@ def _add_train_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=42)
 
 
-def _load_task_data(args, path: str):
-    if args.task == "message":
-        return load_message_corpus(path, format=args.format)
-    return load_term_corpus(path)
-
-
 def _clusters(args):
     return load_cluster_map(args.clusters) if args.clusters else None
+
+
+def _featurize(args, path: str, raw: bool = False):
+    """Ids, labels and feature vectors of the ``--task`` corpus at ``path``."""
+    lexicons, clusters = _load_lexicons(args), _clusters(args)
+    data = load_corpus(args.task, path, args.format, raw)
+    return featurize(args.task, prepare(args.task, data), lexicons, clusters)
 
 
 def cmd_build_lexicon(args) -> int:
@@ -110,16 +90,7 @@ def cmd_build_lexicon(args) -> int:
 
 
 def cmd_train(args) -> int:
-    data = _load_task_data(args, args.input)
-    lexicons = _load_lexicons(args)
-    clusters = _clusters(args)
-    if args.task == "message":
-        prepared = prepare_messages(data)
-        vectors = extract_message_vectors(prepared, lexicons, clusters)
-        labels = [p.label for p in prepared]
-    else:
-        vectors = extract_term_vectors(data, lexicons)
-        labels = [inst.label for inst in data]
+    _, labels, vectors = _featurize(args, args.input)
     if args.cv:
         scores = cross_validate(
             vectors, labels, k=args.cv, seed=args.seed,
@@ -129,47 +100,20 @@ def cmd_train(args) -> int:
             print(f"fold {i}\t{s:.2f}")
         print(f"mean\t{sum(scores) / len(scores):.2f}")
     if args.model:
-        from .features_message import build_feature_dictionary, vectorize
-        from .linear_model import train
-
-        dictionary = build_feature_dictionary(vectors)
-        indexed = [vectorize(v, dictionary) for v in vectors]
-        model = train(
-            indexed, labels, dictionary, C=args.C, tol=args.tol,
+        model = fit(
+            vectors, labels, C=args.C, tol=args.tol,
             max_epochs=args.max_epochs, seed=args.seed,
         )
         save_model(model, args.model)
-        print(f"wrote model ({dictionary.size} features) to {args.model}")
+        print(f"wrote model ({model.dictionary.size} features) to {args.model}")
     elif not args.cv:
         raise ValueError("nothing to do: pass --model and/or --cv")
     return 0
 
 
-def _test_vectors(args, data, lexicons, clusters):
-    if args.task == "message":
-        prepared = prepare_messages(data)
-        vectors = extract_message_vectors(prepared, lexicons, clusters)
-        ids = [p.id for p in prepared]
-        labels = [p.label for p in prepared]
-    else:
-        vectors = extract_term_vectors(data, lexicons)
-        ids = [inst.id for inst in data]
-        labels = [inst.label for inst in data]
-    return ids, labels, vectors
-
-
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    lexicons = _load_lexicons(args)
-    clusters = _clusters(args)
-    if args.task == "message" and args.raw:
-        prepared = prepare_raw(load_raw_corpus(args.input))
-        vectors = extract_message_vectors(prepared, lexicons, clusters)
-        ids = [p.id for p in prepared]
-    else:
-        ids, _, vectors = _test_vectors(
-            args, _load_task_data(args, args.input), lexicons, clusters
-        )
+    ids, _, vectors = _featurize(args, args.input, raw=args.raw)
     if args.dump_features:
         with Path(args.dump_features).open(
             "w", encoding="utf-8", newline="\n"
@@ -184,12 +128,8 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    lexicons = _load_lexicons(args)
-    clusters = _clusters(args)
-    data = _load_task_data(args, args.input)
-    _, labels, vectors = _test_vectors(args, data, lexicons, clusters)
-    predicted = [predict(model, v) for v in vectors]
-    report = macro_f_pos_neg(labels, predicted)
+    _, labels, vectors = _featurize(args, args.input)
+    report = score(model, vectors, labels)
     if args.kv:
         print(report_kv(report), end="")
     else:
@@ -198,8 +138,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    train_data = _load_task_data(args, args.input)
-    test_data = _load_task_data(args, args.test)
+    train_data = load_corpus(args.task, args.input, args.format)
+    test_data = load_corpus(args.task, args.test, args.format)
     groups = [g for g in args.groups.split(",") if g]
     rows = run_ablation(
         groups,
@@ -212,7 +152,6 @@ def cmd_ablate(args) -> int:
         tol=args.tol,
         max_epochs=args.max_epochs,
         seed=args.seed,
-        threads=args.threads,
     )
     if args.tsv:
         print(format_ablation_tsv(rows), end="")
@@ -268,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--groups", required=True, help="comma-separated group names")
     _add_task_args(p)
     _add_train_args(p)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--tsv", action="store_true", help="TSV output")
     p.set_defaults(func=cmd_ablate)
 

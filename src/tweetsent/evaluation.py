@@ -9,7 +9,6 @@ their denominator is 0.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -114,28 +113,6 @@ def report_kv(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-MESSAGE_ABLATION_GROUPS = (
-    "lexicons",
-    "manual-lex",
-    "auto-lex",
-    "ngrams",
-    "word-ngrams",
-    "char-ngrams",
-    "negation",
-    "pos",
-    "clusters",
-    "encodings",
-)
-
-TERM_ABLATION_GROUPS = (
-    "lexicons",
-    "manual-lex",
-    "auto-lex",
-    "target",
-    "context",
-)
-
-
 @dataclass(frozen=True)
 class AblationRow:
     """One ablation result; the "all" row is the full-feature baseline."""
@@ -143,20 +120,6 @@ class AblationRow:
     group: str
     macro_f: float
     delta: float
-
-
-def _check_groups(groups: Sequence[str], task: str) -> list[str]:
-    valid = MESSAGE_ABLATION_GROUPS if task == "message" else TERM_ABLATION_GROUPS
-    canonical = []
-    for g in groups:
-        low = g.lower()
-        if low not in valid:
-            raise ValueError(
-                f"unknown feature group '{g}' for {task} task; "
-                f"valid groups: {', '.join(valid)}"
-            )
-        canonical.append(low)
-    return canonical
 
 
 def run_ablation(
@@ -170,37 +133,31 @@ def run_ablation(
     tol: float = 0.1,
     max_epochs: int = 1000,
     seed: int = 42,
-    threads: int = 1,
 ) -> list[AblationRow]:
     """Retrain once per removed feature group and report score deltas.
 
     Every run uses the same seed and hyperparameters; only the feature
     configuration changes.  The first row is the all-features baseline,
-    followed by one row per group in the requested order.
+    followed by one row per group in the requested order.  Each corpus
+    is prepared once for all the runs.
     """
-    from . import pipeline
+    from . import pipeline  # pipeline imports this module for scoring
 
-    if task not in ("message", "term"):
-        raise ValueError(f"unknown task '{task}'")
-    groups = _check_groups(groups, task)
-    runs = pipeline.ablation_runs(
-        groups, train_data, test_data, task=task, lexicons=lexicons,
-        clusters=clusters, C=C, tol=tol, max_epochs=max_epochs, seed=seed,
-    )
-
-    def score(run) -> float:
-        return run()
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scores = list(pool.map(score, runs))
-    else:
-        scores = [score(r) for r in runs]
+    groups = pipeline.ablation_groups(task, groups)
+    train_rows = pipeline.prepare(task, train_data)
+    test_rows = pipeline.prepare(task, test_data)
+    scores = [
+        pipeline.run_experiment(
+            task, train_rows, test_rows, lexicons, clusters, removed=group,
+            C=C, tol=tol, max_epochs=max_epochs, seed=seed,
+        ).report.macro_f
+        for group in [None, *groups]
+    ]
     baseline = scores[0]
-    rows = [AblationRow(group="all", macro_f=baseline, delta=0.0)]
-    for group, value in zip(groups, scores[1:]):
-        rows.append(AblationRow(group=group, macro_f=value, delta=value - baseline))
-    return rows
+    return [
+        AblationRow(group=group, macro_f=value, delta=value - baseline)
+        for group, value in zip(["all", *groups], scores)
+    ]
 
 
 def format_ablation_table(rows: Sequence[AblationRow]) -> str:

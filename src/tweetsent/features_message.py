@@ -449,9 +449,9 @@ def extract_message_features(
                 if t.elongated and t.kind in ("word", "hashtag")
             ),
         )
-    if config.clusters:
-        for t in msg.tokens:
-            cid = clusters.get(t.surface.lower()) if clusters is not None else t.cluster
+    if config.clusters and clusters is not None:
+        for surface in surfaces:
+            cid = clusters.get(surface)
             if cid is not None:
                 fv.set(f"cls|{cid}", 1)
     if config.negation:

@@ -180,9 +180,6 @@ class CooccurrenceCounts:
     def total(self) -> int:
         return self.class_count[POSITIVE] + self.class_count[NEGATIVE]
 
-    def term_total(self, term: str) -> int:
-        return self.term_count[term]
-
 
 def count_cooccurrences(
     corpus: Iterable[tuple[list[str], str]],

@@ -20,7 +20,6 @@ resolve to the earliest class in the model's class order.
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
@@ -34,7 +33,6 @@ from .features_message import (
     FeatureDictionary,
     FeatureVector,
     IndexedVector,
-    build_feature_dictionary,
     vectorize,
 )
 
@@ -130,11 +128,17 @@ def train(
 ) -> LinearModel:
     """Train a one-vs-rest linear SVM.
 
-    Every class in ``classes`` must occur in ``labels``.  Each binary
-    subproblem draws its epoch permutations from a generator derived
-    from (seed, class position), so results do not depend on the order
-    the subproblems run in.
+    ``C`` and ``tol`` must be finite and positive, ``max_epochs`` at
+    least 1, and every class in ``classes`` must occur in ``labels``.
+    Each binary subproblem draws its epoch permutations from a generator
+    derived from (seed, class position), so results do not depend on the
+    order the subproblems run in.
     """
+    for name, value in (("C", C), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    if max_epochs < 1:
+        raise ValueError(f"max_epochs must be at least 1, got {max_epochs}")
     if len(vectors) == 0:
         raise ValueError("empty training data")
     if len(vectors) != len(labels):
@@ -197,65 +201,6 @@ def predict(model: LinearModel, vector: FeatureVector | IndexedVector) -> str:
         vector = vectorize(vector, model.dictionary)
     scores = decision_values(model, vector)
     return model.class_order[int(np.argmax(scores))]
-
-
-def cross_validate(
-    vectors: Sequence[FeatureVector],
-    labels: Sequence[str],
-    k: int = 10,
-    seed: int = 42,
-    C: float = 0.005,
-    tol: float = 0.1,
-    max_epochs: int = 1000,
-) -> list[float]:
-    """K-fold cross-validation; returns the per-fold pos/neg macro-F.
-
-    Folds are stratified by label; when some class has fewer examples
-    than ``k``, a warning is emitted and plain shuffled folds are used.
-    The feature dictionary is rebuilt from each fold's training part.
-    """
-    from .evaluation import macro_f_pos_neg
-
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    if len(vectors) != len(labels):
-        raise ValueError(f"{len(vectors)} vectors but {len(labels)} labels")
-    rng = np.random.default_rng(seed)
-    by_label: dict[str, list[int]] = {}
-    for i, label in enumerate(labels):
-        by_label.setdefault(label, []).append(i)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    if all(len(ids) >= k for ids in by_label.values()):
-        for label in sorted(by_label):
-            ids = np.array(by_label[label])
-            for j, idx in enumerate(rng.permutation(ids)):
-                folds[j % k].append(int(idx))
-    else:
-        small = sorted(l for l, ids in by_label.items() if len(ids) < k)
-        warnings.warn(
-            f"classes {small} have fewer than {k} examples; "
-            "using non-stratified folds",
-            stacklevel=2,
-        )
-        for j, idx in enumerate(rng.permutation(len(labels))):
-            folds[j % k].append(int(idx))
-
-    scores = []
-    for f in range(k):
-        held = folds[f]
-        used = [i for g in range(k) if g != f for i in folds[g]]
-        train_vectors = [vectors[i] for i in used]
-        train_labels = [labels[i] for i in used]
-        dictionary = build_feature_dictionary(train_vectors)
-        indexed = [vectorize(v, dictionary) for v in train_vectors]
-        model = train(
-            indexed, train_labels, dictionary, C=C, tol=tol,
-            max_epochs=max_epochs, seed=seed,
-        )
-        gold = [labels[i] for i in held]
-        predicted = [predict(model, vectors[i]) for i in held]
-        scores.append(macro_f_pos_neg(gold, predicted).macro_f)
-    return scores
 
 
 # Rows per write when saving: 64 rows is within 25% of the speed of

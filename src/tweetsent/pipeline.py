@@ -1,16 +1,33 @@
 """End-to-end plumbing: corpus -> features -> model -> report.
 
-The CLI and the ablation harness both go through this module so that a
-given corpus, configuration and seed always produce the same model and
-the same report.
+This is the only module that knows the two tasks: ``message`` labels
+whole messages, ``term`` labels token spans inside them.  They differ
+only in how a corpus row becomes a feature vector, which :data:`TASKS`
+records.  The rest is one recipe: :func:`fit` a one-vs-rest SVM on
+training vectors and :func:`score` its predictions by the pos/neg
+macro-F.  The CLI, cross-validation and the ablation harness all go
+through this module, so a given corpus, configuration and seed always
+produce the same model and the same report.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from pathlib import Path
+from typing import Callable, Mapping, Sequence
 
-from .corpus_io import ClusterMap, LabeledMessage, Lexicon, TermInstance
+import numpy as np
+
+from .corpus_io import (
+    ClusterMap,
+    LabeledMessage,
+    Lexicon,
+    TermInstance,
+    load_message_corpus,
+    load_raw_corpus,
+    load_term_corpus,
+)
 from .evaluation import EvalReport, macro_f_pos_neg
 from .features_message import (
     DEFAULT_MESSAGE_CONFIG,
@@ -66,15 +83,17 @@ def prepare_messages(
     return prepared
 
 
+def _unlabeled(rows: Sequence[tuple[str, str]]) -> list[LabeledMessage]:
+    """(id, text) rows as messages whose placeholder label is never scored."""
+    return [LabeledMessage(id=i, text=t, label="neutral") for i, t in rows]
+
+
 def prepare_raw(
     rows: Sequence[tuple[str, str]],
     negation_words: frozenset[str] | None = None,
 ) -> list[PreparedMessage]:
     """Prepare unlabeled (id, text) rows for prediction."""
-    return prepare_messages(
-        [LabeledMessage(id=i, text=t, label="neutral") for i, t in rows],
-        negation_words,
-    )
+    return prepare_messages(_unlabeled(rows), negation_words)
 
 
 def extract_message_vectors(
@@ -111,20 +130,165 @@ def extract_term_vectors(
     ]
 
 
-@dataclass
-class ExperimentResult:
-    report: EvalReport
-    model: LinearModel
+def _load_messages(path: str | Path, format: str, raw: bool) -> list[LabeledMessage]:
+    if raw:
+        return _unlabeled(load_raw_corpus(path))
+    return load_message_corpus(path, format=format)
 
 
-def _train_on(
+def _message_vectors(rows, active, lexicons, clusters, config):
+    return extract_message_vectors(rows, active, clusters, config)
+
+
+def _term_vectors(rows, active, lexicons, clusters, config):
+    # Hashtags split with the words of every lexicon given, including
+    # the ones an ablation variant leaves out.
+    split_words = build_split_vocabulary(lexicons)
+    return extract_term_vectors(rows, active, split_words=split_words, config=config)
+
+
+# An ablation variant maps (feature config, lexicons) to the reduced pair.
+Variant = Callable[[object, Sequence[Lexicon]], tuple[object, Sequence[Lexicon]]]
+
+
+def _switch_off(*flags: str) -> Variant:
+    return lambda config, lexicons: (
+        replace(config, **dict.fromkeys(flags, False)),
+        lexicons,
+    )
+
+
+def _drop_kind(kind: str) -> Variant:
+    return lambda config, lexicons: (
+        config,
+        [lex for lex in lexicons if lex.kind != kind],
+    )
+
+
+@dataclass(frozen=True)
+class Task:
+    """What one task does its own way: reading rows and featurizing them.
+
+    ``load(path, format, raw)`` reads a corpus file and ``prepare`` turns
+    its rows into what ``extract(rows, active, lexicons, clusters,
+    config)`` featurizes; a run prepares each corpus once.
+    ``ablations`` maps each feature group an ablation can remove to its
+    variant, in the order error messages list them.
+    """
+
+    load: Callable[[str | Path, str, bool], list]
+    prepare: Callable[[Sequence], list]
+    extract: Callable[..., list[FeatureVector]]
+    default_config: MessageFeatureConfig | TermFeatureConfig
+    ablations: Mapping[str, Variant]
+
+
+TASKS: dict[str, Task] = {
+    "message": Task(
+        load=_load_messages,
+        prepare=prepare_messages,
+        extract=_message_vectors,
+        default_config=DEFAULT_MESSAGE_CONFIG,
+        ablations={
+            "lexicons": _switch_off("lexicons"),
+            "manual-lex": _switch_off("manual_lexicons"),
+            "auto-lex": _switch_off("auto_lexicons"),
+            "ngrams": _switch_off("word_ngrams", "char_ngrams"),
+            "word-ngrams": _switch_off("word_ngrams"),
+            "char-ngrams": _switch_off("char_ngrams"),
+            "negation": _switch_off("negation"),
+            "pos": _switch_off("pos_counts"),
+            "clusters": _switch_off("clusters"),
+            "encodings": lambda config, lexicons: (
+                config.without_encodings(),
+                lexicons,
+            ),
+        },
+    ),
+    "term": Task(
+        load=lambda path, format, raw: load_term_corpus(path),
+        prepare=list,
+        extract=_term_vectors,
+        default_config=DEFAULT_TERM_CONFIG,
+        ablations={
+            "lexicons": lambda config, lexicons: (config, ()),
+            "manual-lex": _drop_kind("manual"),
+            "auto-lex": _drop_kind("auto"),
+            "target": _switch_off("target"),
+            "context": _switch_off("context"),
+        },
+    ),
+}
+
+
+def get_task(name: str) -> Task:
+    try:
+        return TASKS[name]
+    except KeyError:
+        raise ValueError(f"unknown task '{name}'") from None
+
+
+def ablation_groups(task: str, groups: Sequence[str]) -> list[str]:
+    """``groups`` lowercased; ValueError unless each is a group of ``task``."""
+    valid = get_task(task).ablations
+    for g in groups:
+        if g.lower() not in valid:
+            raise ValueError(
+                f"unknown feature group '{g}' for {task} task; "
+                f"valid groups: {', '.join(valid)}"
+            )
+    return [g.lower() for g in groups]
+
+
+def load_corpus(
+    task: str, path: str | Path, format: str = "plain", raw: bool = False
+) -> list:
+    """Read a corpus file of ``task``.
+
+    Message corpora are plain or tagged; with ``raw`` they are unlabeled
+    ``id<TAB>text`` rows.  Term corpora ignore ``format`` and ``raw``.
+    """
+    return get_task(task).load(path, format, raw)
+
+
+def prepare(task: str, data: Sequence) -> list:
+    """Rows ready to featurize: messages tokenized and negation-annotated."""
+    return get_task(task).prepare(data)
+
+
+def featurize(
+    task: str,
+    rows: Sequence,
+    lexicons: Sequence[Lexicon] = (),
+    clusters: ClusterMap | None = None,
+    config: MessageFeatureConfig | TermFeatureConfig | None = None,
+    removed: str | None = None,
+) -> tuple[list[str], list[str], list[FeatureVector]]:
+    """Ids, labels and feature vectors of prepared rows.
+
+    ``config`` defaults to the task's full feature set.  ``removed``
+    names a feature group of the task's ablations to leave out.  The
+    term task ignores ``clusters``.
+    """
+    spec = get_task(task)
+    config = spec.default_config if config is None else config
+    active = lexicons
+    if removed is not None:
+        (removed,) = ablation_groups(task, [removed])
+        config, active = spec.ablations[removed](config, lexicons)
+    vectors = spec.extract(rows, active, lexicons, clusters, config)
+    return [r.id for r in rows], [r.label for r in rows], vectors
+
+
+def fit(
     vectors: Sequence[FeatureVector],
     labels: Sequence[str],
-    C: float,
-    tol: float,
-    max_epochs: int,
-    seed: int,
+    C: float = 0.005,
+    tol: float = 0.1,
+    max_epochs: int = 1000,
+    seed: int = 42,
 ) -> LinearModel:
+    """Build the feature dictionary from ``vectors``, index them and train."""
     dictionary = build_feature_dictionary(vectors)
     indexed = [vectorize(v, dictionary) for v in vectors]
     return train(
@@ -132,13 +296,95 @@ def _train_on(
     )
 
 
-def _evaluate_on(
-    model: LinearModel,
+def score(
+    model: LinearModel, vectors: Sequence[FeatureVector], labels: Sequence[str]
+) -> EvalReport:
+    """Predict every vector and score the predictions against ``labels``."""
+    return macro_f_pos_neg(labels, [predict(model, v) for v in vectors])
+
+
+def cross_validate(
     vectors: Sequence[FeatureVector],
     labels: Sequence[str],
-) -> EvalReport:
-    predicted = [predict(model, v) for v in vectors]
-    return macro_f_pos_neg(labels, predicted)
+    k: int = 10,
+    seed: int = 42,
+    C: float = 0.005,
+    tol: float = 0.1,
+    max_epochs: int = 1000,
+) -> list[float]:
+    """K-fold cross-validation; returns the per-fold pos/neg macro-F.
+
+    Folds are stratified by label; when some class has fewer examples
+    than ``k``, a warning is emitted and plain shuffled folds are used.
+    Each fold is fit from scratch, feature dictionary included.
+    """
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    if len(vectors) != len(labels):
+        raise ValueError(f"{len(vectors)} vectors but {len(labels)} labels")
+    if k > len(labels):
+        raise ValueError(f"k = {k} folds but only {len(labels)} rows")
+    rng = np.random.default_rng(seed)
+    by_label: dict[str, list[int]] = {}
+    for i, label in enumerate(labels):
+        by_label.setdefault(label, []).append(i)
+    folds: list[list[int]] = [[] for _ in range(k)]
+    if all(len(ids) >= k for ids in by_label.values()):
+        for label in sorted(by_label):
+            ids = np.array(by_label[label])
+            for j, idx in enumerate(rng.permutation(ids)):
+                folds[j % k].append(int(idx))
+    else:
+        small = sorted(l for l, ids in by_label.items() if len(ids) < k)
+        warnings.warn(
+            f"classes {small} have fewer than {k} examples; "
+            "using non-stratified folds",
+            stacklevel=2,
+        )
+        for j, idx in enumerate(rng.permutation(len(labels))):
+            folds[j % k].append(int(idx))
+
+    scores = []
+    for f in range(k):
+        used = [i for g in range(k) if g != f for i in folds[g]]
+        model = fit(
+            [vectors[i] for i in used], [labels[i] for i in used],
+            C=C, tol=tol, max_epochs=max_epochs, seed=seed,
+        )
+        held = folds[f]
+        report = score(model, [vectors[i] for i in held], [labels[i] for i in held])
+        scores.append(report.macro_f)
+    return scores
+
+
+@dataclass
+class ExperimentResult:
+    report: EvalReport
+    model: LinearModel
+
+
+def run_experiment(
+    task: str,
+    train_rows: Sequence,
+    test_rows: Sequence,
+    lexicons: Sequence[Lexicon] = (),
+    clusters: ClusterMap | None = None,
+    config: MessageFeatureConfig | TermFeatureConfig | None = None,
+    removed: str | None = None,
+    C: float = 0.005,
+    tol: float = 0.1,
+    max_epochs: int = 1000,
+    seed: int = 42,
+) -> ExperimentResult:
+    """Fit on prepared training rows and score on prepared test rows.
+
+    ``config`` and ``removed`` are as in :func:`featurize`.
+    """
+    features = (lexicons, clusters, config, removed)
+    _, labels, vectors = featurize(task, train_rows, *features)
+    model = fit(vectors, labels, C=C, tol=tol, max_epochs=max_epochs, seed=seed)
+    _, gold, vectors = featurize(task, test_rows, *features)
+    return ExperimentResult(report=score(model, vectors, gold), model=model)
 
 
 def run_message_experiment(
@@ -147,172 +393,14 @@ def run_message_experiment(
     lexicons: Sequence[Lexicon] = (),
     clusters: ClusterMap | None = None,
     config: MessageFeatureConfig = DEFAULT_MESSAGE_CONFIG,
-    negation_words: frozenset[str] | None = None,
     C: float = 0.005,
     tol: float = 0.1,
     max_epochs: int = 1000,
     seed: int = 42,
 ) -> ExperimentResult:
     """Train on one message corpus and score on another."""
-    train_prep = prepare_messages(train_messages, negation_words)
-    test_prep = prepare_messages(test_messages, negation_words)
-    model = _train_on(
-        extract_message_vectors(train_prep, lexicons, clusters, config),
-        [p.label for p in train_prep],
-        C, tol, max_epochs, seed,
+    return run_experiment(
+        "message", prepare_messages(train_messages), prepare_messages(test_messages),
+        lexicons, clusters, config, C=C, tol=tol, max_epochs=max_epochs, seed=seed,
     )
-    report = _evaluate_on(
-        model,
-        extract_message_vectors(test_prep, lexicons, clusters, config),
-        [p.label for p in test_prep],
-    )
-    return ExperimentResult(report=report, model=model)
 
-
-def run_term_experiment(
-    train_instances: Sequence[TermInstance],
-    test_instances: Sequence[TermInstance],
-    lexicons: Sequence[Lexicon] = (),
-    config: TermFeatureConfig = DEFAULT_TERM_CONFIG,
-    negation_words: frozenset[str] | None = None,
-    stopwords: frozenset[str] | None = None,
-    C: float = 0.005,
-    tol: float = 0.1,
-    max_epochs: int = 1000,
-    seed: int = 42,
-) -> ExperimentResult:
-    """Train on one term corpus and score on another."""
-    split_words = build_split_vocabulary(lexicons)
-    model = _train_on(
-        extract_term_vectors(
-            train_instances, lexicons, negation_words, stopwords, split_words, config
-        ),
-        [inst.label for inst in train_instances],
-        C, tol, max_epochs, seed,
-    )
-    report = _evaluate_on(
-        model,
-        extract_term_vectors(
-            test_instances, lexicons, negation_words, stopwords, split_words, config
-        ),
-        [inst.label for inst in test_instances],
-    )
-    return ExperimentResult(report=report, model=model)
-
-
-def _message_ablation_config(
-    group: str, config: MessageFeatureConfig
-) -> MessageFeatureConfig:
-    if group == "lexicons":
-        return replace(config, lexicons=False)
-    if group == "manual-lex":
-        return replace(config, manual_lexicons=False)
-    if group == "auto-lex":
-        return replace(config, auto_lexicons=False)
-    if group == "ngrams":
-        return replace(config, word_ngrams=False, char_ngrams=False)
-    if group == "word-ngrams":
-        return replace(config, word_ngrams=False)
-    if group == "char-ngrams":
-        return replace(config, char_ngrams=False)
-    if group == "negation":
-        return replace(config, negation=False)
-    if group == "pos":
-        return replace(config, pos_counts=False)
-    if group == "clusters":
-        return replace(config, clusters=False)
-    if group == "encodings":
-        return config.without_encodings()
-    raise ValueError(f"unknown feature group '{group}'")
-
-
-def _term_ablation_variant(
-    group: str, config: TermFeatureConfig, lexicons: Sequence[Lexicon]
-) -> tuple[TermFeatureConfig, Sequence[Lexicon]]:
-    if group == "target":
-        return replace(config, target=False), lexicons
-    if group == "context":
-        return replace(config, context=False), lexicons
-    if group == "lexicons":
-        return config, ()
-    if group == "manual-lex":
-        return config, [l for l in lexicons if l.kind != "manual"]
-    if group == "auto-lex":
-        return config, [l for l in lexicons if l.kind != "auto"]
-    raise ValueError(f"unknown feature group '{group}'")
-
-
-def ablation_runs(
-    groups: Sequence[str],
-    train_data,
-    test_data,
-    task: str = "message",
-    lexicons: Sequence[Lexicon] = (),
-    clusters: ClusterMap | None = None,
-    C: float = 0.005,
-    tol: float = 0.1,
-    max_epochs: int = 1000,
-    seed: int = 42,
-) -> list[Callable[[], float]]:
-    """Deferred runs for an ablation: all-features first, then per group.
-
-    Each callable retrains from scratch and returns the test macro-F.
-    Messages are tokenized and negation-annotated once up front.
-    """
-    if task == "message":
-        train_prep = prepare_messages(train_data)
-        test_prep = prepare_messages(test_data)
-        train_labels = [p.label for p in train_prep]
-        test_labels = [p.label for p in test_prep]
-
-        def message_run(config: MessageFeatureConfig) -> Callable[[], float]:
-            def run() -> float:
-                model = _train_on(
-                    extract_message_vectors(train_prep, lexicons, clusters, config),
-                    train_labels, C, tol, max_epochs, seed,
-                )
-                report = _evaluate_on(
-                    model,
-                    extract_message_vectors(test_prep, lexicons, clusters, config),
-                    test_labels,
-                )
-                return report.macro_f
-
-            return run
-
-        base = DEFAULT_MESSAGE_CONFIG
-        return [message_run(base)] + [
-            message_run(_message_ablation_config(g, base)) for g in groups
-        ]
-
-    split_words = build_split_vocabulary(lexicons)
-    train_labels = [inst.label for inst in train_data]
-    test_labels = [inst.label for inst in test_data]
-
-    def term_run(
-        config: TermFeatureConfig, active: Sequence[Lexicon]
-    ) -> Callable[[], float]:
-        def run() -> float:
-            model = _train_on(
-                extract_term_vectors(
-                    train_data, active, None, None, split_words, config
-                ),
-                train_labels, C, tol, max_epochs, seed,
-            )
-            report = _evaluate_on(
-                model,
-                extract_term_vectors(
-                    test_data, active, None, None, split_words, config
-                ),
-                test_labels,
-            )
-            return report.macro_f
-
-        return run
-
-    base = DEFAULT_TERM_CONFIG
-    runs = [term_run(base, lexicons)]
-    for g in groups:
-        config, active = _term_ablation_variant(g, base, lexicons)
-        runs.append(term_run(config, active))
-    return runs

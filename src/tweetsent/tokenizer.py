@@ -25,7 +25,7 @@ mention to ``@someuser``; both replacements are idempotent.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 URL_PLACEHOLDER = "http://someurl"
 USER_PLACEHOLDER = "@someuser"
@@ -92,8 +92,8 @@ class Token:
 
     all_caps requires at least two letters and no lowercase ones;
     elongated means some character repeats more than twice in a row;
-    initial_cap marks capital-then-lowercase words.  ``pos_tag`` and
-    ``cluster`` are filled from optional sidecar inputs.
+    initial_cap marks capital-then-lowercase words.  ``pos_tag`` is
+    filled from an optional sidecar input.
     """
 
     surface: str
@@ -102,7 +102,6 @@ class Token:
     elongated: bool = False
     initial_cap: bool = False
     pos_tag: str | None = None
-    cluster: int | None = None
 
 
 @dataclass
@@ -183,14 +182,6 @@ def _classify_surface(surface: str) -> str:
     if match and match.group() == surface and match.lastgroup:
         return match.lastgroup if match.lastgroup != "other" else "word"
     return "word"
-
-
-def attach_clusters(message: TokenizedMessage, clusters) -> TokenizedMessage:
-    """Return a copy of ``message`` with cluster ids filled in."""
-    tokens = [
-        replace(t, cluster=clusters.get(t.surface.lower())) for t in message.tokens
-    ]
-    return TokenizedMessage(tokens=tokens)
 
 
 def is_emoticon(surface: str) -> bool:

@@ -274,6 +274,36 @@ def test_missing_class_exits_1(tmp_path, capsys):
     assert "error: class 'neutral' absent from training data" in err
 
 
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--C", "nan", "C must be finite and positive, got nan"),
+        ("--C", "inf", "C must be finite and positive, got inf"),
+        ("--C", "-1", "C must be finite and positive, got -1.0"),
+        ("--C", "0", "C must be finite and positive, got 0.0"),
+        ("--tol", "nan", "tol must be finite and positive, got nan"),
+        ("--max-epochs", "0", "max_epochs must be at least 1, got 0"),
+    ],
+)
+def test_bad_hyperparameters_exit_1(flag, value, message, message_files, tmp_path, capsys):
+    train, _ = message_files
+    model_path = tmp_path / "model.tsv"
+    code, out, err = run(
+        capsys, "train", "--input", str(train), "--model", str(model_path),
+        flag, value,
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+    assert not model_path.exists()
+
+
+def test_cv_with_more_folds_than_rows_exits_1(message_files, capsys):
+    train, _ = message_files
+    code, out, err = run(capsys, "train", "--input", str(train), "--cv", "10")
+    assert (code, out) == (1, "")
+    assert err == "error: k = 10 folds but only 9 rows\n"
+
+
 def test_build_lexicon(tmp_path, capsys):
     raw = tmp_path / "raw.tsv"
     rows = [
@@ -311,21 +341,18 @@ def test_build_lexicon_errors(tmp_path, capsys):
     assert "error: hashtag labeling requires a seed set" in err
 
 
-def test_ablate_tsv_and_threads(message_files, capsys):
+def test_ablate_tsv(message_files, capsys):
     train, test = message_files
-    args = (
-        "ablate", "--input", str(train), "--test", str(test),
+    code, out, err = run(
+        capsys, "ablate", "--input", str(train), "--test", str(test),
         "--groups", "clusters,pos", "--C", "1", "--tsv",
     )
-    code, out, err = run(capsys, *args)
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("all\t")
     assert lines[1].endswith("\t0.00")
     assert lines[2].endswith("\t0.00")
-    code, threaded, _ = run(capsys, *args, "--threads", "2")
-    assert threaded == out
 
 
 def test_ablate_table_output(message_files, capsys):

@@ -6,8 +6,6 @@ from hypothesis import given, strategies as st
 from tweetsent.corpus_io import LabeledMessage
 from tweetsent.evaluation import (
     AblationRow,
-    MESSAGE_ABLATION_GROUPS,
-    TERM_ABLATION_GROUPS,
     format_ablation_table,
     format_ablation_tsv,
     format_report,
@@ -16,6 +14,7 @@ from tweetsent.evaluation import (
     report_kv,
     run_ablation,
 )
+from tweetsent.pipeline import TASKS
 
 LABELS = ("negative", "neutral", "positive")
 
@@ -186,15 +185,11 @@ def test_ablation_shape_and_noop_groups():
     assert rows[2].delta == 0.0
 
 
-def test_ablation_deterministic_and_thread_invariant():
+def test_ablation_deterministic():
     train, test = _tiny_message_corpus()
     first = run_ablation(["word-ngrams", "char-ngrams"], train, test, C=1.0)
     second = run_ablation(["word-ngrams", "char-ngrams"], train, test, C=1.0)
     assert first == second
-    threaded = run_ablation(
-        ["word-ngrams", "char-ngrams"], train, test, C=1.0, threads=2
-    )
-    assert threaded == first
 
 
 def test_ablation_group_names_case_insensitive():
@@ -210,11 +205,11 @@ def test_ablation_errors():
     with pytest.raises(ValueError) as err:
         run_ablation(["bogus"], train, test)
     assert "unknown feature group 'bogus' for message task" in str(err.value)
-    for group in MESSAGE_ABLATION_GROUPS:
+    for group in TASKS["message"].ablations:
         assert group in str(err.value)
     with pytest.raises(ValueError) as err:
         run_ablation(["bogus"], [], [], task="term")
-    for group in TERM_ABLATION_GROUPS:
+    for group in TASKS["term"].ablations:
         assert group in str(err.value)
 
 

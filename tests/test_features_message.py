@@ -27,7 +27,7 @@ from tweetsent.features_message import (
 )
 from tweetsent.linear_model import LinearModel, decision_values
 from tweetsent.negation import EMPTY_ANNOTATION, NegationAnnotation, mark_negation
-from tweetsent.tokenizer import attach_clusters, tokenize, tokens_from_tagged
+from tweetsent.tokenizer import tokenize, tokens_from_tagged
 
 
 def lex(entries, name="L", affects=("positive",), kind="manual"):
@@ -137,13 +137,11 @@ def test_elongated_counts_words_only():
     assert fv.get("elo|count") == 1.0
 
 
-def test_cluster_features_from_map_and_tokens():
+def test_cluster_features_from_map():
     clusters = ClusterMap(entries={"good": 7})
     fv = extract("Good day", clusters=clusters)
     assert fv.get("cls|7") == 1.0
-    message = attach_clusters(tokenize("Good day"), clusters)
-    fv = extract_message_features(message, EMPTY_ANNOTATION)
-    assert fv.get("cls|7") == 1.0
+    assert not any(name.startswith("cls|") for name in extract("Good day").entries)
 
 
 def test_unigrams_only_config():

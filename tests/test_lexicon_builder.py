@@ -138,8 +138,8 @@ def test_count_single_message():
     assert counts.positive_count == {"good": 1}
     assert counts.class_count == {POSITIVE: 1, NEGATIVE: 0}
     assert counts.total == 1
-    assert counts.term_total("good") == 1
-    assert counts.term_total("absent") == 0
+    assert counts.term_count["good"] == 1
+    assert counts.term_count["absent"] == 0
 
 
 def test_count_doubling():

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import oracle_kkt_violation, oracle_svm_dual, oracle_train_binary
 from tweetsent.corpus_io import CLASS_ORDER
@@ -9,17 +11,19 @@ from tweetsent.features_message import (
     FeatureDictionary,
     FeatureVector,
     IndexedVector,
+    vectorize,
 )
 from tweetsent.linear_model import (
     LinearModel,
     ModelFormatError,
-    cross_validate,
     decision_values,
     load_model,
     predict,
     save_model,
     train,
 )
+from tweetsent.pipeline import cross_validate, featurize, fit, prepare_messages
+from tweetsent.synthetic import make_message_corpus
 
 BINARY = ("negative", "positive")
 
@@ -159,6 +163,26 @@ def test_train_errors():
         train([bad, iv([1, 0])], ["positive", "negative"], d, classes=BINARY)
 
 
+@pytest.mark.parametrize(
+    "setting,message",
+    [
+        ({"C": float("nan")}, "C must be finite and positive, got nan"),
+        ({"C": float("inf")}, "C must be finite and positive, got inf"),
+        ({"C": -1.0}, "C must be finite and positive, got -1.0"),
+        ({"C": 0.0}, "C must be finite and positive, got 0.0"),
+        ({"tol": float("nan")}, "tol must be finite and positive, got nan"),
+        ({"tol": 0.0}, "tol must be finite and positive, got 0.0"),
+        ({"max_epochs": 0}, "max_epochs must be at least 1, got 0"),
+    ],
+)
+def test_train_rejects_bad_hyperparameters(setting, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        train(
+            dense_rows([[1, 0], [0, 1]]), ["positive", "negative"],
+            make_dictionary(2), classes=BINARY, **setting,
+        )
+
+
 def test_predict_tie_breaks_to_first_class():
     d = make_dictionary(1)
     model = LinearModel(
@@ -229,6 +253,11 @@ def test_cross_validate_errors():
         cross_validate(vectors, labels, k=1)
     with pytest.raises(ValueError, match="6 vectors but 5 labels"):
         cross_validate(vectors, labels[:-1], k=2)
+    with pytest.raises(ValueError, match="k = 7 folds but only 6 rows"):
+        cross_validate(vectors, labels, k=7)
+    # As many folds as rows is leave-one-out.
+    with pytest.warns(UserWarning, match="fewer than 6"):
+        assert len(cross_validate(vectors, labels, k=6, C=1.0)) == 6
 
 
 def test_save_load_round_trip(tmp_path):
@@ -244,6 +273,46 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_allclose(loaded.weights, model.weights, rtol=1e-8)
     save_model(loaded, path)
     assert path.read_bytes() == first
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(30, 90),
+    st.integers(0, 2**16),
+    st.sampled_from([0.005, 0.1, 1.0]),
+)
+def test_saved_model_predicts_like_the_model_in_memory(tmp_path_factory, n, seed, C):
+    """Reloading costs at most the 9-digit rounding of the weights.
+
+    A prediction may change only where the in-memory decision values of
+    the two classes involved are closer than that rounding can move them.
+    """
+    messages, lexicon = make_message_corpus(n=n, seed=seed)
+    split = 2 * n // 3
+    _, labels, vectors = featurize(
+        "message", prepare_messages(messages[:split]), [lexicon]
+    )
+    assume(set(labels) == set(CLASS_ORDER))
+    model = fit(vectors, labels, C=C, seed=seed)
+    path = tmp_path_factory.mktemp("model") / "model.tsv"
+    save_model(model, path)
+    loaded = load_model(path)
+    _, _, test_vectors = featurize(
+        "message", prepare_messages(messages[split:]), [lexicon]
+    )
+    for v in test_vectors:
+        x = vectorize(v, model.dictionary)
+        before = decision_values(model, x)
+        after = decision_values(loaded, x)
+        # %.9g leaves each weight a relative error of at most 5e-9; the
+        # bound doubles that to cover the float arithmetic.
+        scale = np.abs(model.weights[:, x.indices]) @ np.abs(x.values)
+        bound = 1e-8 * (scale + np.abs(model.weights[:, -1]))
+        assert (np.abs(after - before) <= bound).all()
+        want, got = int(np.argmax(before)), int(np.argmax(after))
+        if got != want:
+            assert before[want] - before[got] <= bound[want] + bound[got]
+        assert predict(loaded, v) == model.class_order[got]
 
 
 _MODEL_TEXT = (

@@ -1,20 +1,26 @@
 import numpy as np
+import pytest
 
+from tweetsent import pipeline
 from tweetsent.corpus_io import LabeledMessage, TermInstance
+from tweetsent.evaluation import run_ablation
 from tweetsent.linear_model import predict
 from tweetsent.pipeline import (
     extract_message_vectors,
     extract_term_vectors,
+    featurize,
+    prepare,
     prepare_messages,
     prepare_raw,
+    run_experiment,
     run_message_experiment,
-    run_term_experiment,
 )
 from tweetsent.synthetic import (
     make_emoticon_corpus,
     make_message_corpus,
     make_term_corpus,
 )
+from tweetsent.tokenizer import tokenize
 
 
 def test_prepare_messages_untagged():
@@ -92,7 +98,7 @@ def _term(i, text, label, start, end):
     return TermInstance(id=f"i{i}", text=text, label=label, start=start, end=end)
 
 
-def test_run_term_experiment_separable():
+def test_run_experiment_term_separable():
     train = [
         _term(0, "the good stuff", "positive", 1, 1),
         _term(1, "a great catch there", "positive", 1, 1),
@@ -106,8 +112,35 @@ def test_run_term_experiment_separable():
         _term(7, "very bad here", "negative", 1, 1),
         _term(8, "very desk here", "neutral", 1, 1),
     ]
-    result = run_term_experiment(train, test, C=1.0)
+    result = run_experiment("term", train, test, C=1.0)
     assert result.report.macro_f == 100.0
+
+
+def test_featurize_returns_ids_labels_and_vectors():
+    rows = prepare("message", TEST_MESSAGES)
+    ids, labels, vectors = featurize("message", rows)
+    assert ids == ["t1", "t2", "t3"]
+    assert labels == ["positive", "negative", "neutral"]
+    assert vectors == extract_message_vectors(rows)
+    _, _, without = featurize("message", rows, removed="word-ngrams")
+    assert not any(n.startswith("wng|") for v in without for n in v.entries)
+    with pytest.raises(ValueError, match="unknown task 'tweet'"):
+        featurize("tweet", rows)
+    with pytest.raises(ValueError, match="unknown feature group 'target'"):
+        featurize("message", rows, removed="target")
+
+
+def test_ablation_prepares_each_corpus_once(monkeypatch):
+    seen = []
+
+    def counting_tokenize(text):
+        seen.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(pipeline, "tokenize", counting_tokenize)
+    rows = run_ablation(["word-ngrams", "negation"], TRAIN_MESSAGES, TEST_MESSAGES)
+    assert len(rows) == 3
+    assert len(seen) == len(TRAIN_MESSAGES) + len(TEST_MESSAGES)
 
 
 def test_make_message_corpus():

@@ -1,12 +1,10 @@
 from hypothesis import example, given, settings, strategies as st
 from oracles import oracle_make_token, oracle_tokenize
 
-from tweetsent.corpus_io import ClusterMap
 from tweetsent.tokenizer import (
     URL_PLACEHOLDER,
     USER_PLACEHOLDER,
     _make_token,
-    attach_clusters,
     emoticon_polarity,
     is_emoticon,
     normalize,
@@ -174,15 +172,6 @@ def test_tokens_from_tagged():
     assert [t.pos_tag for t in message.tokens] == ["A", "N", ","]
     assert [t.kind for t in message.tokens] == ["word", "word", "punctuation"]
     assert message.tokens[0].initial_cap
-
-
-def test_attach_clusters():
-    message = tokenize("Good day")
-    clusters = ClusterMap(entries={"good": 5})
-    attached = attach_clusters(message, clusters)
-    assert [t.cluster for t in attached.tokens] == [5, None]
-    # The original message is untouched.
-    assert [t.cluster for t in message.tokens] == [None, None]
 
 
 # Text that reaches every branch of the token flags and the n't split:
