@@ -13,7 +13,8 @@ Pre-tagged message corpus (``format="tagged"``) adds a fourth column of
     id<TAB>label<TAB>text<TAB>Good/A day/N !/,
 
 Term corpus (``start`` and ``end`` are inclusive token indices into the
-toolkit's own tokenization of the normalized text)::
+toolkit's own tokenization of the normalized text; each instance is
+tokenized once, when it is built)::
 
     id<TAB>start<TAB>end<TAB>label<TAB>text
 
@@ -41,6 +42,8 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
+
+from .tokenizer import TokenizedMessage, normalize, tokenize
 
 # Fixed class order used for model weights, reports and tie-breaking.
 CLASS_ORDER = ("negative", "neutral", "positive")
@@ -79,8 +82,9 @@ class LabeledMessage:
 class TermInstance:
     """A labeled token span inside a message.
 
-    ``start`` and ``end`` are inclusive indices into the tokenization of
-    the normalized message text.
+    ``start`` and ``end`` are inclusive indices into ``tokens``, the
+    tokenization of the normalized message text, which is computed once
+    on construction.  A span outside it raises ``ValueError``.
     """
 
     id: str
@@ -88,6 +92,17 @@ class TermInstance:
     label: str
     start: int
     end: int
+    tokens: TokenizedMessage = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        tokens = tokenize(normalize(self.text))
+        n_tokens = len(tokens.tokens)
+        if not 0 <= self.start <= self.end < n_tokens:
+            raise ValueError(
+                f"span [{self.start}, {self.end}] of instance '{self.id}' out of "
+                f"range for {n_tokens} tokens"
+            )
+        object.__setattr__(self, "tokens", tokens)
 
 
 @dataclass(frozen=True)
@@ -356,9 +371,7 @@ def load_raw_corpus(path: str | Path) -> list[tuple[str, str]]:
 
 
 def load_term_corpus(path: str | Path) -> list[TermInstance]:
-    """Load a term corpus and validate every span against the tokenizer."""
-    from .tokenizer import normalize, tokenize
-
+    """Load a term corpus; every span must lie inside its tokenized text."""
     path = Path(path)
     instances = []
     for lineno, line in _data_lines(path):
@@ -376,22 +389,12 @@ def load_term_corpus(path: str | Path) -> list[TermInstance]:
                 f"non-integer span bounds at line {lineno} of {path}: "
                 f"{start_s!r}, {end_s!r}"
             ) from None
-        text = _unescape_text(text)
-        n_tokens = len(tokenize(normalize(text)).tokens)
-        if not (0 <= start <= end < n_tokens):
-            raise CorpusFormatError(
-                f"span [{start}, {end}] of instance '{inst_id}' out of range "
-                f"for {n_tokens} tokens (line {lineno} of {path})"
-            )
-        instances.append(
-            TermInstance(
-                id=inst_id,
-                text=text,
-                label=_check_label(label, lineno, path),
-                start=start,
-                end=end,
-            )
-        )
+        try:
+            inst = TermInstance(inst_id, _unescape_text(text), label, start, end)
+        except ValueError as err:
+            raise CorpusFormatError(f"{err} (line {lineno} of {path})") from None
+        _check_label(label, lineno, path)
+        instances.append(inst)
     return instances
 
 

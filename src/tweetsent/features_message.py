@@ -37,7 +37,7 @@ are never stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Sequence
 
@@ -129,15 +129,12 @@ class MessageFeatureConfig:
 
     word_ngrams: bool = True
     char_ngrams: bool = True
-    all_caps: bool = True
     pos_counts: bool = True
-    hashtag_count: bool = True
     lexicons: bool = True
     manual_lexicons: bool = True
     auto_lexicons: bool = True
-    punctuation: bool = True
-    emoticons: bool = True
-    elongated: bool = True
+    # The surface-encoding groups caps, ht, pnc, emo and elo, as one unit.
+    encodings: bool = True
     clusters: bool = True
     negation: bool = True
     ngram_max: int = 4
@@ -149,28 +146,13 @@ class MessageFeatureConfig:
         """Bare unigram baseline: no other groups, no negation marking."""
         return cls(
             char_ngrams=False,
-            all_caps=False,
             pos_counts=False,
-            hashtag_count=False,
             lexicons=False,
-            punctuation=False,
-            emoticons=False,
-            elongated=False,
+            encodings=False,
             clusters=False,
             negation=False,
             ngram_max=1,
             wildcard_sizes=(),
-        )
-
-    def without_encodings(self) -> "MessageFeatureConfig":
-        """Drop the surface-encoding groups as one unit."""
-        return replace(
-            self,
-            all_caps=False,
-            hashtag_count=False,
-            punctuation=False,
-            emoticons=False,
-            elongated=False,
         )
 
 
@@ -417,8 +399,6 @@ def extract_message_features(
         _word_ngram_features(fv, suffixed, config)
     if config.char_ngrams:
         _char_ngram_features(fv, msg, suffixed, config)
-    if config.all_caps:
-        fv.set("caps|count", sum(1 for t in msg.tokens if t.all_caps))
     if config.pos_counts:
         tags: dict[str, int] = {}
         for t in msg.tokens:
@@ -426,8 +406,6 @@ def extract_message_features(
                 tags[t.pos_tag] = tags.get(t.pos_tag, 0) + 1
         for tag, count in tags.items():
             fv.set(f"pos|{tag}", count)
-    if config.hashtag_count:
-        fv.set("ht|count", sum(1 for t in msg.tokens if t.kind == "hashtag"))
     if config.lexicons:
         active = [
             lex
@@ -436,11 +414,11 @@ def extract_message_features(
         ]
         if active:
             _lexicon_features(fv, msg, surfaces, annotation, active)
-    if config.punctuation:
+    if config.encodings:
+        fv.set("caps|count", sum(1 for t in msg.tokens if t.all_caps))
+        fv.set("ht|count", sum(1 for t in msg.tokens if t.kind == "hashtag"))
         _punctuation_features(fv, msg)
-    if config.emoticons:
         _emoticon_features(fv, msg)
-    if config.elongated:
         fv.set(
             "elo|count",
             sum(

@@ -14,6 +14,10 @@ patterns, stopword composition, length statistics, negation, span
 position, per-lexicon score statistics, and mention/URL presence.
 Context replicates the ngram, prefix/suffix and lexicon groups over
 the windows.
+
+Instances arrive tokenized: :class:`~tweetsent.corpus_io.TermInstance`
+tokenizes its text once and checks its span when it is built, so
+extraction neither tokenizes nor checks spans again.
 """
 
 from __future__ import annotations
@@ -24,14 +28,7 @@ from typing import Sequence
 from .corpus_io import Lexicon, TermInstance
 from .features_message import FeatureVector
 from .negation import flip_term_polarity
-from .tokenizer import (
-    Token,
-    TokenizedMessage,
-    emoticon_polarity,
-    normalize,
-    split_hashtag,
-    tokenize,
-)
+from .tokenizer import Token, emoticon_polarity, split_hashtag
 from .wordlists import default_hashtag_words, default_negation_words, default_stopwords
 
 
@@ -52,29 +49,30 @@ class TermContext:
 
 @dataclass(frozen=True)
 class TermFeatureConfig:
+    """Which of the two feature families to extract."""
+
     target: bool = True
     context: bool = True
-    context_window: int = 4
-    long_word_len: int = 8
-    prefix_sizes: tuple[int, ...] = (2, 3)
 
 
 DEFAULT_TERM_CONFIG = TermFeatureConfig()
 
+# Context tokens per side of the target.
+CONTEXT_WINDOW = 4
+# A target word this many characters long sets ``tgt|len|long``.
+LONG_WORD_LEN = 8
+# Lengths of the word prefixes and suffixes.
+PREFIX_SIZES = (2, 3)
 
-def term_context(
-    message: TokenizedMessage, start: int, end: int, window: int = 4
-) -> TermContext:
-    """Cut the target span and up to ``window`` tokens per side."""
-    tokens = message.tokens
-    if not 0 <= start <= end < len(tokens):
-        raise ValueError(
-            f"span [{start}, {end}] out of range for {len(tokens)} tokens"
-        )
+
+def term_context(inst: TermInstance) -> TermContext:
+    """Cut the target span and up to :data:`CONTEXT_WINDOW` tokens per side."""
+    tokens = inst.tokens.tokens
+    start, end = inst.start, inst.end
     return TermContext(
         target=tuple(tokens[start : end + 1]),
-        left=tuple(tokens[max(0, start - window) : start]),
-        right=tuple(tokens[end + 1 : end + 1 + window]),
+        left=tuple(tokens[max(0, start - CONTEXT_WINDOW) : start]),
+        right=tuple(tokens[end + 1 : end + 1 + CONTEXT_WINDOW]),
         at_begin=start == 0,
         at_end=end == len(tokens) - 1,
     )
@@ -100,6 +98,17 @@ def _target_words(target: Sequence[Token], split_words: frozenset[str]) -> list[
         else:
             words.append(token.surface)
     return words
+
+
+def _word_features(fv: FeatureVector, namespace: str, words: Sequence[str]) -> None:
+    """Binary word unigrams, bigrams and 2/3-character prefixes and suffixes."""
+    names = [f"{namespace}|wng|{w}" for w in words]
+    names += [f"{namespace}|wng|{a} {b}" for a, b in zip(words, words[1:])]
+    for w in words:
+        for n in PREFIX_SIZES:
+            if len(w) >= n:
+                names += (f"{namespace}|pre|{w[:n]}", f"{namespace}|suf|{w[-n:]}")
+    fv.entries.update(dict.fromkeys(names, 1.0))
 
 
 def _lexicon_stats(
@@ -163,15 +172,11 @@ def _target_features(
     negation_words: frozenset[str],
     stopwords: frozenset[str],
     split_words: frozenset[str],
-    config: TermFeatureConfig,
 ) -> None:
     words = _target_words(ctx.target, split_words)
     lower = [w.lower() for w in words]
 
-    for w in lower:
-        fv.set(f"tgt|wng|{w}", 1)
-    for i in range(len(lower) - 1):
-        fv.set(f"tgt|wng|{lower[i]} {lower[i + 1]}", 1)
+    _word_features(fv, "tgt", lower)
     if lower:
         fv.set("tgt|full|" + " ".join(lower), 1)
         fv.set(f"tgt|lead1|{lower[0]}", 1)
@@ -179,12 +184,6 @@ def _target_features(
     if len(lower) >= 2:
         fv.set(f"tgt|lead2|{lower[0]} {lower[1]}", 1)
         fv.set(f"tgt|end2|{lower[-2]} {lower[-1]}", 1)
-
-    for w in lower:
-        for n in config.prefix_sizes:
-            if len(w) >= n:
-                fv.set(f"tgt|pre|{w[:n]}", 1)
-                fv.set(f"tgt|suf|{w[-n:]}", 1)
 
     if any(t.elongated for t in ctx.target):
         fv.set("tgt|elo", 1)
@@ -214,7 +213,7 @@ def _target_features(
     fv.set("tgt|len|words", len(words))
     if words:
         fv.set("tgt|len|avgchars", sum(len(w) for w in words) / len(words))
-    if any(len(w) >= config.long_word_len for w in words):
+    if any(len(w) >= LONG_WORD_LEN for w in words):
         fv.set("tgt|len|long", 1)
 
     flip_pos = _negation_position(ctx, lower, negation_words)
@@ -242,27 +241,14 @@ def _target_features(
 
 
 def _context_features(
-    fv: FeatureVector,
-    ctx: TermContext,
-    lexicons: Sequence[Lexicon],
-    config: TermFeatureConfig,
+    fv: FeatureVector, ctx: TermContext, lexicons: Sequence[Lexicon]
 ) -> None:
-    sides = [
-        [t.surface.lower() for t in ctx.left],
-        [t.surface.lower() for t in ctx.right],
-    ]
-    for side in sides:
-        for w in side:
-            fv.set(f"ctx|wng|{w}", 1)
-        for i in range(len(side) - 1):
-            fv.set(f"ctx|wng|{side[i]} {side[i + 1]}", 1)
-        for w in side:
-            for n in config.prefix_sizes:
-                if len(w) >= n:
-                    fv.set(f"ctx|pre|{w[:n]}", 1)
-                    fv.set(f"ctx|suf|{w[-n:]}", 1)
+    left = [t.surface.lower() for t in ctx.left]
+    right = [t.surface.lower() for t in ctx.right]
+    _word_features(fv, "ctx", left)
+    _word_features(fv, "ctx", right)
 
-    in_order = sides[0] + sides[1]
+    in_order = left + right
     for lexicon in lexicons:
         looked_up = zip(lexicon.affects, _lookup_all(lexicon, in_order))
         for affect, (scores, matched) in looked_up:
@@ -285,13 +271,10 @@ def extract_term_features(
     if split_words is None:
         split_words = build_split_vocabulary(lexicons)
 
-    message = tokenize(normalize(inst.text))
-    ctx = term_context(message, inst.start, inst.end, config.context_window)
+    ctx = term_context(inst)
     fv = FeatureVector()
     if config.target:
-        _target_features(
-            fv, ctx, lexicons, negation_words, stopwords, split_words, config
-        )
+        _target_features(fv, ctx, lexicons, negation_words, stopwords, split_words)
     if config.context:
-        _context_features(fv, ctx, lexicons, config)
+        _context_features(fv, ctx, lexicons)
     return fv

@@ -136,11 +136,21 @@ def _load_messages(path: str | Path, format: str, raw: bool) -> list[LabeledMess
     return load_message_corpus(path, format=format)
 
 
+def _load_terms(path: str | Path, format: str, raw: bool) -> list[TermInstance]:
+    if raw:
+        raise ValueError("the term task has no raw input (--raw)")
+    if format != "plain":
+        raise ValueError(f"the term task has no '{format}' format (--format)")
+    return load_term_corpus(path)
+
+
 def _message_vectors(rows, active, lexicons, clusters, config):
     return extract_message_vectors(rows, active, clusters, config)
 
 
 def _term_vectors(rows, active, lexicons, clusters, config):
+    if clusters is not None:
+        raise ValueError("the term task uses no cluster map (--clusters)")
     # Hashtags split with the words of every lexicon given, including
     # the ones an ablation variant leaves out.
     split_words = build_split_vocabulary(lexicons)
@@ -199,14 +209,11 @@ TASKS: dict[str, Task] = {
             "negation": _switch_off("negation"),
             "pos": _switch_off("pos_counts"),
             "clusters": _switch_off("clusters"),
-            "encodings": lambda config, lexicons: (
-                config.without_encodings(),
-                lexicons,
-            ),
+            "encodings": _switch_off("encodings"),
         },
     ),
     "term": Task(
-        load=lambda path, format, raw: load_term_corpus(path),
+        load=_load_terms,
         prepare=list,
         extract=_term_vectors,
         default_config=DEFAULT_TERM_CONFIG,
@@ -246,7 +253,8 @@ def load_corpus(
     """Read a corpus file of ``task``.
 
     Message corpora are plain or tagged; with ``raw`` they are unlabeled
-    ``id<TAB>text`` rows.  Term corpora ignore ``format`` and ``raw``.
+    ``id<TAB>text`` rows.  Term corpora are plain only: a tagged
+    ``format`` or ``raw`` raises ``ValueError``.
     """
     return get_task(task).load(path, format, raw)
 
@@ -268,7 +276,7 @@ def featurize(
 
     ``config`` defaults to the task's full feature set.  ``removed``
     names a feature group of the task's ablations to leave out.  The
-    term task ignores ``clusters``.
+    term task raises ``ValueError`` when given ``clusters``.
     """
     spec = get_task(task)
     config = spec.default_config if config is None else config

@@ -90,7 +90,8 @@ _MIRROR = str.maketrans("()[]{}<>", ")(][}{><")
 class Token:
     """A single token with surface-level flags.
 
-    all_caps requires at least two letters and no lowercase ones;
+    all_caps requires at least two uppercase letters and no lowercase
+    ones, so words of uncased scripts such as CJK never qualify;
     elongated means some character repeats more than twice in a row;
     initial_cap marks capital-then-lowercase words.  ``pos_tag`` is
     filled from an optional sidecar input.
@@ -119,8 +120,9 @@ def normalize(text: str) -> str:
 
 
 def _flags(surface: str) -> tuple[bool, bool, bool]:
-    letters = [c for c in surface if c.isalpha()]
-    all_caps = len(letters) >= 2 and not any(c.islower() for c in surface)
+    # Two cased capitals: uncased scripts (CJK, Arabic, ...) are never caps.
+    capitals = sum(1 for c in surface if c.isupper())
+    all_caps = capitals >= 2 and not any(c.islower() for c in surface)
     elongated = _ELONGATED_RE.search(surface) is not None
     initial_cap = (
         bool(surface)

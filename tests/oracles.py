@@ -622,8 +622,9 @@ def oracle_term_lookup(lexicon, words, affect):
 
 
 def _oracle_flags(surface: str) -> tuple[bool, bool, bool]:
-    letters = [c for c in surface if c.isalpha()]
-    all_caps = len(letters) >= 2 and not any(c.islower() for c in surface)
+    # Two cased capitals: uncased scripts (CJK, Arabic, ...) are never caps.
+    capitals = sum(1 for c in surface if c.isupper())
+    all_caps = capitals >= 2 and not any(c.islower() for c in surface)
     elongated = _ELONGATED_RE.search(surface) is not None
     initial_cap = (
         bool(surface)

@@ -168,6 +168,32 @@ def test_train_and_evaluate_term(term_files, tmp_path, capsys):
     assert out.splitlines() == ["i6\tpositive", "i7\tnegative", "i8\tneutral"]
 
 
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (("predict", "--raw"), "--raw"),
+        (("train", "--format", "tagged"), "--format"),
+        (("train", "--clusters", "CLUSTERS"), "--clusters"),
+        (("evaluate", "--clusters", "CLUSTERS"), "--clusters"),
+    ],
+    ids=["predict-raw", "train-tagged", "train-clusters", "evaluate-clusters"],
+)
+def test_term_task_rejects_message_options(argv, option, term_files, tmp_path, capsys):
+    train, test = term_files
+    model = tmp_path / "model.tsv"
+    run(capsys, "train", "--task", "term", "--input", str(train), "--model", str(model))
+    command, *flags = argv
+    flags = [str(GOLDEN / "clusters.tsv") if f == "CLUSTERS" else f for f in flags]
+    corpus = train if command == "train" else test
+    code, out, err = run(
+        capsys, command, "--task", "term", "--input", str(corpus),
+        "--model", str(model), *flags,
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the term task ")
+    assert f"({option})" in err
+
+
 def test_train_cv_deterministic(message_files, capsys):
     train, _ = message_files
     args = ("train", "--input", str(train), "--cv", "2", "--C", "1", "--seed", "9")
@@ -393,8 +419,8 @@ def test_evaluate_byte_deterministic(message_files, tmp_path, capsys):
 GOLDEN = Path(__file__).parent / "data" / "golden_dump"
 # sha256 of the model files that train writes from the golden fixture.
 GOLDEN_MODEL_SHA256 = {
-    "plain": "9d32c870858270eb25b7aed58298afb67ca3de462227b69960d5df0b07d6a8b3",
-    "tagged": "bc5771e3dcda918f7b9d2460caaa22dee286e03817edb0343904d4a8abda2fa9",
+    "plain": "6976df44734f3b6aee4846bf6367b14b27b45c7c2c28ac44ebaab9ba4bbac9fc",
+    "tagged": "b5aaf250fde9893d6bced05b657aab8f987c1d3669b9275c1b99b3a6f6bdf191",
 }
 
 

@@ -105,12 +105,16 @@ def test_term_corpus_round_trip(tmp_path):
     assert load_term_corpus(path) == instances
 
 
-def test_term_corpus_span_out_of_range(tmp_path):
+@pytest.mark.parametrize("label", ["positive", "bogus"])
+def test_term_corpus_span_out_of_range(tmp_path, label):
+    # A bad span is reported before a bad label on the same line.
     path = tmp_path / "terms.tsv"
-    path.write_text("t1\t0\t5\tpositive\tonly three tokens\n")
-    with pytest.raises(CorpusFormatError, match=r"span \[0, 5\].*out of range") as err:
+    path.write_text(f"t1\t0\t5\t{label}\tonly three tokens\n")
+    with pytest.raises(CorpusFormatError) as err:
         load_term_corpus(path)
-    assert str(path) in str(err.value)
+    assert str(err.value) == (
+        f"span [0, 5] of instance 't1' out of range for 3 tokens (line 1 of {path})"
+    )
 
 
 def test_term_corpus_non_integer_span(tmp_path):

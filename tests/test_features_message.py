@@ -115,6 +115,11 @@ def test_lexicon_scopes_on_tagged_input():
     assert fv.get("ht|count") == 1.0
 
 
+def test_uncased_message_has_no_caps_count():
+    fv = extract("\u4e2d\u6587 \u597d \u0645\u0631\u062d\u0628\u0627")
+    assert "caps|count" not in fv.entries
+
+
 def test_punctuation_features():
     fv = extract("what ?! stop !! now ?")
     assert fv.get("pnc|exclaim|count") == 1.0
@@ -151,8 +156,8 @@ def test_unigrams_only_config():
     assert fv.entries == {"wng|no": 1.0, "wng|fun": 1.0, "wng|:)": 1.0}
 
 
-def test_without_encodings_config():
-    config = DEFAULT_MESSAGE_CONFIG.without_encodings()
+def test_encodings_off_config():
+    config = replace(DEFAULT_MESSAGE_CONFIG, encodings=False)
     fv = extract("SOOOO good !! :)", config=config)
     assert not any(
         name.split("|")[0] in ("caps", "ht", "pnc", "emo", "elo")

@@ -117,11 +117,6 @@ def test_context_window_limit():
     assert "ctx|wng|bb" not in fv.entries
     assert fv.get("ctx|wng|cc") == 1.0
     assert fv.get("ctx|wng|ff") == 1.0
-    narrow = extract(
-        "aa bb cc dd ee ff gg", 6, 6, config=TermFeatureConfig(context_window=2)
-    )
-    assert "ctx|wng|cc" not in narrow.entries
-    assert narrow.get("ctx|wng|ee") == 1.0
 
 
 def test_hashtag_target_is_split():
@@ -192,20 +187,28 @@ def test_target_and_context_toggles():
 
 
 def test_term_context_window_and_edges():
-    message = tokenize("aa bb cc dd ee")
-    ctx = term_context(message, 2, 3, window=1)
-    assert [t.surface for t in ctx.target] == ["cc", "dd"]
-    assert [t.surface for t in ctx.left] == ["bb"]
-    assert [t.surface for t in ctx.right] == ["ee"]
+    text = "aa bb cc dd ee ff gg hh ii jj kk"
+    inst = TermInstance(id="t", text=text, label="neutral", start=5, end=6)
+    ctx = term_context(inst)
+    assert [t.surface for t in ctx.target] == ["ff", "gg"]
+    assert [t.surface for t in ctx.left] == ["bb", "cc", "dd", "ee"]
+    assert [t.surface for t in ctx.right] == ["hh", "ii", "jj", "kk"]
     assert not ctx.at_begin and not ctx.at_end
 
 
-def test_term_context_out_of_range():
-    message = tokenize("aa bb")
-    with pytest.raises(ValueError, match="out of range"):
-        term_context(message, 0, 2)
-    with pytest.raises(ValueError, match="out of range"):
-        term_context(message, -1, 0)
+@pytest.mark.parametrize("start,end", [(0, 2), (-1, 0), (1, 0)])
+def test_term_instance_span_out_of_range(start, end):
+    with pytest.raises(
+        ValueError,
+        match=rf"^span \[{start}, {end}\] of instance 't' out of range for 2 tokens$",
+    ):
+        TermInstance(id="t", text="aa bb", label="neutral", start=start, end=end)
+
+
+def test_term_instance_carries_its_tokens():
+    inst = TermInstance(id="t", text="@bob is GREAT", label="positive", start=2, end=2)
+    assert inst.tokens == tokenize(normalize(inst.text))
+    assert inst.tokens.surfaces() == ["@someuser", "is", "GREAT"]
 
 
 _TERM_WORDS = ["good", "bad", "meh", "not", "day", "#goodday", "@u", ":)", "Fine"]

@@ -1,8 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 from tweetsent import pipeline
-from tweetsent.corpus_io import LabeledMessage, TermInstance
+from tweetsent.corpus_io import LabeledMessage, TermInstance, write_term_corpus
 from tweetsent.evaluation import run_ablation
 from tweetsent.linear_model import predict
 from tweetsent.pipeline import (
@@ -141,6 +143,24 @@ def test_ablation_prepares_each_corpus_once(monkeypatch):
     rows = run_ablation(["word-ngrams", "negation"], TRAIN_MESSAGES, TEST_MESSAGES)
     assert len(rows) == 3
     assert len(seen) == len(TRAIN_MESSAGES) + len(TEST_MESSAGES)
+
+
+def test_term_instances_are_tokenized_once(tmp_path, monkeypatch):
+    instances, lexicon = make_term_corpus(n=30, seed=2)
+    path = tmp_path / "terms.tsv"
+    write_term_corpus(instances, path)
+    seen = []
+
+    def counting_tokenize(text):
+        seen.append(text)
+        return tokenize(text)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tweetsent") and getattr(module, "tokenize", None) is tokenize:
+            monkeypatch.setattr(module, "tokenize", counting_tokenize)
+    rows = prepare("term", pipeline.load_corpus("term", path))
+    _, _, vectors = featurize("term", rows, [lexicon])
+    assert len(vectors) == len(seen) == len(instances)
 
 
 def test_make_message_corpus():

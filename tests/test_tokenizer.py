@@ -34,6 +34,11 @@ def test_golden_mixed_message():
     assert caps == [False, True, False, False, False]
 
 
+def test_uncased_scripts_are_not_all_caps():
+    message = tokenize("\u4e2d\u6587 \u0391\u0392 ok")
+    assert [t.all_caps for t in message.tokens] == [False, True, False]
+
+
 def test_elongated_flags():
     message = tokenize("soooo gooood")
     assert all(t.elongated for t in message.tokens)
