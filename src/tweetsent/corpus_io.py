@@ -7,8 +7,8 @@ Message corpus::
 
     id<TAB>label<TAB>text
 
-Pre-tagged message corpus (``format="tagged"``) adds a fourth column of
-``surface/TAG`` pairs separated by single spaces::
+Pre-tagged message corpus (``format="tagged"``) has exactly four
+columns, the fourth holding ``surface/TAG`` pairs separated by whitespace::
 
     id<TAB>label<TAB>text<TAB>Good/A day/N !/,
 
@@ -18,7 +18,7 @@ tokenized once, when it is built)::
 
     id<TAB>start<TAB>end<TAB>label<TAB>text
 
-Sentiment lexicon::
+Sentiment lexicon (scores are finite reals)::
 
     term<TAB>affect<TAB>score
 
@@ -30,6 +30,13 @@ Cluster map::
 
     token<TAB>cluster-id
 
+Seed set for lexicon induction (read by
+:func:`~tweetsent.lexicon_builder.load_seed_set`), one hashtag per line
+written without its ``#``, since a line starting with ``#`` is a
+comment::
+
+    hashtag<TAB>positive|negative
+
 Labels are exactly ``positive``, ``negative`` or ``neutral``.  Literal
 tabs inside message text are escaped as ``\\t`` (and backslash as
 ``\\\\``); the loaders undo the escaping.
@@ -37,6 +44,7 @@ tabs inside message text are escaped as ``\\t`` (and backslash as
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -302,9 +310,7 @@ def _parse_tagged_column(
     column: str, lineno: int, path: Path
 ) -> tuple[tuple[str, str], ...]:
     pairs = []
-    for chunk in column.split(" "):
-        if not chunk:
-            continue
+    for chunk in column.split():
         surface, sep, tag = chunk.rpartition("/")
         if not sep or not surface or not tag:
             raise CorpusFormatError(
@@ -319,16 +325,17 @@ def _parse_tagged_column(
 def load_message_corpus(path: str | Path, format: str = "plain") -> list[LabeledMessage]:
     """Load a message corpus.
 
-    ``format`` is ``"plain"`` (three columns) or ``"tagged"`` (four
-    columns, the last holding ``surface/TAG`` pairs).
+    ``format`` is ``"plain"`` (three columns, the text taking any
+    further tabs) or ``"tagged"`` (exactly four columns, the last holding
+    ``surface/TAG`` pairs).
     """
     if format not in ("plain", "tagged"):
         raise ValueError(f"unknown corpus format '{format}'")
     path = Path(path)
     messages = []
-    want = 3 if format == "plain" else 4
+    want, maxsplit = (3, 2) if format == "plain" else (4, -1)
     for lineno, line in _data_lines(path):
-        parts = line.split("\t", want - 1)
+        parts = line.split("\t", maxsplit)
         if len(parts) != want:
             raise CorpusFormatError(
                 f"expected {want} tab-separated fields at line {lineno} of {path}, "
@@ -401,8 +408,8 @@ def load_term_corpus(path: str | Path) -> list[TermInstance]:
 def load_lexicon(path: str | Path, name: str | None = None, kind: str = "manual") -> Lexicon:
     """Load a ``term<TAB>affect<TAB>score`` lexicon.
 
-    Duplicate (term, affect) rows keep the last value and emit a warning.
-    ``name`` defaults to the file stem.
+    Scores must be finite.  Duplicate (term, affect) rows keep the last
+    value and emit a warning.  ``name`` defaults to the file stem.
     """
     path = Path(path)
     entries: dict[str, dict[str, float]] = {}
@@ -421,6 +428,10 @@ def load_lexicon(path: str | Path, name: str | None = None, kind: str = "manual"
             raise CorpusFormatError(
                 f"non-numeric score {score_s!r} at line {lineno} of {path}"
             ) from None
+        if not math.isfinite(score):
+            raise CorpusFormatError(
+                f"non-finite score {score_s!r} at line {lineno} of {path}"
+            )
         by_affect = entries.setdefault(term, {})
         if affect in by_affect:
             warnings.warn(

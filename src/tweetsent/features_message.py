@@ -123,23 +123,25 @@ def vectorize(vector: FeatureVector, dictionary: FeatureDictionary) -> IndexedVe
     return IndexedVector(indices=indices[order], values=values[order])
 
 
+# Word n-gram sizes that also get wildcard forms, and the character
+# n-gram sizes.
+WILDCARD_SIZES = (3, 4)
+CHAR_NGRAM_SIZES = (3, 4, 5)
+
+
 @dataclass(frozen=True)
 class MessageFeatureConfig:
-    """Toggles and sizes for message-level extraction."""
+    """Feature-group toggles and the longest word n-gram."""
 
     word_ngrams: bool = True
     char_ngrams: bool = True
     pos_counts: bool = True
     lexicons: bool = True
-    manual_lexicons: bool = True
-    auto_lexicons: bool = True
     # The surface-encoding groups caps, ht, pnc, emo and elo, as one unit.
     encodings: bool = True
     clusters: bool = True
     negation: bool = True
     ngram_max: int = 4
-    wildcard_sizes: tuple[int, ...] = (3, 4)
-    char_ngram_sizes: tuple[int, ...] = (3, 4, 5)
 
     @classmethod
     def unigrams_only(cls) -> "MessageFeatureConfig":
@@ -152,7 +154,6 @@ class MessageFeatureConfig:
             clusters=False,
             negation=False,
             ngram_max=1,
-            wildcard_sizes=(),
         )
 
 
@@ -306,20 +307,20 @@ def _lexicon_features(
 
 
 def _word_ngram_features(
-    fv: FeatureVector, suffixed: Sequence[str], config: MessageFeatureConfig
+    fv: FeatureVector, suffixed: Sequence[str], ngram_max: int
 ) -> None:
     # grams[k][i] joins the k tokens from position i; a wildcard n-gram is
     # a prefix gram, "*" and a suffix gram.  Names keep the order of the
     # n-gram loop: by n, then by start, each n-gram before its wildcards.
     grams: list[list[str]] = [[]]
     names: list[str] = []
-    for n in range(1, config.ngram_max + 1):
+    for n in range(1, ngram_max + 1):
         if n == 1:
             grams.append(list(suffixed))
         else:
             grams.append([g + " " + s for g, s in zip(grams[-1], suffixed[n - 1 :])])
         rows = [["wng|" + g for g in grams[n]]]
-        if n in config.wildcard_sizes:
+        if n in WILDCARD_SIZES:
             for hole in range(1, n - 1):
                 tails = grams[n - hole - 1][hole + 1 :]
                 rows.append([f"wng|{h} * {t}" for h, t in zip(grams[hole], tails)])
@@ -328,16 +329,13 @@ def _word_ngram_features(
 
 
 def _char_ngram_features(
-    fv: FeatureVector,
-    message: TokenizedMessage,
-    suffixed: Sequence[str],
-    config: MessageFeatureConfig,
+    fv: FeatureVector, message: TokenizedMessage, suffixed: Sequence[str]
 ) -> None:
     names = [
         "cng|" + surface[i : i + n]
         for token, surface in zip(message.tokens, suffixed)
         if token.kind not in ("url", "mention")
-        for n in config.char_ngram_sizes
+        for n in CHAR_NGRAM_SIZES
         for i in range(len(surface) - n + 1)
     ]
     fv.entries.update(dict.fromkeys(names, 1.0))
@@ -396,9 +394,9 @@ def extract_message_features(
     suffixed = apply_negation_suffix(surfaces, annotation)
 
     if config.word_ngrams:
-        _word_ngram_features(fv, suffixed, config)
+        _word_ngram_features(fv, suffixed, config.ngram_max)
     if config.char_ngrams:
-        _char_ngram_features(fv, msg, suffixed, config)
+        _char_ngram_features(fv, msg, suffixed)
     if config.pos_counts:
         tags: dict[str, int] = {}
         for t in msg.tokens:
@@ -406,14 +404,8 @@ def extract_message_features(
                 tags[t.pos_tag] = tags.get(t.pos_tag, 0) + 1
         for tag, count in tags.items():
             fv.set(f"pos|{tag}", count)
-    if config.lexicons:
-        active = [
-            lex
-            for lex in lexicons
-            if (config.manual_lexicons if lex.kind == "manual" else config.auto_lexicons)
-        ]
-        if active:
-            _lexicon_features(fv, msg, surfaces, annotation, active)
+    if config.lexicons and lexicons:
+        _lexicon_features(fv, msg, surfaces, annotation, lexicons)
     if config.encodings:
         fv.set("caps|count", sum(1 for t in msg.tokens if t.all_caps))
         fv.set("ht|count", sum(1 for t in msg.tokens if t.kind == "hashtag"))

@@ -149,14 +149,13 @@ def _lookup_all(
     return out
 
 
-def _negation_position(
-    ctx: TermContext, words_lower: list[str], negation_words: frozenset[str]
-) -> int | None:
+def _negation_position(ctx: TermContext, words_lower: list[str]) -> int | None:
     """Flip origin in target-word coordinates, or None without negation.
 
     -1 means the token immediately before the target negates; otherwise
     the index of the first negation word inside the (split) target.
     """
+    negation_words = default_negation_words()
     if ctx.left and ctx.left[-1].surface.lower() in negation_words:
         return -1
     for i, w in enumerate(words_lower):
@@ -169,8 +168,6 @@ def _target_features(
     fv: FeatureVector,
     ctx: TermContext,
     lexicons: Sequence[Lexicon],
-    negation_words: frozenset[str],
-    stopwords: frozenset[str],
     split_words: frozenset[str],
 ) -> None:
     words = _target_words(ctx.target, split_words)
@@ -205,6 +202,7 @@ def _target_features(
     if lettered and all(t.all_caps for t in lettered):
         fv.set("tgt|caps|all", 1)
 
+    stopwords = default_stopwords()
     if lower and all(w in stopwords for w in lower):
         fv.set("tgt|stop|only", 1)
         bucket = str(len(lower)) if len(lower) <= 3 else "more"
@@ -216,7 +214,7 @@ def _target_features(
     if any(len(w) >= LONG_WORD_LEN for w in words):
         fv.set("tgt|len|long", 1)
 
-    flip_pos = _negation_position(ctx, lower, negation_words)
+    flip_pos = _negation_position(ctx, lower)
     if flip_pos is not None:
         fv.set("tgt|neg", 1)
 
@@ -258,23 +256,21 @@ def _context_features(
 def extract_term_features(
     inst: TermInstance,
     lexicons: Sequence[Lexicon] = (),
-    negation_words: frozenset[str] | None = None,
-    stopwords: frozenset[str] | None = None,
     split_words: frozenset[str] | None = None,
     config: TermFeatureConfig = DEFAULT_TERM_CONFIG,
 ) -> FeatureVector:
-    """Extract target and context features for one term instance."""
-    if negation_words is None:
-        negation_words = default_negation_words()
-    if stopwords is None:
-        stopwords = default_stopwords()
+    """Extract target and context features for one term instance.
+
+    ``split_words`` defaults to :func:`build_split_vocabulary` of
+    ``lexicons``.
+    """
     if split_words is None:
         split_words = build_split_vocabulary(lexicons)
 
     ctx = term_context(inst)
     fv = FeatureVector()
     if config.target:
-        _target_features(fv, ctx, lexicons, negation_words, stopwords, split_words)
+        _target_features(fv, ctx, lexicons, split_words)
     if config.context:
         _context_features(fv, ctx, lexicons)
     return fv

@@ -62,6 +62,7 @@ class LinearModel:
 
 def _train_binary(
     rows: list[tuple[np.ndarray, np.ndarray]],
+    q_diag: list[float],
     targets: np.ndarray,
     dim: int,
     C: float,
@@ -71,7 +72,8 @@ def _train_binary(
 ) -> tuple[np.ndarray, int, list[float], np.ndarray]:
     """Solve one binary subproblem.
 
-    Returns (weights, epochs run, per-epoch dual objectives, duals).
+    ``q_diag[i]`` is row i's squared norm plus 1 for the bias.  Returns
+    (weights, epochs run, per-epoch dual objectives, duals).
     """
     n = len(rows)
     w = np.zeros(dim + 1)
@@ -81,7 +83,6 @@ def _train_binary(
     # arrays; np.dot has less call overhead.
     dot = np.dot
     alpha = [0.0] * n
-    q_diag = [float(v @ v) + 1.0 for _, v in rows]
     ys = targets.tolist()
     bias = 0.0
     objectives: list[float] = []
@@ -129,7 +130,8 @@ def train(
     """Train a one-vs-rest linear SVM.
 
     ``C`` and ``tol`` must be finite and positive, ``max_epochs`` at
-    least 1, and every class in ``classes`` must occur in ``labels``.
+    least 1, every class in ``classes`` must occur in ``labels``, and
+    every row's squared norm must be finite.
     Each binary subproblem draws its epoch permutations from a generator
     derived from (seed, class position), so results do not depend on the
     order the subproblems run in.
@@ -154,13 +156,21 @@ def train(
             raise ValueError(f"class '{cls}' absent from training data")
     dim = dictionary.size
     rows = []
-    for v in vectors:
-        if len(v.indices) and v.indices[-1] >= dim:
-            raise ValueError(
-                f"feature index {int(v.indices[-1])} out of range for "
-                f"dictionary of size {dim}"
-            )
-        rows.append((v.indices, v.values))
+    # Squared norms plus 1 for the bias, shared by every class.  A NaN in
+    # the solver's gradient would leave a row's dual at 0 unnoticed.
+    q_diag = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, v in enumerate(vectors):
+            if len(v.indices) and v.indices[-1] >= dim:
+                raise ValueError(
+                    f"feature index {int(v.indices[-1])} out of range for "
+                    f"dictionary of size {dim}"
+                )
+            q = float(v.values @ v.values) + 1.0
+            if not math.isfinite(q):
+                raise ValueError(f"training row {i} has a non-finite squared norm")
+            rows.append((v.indices, v.values))
+            q_diag.append(q)
 
     weights = np.zeros((len(classes), dim + 1))
     epochs = []
@@ -170,7 +180,7 @@ def train(
         targets = np.where(np.array(labels) == cls, 1.0, -1.0)
         rng = np.random.default_rng([seed, position])
         w, epochs_run, objectives, alpha = _train_binary(
-            rows, targets, dim, C, tol, max_epochs, rng
+            rows, q_diag, targets, dim, C, tol, max_epochs, rng
         )
         weights[position] = w
         epochs.append(epochs_run)

@@ -46,7 +46,6 @@ from .features_term import (
 from .linear_model import LinearModel, predict, train
 from .negation import NegationAnnotation, mark_negation
 from .tokenizer import TokenizedMessage, normalize, tokenize, tokens_from_tagged
-from .wordlists import default_negation_words, default_stopwords
 
 
 @dataclass(frozen=True)
@@ -59,13 +58,8 @@ class PreparedMessage:
     annotation: NegationAnnotation
 
 
-def prepare_messages(
-    messages: Sequence[LabeledMessage],
-    negation_words: frozenset[str] | None = None,
-) -> list[PreparedMessage]:
+def prepare_messages(messages: Sequence[LabeledMessage]) -> list[PreparedMessage]:
     """Tokenize and annotate a corpus; tagged tokens are kept as given."""
-    if negation_words is None:
-        negation_words = default_negation_words()
     prepared = []
     for msg in messages:
         if msg.tagged is not None:
@@ -77,7 +71,7 @@ def prepare_messages(
                 id=msg.id,
                 label=msg.label,
                 tokens=tokens,
-                annotation=mark_negation(tokens, negation_words),
+                annotation=mark_negation(tokens),
             )
         )
     return prepared
@@ -88,12 +82,9 @@ def _unlabeled(rows: Sequence[tuple[str, str]]) -> list[LabeledMessage]:
     return [LabeledMessage(id=i, text=t, label="neutral") for i, t in rows]
 
 
-def prepare_raw(
-    rows: Sequence[tuple[str, str]],
-    negation_words: frozenset[str] | None = None,
-) -> list[PreparedMessage]:
+def prepare_raw(rows: Sequence[tuple[str, str]]) -> list[PreparedMessage]:
     """Prepare unlabeled (id, text) rows for prediction."""
-    return prepare_messages(_unlabeled(rows), negation_words)
+    return prepare_messages(_unlabeled(rows))
 
 
 def extract_message_vectors(
@@ -111,21 +102,13 @@ def extract_message_vectors(
 def extract_term_vectors(
     instances: Sequence[TermInstance],
     lexicons: Sequence[Lexicon] = (),
-    negation_words: frozenset[str] | None = None,
-    stopwords: frozenset[str] | None = None,
     split_words: frozenset[str] | None = None,
     config: TermFeatureConfig = DEFAULT_TERM_CONFIG,
 ) -> list[FeatureVector]:
-    if negation_words is None:
-        negation_words = default_negation_words()
-    if stopwords is None:
-        stopwords = default_stopwords()
     if split_words is None:
         split_words = build_split_vocabulary(lexicons)
     return [
-        extract_term_features(
-            inst, lexicons, negation_words, stopwords, split_words, config
-        )
+        extract_term_features(inst, lexicons, split_words, config)
         for inst in instances
     ]
 
@@ -175,6 +158,14 @@ def _drop_kind(kind: str) -> Variant:
     )
 
 
+# Both tasks remove lexicons the same way: from the list given.
+_LEXICON_ABLATIONS: dict[str, Variant] = {
+    "lexicons": lambda config, lexicons: (config, ()),
+    "manual-lex": _drop_kind("manual"),
+    "auto-lex": _drop_kind("auto"),
+}
+
+
 @dataclass(frozen=True)
 class Task:
     """What one task does its own way: reading rows and featurizing them.
@@ -200,9 +191,7 @@ TASKS: dict[str, Task] = {
         extract=_message_vectors,
         default_config=DEFAULT_MESSAGE_CONFIG,
         ablations={
-            "lexicons": _switch_off("lexicons"),
-            "manual-lex": _switch_off("manual_lexicons"),
-            "auto-lex": _switch_off("auto_lexicons"),
+            **_LEXICON_ABLATIONS,
             "ngrams": _switch_off("word_ngrams", "char_ngrams"),
             "word-ngrams": _switch_off("word_ngrams"),
             "char-ngrams": _switch_off("char_ngrams"),
@@ -218,9 +207,7 @@ TASKS: dict[str, Task] = {
         extract=_term_vectors,
         default_config=DEFAULT_TERM_CONFIG,
         ablations={
-            "lexicons": lambda config, lexicons: (config, ()),
-            "manual-lex": _drop_kind("manual"),
-            "auto-lex": _drop_kind("auto"),
+            **_LEXICON_ABLATIONS,
             "target": _switch_off("target"),
             "context": _switch_off("context"),
         },

@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from tweetsent.corpus_io import NEGATIVE, POSITIVE, pair_units
+from tweetsent import features_message
 from tweetsent.features_message import FeatureDictionary, IndexedVector
 from tweetsent.lexicon_builder import (
     pseudo_label_by_emoticon,
@@ -704,26 +705,33 @@ def oracle_scope_masks(message, annotation):
     return segments, masks, negated_bit
 
 
-def oracle_word_ngram_features(fv, suffixed, config) -> None:
-    """Word and wildcard n-grams, one ``FeatureVector.set`` per window."""
+def oracle_word_ngram_features(fv, suffixed, ngram_max) -> None:
+    """Word and wildcard n-grams, one ``FeatureVector.set`` per window.
+
+    Wildcard sizes are read from the library's constant at call time, so
+    a test that patches it changes both sides.
+    """
     n_tokens = len(suffixed)
-    for n in range(1, config.ngram_max + 1):
+    for n in range(1, ngram_max + 1):
         for i in range(n_tokens - n + 1):
             window = suffixed[i : i + n]
             fv.set("wng|" + " ".join(window), 1)
-            if n in config.wildcard_sizes:
+            if n in features_message.WILDCARD_SIZES:
                 for hole in range(1, n - 1):
                     gapped = list(window)
                     gapped[hole] = "*"
                     fv.set("wng|" + " ".join(gapped), 1)
 
 
-def oracle_char_ngram_features(fv, message, suffixed, config) -> None:
-    """Character n-grams, one ``FeatureVector.set`` per slice."""
+def oracle_char_ngram_features(fv, message, suffixed) -> None:
+    """Character n-grams, one ``FeatureVector.set`` per slice.
+
+    Sizes are read from the library's constant at call time.
+    """
     for token, surface in zip(message.tokens, suffixed):
         if token.kind in ("url", "mention"):
             continue
-        for n in config.char_ngram_sizes:
+        for n in features_message.CHAR_NGRAM_SIZES:
             for i in range(len(surface) - n + 1):
                 fv.set(f"cng|{surface[i : i + n]}", 1)
 

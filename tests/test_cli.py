@@ -323,6 +323,43 @@ def test_bad_hyperparameters_exit_1(flag, value, message, message_files, tmp_pat
     assert not model_path.exists()
 
 
+def test_tab_in_tagged_column_exits_1(tmp_path, capsys):
+    tagged = tmp_path / "tagged.tsv"
+    tagged.write_text("a\tpositive\tgood day\tgood/A\tday/N\n", encoding="utf-8")
+    model_path = tmp_path / "model.tsv"
+    code, out, err = run(
+        capsys, "train", "--format", "tagged", "--input", str(tagged),
+        "--model", str(model_path),
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: expected 4 tab-separated fields at line 1 of {tagged}, got 5\n"
+    assert not model_path.exists()
+
+
+@pytest.mark.parametrize(
+    "score,message",
+    [
+        ("nan", "non-finite score 'nan' at line 2 of {lexicon}"),
+        ("inf", "non-finite score 'inf' at line 2 of {lexicon}"),
+        ("1e400", "non-finite score '1e400' at line 2 of {lexicon}"),
+        # Finite, but "good good" squares past the largest float.
+        ("1e308", "training row 0 has a non-finite squared norm"),
+    ],
+)
+def test_non_finite_lexicon_values_exit_1(score, message, message_files, tmp_path, capsys):
+    train, _ = message_files
+    lexicon = tmp_path / "big.tsv"
+    lexicon.write_text(f"bad\tnegative\t-1\ngood\tpositive\t{score}\n")
+    model_path = tmp_path / "model.tsv"
+    code, out, err = run(
+        capsys, "train", "--input", str(train), "--lexicon", str(lexicon),
+        "--model", str(model_path),
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: {message.format(lexicon=lexicon)}\n"
+    assert not model_path.exists()
+
+
 def test_cv_with_more_folds_than_rows_exits_1(message_files, capsys):
     train, _ = message_files
     code, out, err = run(capsys, "train", "--input", str(train), "--cv", "10")

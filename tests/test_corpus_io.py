@@ -1,8 +1,9 @@
+import math
 import re
 import warnings
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oracles import oracle_unescape_text
 
@@ -23,6 +24,7 @@ from tweetsent.corpus_io import (
     write_raw_corpus,
     write_term_corpus,
 )
+from tweetsent.lexicon_builder import load_seed_set
 
 
 def test_class_order_fixed():
@@ -230,6 +232,9 @@ _LOADERS = {
         ("term", "t1\t0\t0\tpositive\n", "expected 5 tab-separated"),
         ("term", "t1\t0\t0\tbogus\thi\n", "unknown label 'bogus'"),
         ("lexicon", "good\tpositive\n", "expected 3 tab-separated"),
+        ("lexicon", "good\tpositive\tnan\n", "non-finite score 'nan'"),
+        ("lexicon", "a\tpositive\t1\ngood\tpositive\tinf\n", "non-finite score 'inf'"),
+        ("lexicon", "good\tpositive\t-1e400\n", "non-finite score '-1e400'"),
         ("cluster", "good\tx\n", "non-integer cluster id 'x'"),
     ],
 )
@@ -251,6 +256,17 @@ def test_tagged_loader_error_names_the_file(tmp_path):
     assert str(err.value) == f"empty tagged-token column at line 1 of {path}"
 
 
+def test_tagged_corpus_tab_in_tagged_column(tmp_path):
+    # Split at most three times, the tab would end up inside a surface.
+    path = tmp_path / "tagged.tsv"
+    path.write_text("a\tpositive\tgood day\tgood/A\tday/N\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as err:
+        load_message_corpus(path, format="tagged")
+    assert str(err.value) == (
+        f"expected 4 tab-separated fields at line 1 of {path}, got 5"
+    )
+
+
 @pytest.mark.parametrize("loader", sorted(_LOADERS))
 def test_non_utf8_file_names_the_file(tmp_path, loader):
     path = tmp_path / f"{loader}.tsv"
@@ -263,3 +279,66 @@ def test_non_utf8_file_names_the_file(tmp_path, loader):
 @given(st.text(alphabet=["\\", "t", "\t", "a", "b"], max_size=24))
 def test_unescape_matches_character_loop(text):
     assert _unescape_text(text) == oracle_unescape_text(text)
+
+
+# Each fuzzed loader with the column count of its rows.
+_FUZZ_LOADERS = {
+    "message": (load_message_corpus, 3),
+    "tagged": (lambda path: load_message_corpus(path, format="tagged"), 4),
+    "raw": (load_raw_corpus, 2),
+    "term": (load_term_corpus, 5),
+    "lexicon": (load_lexicon, 3),
+    "cluster": (load_cluster_map, 2),
+    "seed": (load_seed_set, 2),
+}
+# Pieces of TSV-shaped text: separators, line ends, comment marks,
+# labels, numbers, non-finite spellings, tagged pairs and non-ASCII
+# letters and whitespace.  A field is one well-formed value or a run of
+# pieces, and a row has about the loader's column count, so that some
+# files parse and reach the checks on success.
+_FUZZ_PIECES = [
+    "\t", "\n", "\r", "\r\n", "#", " ", "/", "\\", "\\t", "0", "7", "-", ".", "e",
+    "positive", "neutral", "nan", "inf", "good", "a/N", "\u00e9", "\u4e2d",
+    "\u0661", "\u00a0", "\x0c", "\x0b", "\x85", "\u2028",
+]
+_FUZZ_FIELD = st.one_of(
+    st.sampled_from(["positive", "negative", "neutral"]),
+    st.sampled_from(
+        ["0", "1", "-2", "999", "1000", "0.5", "1e308", "1e400", "-1e400",
+         "nan", "NaN", "inf", "-inf", "Infinity"]
+    ),
+    st.sampled_from(
+        ["good", "#good", "bi:a b", "pair:a---b", "good/A day/N", "a/N\x0cb/V",
+         "\u4e2d\u6587/N", "a/N\u00a0b/N"]
+    ),
+    st.lists(st.sampled_from(_FUZZ_PIECES), max_size=4).map("".join),
+)
+
+
+def _fuzz_text(width: int) -> st.SearchStrategy[bytes]:
+    row = st.integers(max(1, width - 1), width + 1).flatmap(
+        lambda n: st.lists(_FUZZ_FIELD, min_size=n, max_size=n).map("\t".join)
+    )
+    return st.lists(row, max_size=3).map(lambda rows: "\n".join(rows).encode("utf-8"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("loader", sorted(_FUZZ_LOADERS))
+def test_loaders_accept_or_raise_corpus_format_error(tmp_path_factory, loader, data):
+    load, width = _FUZZ_LOADERS[loader]
+    path = tmp_path_factory.getbasetemp() / f"fuzz_{loader}.tsv"
+    path.write_bytes(data.draw(st.binary(max_size=120) | _fuzz_text(width)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # duplicate lexicon rows
+        try:
+            loaded = load(path)
+        except CorpusFormatError:
+            return
+    if loader == "lexicon":
+        for by_affect in loaded.entries.values():
+            assert all(math.isfinite(score) for score in by_affect.values())
+    if loader == "tagged":
+        for message in loaded:
+            for surface, _ in message.tagged:
+                assert surface and not any(c.isspace() for c in surface)

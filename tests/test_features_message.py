@@ -14,7 +14,7 @@ from oracles import (
 )
 
 from tweetsent import features_message
-from tweetsent.corpus_io import ClusterMap, Lexicon
+from tweetsent.corpus_io import ClusterMap, LabeledMessage, Lexicon
 from tweetsent.features_message import (
     DEFAULT_MESSAGE_CONFIG,
     FeatureDictionary,
@@ -27,6 +27,7 @@ from tweetsent.features_message import (
 )
 from tweetsent.linear_model import LinearModel, decision_values
 from tweetsent.negation import EMPTY_ANNOTATION, NegationAnnotation, mark_negation
+from tweetsent.pipeline import featurize, prepare_messages
 from tweetsent.tokenizer import tokenize, tokens_from_tagged
 
 
@@ -169,17 +170,19 @@ def test_encodings_off_config():
 def test_manual_and_auto_lexicon_toggles():
     manual = lex({"good": {"positive": 1.0}}, name="m", kind="manual")
     auto = lex({"good": {"positive": 1.0}}, name="a", kind="auto")
-    both = extract("good", [manual, auto])
-    assert "lex|m|uni|sum|positive" in both.entries
-    assert "lex|a|uni|sum|positive" in both.entries
-    from dataclasses import replace
+    rows = prepare_messages([LabeledMessage("1", "good", "positive")])
 
-    no_manual = extract(
-        "good", [manual, auto],
-        config=replace(DEFAULT_MESSAGE_CONFIG, manual_lexicons=False),
-    )
-    assert "lex|m|uni|sum|positive" not in no_manual.entries
-    assert "lex|a|uni|sum|positive" in no_manual.entries
+    def lexicon_names(removed):
+        _, _, (fv,) = featurize("message", rows, [manual, auto], removed=removed)
+        return {name for name in fv.entries if name.startswith("lex|")}
+
+    def block(name):
+        return {f"lex|{name}|uni|{stat}|positive" for stat in ("cnt", "sum", "max", "last")}
+
+    assert lexicon_names(None) == block("m") | block("a")
+    assert lexicon_names("manual-lex") == block("a")
+    assert lexicon_names("auto-lex") == block("m")
+    assert lexicon_names("lexicons") == set()
     no_lex = extract(
         "good", [manual, auto],
         config=replace(DEFAULT_MESSAGE_CONFIG, lexicons=False),
@@ -351,11 +354,12 @@ _ROW_WORDS = st.sampled_from(
     ["good", "Bad", "LOL", "#win", "not", "never", "don't", "*", ".", ",",
      "\u01c5x", "\u4e2d\u6587", "_", "sooo", "@bob", "http://x.y", ":)", "a"]
 ) | st.text(min_size=1, max_size=4)
-_ROW_CONFIGS = st.builds(
-    MessageFeatureConfig,
-    ngram_max=st.integers(0, 5),
-    wildcard_sizes=st.lists(st.integers(1, 6), max_size=3).map(tuple),
-    char_ngram_sizes=st.lists(st.integers(1, 6), max_size=4).map(tuple),
+_ROW_CONFIGS = st.builds(MessageFeatureConfig, ngram_max=st.integers(0, 5))
+# (WILDCARD_SIZES, CHAR_NGRAM_SIZES), patched into features_message.
+_PAPER_SIZES = (features_message.WILDCARD_SIZES, features_message.CHAR_NGRAM_SIZES)
+_ROW_SIZES = st.tuples(
+    st.lists(st.integers(1, 6), max_size=3).map(tuple),
+    st.lists(st.integers(1, 6), max_size=4).map(tuple),
 )
 _ROW_SPANS = st.lists(
     st.tuples(st.integers(-2, 10), st.integers(-2, 10)), max_size=3
@@ -374,21 +378,36 @@ def _row_message(words, tags):
     tags=None,
     spans=None,
     config=DEFAULT_MESSAGE_CONFIG,
+    sizes=_PAPER_SIZES,
 )
-@example(words=[], tags=None, spans=None, config=DEFAULT_MESSAGE_CONFIG)
+@example(
+    words=[], tags=None, spans=None, config=DEFAULT_MESSAGE_CONFIG, sizes=_PAPER_SIZES
+)
 @example(
     words=["a", "*", "b", "c", "d"],
     tags=["N", "N", "V", "A", "N"],
     spans=((-1, 0), (4, 9), (2, 1)),
     config=DEFAULT_MESSAGE_CONFIG,
+    sizes=_PAPER_SIZES,
 )
 @given(
     words=st.lists(_ROW_WORDS, max_size=8),
     tags=st.none() | st.lists(st.sampled_from(["A", "N", "V"]), min_size=8, max_size=8),
     spans=st.none() | _ROW_SPANS,
     config=st.just(DEFAULT_MESSAGE_CONFIG) | _ROW_CONFIGS,
+    sizes=st.just(_PAPER_SIZES) | _ROW_SIZES,
 )
-def test_row_features_match_per_feature_loops(words, tags, spans, config):
+def test_row_features_match_per_feature_loops(words, tags, spans, config, sizes):
+    wildcard_sizes, char_ngram_sizes = sizes
+    with mock.patch.multiple(
+        features_message,
+        WILDCARD_SIZES=wildcard_sizes,
+        CHAR_NGRAM_SIZES=char_ngram_sizes,
+    ):
+        _check_row_features(words, tags, spans, config)
+
+
+def _check_row_features(words, tags, spans, config):
     message = _row_message(words, tags)
     if spans is None:
         annotation = mark_negation(message)

@@ -183,6 +183,16 @@ def test_train_rejects_bad_hyperparameters(setting, message):
         )
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e308])
+def test_train_rejects_rows_with_non_finite_squared_norm(value):
+    # 1e308 is finite, but its square overflows.
+    with pytest.raises(ValueError, match="training row 1 has a non-finite squared norm"):
+        train(
+            dense_rows([[1, 0], [value, 1]]), ["positive", "negative"],
+            make_dictionary(2), classes=BINARY,
+        )
+
+
 def test_predict_tie_breaks_to_first_class():
     d = make_dictionary(1)
     model = LinearModel(
