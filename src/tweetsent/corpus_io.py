@@ -33,7 +33,7 @@ Cluster map::
 Seed set for lexicon induction (read by
 :func:`~tweetsent.lexicon_builder.load_seed_set`), one hashtag per line
 written without its ``#``, since a line starting with ``#`` is a
-comment::
+comment; ``#`` plus the lowercased word must tokenize as one hashtag::
 
     hashtag<TAB>positive|negative
 

@@ -59,7 +59,11 @@ class SeedSet:
 
 
 def load_seed_set(path: str | Path) -> SeedSet:
-    """Load seeds from ``hashtag<TAB>positive|negative`` lines."""
+    """Load seeds from ``hashtag<TAB>positive|negative`` lines.
+
+    ``#`` plus the lowercased seed must tokenize as that one hashtag, or
+    no message could ever match it.
+    """
     path = Path(path)
     positive, negative = [], []
     for lineno, line in _data_lines(path):
@@ -70,6 +74,11 @@ def load_seed_set(path: str | Path) -> SeedSet:
                 f"got {len(parts)}"
             )
         term, polarity = parts
+        tag = "#" + term.lower()
+        if [(t.kind, t.surface) for t in tokenize(tag).tokens] != [("hashtag", tag)]:
+            raise CorpusFormatError(
+                f"seed '{term}' is not one hashtag word at line {lineno} of {path}"
+            )
         if polarity == POSITIVE:
             positive.append(term)
         elif polarity == NEGATIVE:
@@ -257,8 +266,13 @@ def build_lexicon(
     counting.  Terms occurring fewer than ``min_count`` times are
     dropped.  Every entry carries the positive-direction score under
     ``positive`` and its negation under ``negative``, with namespace
-    prefixes ``uni:``, ``bi:`` and ``pair:``.
+    prefixes ``uni:``, ``bi:`` and ``pair:``.  ``alpha`` must be finite
+    and positive, and ``pair_window`` None or at least 1.
     """
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
+    if pair_window is not None and pair_window < 1:
+        raise ValueError(f"pair_window must be at least 1, got {pair_window}")
     if labeling not in ("hashtag", "emoticon"):
         raise ValueError(f"unknown labeling scheme '{labeling}'")
     if labeling == "hashtag" and seeds is None:

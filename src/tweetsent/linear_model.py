@@ -20,9 +20,8 @@ resolve to the earliest class in the model's class order.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -217,11 +216,9 @@ def predict(model: LinearModel, vector: FeatureVector | IndexedVector) -> str:
 # 4,096, and leaves the allocator holding no more memory than writing row
 # by row did; training's peak memory comes right after the save.
 _WRITE_ROWS = 64
-# Characters per read when loading, a few thousand lines: the transient
-# strings of a block stay near a megabyte.
-_READ_CHARS = 1 << 18
-
-_HEADER_KEYS = ("classes", "dim", "C", "tol")
+# Lines per chunk when loading: the transient strings of a chunk stay
+# near a megabyte.
+_READ_LINES = 4096
 
 
 def save_model(model: LinearModel, path: str | Path) -> None:
@@ -251,254 +248,177 @@ def save_model(model: LinearModel, path: str | Path) -> None:
             fh.write((row_format * len(rows)) % tuple(fields.ravel().tolist()))
 
 
-class _LineFault(Exception):
-    """A record breaks a rule that one line can decide."""
+def _fault(what: str, lineno: int, path: Path, line: str) -> ModelFormatError:
+    return ModelFormatError(f"{what} at line {lineno} of {path}: {line!r}")
 
 
-def _index(text: str) -> int:
-    """An index as the bulk path reads it: an int64."""
-    value = int(text)
-    if not -(2**63) <= value < 2**63:
-        raise ValueError(text)
-    return value
+def _read_header(fh, path: Path) -> tuple[tuple[str, ...], int, float, float]:
+    """Check the five header lines; return the class order, dim, C and tol."""
 
+    def record(lineno: int, key: str) -> tuple[str, list[str]]:
+        line = fh.readline().removesuffix("\n")
+        found, *fields = line.split("\t")
+        if found != key:
+            raise _fault(f"expected record '{key}'", lineno, path, line)
+        return line, fields
 
-def _check_line(line: str, headers: dict) -> None:
-    """Apply the one-line rules to ``line``; store a header's value.
-
-    Raises ``_LineFault``, or ``ValueError``/``IndexError`` for a record
-    whose fields do not parse.
-    """
-    if not line.strip() or line.startswith("#"):
-        return
-    key, *fields = line.split("\t")
-    if key == "feat":
-        if len(fields) != 2:
-            raise IndexError(line)
-        _index(fields[0])
-    elif key == "w":
-        _index(fields[0])
-        if not all(map(math.isfinite, map(float, fields[1:]))):
-            raise _LineFault("non-finite weight")
-    elif key not in _HEADER_KEYS:
-        raise _LineFault(f"unknown record '{key}'")
-    elif key in headers:
-        raise _LineFault(f"repeated record '{key}'")
-    elif key == "classes":
-        if not fields:
-            raise _LineFault("no class names")
-        if len(set(fields)) != len(fields):
-            raise _LineFault("duplicate class names")
-        headers[key] = tuple(fields)
-    elif key == "dim":
-        (text,) = fields
-        headers[key] = int(text)
-        if headers[key] < 0:
-            raise _LineFault("negative dim")
-    else:
-        (text,) = fields
-        headers[key] = float(text)
-        if not math.isfinite(headers[key]):
-            raise _LineFault(f"non-finite {key}")
-
-
-def _split_records(lines: list[str]) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Split ``key<TAB>index<TAB>...`` records all at once.
-
-    Returns each record's tab count and index, and the fields after the
-    indices in record order.
-    """
-    tabs = np.fromiter(map(str.count, lines, repeat("\t")), np.int64, len(lines))
-    fields = "\t".join(lines).split("\t")
-    starts = np.cumsum(tabs + 1) - (tabs + 1)
-    indices = map(fields.__getitem__, (starts + 1).tolist())
-    indices = np.fromiter(map(int, indices), np.int64, len(lines))
-    keep = np.ones(len(fields), dtype=bool)
-    keep[starts] = False
-    keep[starts + 1] = False
-    return tabs, indices, list(compress(fields, keep.tolist()))
-
-
-class _Records:
-    """The records of one model file, gathered block by block."""
-
-    def __init__(self) -> None:
-        self.headers: dict = {}
-        empty = np.empty(0, dtype=np.int64)
-        self.feat_ids: list[np.ndarray] = [empty]
-        self.names: list[str] = []
-        self.row_ids: list[np.ndarray] = [empty]
-        self.row_sizes: list[np.ndarray] = [empty]
-        self.row_values: list[np.ndarray] = [np.empty(0)]
-
-    def add(self, lines: list[str]) -> None:
-        """Take one block of lines; raise on any fault in it."""
-        # Sorting groups the records by key; each group is then one slice.
-        lines = sorted(lines)
-        f0 = bisect_left(lines, "feat\t")
-        f1 = bisect_left(lines, "feat\n", f0)
-        w0 = bisect_left(lines, "w\t", f1)
-        w1 = bisect_left(lines, "w\n", w0)
-        for line in chain(lines[:f0], lines[f1:w0], lines[w1:]):
-            _check_line(line, self.headers)
-        feat, rows = lines[f0:f1], lines[w0:w1]
-        del lines
-        if feat:
-            tabs, ids, names = _split_records(feat)
-            if (tabs != 2).any():
-                raise IndexError("feat")
-            self.feat_ids.append(ids)
-            self.names += names
-        if rows:
-            tabs, ids, values = _split_records(rows)
-            values = np.fromiter(map(float, values), np.float64, len(values))
-            if not np.isfinite(values).all():
-                raise _LineFault("non-finite weight")
-            self.row_ids.append(ids)
-            self.row_sizes.append(tabs - 1)
-            self.row_values.append(values)
-
-
-def _read_records(path: Path) -> _Records:
-    """Read the file a block of whole lines at a time.
-
-    A block that breaks a rule is searched line by line, so the error
-    names the first faulty line; earlier blocks had none.
-    """
-    records = _Records()
-    lineno = 1
-    with path.open("r", encoding="utf-8") as fh:
-        while block := fh.read(_READ_CHARS):
-            if not block.endswith("\n"):
-                block += fh.readline()
-            lines = block.split("\n")
-            del block
-            if not lines[-1]:
-                lines.pop()
-            before = dict(records.headers)
-            try:
-                records.add(lines)
-            except (_LineFault, ValueError, IndexError, OverflowError):
-                _raise_first_fault(lines, lineno, before, path)
-                raise  # the bulk and line rules disagree: a bug
-            lineno += len(lines)
-    return records
-
-
-def _raise_first_fault(
-    lines: list[str], lineno: int, headers: dict, path: Path
-) -> None:
-    """Raise the error of the first faulty line of a block, if any."""
-    for n, line in enumerate(lines, start=lineno):
+    line = fh.readline().removesuffix("\n")
+    if line != "# linear model":
+        raise _fault("expected '# linear model'", 1, path, line)
+    line, classes = record(2, "classes")
+    if not classes:
+        raise _fault("no class names", 2, path, line)
+    if len(set(classes)) != len(classes):
+        raise _fault("duplicate class names", 2, path, line)
+    line, fields = record(3, "dim")
+    try:
+        (dim,) = map(int, fields)
+    except ValueError:
+        raise _fault("malformed record", 3, path, line) from None
+    if dim < 0:
+        raise _fault("negative dim", 3, path, line)
+    settings = []
+    for lineno, key in ((4, "C"), (5, "tol")):
+        line, fields = record(lineno, key)
         try:
-            _check_line(line, headers)
-        except _LineFault as fault:
-            raise ModelFormatError(f"{fault} at line {n} of {path}") from None
-        except (ValueError, IndexError):
-            raise ModelFormatError(
-                f"malformed record at line {n} of {path}: {line!r}"
-            ) from None
+            (value,) = map(float, fields)
+        except ValueError:
+            raise _fault("malformed record", lineno, path, line) from None
+        if not math.isfinite(value):
+            raise _fault(f"non-finite {key}", lineno, path, line)
+        settings.append(value)
+    return tuple(classes), dim, *settings
+
+
+_NOUNS = {"feat": "feature", "w": "weight row"}
+
+
+def _check_records(
+    lines: list[str], key: str, first: int, tabs: int
+) -> list[str] | np.ndarray:
+    """The fields after the indices of records ``key<TAB>first``, ...
+
+    Each line must hold ``tabs`` tabs, the key ``key`` and the next
+    index from ``first``, written as :func:`save_model` writes it.  For
+    ``w`` records the fields are returned as finite floats.  Raises
+    ``ValueError`` naming the first rule that some line breaks.
+    """
+    n = len(lines)
+    if list(map(str.count, lines, repeat("\t"))) != [tabs] * n:
+        raise ValueError("malformed record")
+    fields = "\t".join(lines).split("\t")
+    if fields[:: tabs + 1] != [key] * n or fields[1 :: tabs + 1] != list(
+        map(str, range(first, first + n))
+    ):
+        raise ValueError(f"expected {_NOUNS[key]} {first}")
+    del fields[:: tabs + 1]
+    del fields[::tabs]
+    if key == "feat":
+        return fields
+    try:
+        values = np.fromiter(map(float, fields), np.float64, len(fields))
+    except ValueError:
+        raise ValueError("malformed record") from None
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite weight")
+    return values
+
+
+def _read_records(
+    fh, path: Path, lineno: int, key: str, count: int, tabs: int
+) -> list[list[str] | np.ndarray]:
+    """Read records ``key<TAB>0`` to ``key<TAB>count-1`` from line ``lineno``.
+
+    Lines are checked a chunk at a time; a chunk that breaks a rule is
+    checked again line by line, so the error names the first faulty
+    line.  Returns each chunk's fields.
+    """
+    chunks = []
+    found = 0
+    while found < count and (
+        text := "".join(islice(fh, min(_READ_LINES, count - found)))
+    ):
+        lines = text.removesuffix("\n").split("\n")
+        try:
+            chunks.append(_check_records(lines, key, found, tabs))
+        except ValueError:
+            for i, line in enumerate(lines):
+                try:
+                    _check_records([line], key, found + i, tabs)
+                except ValueError as fault:
+                    raise _fault(str(fault), lineno + found + i, path, line) from None
+            raise  # a chunk fails only where one of its lines does
+        found += len(lines)
+    if found < count:
+        raise ModelFormatError(
+            f"expected {count} {_NOUNS[key]}s (0..{count - 1}), found {found} in {path}"
+        )
+    return chunks
 
 
 def load_model(path: str | Path) -> LinearModel:
     """Read a model file written by :func:`save_model`.
 
-    The file is UTF-8 text with one tab-separated record per line.
-    Records may come in any order; blank lines and lines starting with
-    ``#`` are skipped.  The records are:
+    The file is UTF-8 text with one tab-separated record per line, in
+    exactly the order :func:`save_model` writes them:
 
+    - ``# linear model``
     - ``classes<TAB>c1<TAB>...<TAB>cn``: the class order
     - ``dim<TAB>d``: the number of features
     - ``C<TAB>c`` and ``tol<TAB>t``: the training settings
-    - ``feat<TAB>i<TAB>name``: the name of feature ``i``, 0 <= i < d
-    - ``w<TAB>i<TAB>v1<TAB>...<TAB>vn``: weight column ``i``, one value
-      per class in class order; column ``d`` is the bias
+    - ``feat<TAB>i<TAB>name`` for i = 0..d-1: the name of feature ``i``
+    - ``w<TAB>i<TAB>v1<TAB>...<TAB>vn`` for i = 0..d: weight column
+      ``i``, one value per class in class order; column ``d`` is the bias
 
-    Numbers are written with 9 significant digits, so save, load and
-    save again gives the same bytes.
+    Lines may end in LF, CRLF or CR, and the last line's end may be
+    missing.  Numbers are written with 9 significant digits, so save,
+    load and save again gives the same bytes.
 
-    Raises ``ModelFormatError``, naming the file and, for a fault one
-    line shows, the first such line, when:
+    Raises ``ModelFormatError``, naming the file and, unless the file is
+    not UTF-8 or ends among the ``feat`` or ``w`` records, the first
+    faulty line, when:
 
-    - a record is none of the above, or its fields do not parse:
-      ``dim`` and the indices are integers that fit 64 bits, ``C``,
-      ``tol`` and the weights are numbers, ``dim``, ``C`` and ``tol``
-      hold exactly one value, ``feat`` exactly an index and a name
+    - the file is not valid UTF-8
+    - a line is not the record the layout puts there: the first line is
+      not ``# linear model``, a header line does not start with its key,
+      or a ``feat`` or ``w`` line has another key, another index than
+      the next one written in decimal, or another number of fields
+    - a field does not parse: ``dim`` is an integer, ``C``, ``tol`` and
+      the weights are numbers, and ``dim``, ``C`` and ``tol`` hold
+      exactly one value
     - ``classes`` names no class, or a class twice
     - ``dim`` is negative
     - ``C``, ``tol`` or a weight is not finite
-    - a header record (``classes``, ``dim``, ``C``, ``tol``) repeats
-    - the file is not valid UTF-8
-    - a header record is missing
-    - a feature index repeats, or the indices are not exactly 0..d-1
-      (checked before anything of size d is allocated)
     - two features share a name
-    - a weight row index is outside 0..d, or a row has not one value
-      per class
-    - a weight row of 0..d is missing or repeats
+    - the file ends before the last weight row, or goes on after it
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
     try:
-        records = _read_records(path)
+        with path.open("r", encoding="utf-8") as fh:
+            class_order, dim, C, tol = _read_header(fh, path)
+            names = _read_records(fh, path, 6, "feat", dim, 2)
+            names = tuple(chain.from_iterable(names))
+            index = dict(zip(names, range(dim)))
+            if len(index) != dim:
+                seen = set()
+                for i, name in enumerate(names):
+                    if name in seen:
+                        line = f"feat\t{i}\t{name}"
+                        raise _fault("duplicate feature name", 6 + i, path, line)
+                    seen.add(name)
+            n = len(class_order)
+            rows = _read_records(fh, path, 6 + dim, "w", dim + 1, n + 1)
+            if line := fh.readline():
+                line = line.removesuffix("\n")
+                raise _fault("line after the last weight row", 7 + 2 * dim, path, line)
     except UnicodeDecodeError:
         raise ModelFormatError(f"not valid UTF-8 text in {path}") from None
-    headers = records.headers
-    if len(headers) != len(_HEADER_KEYS):
-        raise ModelFormatError(
-            f"missing header record (classes, dim, C or tol) in {path}"
-        )
-    class_order, dim = headers["classes"], headers["dim"]
-
-    feat_ids = np.concatenate(records.feat_ids)
-    if len(feat_ids) < dim or ((feat_ids < 0) | (feat_ids >= dim)).any():
-        raise ModelFormatError(
-            f"feature records do not cover indices 0..{dim - 1} exactly in {path}"
-        )
-    repeats = np.bincount(feat_ids, minlength=dim) > 1
-    if repeats.any():
-        raise ModelFormatError(
-            f"feature index {int(repeats.argmax())} repeated in {path}"
-        )
-    ordered = np.empty(dim, dtype=object)
-    ordered[feat_ids] = records.names
-    names = tuple(ordered.tolist())
-    del ordered
-    index = dict(zip(names, range(dim)))
-    if len(index) != dim:
-        raise ModelFormatError(f"duplicate feature names in {path}")
-
-    n = len(class_order)
-    row_ids = np.concatenate(records.row_ids)
-    sizes = np.concatenate(records.row_sizes)
-    bad = (row_ids < 0) | (row_ids > dim) | (sizes != n)
-    if bad.any():
-        first = int(bad.argmax())
-        i = int(row_ids[first])
-        if not 0 <= i <= dim:
-            raise ModelFormatError(
-                f"weight row index {i} out of range 0..{dim} in {path}"
-            )
-        raise ModelFormatError(
-            f"weight row {i} has {sizes[first]} values for {n} classes in {path}"
-        )
-    rows_per_index = np.bincount(row_ids, minlength=dim + 1)
-    found = np.count_nonzero(rows_per_index)
-    if found != dim + 1:
-        raise ModelFormatError(
-            f"expected {dim + 1} weight rows (0..{dim}), found {found} in {path}"
-        )
-    if len(row_ids) != dim + 1:
-        raise ModelFormatError(
-            f"weight row index {int(rows_per_index.argmax())} repeated in {path}"
-        )
-    weights = np.empty((n, dim + 1))
-    weights[:, row_ids] = np.concatenate(records.row_values).reshape(-1, n).T
     return LinearModel(
         class_order=class_order,
-        weights=weights,
+        weights=np.concatenate(rows).reshape(dim + 1, n).T.copy(),
         dictionary=FeatureDictionary(names=names, index=index),
-        C=headers["C"],
-        tol=headers["tol"],
+        C=C,
+        tol=tol,
     )

@@ -7,15 +7,16 @@ dual via projected gradient with an active-set polish, and message
 lexicon features via per-(scope, affect) lookups over every pair.  None
 of them import library internals beyond public dataclasses.
 The copies below import only the unchanged public functions they call.
-The model-file reader and writer are the per-record loops that the
-bulk versions in ``linear_model`` replaced, kept as written; so are the
+The model-file writer is the per-record loop that the bulk version in
+``linear_model`` replaced, kept as written; so are the
 dual coordinate descent loop on numpy scalars, lexicon induction over a
 dict of per-term class dicts, the per-character unescaping loop and the
 per-affect term lexicon lookup.  So are the row path's per-token and
 per-feature loops: token flags computed character by character (with the
 tokenizer's unchanged regular expressions), one ``in_scope`` call per
 token, one ``FeatureVector.set`` per n-gram, and vectorizing by sorting
-(index, value) tuples.
+(index, value) tuples.  The model-file reader is a per-record loop in
+which each line must be the next record the writer would write.
 """
 
 from __future__ import annotations
@@ -371,79 +372,83 @@ def oracle_save_model(model: LinearModel, path: str | Path) -> None:
 
 
 def oracle_load_model(path: str | Path) -> LinearModel:
-    """Read a model file written by :func:`save_model`."""
+    """Read a model file written by :func:`save_model`.
+
+    Every line must be the next record in the order ``save_model``
+    writes them.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    class_order: tuple[str, ...] | None = None
-    dim: int | None = None
-    c_value: float | None = None
-    tol_value: float | None = None
-    names: dict[int, str] = {}
-    weight_rows: dict[int, list[float]] = {}
+    class_order: tuple[str, ...] = ()
+    dim = 0
+    settings: list[float] = []
+    names: list[str] = []
+    weight_rows: list[list[float]] = []
     with path.open("r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            key = parts[0]
+            key, *fields = line.split("\t")
             try:
-                if key == "classes":
-                    class_order = tuple(parts[1:])
-                elif key == "dim":
-                    dim = int(parts[1])
-                elif key == "C":
-                    c_value = float(parts[1])
-                elif key == "tol":
-                    tol_value = float(parts[1])
-                elif key == "feat":
-                    names[int(parts[1])] = parts[2]
-                elif key == "w":
-                    weight_rows[int(parts[1])] = [float(x) for x in parts[2:]]
+                if lineno == 1 and line == "# linear model":
+                    pass
+                elif lineno == 2 and key == "classes":
+                    if not fields or len(set(fields)) != len(fields):
+                        raise ModelFormatError(f"bad class names at line {lineno}")
+                    class_order = tuple(fields)
+                elif lineno == 3 and key == "dim":
+                    (dim,) = [int(x) for x in fields]
+                    if dim < 0:
+                        raise ModelFormatError(f"negative dim at line {lineno}")
+                elif lineno in (4, 5) and key == ("C", "tol")[lineno - 4]:
+                    (value,) = [float(x) for x in fields]
+                    if not math.isfinite(value):
+                        raise ModelFormatError(f"non-finite {key} at line {lineno}")
+                    settings.append(value)
+                elif (
+                    6 <= lineno < 6 + dim
+                    and key == "feat"
+                    and len(fields) == 2
+                    and fields[0] == str(len(names))
+                ):
+                    if fields[1] in names:
+                        raise ModelFormatError(
+                            f"duplicate feature name at line {lineno}"
+                        )
+                    names.append(fields[1])
+                elif (
+                    6 + dim <= lineno < 7 + 2 * dim
+                    and key == "w"
+                    and len(fields) == len(class_order) + 1
+                    and fields[0] == str(len(weight_rows))
+                ):
+                    row = [float(x) for x in fields[1:]]
+                    if not all(math.isfinite(x) for x in row):
+                        raise ModelFormatError(f"non-finite weight at line {lineno}")
+                    weight_rows.append(row)
                 else:
-                    raise ModelFormatError(
-                        f"unknown record '{key}' at line {lineno}"
-                    )
-            except (IndexError, ValueError) as err:
+                    raise ModelFormatError(f"unexpected record at line {lineno}")
+            except ValueError as err:
                 if isinstance(err, ModelFormatError):
                     raise
                 raise ModelFormatError(
                     f"malformed record at line {lineno}: {line!r}"
                 ) from None
-    if class_order is None or dim is None or c_value is None or tol_value is None:
-        raise ModelFormatError("missing header record (classes, dim, C or tol)")
-    if sorted(names) != list(range(dim)):
-        raise ModelFormatError(
-            f"feature records do not cover indices 0..{dim - 1} exactly"
-        )
-    ordered_names = tuple(names[i] for i in range(dim))
-    if len(set(ordered_names)) != dim:
-        raise ModelFormatError("duplicate feature names")
+    if len(settings) != 2 or len(weight_rows) != dim + 1:
+        raise ModelFormatError("the file ends before the last weight row")
     weights = np.zeros((len(class_order), dim + 1))
-    for i, row in weight_rows.items():
-        if not 0 <= i <= dim:
-            raise ModelFormatError(f"weight row index {i} out of range 0..{dim}")
-        if len(row) != len(class_order):
-            raise ModelFormatError(
-                f"weight row {i} has {len(row)} values for "
-                f"{len(class_order)} classes"
-            )
+    for i, row in enumerate(weight_rows):
         weights[:, i] = row
-    if len(weight_rows) != dim + 1:
-        raise ModelFormatError(
-            f"expected {dim + 1} weight rows (0..{dim}), found {len(weight_rows)}"
-        )
     dictionary = FeatureDictionary(
-        names=ordered_names,
-        index={n: i for i, n in enumerate(ordered_names)},
+        names=tuple(names),
+        index={n: i for i, n in enumerate(names)},
     )
     return LinearModel(
         class_order=class_order,
         weights=weights,
         dictionary=dictionary,
-        C=c_value,
-        tol=tol_value,
+        C=settings[0],
+        tol=settings[1],
     )
 
 

@@ -243,7 +243,7 @@ def test_corrupt_model_exits_1(message_files, tmp_path, capsys):
         capsys, "evaluate", "--input", str(test), "--model", str(bad_model)
     )
     assert code == 1
-    assert "error: unknown record 'junk'" in err
+    assert f"error: expected '# linear model' at line 1 of {bad_model}" in err
 
 
 def test_truncated_model_exits_1(message_files, tmp_path, capsys):
@@ -385,6 +385,27 @@ def test_build_lexicon(tmp_path, capsys):
     assert lexicon.name == "induced"
     assert lexicon.entries["uni:good"]["positive"] > 0
     assert lexicon.entries["uni:bad"]["positive"] < 0
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--alpha", "nan", "alpha must be finite and positive, got nan"),
+        ("--alpha", "0", "alpha must be finite and positive, got 0.0"),
+        ("--pair-window", "0", "pair_window must be at least 1, got 0"),
+    ],
+)
+def test_build_lexicon_bad_settings_exit_1(tmp_path, capsys, flag, value, message):
+    raw = tmp_path / "raw.tsv"
+    write_raw_corpus([("1", "good fun :)"), ("2", "bad day :(")], raw)
+    out_path = tmp_path / "induced.tsv"
+    code, out, err = run(
+        capsys, "build-lexicon", "--input", str(raw), "--labeling", "emoticon",
+        "--min-count", "1", "--out", str(out_path), flag, value,
+    )
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert not out_path.exists()
 
 
 def test_build_lexicon_errors(tmp_path, capsys):

@@ -25,6 +25,7 @@ from tweetsent.corpus_io import (
     write_term_corpus,
 )
 from tweetsent.lexicon_builder import load_seed_set
+from tweetsent.tokenizer import tokenize
 
 
 def test_class_order_fixed():
@@ -342,3 +343,8 @@ def test_loaders_accept_or_raise_corpus_format_error(tmp_path_factory, loader, d
         for message in loaded:
             for surface, _ in message.tagged:
                 assert surface and not any(c.isspace() for c in surface)
+    if loader == "seed":
+        for seed in loaded.positive | loaded.negative:
+            assert [(t.kind, t.surface) for t in tokenize(seed).tokens] == [
+                ("hashtag", seed)
+            ]

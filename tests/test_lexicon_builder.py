@@ -317,6 +317,13 @@ def test_load_seed_set_errors(tmp_path):
     latin1.write_bytes("caf\u00e9\tpositive\n".encode("latin-1"))
     with pytest.raises(CorpusFormatError, match="not valid UTF-8 text in "):
         load_seed_set(latin1)
+    # No message token could ever equal the hashtags "#" or "#happy day".
+    for line in ("\tpositive", "happy day\tpositive", "go!\tnegative"):
+        unmatchable = tmp_path / "d.txt"
+        unmatchable.write_text(f"good\tpositive\n{line}\n")
+        with pytest.raises(CorpusFormatError, match="is not one hashtag word") as err:
+            load_seed_set(unmatchable)
+        assert f"at line 2 of {unmatchable}" in str(err.value)
 
 
 def test_pseudo_label_by_hashtag():
@@ -407,6 +414,23 @@ def test_build_lexicon_errors():
         build_lexicon([("1", "no emoticon here")], "emoticon")
     with pytest.raises(ValueError, match="no negative candidates"):
         build_lexicon([("1", "good :)")], "emoticon", min_count=1)
+
+
+@pytest.mark.parametrize(
+    "setting,message",
+    [
+        ({"alpha": math.nan}, "alpha must be finite and positive, got nan"),
+        ({"alpha": math.inf}, "alpha must be finite and positive, got inf"),
+        ({"alpha": 0.0}, "alpha must be finite and positive, got 0.0"),
+        ({"alpha": -1.0}, "alpha must be finite and positive, got -1.0"),
+        ({"pair_window": 0}, "pair_window must be at least 1, got 0"),
+        ({"pair_window": -1}, "pair_window must be at least 1, got -1"),
+    ],
+)
+def test_build_lexicon_rejects_bad_settings(setting, message):
+    corpus = [("1", "good fun :)"), ("2", "bad day :(")]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_lexicon(corpus, "emoticon", min_count=1, **setting)
 
 
 @pytest.mark.parametrize(

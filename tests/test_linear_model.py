@@ -359,54 +359,58 @@ def test_load_rejects_truncated_model(tmp_path):
         load_model(path)
 
 
+# Each body follows the "# linear model" line and breaks the layout once.
 @pytest.mark.parametrize(
     "text,message",
     [
-        ("bogus\t1\nclasses\tnegative\ndim\t0\nC\t1\ntol\t0.1\n",
-         "unknown record 'bogus' at line 1"),
-        ("classes\tnegative\ndim\tx\nC\t1\ntol\t0.1\n", "malformed record at line 2"),
-        ("classes\tnegative\ndim\t0\nC\t1\n", "missing header record"),
+        ("classes\tnegative\ndim\t0\nC\t1\ntol\t0.1\nbogus\t0\t1\n",
+         "expected weight row 0 at line 6"),
+        ("classes\tnegative\ndim\tx\nC\t1\ntol\t0.1\n", "malformed record at line 3"),
+        ("classes\tnegative\ndim\t0\nC\t1\n", "expected record 'tol' at line 5"),
         ("classes\tnegative\ndim\t2\nC\t1\ntol\t0.1\nfeat\t0\tf0\n",
-         "feature records do not cover indices"),
-        ("classes\tnegative\ndim\t2\nC\t1\ntol\t0.1\nfeat\t0\tf0\nfeat\t1\tf0\n",
-         "duplicate feature names"),
-        ("classes\tnegative\ndim\t1\nC\t1\ntol\t0.1\nfeat\t0\tf0\nw\t99\t0.0\n",
-         "weight row index 99 out of range"),
+         r"expected 2 features \(0\.\.1\), found 1"),
+        ("classes\tnegative\ndim\t2\nC\t1\ntol\t0.1\nfeat\t0\tf0\nfeat\t1\tf0\n"
+         "w\t0\t0.5\nw\t1\t0.5\nw\t2\t0.5\n", "duplicate feature name at line 7"),
+        ("classes\tnegative\ndim\t1\nC\t1\ntol\t0.1\nfeat\t0\tf0\nw\t0\t0.0\n"
+         "w\t99\t0.0\n", "expected weight row 1 at line 8"),
         ("classes\tnegative\tpositive\ndim\t1\nC\t1\ntol\t0.1\nfeat\t0\tf0\n"
-         "w\t0\t1.0\n", "has 1 values for 2 classes"),
+         "w\t0\t1.0\nw\t1\t1.0\t2.0\n", "malformed record at line 7"),
         ("classes\tnegative\tpositive\ndim\t1\nC\t1\ntol\t0.1\nfeat\t0\tf0\n",
          r"expected 2 weight rows \(0\.\.1\), found 0"),
         ("classes\tnegative\ndim\t1\nC\t1\ntol\t0.1\nfeat\t0\tf0\nw\t1\t0.5\n"
-         "w\t1\t0.5\n", "expected 2 weight rows .*, found 1"),
+         "w\t1\t0.5\n", "expected weight row 0 at line 7"),
         ("classes\tnegative\ndim\t1\nC\t1\ntol\t0.1\nfeat\t0\tf0\nfeat\t0\tf1\n"
-         "w\t0\t0.5\nw\t1\t0.5\n", "feature index 0 repeated"),
+         "w\t0\t0.5\nw\t1\t0.5\n", "expected weight row 0 at line 7"),
         ("classes\tnegative\ndim\t0\nC\t1\nC\t2\ntol\t0.1\nw\t0\t0.5\n",
-         "repeated record 'C' at line 4"),
+         "expected record 'tol' at line 5"),
         ("classes\tnegative\ndim\t1\nC\t1\ntol\t0.1\nfeat\t0\tf0\textra\n"
-         "w\t0\t0.5\nw\t1\t0.5\n", "malformed record at line 5"),
+         "w\t0\t0.5\nw\t1\t0.5\n", "malformed record at line 6"),
         ("classes\tnegative\ndim\t1\nC\t1\ntol\t0.1\nfeat\t0\tf0\nw\t0\t0.5\n"
-         "w\t1\t0.5\nw\t1\t0.5\n", "weight row index 1 repeated"),
-        ("classes\ndim\t0\nC\t1\ntol\t0.1\nw\t0\n", "no class names at line 1"),
+         "w\t1\t0.5\nw\t1\t0.5\n", "line after the last weight row at line 9"),
+        ("classes\tnegative\ndim\t1\nC\t1\ntol\t0.1\nfeat\t0\tf0\nw\t0\t0.5\n"
+         "w\t1\t0.5\n\n", "line after the last weight row at line 9"),
+        ("classes\tnegative\ndim\t1\nC\t1\ntol\t0.1\nfeat\t00\tf0\nw\t0\t0.5\n"
+         "w\t1\t0.5\n", "expected feature 0 at line 6"),
+        ("classes\ndim\t0\nC\t1\ntol\t0.1\nw\t0\n", "no class names at line 2"),
         ("classes\tnegative\tnegative\ndim\t0\nC\t1\ntol\t0.1\nw\t0\t1\t2\n",
-         "duplicate class names at line 1"),
-        ("classes\tnegative\ndim\t-1\nC\t1\ntol\t0.1\n", "negative dim at line 2"),
+         "duplicate class names at line 2"),
+        ("classes\tnegative\ndim\t-1\nC\t1\ntol\t0.1\n", "negative dim at line 3"),
         ("classes\tnegative\ndim\t0\nC\t1\ntol\t0.1\nw\t0\tnan\n",
-         "non-finite weight at line 5"),
+         "non-finite weight at line 6"),
         ("classes\tnegative\ndim\t0\nC\tinf\ntol\t0.1\nw\t0\t1\n",
-         "non-finite C at line 3"),
+         "non-finite C at line 4"),
         ("classes\tnegative\ndim\t0\nC\t1\ntol\tnan\nw\t0\t1\n",
-         "non-finite tol at line 4"),
+         "non-finite tol at line 5"),
         ("classes\tnegative\ndim\t0\textra\nC\t1\ntol\t0.1\nw\t0\t1\n",
-         "malformed record at line 2"),
-        # Checked against the feat record count before anything of size
-        # dim is allocated.
+         "malformed record at line 3"),
+        # A huge dim allocates nothing: its first missing feature is the fault.
         ("classes\tnegative\ndim\t1000000000000000\nC\t1\ntol\t0.1\nw\t0\t1\n",
-         "feature records do not cover indices"),
+         "expected feature 0 at line 6"),
     ],
 )
 def test_load_error_cases(tmp_path, text, message):
     path = tmp_path / "m.tsv"
-    path.write_text(text)
+    path.write_text("# linear model\n" + text)
     with pytest.raises(ModelFormatError, match=message) as err:
         load_model(path)
     assert str(path) in str(err.value)
