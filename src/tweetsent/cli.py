@@ -13,7 +13,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from .corpus_io import load_cluster_map, load_lexicon, load_raw_corpus, write_lexicon
+from .corpus_io import (
+    load_cluster_map,
+    load_lexicon,
+    load_raw_corpus,
+    load_seed_set,
+    write_lexicon,
+)
 from .evaluation import (
     format_ablation_table,
     format_ablation_tsv,
@@ -22,7 +28,7 @@ from .evaluation import (
     run_ablation,
 )
 from .features_message import format_feature_dump
-from .lexicon_builder import build_lexicon, load_seed_set
+from .lexicon_builder import build_lexicon
 from .linear_model import load_model, predict, save_model
 from .pipeline import TASKS, cross_validate, featurize, fit, load_corpus, prepare, score
 

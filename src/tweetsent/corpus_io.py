@@ -1,7 +1,11 @@
 """Readers and writers for the toolkit's on-disk formats.
 
-All files are UTF-8 text with LF line endings.  Lines starting with ``#``
-are comments and blank lines are skipped.  Columns are tab separated.
+Every file is UTF-8 text with one row per line and tab-separated
+columns.  Lines may end in LF, CRLF or CR.  Blank lines, and lines whose
+first non-blank character is ``#``, are skipped.  A row with another
+number of columns than its format's is an error; where the last column
+is text (plain messages, raw rows and term instances), it takes any
+further tabs.
 
 Message corpus::
 
@@ -30,8 +34,7 @@ Cluster map::
 
     token<TAB>cluster-id
 
-Seed set for lexicon induction (read by
-:func:`~tweetsent.lexicon_builder.load_seed_set`), one hashtag per line
+Seed set for lexicon induction (:func:`load_seed_set`), one hashtag per line
 written without its ``#``, since a line starting with ``#`` is a
 comment; ``#`` plus the lowercased word must tokenize as one hashtag::
 
@@ -48,8 +51,9 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .tokenizer import TokenizedMessage, normalize, tokenize
 
@@ -137,22 +141,9 @@ class Lexicon:
     def namespaces(self) -> frozenset[str]:
         """Term namespaces present: "uni", "bi", "pair".
 
-        Unprefixed terms count as unigrams.  Cached after the first
-        call, since entries are fixed after construction.
+        Unprefixed terms count as unigrams.
         """
-        cached = getattr(self, "_namespace_cache", None)
-        if cached is None:
-            found = set()
-            for term in self.entries:
-                if term.startswith("bi:"):
-                    found.add("bi")
-                elif term.startswith("pair:"):
-                    found.add("pair")
-                else:
-                    found.add("uni")
-            cached = frozenset(found)
-            object.__setattr__(self, "_namespace_cache", cached)
-        return cached
+        return self._unit_views[0]
 
     def unit_scores(self, namespace: str) -> dict[str, tuple[float | None, ...]]:
         """Scores of the ``namespace`` units, keyed by unprefixed unit text.
@@ -161,16 +152,17 @@ class Lexicon:
         where the term lacks that affect.  A ``bi`` or ``pair`` unit is
         the term under its ``bi:`` or ``pair:`` prefix.  A ``uni`` unit
         takes each affect from its ``uni:`` term and, where that term is
-        absent or lacks the affect, from the unprefixed term.  Cached after
-        the first call.
+        absent or lacks the affect, from the unprefixed term.
         """
-        tables = getattr(self, "_unit_tables", None)
-        if tables is None:
-            tables = self._build_unit_tables()
-            object.__setattr__(self, "_unit_tables", tables)
-        return tables[namespace]
+        return self._unit_views[1][namespace]
 
-    def _build_unit_tables(self) -> dict[str, dict[str, tuple[float | None, ...]]]:
+    # Entries are fixed after construction, so the views below are built
+    # on first use and kept.
+
+    @cached_property
+    def _unit_views(
+        self,
+    ) -> tuple[frozenset[str], dict[str, dict[str, tuple[float | None, ...]]]]:
         rows = {
             term: tuple(by_affect.get(a) for a in self.affects)
             for term, by_affect in self.entries.items()
@@ -181,37 +173,36 @@ class Lexicon:
             "bi": {},
             "pair": {},
         }
+        found = set()
         for term, row in rows.items():
             namespace, sep, text = term.partition(":")
             if not sep or namespace not in tables:
+                found.add("uni")
                 continue
+            found.add(namespace)
             plain = rows.get(text) if namespace == "uni" else None
             if plain is not None:
                 row = tuple(p if s is None else s for s, p in zip(row, plain))
             tables[namespace][text] = row
-        return tables
+        return frozenset(found), tables
 
+    @cached_property
     def pair_heads_tails(self) -> tuple[frozenset[str], frozenset[str]]:
         """Texts that occur as the first and as the second part of a pair.
 
         A key splits at every occurrence of the separator, since a part
         may itself be or contain a ``---`` token: ``x ------y`` yields
-        heads ``x ``, ``x -``, ``x --`` and ``x ---``.  Cached after the
-        first call.
+        heads ``x ``, ``x -``, ``x --`` and ``x ---``.
         """
-        cached = getattr(self, "_pair_part_cache", None)
-        if cached is None:
-            heads, tails = set(), set()
-            width = len(PAIR_SEPARATOR)
-            for key in self.unit_scores("pair"):
-                at = key.find(PAIR_SEPARATOR)
-                while at != -1:
-                    heads.add(key[:at])
-                    tails.add(key[at + width :])
-                    at = key.find(PAIR_SEPARATOR, at + 1)
-            cached = (frozenset(heads), frozenset(tails))
-            object.__setattr__(self, "_pair_part_cache", cached)
-        return cached
+        heads, tails = set(), set()
+        width = len(PAIR_SEPARATOR)
+        for key in self.unit_scores("pair"):
+            at = key.find(PAIR_SEPARATOR)
+            while at != -1:
+                heads.add(key[:at])
+                tails.add(key[at + width :])
+                at = key.find(PAIR_SEPARATOR, at + 1)
+        return frozenset(heads), frozenset(tails)
 
     @classmethod
     def from_word_lists(
@@ -232,6 +223,26 @@ class Lexicon:
         for w in negative_words:
             entries.setdefault(w.lower(), {})[NEGATIVE] = -1.0
         return cls(name=name, affects=(POSITIVE, NEGATIVE), entries=entries)
+
+
+@dataclass(frozen=True)
+class SeedSet:
+    """Hashtags whose presence pseudo-labels a message.
+
+    Stored lowercase with a leading ``#``.
+    """
+
+    positive: frozenset[str]
+    negative: frozenset[str]
+
+    @classmethod
+    def from_words(cls, positive: Iterable[str], negative: Iterable[str]) -> "SeedSet":
+        def canon(ws):
+            return frozenset(
+                w if w.startswith("#") else "#" + w for w in (x.lower() for x in ws)
+            )
+
+        return cls(positive=canon(positive), negative=canon(negative))
 
 
 def pair_units(
@@ -262,31 +273,32 @@ def pair_units(
     return pairs
 
 
-@dataclass(frozen=True)
-class ClusterMap:
-    """Token to word-cluster assignment with ids in [0, 999]."""
+def _rows(
+    path: Path, fields: int, rest: bool = False
+) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each row of ``path``, per the module's rules.
 
-    entries: dict[str, int] = field(default_factory=dict)
-
-    def get(self, token: str) -> int | None:
-        return self.entries.get(token)
-
-
-def _data_lines(path: Path) -> list[tuple[int, str]]:
-    """Non-comment, non-blank lines of ``path`` as (line number, text)."""
+    The whole file is read, so a file that is not UTF-8 fails before any
+    row does.  Each row must have ``fields`` fields; with ``rest`` the
+    last one keeps any further tabs.
+    """
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    out = []
-    with path.open("r", encoding="utf-8") as fh:
-        try:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n")
-                if not line.strip() or line.lstrip().startswith("#"):
-                    continue
-                out.append((lineno, line))
-        except UnicodeDecodeError:
-            raise CorpusFormatError(f"not valid UTF-8 text in {path}") from None
-    return out
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise CorpusFormatError(f"not valid UTF-8 text in {path}") from None
+    maxsplit = fields - 1 if rest else -1
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = line.split("\t", maxsplit)
+        if len(parts) != fields:
+            raise CorpusFormatError(
+                f"expected {fields} tab-separated fields at line {lineno} of {path}, "
+                f"got {len(parts)}"
+            )
+        yield lineno, parts
 
 
 # Backslash escapes, read left to right, so "\\t" is a backslash and t.
@@ -333,14 +345,8 @@ def load_message_corpus(path: str | Path, format: str = "plain") -> list[Labeled
         raise ValueError(f"unknown corpus format '{format}'")
     path = Path(path)
     messages = []
-    want, maxsplit = (3, 2) if format == "plain" else (4, -1)
-    for lineno, line in _data_lines(path):
-        parts = line.split("\t", maxsplit)
-        if len(parts) != want:
-            raise CorpusFormatError(
-                f"expected {want} tab-separated fields at line {lineno} of {path}, "
-                f"got {len(parts)}"
-            )
+    rows = _rows(path, 3, rest=True) if format == "plain" else _rows(path, 4)
+    for lineno, parts in rows:
         if format == "plain":
             msg_id, label, text = parts
             tagged = None
@@ -364,31 +370,17 @@ def load_raw_corpus(path: str | Path) -> list[tuple[str, str]]:
     Used as input for lexicon induction, where labels come from hashtag
     or emoticon pseudo-labeling rather than annotation.
     """
-    path = Path(path)
-    rows = []
-    for lineno, line in _data_lines(path):
-        parts = line.split("\t", 1)
-        if len(parts) != 2:
-            raise CorpusFormatError(
-                f"expected 2 tab-separated fields at line {lineno} of {path}, "
-                f"got {len(parts)}"
-            )
-        rows.append((parts[0], _unescape_text(parts[1])))
-    return rows
+    return [
+        (row_id, _unescape_text(text))
+        for _, (row_id, text) in _rows(Path(path), 2, rest=True)
+    ]
 
 
 def load_term_corpus(path: str | Path) -> list[TermInstance]:
     """Load a term corpus; every span must lie inside its tokenized text."""
     path = Path(path)
     instances = []
-    for lineno, line in _data_lines(path):
-        parts = line.split("\t", 4)
-        if len(parts) != 5:
-            raise CorpusFormatError(
-                f"expected 5 tab-separated fields at line {lineno} of {path}, "
-                f"got {len(parts)}"
-            )
-        inst_id, start_s, end_s, label, text = parts
+    for lineno, (inst_id, start_s, end_s, label, text) in _rows(path, 5, rest=True):
         try:
             start, end = int(start_s), int(end_s)
         except ValueError:
@@ -414,14 +406,7 @@ def load_lexicon(path: str | Path, name: str | None = None, kind: str = "manual"
     path = Path(path)
     entries: dict[str, dict[str, float]] = {}
     affects: list[str] = []
-    for lineno, line in _data_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise CorpusFormatError(
-                f"expected 3 tab-separated fields at line {lineno} of {path}, "
-                f"got {len(parts)}"
-            )
-        term, affect, score_s = parts
+    for lineno, (term, affect, score_s) in _rows(path, 3):
         try:
             score = float(score_s)
         except ValueError:
@@ -492,18 +477,11 @@ def write_raw_corpus(rows: list[tuple[str, str]], path: str | Path) -> None:
             fh.write(f"{row_id}\t{_escape_text(text)}\n")
 
 
-def load_cluster_map(path: str | Path) -> ClusterMap:
+def load_cluster_map(path: str | Path) -> dict[str, int]:
     """Load a ``token<TAB>cluster-id`` map; ids must lie in [0, 999]."""
     path = Path(path)
     entries: dict[str, int] = {}
-    for lineno, line in _data_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise CorpusFormatError(
-                f"expected 2 tab-separated fields at line {lineno} of {path}, "
-                f"got {len(parts)}"
-            )
-        token, cluster_s = parts
+    for lineno, (token, cluster_s) in _rows(path, 2):
         try:
             cluster = int(cluster_s)
         except ValueError:
@@ -515,4 +493,30 @@ def load_cluster_map(path: str | Path) -> ClusterMap:
                 f"cluster id {cluster} out of range [0, 999] at line {lineno} of {path}"
             )
         entries[token] = cluster
-    return ClusterMap(entries=entries)
+    return entries
+
+
+def load_seed_set(path: str | Path) -> SeedSet:
+    """Load seeds from ``hashtag<TAB>positive|negative`` lines.
+
+    ``#`` plus the lowercased seed must tokenize as that one hashtag, or
+    no message could ever match it.
+    """
+    path = Path(path)
+    positive, negative = [], []
+    for lineno, (term, polarity) in _rows(path, 2):
+        tag = "#" + term.lower()
+        if [(t.kind, t.surface) for t in tokenize(tag).tokens] != [("hashtag", tag)]:
+            raise CorpusFormatError(
+                f"seed '{term}' is not one hashtag word at line {lineno} of {path}"
+            )
+        if polarity == POSITIVE:
+            positive.append(term)
+        elif polarity == NEGATIVE:
+            negative.append(term)
+        else:
+            raise CorpusFormatError(
+                f"seed polarity must be positive or negative at line {lineno} "
+                f"of {path}, got '{polarity}'"
+            )
+    return SeedSet.from_words(positive, negative)

@@ -39,11 +39,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus_io import ClusterMap, Lexicon, pair_units
+from .corpus_io import Lexicon, pair_units
 from .negation import EMPTY_ANNOTATION, NegationAnnotation, apply_negation_suffix
 from .tokenizer import TokenizedMessage, emoticon_polarity
 
@@ -236,7 +236,7 @@ def _pair_units(
     tails: set[str] = set()
     for lex in lexicons:
         if "pair" in lex.namespaces():
-            lex_heads, lex_tails = lex.pair_heads_tails()
+            lex_heads, lex_tails = lex.pair_heads_tails
             heads |= lex_heads
             tails |= lex_tails
     parts = [(i, i, s) for i, s in enumerate(surfaces)] + [
@@ -380,7 +380,7 @@ def extract_message_features(
     msg: TokenizedMessage,
     neg: NegationAnnotation,
     lexicons: Sequence[Lexicon] = (),
-    clusters: ClusterMap | None = None,
+    clusters: Mapping[str, int] | None = None,
     config: MessageFeatureConfig = DEFAULT_MESSAGE_CONFIG,
 ) -> FeatureVector:
     """Extract the message-level feature vector.

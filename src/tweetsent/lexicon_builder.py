@@ -19,76 +19,21 @@ import math
 import string
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable
 
 from .corpus_io import (
-    CorpusFormatError,
     Lexicon,
     NEGATIVE,
     PAIR_SEPARATOR,
     POSITIVE,
     PairPart,
-    _data_lines,
+    SeedSet,
     pair_units,
 )
 from .tokenizer import TokenizedMessage, emoticon_polarity, is_emoticon, normalize, tokenize
 from .wordlists import default_function_words
 
 _PUNCT_CHARS = set(string.punctuation)
-
-
-@dataclass(frozen=True)
-class SeedSet:
-    """Hashtags whose presence pseudo-labels a message.
-
-    Stored lowercase with a leading ``#``.
-    """
-
-    positive: frozenset[str]
-    negative: frozenset[str]
-
-    @classmethod
-    def from_words(cls, positive: Iterable[str], negative: Iterable[str]) -> "SeedSet":
-        def canon(ws):
-            return frozenset(
-                w if w.startswith("#") else "#" + w for w in (x.lower() for x in ws)
-            )
-
-        return cls(positive=canon(positive), negative=canon(negative))
-
-
-def load_seed_set(path: str | Path) -> SeedSet:
-    """Load seeds from ``hashtag<TAB>positive|negative`` lines.
-
-    ``#`` plus the lowercased seed must tokenize as that one hashtag, or
-    no message could ever match it.
-    """
-    path = Path(path)
-    positive, negative = [], []
-    for lineno, line in _data_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise CorpusFormatError(
-                f"expected 2 tab-separated fields at line {lineno} of {path}, "
-                f"got {len(parts)}"
-            )
-        term, polarity = parts
-        tag = "#" + term.lower()
-        if [(t.kind, t.surface) for t in tokenize(tag).tokens] != [("hashtag", tag)]:
-            raise CorpusFormatError(
-                f"seed '{term}' is not one hashtag word at line {lineno} of {path}"
-            )
-        if polarity == POSITIVE:
-            positive.append(term)
-        elif polarity == NEGATIVE:
-            negative.append(term)
-        else:
-            raise CorpusFormatError(
-                f"seed polarity must be positive or negative at line {lineno} "
-                f"of {path}, got '{polarity}'"
-            )
-    return SeedSet.from_words(positive, negative)
 
 
 def pseudo_label_by_hashtag(message: TokenizedMessage, seeds: SeedSet) -> str | None:
@@ -260,7 +205,8 @@ def build_lexicon(
 ) -> Lexicon:
     """Induce a polarity lexicon from an unlabeled (id, text) corpus.
 
-    ``labeling`` is ``"hashtag"`` (requires ``seeds``) or ``"emoticon"``.
+    ``labeling`` is ``"hashtag"`` (requires ``seeds``) or ``"emoticon"``
+    (takes none).
     Messages with conflicting or missing signals are skipped; with
     emoticon labeling, the labeling emoticons are removed before
     counting.  Terms occurring fewer than ``min_count`` times are
@@ -277,6 +223,8 @@ def build_lexicon(
         raise ValueError(f"unknown labeling scheme '{labeling}'")
     if labeling == "hashtag" and seeds is None:
         raise ValueError("hashtag labeling requires a seed set")
+    if labeling == "emoticon" and seeds is not None:
+        raise ValueError("emoticon labeling takes no seed set (--seeds)")
 
     streams: list[tuple[list[str], str]] = []
     for _msg_id, text in corpus:

@@ -275,6 +275,8 @@ def _read_header(fh, path: Path) -> tuple[tuple[str, ...], int, float, float]:
         (dim,) = map(int, fields)
     except ValueError:
         raise _fault("malformed record", 3, path, line) from None
+    if fields != [str(dim)]:
+        raise _fault("malformed record", 3, path, line)
     if dim < 0:
         raise _fault("negative dim", 3, path, line)
     settings = []
@@ -286,11 +288,16 @@ def _read_header(fh, path: Path) -> tuple[tuple[str, ...], int, float, float]:
             raise _fault("malformed record", lineno, path, line) from None
         if not math.isfinite(value):
             raise _fault(f"non-finite {key}", lineno, path, line)
+        if fields != ["%.9g" % value]:
+            raise _fault("malformed record", lineno, path, line)
         settings.append(value)
     return tuple(classes), dim, *settings
 
 
 _NOUNS = {"feat": "feature", "w": "weight row"}
+# The ASCII characters besides tab that float() takes in a number and
+# "%.9g" never writes.  Any non-ASCII character is refused as well.
+_NOT_WRITTEN = " _\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
 def _check_records(
@@ -306,7 +313,8 @@ def _check_records(
     n = len(lines)
     if list(map(str.count, lines, repeat("\t"))) != [tabs] * n:
         raise ValueError("malformed record")
-    fields = "\t".join(lines).split("\t")
+    text = "\t".join(lines)
+    fields = text.split("\t")
     if fields[:: tabs + 1] != [key] * n or fields[1 :: tabs + 1] != list(
         map(str, range(first, first + n))
     ):
@@ -315,6 +323,8 @@ def _check_records(
     del fields[::tabs]
     if key == "feat":
         return fields
+    if not text.isascii() or any(map(text.__contains__, _NOT_WRITTEN)):
+        raise ValueError("malformed record")
     try:
         values = np.fromiter(map(float, fields), np.float64, len(fields))
     except ValueError:
@@ -383,9 +393,11 @@ def load_model(path: str | Path) -> LinearModel:
       not ``# linear model``, a header line does not start with its key,
       or a ``feat`` or ``w`` line has another key, another index than
       the next one written in decimal, or another number of fields
-    - a field does not parse: ``dim`` is an integer, ``C``, ``tol`` and
-      the weights are numbers, and ``dim``, ``C`` and ``tol`` hold
-      exactly one value
+    - a field is not written as ``save_model`` writes it: ``dim``,
+      ``C`` and ``tol`` hold exactly one value, ``dim`` is an integer
+      spelled as ``str(int)``, ``C`` and ``tol`` are numbers spelled as
+      ``%.9g``, and the weights are numbers with no ``_``, whitespace or
+      non-ASCII character
     - ``classes`` names no class, or a class twice
     - ``dim`` is negative
     - ``C``, ``tol`` or a weight is not finite

@@ -57,17 +57,14 @@ class NegationAnnotation:
 EMPTY_ANNOTATION = NegationAnnotation(spans=(), count=0)
 
 
-def mark_negation(
-    tokens, negation_words: frozenset[str] | None = None
-) -> NegationAnnotation:
+def mark_negation(tokens) -> NegationAnnotation:
     """Find negated-context spans over ``tokens``.
 
     ``tokens`` may be a TokenizedMessage or a plain list of surfaces.
-    Matching is case-insensitive; ``negation_words`` defaults to the
-    bundled list.
+    Negation words come from the bundled list and match
+    case-insensitively.
     """
-    if negation_words is None:
-        negation_words = default_negation_words()
+    negation_words = default_negation_words()
     surfaces = _surfaces(tokens)
     spans: list[tuple[int, int]] = []
     open_start: int | None = None

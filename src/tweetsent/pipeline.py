@@ -20,7 +20,6 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .corpus_io import (
-    ClusterMap,
     LabeledMessage,
     Lexicon,
     TermInstance,
@@ -90,7 +89,7 @@ def prepare_raw(rows: Sequence[tuple[str, str]]) -> list[PreparedMessage]:
 def extract_message_vectors(
     prepared: Sequence[PreparedMessage],
     lexicons: Sequence[Lexicon] = (),
-    clusters: ClusterMap | None = None,
+    clusters: Mapping[str, int] | None = None,
     config: MessageFeatureConfig = DEFAULT_MESSAGE_CONFIG,
 ) -> list[FeatureVector]:
     return [
@@ -255,7 +254,7 @@ def featurize(
     task: str,
     rows: Sequence,
     lexicons: Sequence[Lexicon] = (),
-    clusters: ClusterMap | None = None,
+    clusters: Mapping[str, int] | None = None,
     config: MessageFeatureConfig | TermFeatureConfig | None = None,
     removed: str | None = None,
 ) -> tuple[list[str], list[str], list[FeatureVector]]:
@@ -363,7 +362,7 @@ def run_experiment(
     train_rows: Sequence,
     test_rows: Sequence,
     lexicons: Sequence[Lexicon] = (),
-    clusters: ClusterMap | None = None,
+    clusters: Mapping[str, int] | None = None,
     config: MessageFeatureConfig | TermFeatureConfig | None = None,
     removed: str | None = None,
     C: float = 0.005,
@@ -386,7 +385,7 @@ def run_message_experiment(
     train_messages: Sequence[LabeledMessage],
     test_messages: Sequence[LabeledMessage],
     lexicons: Sequence[Lexicon] = (),
-    clusters: ClusterMap | None = None,
+    clusters: Mapping[str, int] | None = None,
     config: MessageFeatureConfig = DEFAULT_MESSAGE_CONFIG,
     C: float = 0.005,
     tol: float = 0.1,

@@ -16,7 +16,10 @@ per-feature loops: token flags computed character by character (with the
 tokenizer's unchanged regular expressions), one ``in_scope`` call per
 token, one ``FeatureVector.set`` per n-gram, and vectorizing by sorting
 (index, value) tuples.  The model-file reader is a per-record loop in
-which each line must be the next record the writer would write.
+which each line must be the next record the writer would write.  The
+corpus, lexicon, cluster-map and seed loaders are the ones that each
+checked their own field count over a shared line reader, kept as
+written except that the cluster map is returned as a plain dict.
 """
 
 from __future__ import annotations
@@ -24,12 +27,23 @@ from __future__ import annotations
 import itertools
 import math
 import string
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from tweetsent.corpus_io import NEGATIVE, POSITIVE, pair_units
+from tweetsent.corpus_io import (
+    CLASS_ORDER,
+    NEGATIVE,
+    POSITIVE,
+    CorpusFormatError,
+    LabeledMessage,
+    Lexicon,
+    SeedSet,
+    TermInstance,
+    pair_units,
+)
 from tweetsent import features_message
 from tweetsent.features_message import FeatureDictionary, IndexedVector
 from tweetsent.lexicon_builder import (
@@ -375,7 +389,9 @@ def oracle_load_model(path: str | Path) -> LinearModel:
     """Read a model file written by :func:`save_model`.
 
     Every line must be the next record in the order ``save_model``
-    writes them.
+    writes them, and ``dim``, ``C`` and ``tol`` must be spelled as it
+    writes them.  A weight may not hold ``_``, whitespace or a non-ASCII
+    character.
     """
     path = Path(path)
     if not path.exists():
@@ -398,12 +414,16 @@ def oracle_load_model(path: str | Path) -> LinearModel:
                     class_order = tuple(fields)
                 elif lineno == 3 and key == "dim":
                     (dim,) = [int(x) for x in fields]
+                    if fields != [str(dim)]:
+                        raise ValueError("not written as str(int)")
                     if dim < 0:
                         raise ModelFormatError(f"negative dim at line {lineno}")
                 elif lineno in (4, 5) and key == ("C", "tol")[lineno - 4]:
                     (value,) = [float(x) for x in fields]
                     if not math.isfinite(value):
                         raise ModelFormatError(f"non-finite {key} at line {lineno}")
+                    if fields != [f"{value:.9g}"]:
+                        raise ValueError("not written as %.9g")
                     settings.append(value)
                 elif (
                     6 <= lineno < 6 + dim
@@ -422,6 +442,9 @@ def oracle_load_model(path: str | Path) -> LinearModel:
                     and len(fields) == len(class_order) + 1
                     and fields[0] == str(len(weight_rows))
                 ):
+                    for c in "".join(fields[1:]):
+                        if c == "_" or c.isspace() or not c.isascii():
+                            raise ValueError(f"{c!r} in a weight")
                     row = [float(x) for x in fields[1:]]
                     if not all(math.isfinite(x) for x in row):
                         raise ModelFormatError(f"non-finite weight at line {lineno}")
@@ -752,3 +775,204 @@ def oracle_vectorize(vector, dictionary) -> IndexedVector:
         indices=np.array([i for i, _ in pairs], dtype=np.int64),
         values=np.array([v for _, v in pairs], dtype=np.float64),
     )
+
+
+def _oracle_data_lines(path: Path) -> list[tuple[int, str]]:
+    """Non-comment, non-blank lines of ``path`` as (line number, text)."""
+    if not path.exists():
+        raise FileNotFoundError(f"no such file: {path}")
+    out = []
+    with path.open("r", encoding="utf-8") as fh:
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\n")
+                if not line.strip() or line.lstrip().startswith("#"):
+                    continue
+                out.append((lineno, line))
+        except UnicodeDecodeError:
+            raise CorpusFormatError(f"not valid UTF-8 text in {path}") from None
+    return out
+
+
+def _oracle_check_label(label: str, lineno: int, path: Path) -> str:
+    if label not in CLASS_ORDER:
+        raise CorpusFormatError(f"unknown label '{label}' at line {lineno} of {path}")
+    return label
+
+
+def _oracle_tagged_column(column: str, lineno: int, path: Path):
+    pairs = []
+    for chunk in column.split():
+        surface, sep, tag = chunk.rpartition("/")
+        if not sep or not surface or not tag:
+            raise CorpusFormatError(
+                f"malformed surface/TAG pair '{chunk}' at line {lineno} of {path}"
+            )
+        pairs.append((surface, tag))
+    if not pairs:
+        raise CorpusFormatError(f"empty tagged-token column at line {lineno} of {path}")
+    return tuple(pairs)
+
+
+def oracle_load_message_corpus(path, format="plain"):
+    if format not in ("plain", "tagged"):
+        raise ValueError(f"unknown corpus format '{format}'")
+    path = Path(path)
+    messages = []
+    want, maxsplit = (3, 2) if format == "plain" else (4, -1)
+    for lineno, line in _oracle_data_lines(path):
+        parts = line.split("\t", maxsplit)
+        if len(parts) != want:
+            raise CorpusFormatError(
+                f"expected {want} tab-separated fields at line {lineno} of {path}, "
+                f"got {len(parts)}"
+            )
+        if format == "plain":
+            msg_id, label, text = parts
+            tagged = None
+        else:
+            msg_id, label, text, tagged_col = parts
+            tagged = _oracle_tagged_column(tagged_col, lineno, path)
+        messages.append(
+            LabeledMessage(
+                id=msg_id,
+                text=oracle_unescape_text(text),
+                label=_oracle_check_label(label, lineno, path),
+                tagged=tagged,
+            )
+        )
+    return messages
+
+
+def oracle_load_raw_corpus(path):
+    path = Path(path)
+    rows = []
+    for lineno, line in _oracle_data_lines(path):
+        parts = line.split("\t", 1)
+        if len(parts) != 2:
+            raise CorpusFormatError(
+                f"expected 2 tab-separated fields at line {lineno} of {path}, "
+                f"got {len(parts)}"
+            )
+        rows.append((parts[0], oracle_unescape_text(parts[1])))
+    return rows
+
+
+def oracle_load_term_corpus(path):
+    path = Path(path)
+    instances = []
+    for lineno, line in _oracle_data_lines(path):
+        parts = line.split("\t", 4)
+        if len(parts) != 5:
+            raise CorpusFormatError(
+                f"expected 5 tab-separated fields at line {lineno} of {path}, "
+                f"got {len(parts)}"
+            )
+        inst_id, start_s, end_s, label, text = parts
+        try:
+            start, end = int(start_s), int(end_s)
+        except ValueError:
+            raise CorpusFormatError(
+                f"non-integer span bounds at line {lineno} of {path}: "
+                f"{start_s!r}, {end_s!r}"
+            ) from None
+        try:
+            inst = TermInstance(inst_id, oracle_unescape_text(text), label, start, end)
+        except ValueError as err:
+            raise CorpusFormatError(f"{err} (line {lineno} of {path})") from None
+        _oracle_check_label(label, lineno, path)
+        instances.append(inst)
+    return instances
+
+
+def oracle_load_lexicon(path, name=None, kind="manual"):
+    path = Path(path)
+    entries: dict[str, dict[str, float]] = {}
+    affects: list[str] = []
+    for lineno, line in _oracle_data_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise CorpusFormatError(
+                f"expected 3 tab-separated fields at line {lineno} of {path}, "
+                f"got {len(parts)}"
+            )
+        term, affect, score_s = parts
+        try:
+            score = float(score_s)
+        except ValueError:
+            raise CorpusFormatError(
+                f"non-numeric score {score_s!r} at line {lineno} of {path}"
+            ) from None
+        if not math.isfinite(score):
+            raise CorpusFormatError(
+                f"non-finite score {score_s!r} at line {lineno} of {path}"
+            )
+        by_affect = entries.setdefault(term, {})
+        if affect in by_affect:
+            warnings.warn(
+                f"duplicate lexicon entry ({term!r}, {affect!r}) at line {lineno} "
+                f"of {path}; keeping the last value",
+                stacklevel=2,
+            )
+        by_affect[affect] = score
+        if affect not in affects:
+            affects.append(affect)
+    return Lexicon(
+        name=name if name is not None else path.stem,
+        affects=tuple(affects),
+        entries=entries,
+        kind=kind,
+    )
+
+
+def oracle_load_cluster_map(path):
+    path = Path(path)
+    entries: dict[str, int] = {}
+    for lineno, line in _oracle_data_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise CorpusFormatError(
+                f"expected 2 tab-separated fields at line {lineno} of {path}, "
+                f"got {len(parts)}"
+            )
+        token, cluster_s = parts
+        try:
+            cluster = int(cluster_s)
+        except ValueError:
+            raise CorpusFormatError(
+                f"non-integer cluster id {cluster_s!r} at line {lineno} of {path}"
+            ) from None
+        if not 0 <= cluster <= 999:
+            raise CorpusFormatError(
+                f"cluster id {cluster} out of range [0, 999] at line {lineno} of {path}"
+            )
+        entries[token] = cluster
+    return entries
+
+
+def oracle_load_seed_set(path):
+    path = Path(path)
+    positive, negative = [], []
+    for lineno, line in _oracle_data_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise CorpusFormatError(
+                f"expected 2 tab-separated fields at line {lineno} of {path}, "
+                f"got {len(parts)}"
+            )
+        term, polarity = parts
+        tag = "#" + term.lower()
+        if [(t.kind, t.surface) for t in tokenize(tag).tokens] != [("hashtag", tag)]:
+            raise CorpusFormatError(
+                f"seed '{term}' is not one hashtag word at line {lineno} of {path}"
+            )
+        if polarity == POSITIVE:
+            positive.append(term)
+        elif polarity == NEGATIVE:
+            negative.append(term)
+        else:
+            raise CorpusFormatError(
+                f"seed polarity must be positive or negative at line {lineno} "
+                f"of {path}, got '{polarity}'"
+            )
+    return SeedSet.from_words(positive, negative)

@@ -425,6 +425,21 @@ def test_build_lexicon_errors(tmp_path, capsys):
     assert "error: hashtag labeling requires a seed set" in err
 
 
+def test_build_lexicon_emoticon_labeling_rejects_seeds(tmp_path, capsys):
+    raw = tmp_path / "raw.tsv"
+    write_raw_corpus([("1", "good fun :)"), ("2", "bad day :(")], raw)
+    seeds = tmp_path / "seeds.tsv"
+    seeds.write_text("happy\tpositive\n", encoding="utf-8")
+    out_path = tmp_path / "induced.tsv"
+    code, out, err = run(
+        capsys, "build-lexicon", "--input", str(raw), "--labeling", "emoticon",
+        "--seeds", str(seeds), "--min-count", "1", "--out", str(out_path),
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: emoticon labeling takes no seed set (--seeds)\n"
+    assert not out_path.exists()
+
+
 def test_ablate_tsv(message_files, capsys):
     train, test = message_files
     code, out, err = run(

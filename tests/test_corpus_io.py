@@ -1,11 +1,20 @@
 import math
 import re
 import warnings
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_unescape_text
+from oracles import (
+    oracle_load_cluster_map,
+    oracle_load_lexicon,
+    oracle_load_message_corpus,
+    oracle_load_raw_corpus,
+    oracle_load_seed_set,
+    oracle_load_term_corpus,
+    oracle_unescape_text,
+)
 
 from tweetsent.corpus_io import (
     CLASS_ORDER,
@@ -18,13 +27,13 @@ from tweetsent.corpus_io import (
     load_lexicon,
     load_message_corpus,
     load_raw_corpus,
+    load_seed_set,
     load_term_corpus,
     write_lexicon,
     write_message_corpus,
     write_raw_corpus,
     write_term_corpus,
 )
-from tweetsent.lexicon_builder import load_seed_set
 from tweetsent.tokenizer import tokenize
 
 
@@ -282,15 +291,30 @@ def test_unescape_matches_character_loop(text):
     assert _unescape_text(text) == oracle_unescape_text(text)
 
 
-# Each fuzzed loader with the column count of its rows.
+def _outcome(load, path):
+    """What ``load(path)`` returns or raises, with the warnings it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            loaded, error = load(path), None
+        except CorpusFormatError as err:
+            loaded, error = None, (type(err), str(err))
+    return loaded, error, [(w.category, str(w.message)) for w in caught]
+
+
+# Each fuzzed loader with its oracle and the column count of its rows.
 _FUZZ_LOADERS = {
-    "message": (load_message_corpus, 3),
-    "tagged": (lambda path: load_message_corpus(path, format="tagged"), 4),
-    "raw": (load_raw_corpus, 2),
-    "term": (load_term_corpus, 5),
-    "lexicon": (load_lexicon, 3),
-    "cluster": (load_cluster_map, 2),
-    "seed": (load_seed_set, 2),
+    "message": (load_message_corpus, oracle_load_message_corpus, 3),
+    "tagged": (
+        partial(load_message_corpus, format="tagged"),
+        partial(oracle_load_message_corpus, format="tagged"),
+        4,
+    ),
+    "raw": (load_raw_corpus, oracle_load_raw_corpus, 2),
+    "term": (load_term_corpus, oracle_load_term_corpus, 5),
+    "lexicon": (load_lexicon, oracle_load_lexicon, 3),
+    "cluster": (load_cluster_map, oracle_load_cluster_map, 2),
+    "seed": (load_seed_set, oracle_load_seed_set, 2),
 }
 # Pieces of TSV-shaped text: separators, line ends, comment marks,
 # labels, numbers, non-finite spellings, tagged pairs and non-ASCII
@@ -327,15 +351,13 @@ def _fuzz_text(width: int) -> st.SearchStrategy[bytes]:
 @given(data=st.data())
 @pytest.mark.parametrize("loader", sorted(_FUZZ_LOADERS))
 def test_loaders_accept_or_raise_corpus_format_error(tmp_path_factory, loader, data):
-    load, width = _FUZZ_LOADERS[loader]
+    load, oracle, width = _FUZZ_LOADERS[loader]
     path = tmp_path_factory.getbasetemp() / f"fuzz_{loader}.tsv"
     path.write_bytes(data.draw(st.binary(max_size=120) | _fuzz_text(width)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # duplicate lexicon rows
-        try:
-            loaded = load(path)
-        except CorpusFormatError:
-            return
+    loaded, error, warned = _outcome(load, path)
+    assert (loaded, error, warned) == _outcome(oracle, path)
+    if error is not None:
+        return
     if loader == "lexicon":
         for by_affect in loaded.entries.values():
             assert all(math.isfinite(score) for score in by_affect.values())
@@ -348,3 +370,44 @@ def test_loaders_accept_or_raise_corpus_format_error(tmp_path_factory, loader, d
             assert [(t.kind, t.surface) for t in tokenize(seed).tokens] == [
                 ("hashtag", seed)
             ]
+
+
+# Two valid rows per loader.
+_SAMPLE_ROWS = {
+    "message": ["m1\tpositive\tgood\tday", "m2\tnegative\tbad \\t day"],
+    "tagged": ["m1\tpositive\tgood day\tgood/A day/N", "m2\tneutral\tok\tok/R"],
+    "raw": ["r1\tgood\tday :)", "r2\t# not a comment"],
+    "term": ["t1\t0\t0\tpositive\tgood day", "t2\t1\t1\tnegative\tso\tbad"],
+    "lexicon": ["good\tpositive\t1.5", "bad\tnegative\t-2"],
+    "cluster": ["good\t17", "bad\t999"],
+    "seed": ["happy\tpositive", "sad\tnegative"],
+}
+# Comment and blank lines placed around the rows: a comment is a line
+# whose first non-blank character is "#".
+_LAYOUT = ["# header", "{0}", "", "   # indented", "\t# tab-indented", " \t ", "{1}"]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("loader", sorted(_FUZZ_LOADERS))
+def test_loaders_accept_every_line_end_and_indented_comments(tmp_path, loader, newline):
+    load, oracle, _ = _FUZZ_LOADERS[loader]
+    rows = _SAMPLE_ROWS[loader]
+    (tmp_path / "lf").mkdir()
+    plain = tmp_path / "lf" / "rows.tsv"
+    plain.write_bytes("\n".join(rows).encode("utf-8"))
+    path = tmp_path / "rows.tsv"
+    layout = newline.join(_LAYOUT).format(*rows) + newline
+    path.write_bytes(layout.encode("utf-8"))
+    assert load(path) == load(plain) == oracle(path)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("loader", sorted(_FUZZ_LOADERS))
+def test_loader_errors_count_every_line_end(tmp_path, loader, newline):
+    load, oracle, width = _FUZZ_LOADERS[loader]
+    lines = [line.format(*_SAMPLE_ROWS[loader]) for line in _LAYOUT] + ["  bad"]
+    path = tmp_path / "rows.tsv"
+    path.write_bytes(newline.join(lines).encode("utf-8"))
+    message = f"expected {width} tab-separated fields at line 8 of {path}, got 1"
+    want = (None, (CorpusFormatError, message), [])
+    assert _outcome(load, path) == _outcome(oracle, path) == want

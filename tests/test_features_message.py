@@ -14,7 +14,7 @@ from oracles import (
 )
 
 from tweetsent import features_message
-from tweetsent.corpus_io import ClusterMap, LabeledMessage, Lexicon
+from tweetsent.corpus_io import LabeledMessage, Lexicon
 from tweetsent.features_message import (
     DEFAULT_MESSAGE_CONFIG,
     FeatureDictionary,
@@ -144,7 +144,7 @@ def test_elongated_counts_words_only():
 
 
 def test_cluster_features_from_map():
-    clusters = ClusterMap(entries={"good": 7})
+    clusters = {"good": 7}
     fv = extract("Good day", clusters=clusters)
     assert fv.get("cls|7") == 1.0
     assert not any(name.startswith("cls|") for name in extract("Good day").entries)

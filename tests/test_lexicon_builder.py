@@ -12,14 +12,18 @@ from oracles import (
     oracle_lexicon,
     oracle_pmi,
 )
-from tweetsent.corpus_io import NEGATIVE, POSITIVE, CorpusFormatError
+from tweetsent.corpus_io import (
+    NEGATIVE,
+    POSITIVE,
+    CorpusFormatError,
+    SeedSet,
+    load_seed_set,
+)
 from tweetsent.lexicon_builder import (
     CooccurrenceCounts,
-    SeedSet,
     build_lexicon,
     count_cooccurrences,
     extract_candidates,
-    load_seed_set,
     pmi_score,
     pseudo_label_by_emoticon,
     pseudo_label_by_hashtag,
@@ -433,6 +437,13 @@ def test_build_lexicon_rejects_bad_settings(setting, message):
         build_lexicon(corpus, "emoticon", min_count=1, **setting)
 
 
+def test_build_lexicon_rejects_seeds_with_emoticon_labeling():
+    corpus = [("1", "good fun :) #go"), ("2", "bad day :( #ugh")]
+    seeds = SeedSet.from_words(["go"], ["ugh"])
+    with pytest.raises(ValueError, match="emoticon labeling takes no seed set"):
+        build_lexicon(corpus, "emoticon", seeds=seeds, min_count=1)
+
+
 @pytest.mark.parametrize(
     "per_message,pair_window", [(False, None), (True, None), (False, 2)]
 )
@@ -499,8 +510,9 @@ def test_build_lexicon_matches_dict_counting_oracle(
     corpus = [
         (str(i), " ".join(words + [signal])) for i, (words, signal) in enumerate(messages)
     ]
+    seeds = SeedSet.from_words(["go"], ["ugh"]) if labeling == "hashtag" else None
     options = dict(
-        seeds=SeedSet.from_words(["go"], ["ugh"]),
+        seeds=seeds,
         min_count=min_count,
         per_message=per_message,
         pair_window=pair_window,

@@ -152,7 +152,7 @@ def test_reordered_or_padded_files_name_a_line(
 
 
 _GARBLE_CHARS = st.sampled_from(
-    ["\t", "x", "0", "9", "-", ".", "e", " ", "#", "nan", "\x0b"]
+    ["\t", "x", "0", "9", "-", "+", ".", "e", " ", "_", "#", "nan", "\x0b", "\u0661"]
 )
 
 
@@ -229,6 +229,63 @@ def test_first_faulty_line_is_reported_across_blocks(tmp_path):
         with mock.patch.object(linear_model, "_READ_LINES", read_lines):
             with pytest.raises(ModelFormatError, match="malformed record at line 31 "):
                 load_model(path)
+
+
+def _small_model_lines(tmp_path):
+    """Lines of a saved 2-class, 2-feature model: C 0.5, tol 0.1."""
+    model = LinearModel(
+        class_order=("negative", "positive"),
+        weights=np.array([[1.0, -2.0, 0.5], [0.25, 3.0, -1.0]]),
+        dictionary=FeatureDictionary(names=("a", "b"), index={"a": 0, "b": 1}),
+        C=0.5,
+        tol=0.1,
+    )
+    path = tmp_path / "small.tsv"
+    save_model(model, path)
+    return path.read_text(encoding="utf-8").split("\n")
+
+
+@pytest.mark.parametrize(
+    "lineno,line",
+    [
+        (3, "dim\t+2"),
+        (3, "dim\t02"),
+        (3, "dim\t 2"),
+        (3, "dim\t2 "),
+        (3, "dim\t\u0662"),
+        (4, "C\t 0.5"),
+        (4, "C\t0.50"),
+        (4, "C\t.5"),
+        (4, "C\t5e-1"),
+        (5, "tol\t0.1\x0b"),
+        (5, "tol\t1_0"),
+        (8, "w\t0\t1_0\t0.25"),
+        (8, "w\t0\t 1\t0.25"),
+        (9, "w\t1\t-2\t3\x1c"),
+        (10, "w\t2\t0.5\t-1\u2003"),
+        (10, "w\t2\t\u0660.5\t-1"),
+    ],
+)
+def test_numbers_save_model_never_writes_are_malformed(tmp_path, lineno, line):
+    lines = _small_model_lines(tmp_path)
+    lines[lineno - 1] = line
+    path = tmp_path / "m.tsv"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    message = f"malformed record at line {lineno} of {path}: {line!r}"
+    with pytest.raises(ModelFormatError) as err:
+        load_model(path)
+    assert str(err.value) == message
+    with pytest.raises(ModelFormatError, match=f"malformed record at line {lineno}"):
+        oracle_load_model(path)
+
+
+def test_non_finite_settings_are_reported_before_their_spelling(tmp_path):
+    lines = _small_model_lines(tmp_path)
+    lines[3] = "C\tNaN"
+    path = tmp_path / "m.tsv"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="non-finite C at line 4 "):
+        load_model(path)
 
 
 def _fault_items(text):

@@ -62,12 +62,6 @@ def test_match_is_case_insensitive():
     assert mark_negation(["Never", "stop"]).spans == ((1, 1),)
 
 
-def test_custom_negation_words():
-    words = frozenset({"nope"})
-    assert mark_negation(["nope", "x"], words).spans == ((1, 1),)
-    assert mark_negation(["not", "x"], words).count == 0
-
-
 def test_embedded_punctuation_closes():
     # A surface containing a clause character ends the context.
     annotation = mark_negation(["not", "good", "x,y", "bad"])
