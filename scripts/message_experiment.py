@@ -11,10 +11,9 @@ from tweetsent.evaluation import (
     format_report,
     macro_f_pos_neg,
     majority_baseline,
-    run_ablation,
 )
 from tweetsent.features_message import MessageFeatureConfig
-from tweetsent.pipeline import run_message_experiment
+from tweetsent.pipeline import run_ablation, run_message_experiment
 from tweetsent.synthetic import make_message_corpus
 
 GROUPS = [

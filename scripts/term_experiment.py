@@ -6,8 +6,8 @@ target features, the context features and the lexicons in turn.
 
 import argparse
 
-from tweetsent.evaluation import format_ablation_table, format_report, run_ablation
-from tweetsent.pipeline import run_experiment
+from tweetsent.evaluation import format_ablation_table, format_report
+from tweetsent.pipeline import run_ablation, run_experiment
 from tweetsent.synthetic import make_term_corpus
 
 

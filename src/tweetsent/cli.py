@@ -25,12 +25,20 @@ from .evaluation import (
     format_ablation_tsv,
     format_report,
     report_kv,
-    run_ablation,
 )
 from .features_message import format_feature_dump
 from .lexicon_builder import build_lexicon
 from .linear_model import load_model, predict, save_model
-from .pipeline import TASKS, cross_validate, featurize, fit, load_corpus, prepare, score
+from .pipeline import (
+    TASKS,
+    cross_validate,
+    featurize,
+    fit,
+    load_corpus,
+    prepare,
+    run_ablation,
+    score,
+)
 
 
 def _add_task_args(parser: argparse.ArgumentParser) -> None:
@@ -110,8 +118,11 @@ def cmd_train(args) -> int:
             vectors, labels, C=args.C, tol=args.tol,
             max_epochs=args.max_epochs, seed=args.seed,
         )
-        save_model(model, args.model)
-        print(f"wrote model ({model.dictionary.size} features) to {args.model}")
+        written = save_model(model, args.model)
+        print(
+            f"wrote model ({written} of {model.dictionary.size} features) "
+            f"to {args.model}"
+        )
     elif not args.cv:
         raise ValueError("nothing to do: pass --model and/or --cv")
     return 0

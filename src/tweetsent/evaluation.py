@@ -1,4 +1,4 @@
-"""Scoring and ablation experiments.
+"""Scoring and report formatting.
 
 The headline metric averages the F-scores of the positive and negative
 classes only and reports it on a 0-100 scale; neutral predictions still
@@ -113,55 +113,8 @@ def report_kv(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class AblationRow:
-    """One ablation result; the "all" row is the full-feature baseline."""
-
-    group: str
-    macro_f: float
-    delta: float
-
-
-def run_ablation(
-    groups: Sequence[str],
-    train_data,
-    test_data,
-    task: str = "message",
-    lexicons: Sequence = (),
-    clusters=None,
-    C: float = 0.005,
-    tol: float = 0.1,
-    max_epochs: int = 1000,
-    seed: int = 42,
-) -> list[AblationRow]:
-    """Retrain once per removed feature group and report score deltas.
-
-    Every run uses the same seed and hyperparameters; only the feature
-    configuration changes.  The first row is the all-features baseline,
-    followed by one row per group in the requested order.  Each corpus
-    is prepared once for all the runs.
-    """
-    from . import pipeline  # pipeline imports this module for scoring
-
-    groups = pipeline.ablation_groups(task, groups)
-    train_rows = pipeline.prepare(task, train_data)
-    test_rows = pipeline.prepare(task, test_data)
-    scores = [
-        pipeline.run_experiment(
-            task, train_rows, test_rows, lexicons, clusters, removed=group,
-            C=C, tol=tol, max_epochs=max_epochs, seed=seed,
-        ).report.macro_f
-        for group in [None, *groups]
-    ]
-    baseline = scores[0]
-    return [
-        AblationRow(group=group, macro_f=value, delta=value - baseline)
-        for group, value in zip(["all", *groups], scores)
-    ]
-
-
-def format_ablation_table(rows: Sequence[AblationRow]) -> str:
-    """Aligned plain-text ablation table."""
+def format_ablation_table(rows: Sequence) -> str:
+    """Aligned plain-text table of :class:`pipeline.AblationRow` rows."""
     width = max(len(r.group) for r in rows) + 2
     lines = [f"{'removed':<{width}}{'macro_f':>10}{'delta':>10}"]
     for r in rows:
@@ -169,7 +122,7 @@ def format_ablation_table(rows: Sequence[AblationRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_ablation_tsv(rows: Sequence[AblationRow]) -> str:
+def format_ablation_tsv(rows: Sequence) -> str:
     """Machine-readable ``group<TAB>macro_f<TAB>delta`` lines."""
     lines = [f"{r.group}\t{r.macro_f:.2f}\t{r.delta:.2f}" for r in rows]
     return "\n".join(lines) + "\n"

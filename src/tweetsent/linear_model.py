@@ -45,8 +45,10 @@ class LinearModel:
     """Per-class weight rows over a feature dictionary.
 
     ``weights`` has shape (n_classes, dim + 1); the final column is the
-    bias.  ``epochs`` and ``objective_history`` are training
-    diagnostics and are not persisted.
+    bias.  A trained model keeps every dictionary feature, weights of
+    zero included; a loaded one holds only the features that
+    :func:`save_model` wrote.  ``epochs``, ``objective_history`` and
+    ``alphas`` are training diagnostics and are not persisted.
     """
 
     class_order: tuple[str, ...]
@@ -221,16 +223,42 @@ _WRITE_ROWS = 64
 _READ_LINES = 4096
 
 
-def save_model(model: LinearModel, path: str | Path) -> None:
+def _check_names(names: Sequence[str]) -> None:
+    """Raise ``ValueError`` naming the first name a model file cannot hold.
+
+    A tab or line break in a name would split its ``feat`` record.
+    """
+    for s in range(0, len(names), _READ_LINES):
+        chunk = names[s : s + _READ_LINES]
+        if any(map("".join(chunk).__contains__, "\t\n\r")):
+            name = next(n for n in chunk if any(map(n.__contains__, "\t\n\r")))
+            raise ValueError(
+                f"feature name {name!r} holds a tab or line break; "
+                "a model file cannot store it"
+            )
+
+
+def save_model(model: LinearModel, path: str | Path) -> int:
     """Write the model as a TSV: header, feature names, weight rows.
+
+    Only features with a non-zero weight in some class are written, in
+    dictionary order and numbered from 0; a feature whose weights are
+    all zero cannot move a decision value.  The bias column comes last.
+    Returns the number of features written.
 
     Weights use 9 significant digits; save/load/save is byte-stable.
     :func:`load_model` describes the format.  Records are formatted a
     chunk of rows at a time, so memory beyond the model stays small.
+    Raises ``ValueError``, before the file is opened, when a feature
+    name holds a tab or a line break.
     """
     path = Path(path)
-    dim = model.dictionary.size
+    names = model.dictionary.names
+    _check_names(names)
     weights = model.weights
+    # A NaN weight counts as non-zero, so load_model still rejects it.
+    columns = np.append(np.flatnonzero(weights[:, :-1].any(axis=0)), len(names))
+    dim = len(columns) - 1
     row_format = "w\t%d" + "\t%.9g" * weights.shape[0] + "\n"
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("# linear model\n")
@@ -239,13 +267,16 @@ def save_model(model: LinearModel, path: str | Path) -> None:
         fh.write(f"C\t{model.C:.9g}\n")
         fh.write(f"tol\t{model.tol:.9g}\n")
         for s in range(0, dim, _WRITE_ROWS):
-            names = model.dictionary.names[s : s + _WRITE_ROWS]
-            fields = chain.from_iterable(zip(range(s, dim), names))
-            fh.write(("feat\t%d\t%s\n" * len(names)) % tuple(fields))
+            chunk = columns[s : min(s + _WRITE_ROWS, dim)].tolist()
+            fields = chain.from_iterable(
+                zip(range(s, dim), map(names.__getitem__, chunk))
+            )
+            fh.write(("feat\t%d\t%s\n" * len(chunk)) % tuple(fields))
         for s in range(0, dim + 1, _WRITE_ROWS):
-            rows = weights[:, s : s + _WRITE_ROWS].T
+            rows = weights[:, columns[s : s + _WRITE_ROWS]].T
             fields = np.column_stack((np.arange(s, s + len(rows)), rows))
             fh.write((row_format * len(rows)) % tuple(fields.ravel().tolist()))
+    return dim
 
 
 def _fault(what: str, lineno: int, path: Path, line: str) -> ModelFormatError:
@@ -374,7 +405,8 @@ def load_model(path: str | Path) -> LinearModel:
 
     - ``# linear model``
     - ``classes<TAB>c1<TAB>...<TAB>cn``: the class order
-    - ``dim<TAB>d``: the number of features
+    - ``dim<TAB>d``: the number of features written, those with a
+      non-zero weight in some class
     - ``C<TAB>c`` and ``tol<TAB>t``: the training settings
     - ``feat<TAB>i<TAB>name`` for i = 0..d-1: the name of feature ``i``
     - ``w<TAB>i<TAB>v1<TAB>...<TAB>vn`` for i = 0..d: weight column

@@ -5,9 +5,10 @@ whole messages, ``term`` labels token spans inside them.  They differ
 only in how a corpus row becomes a feature vector, which :data:`TASKS`
 records.  The rest is one recipe: :func:`fit` a one-vs-rest SVM on
 training vectors and :func:`score` its predictions by the pos/neg
-macro-F.  The CLI, cross-validation and the ablation harness all go
-through this module, so a given corpus, configuration and seed always
-produce the same model and the same report.
+macro-F.  The CLI, cross-validation and the ablation harness
+(:func:`run_ablation`) all go through this module, so a given corpus,
+configuration and seed always produce the same model and the same
+report.
 """
 
 from __future__ import annotations
@@ -250,6 +251,28 @@ def prepare(task: str, data: Sequence) -> list:
     return get_task(task).prepare(data)
 
 
+def _check_lexicon_names(lexicons: Sequence[Lexicon]) -> None:
+    """Raise ``ValueError`` unless each lexicon names its features apart.
+
+    A lexicon's features are named ``lex|<name>|...``, so two lexicons
+    with one name would overwrite each other's statistics, and a ``|``
+    in a name would make one lexicon's names a prefix of another's.  A
+    tab or line break could not be saved in a model file.
+    """
+    seen = set()
+    for lexicon in lexicons:
+        if any(c in lexicon.name for c in "|\t\n\r"):
+            raise ValueError(
+                f"lexicon name {lexicon.name!r} holds '|', a tab or a line break"
+            )
+        if lexicon.name in seen:
+            raise ValueError(
+                f"two lexicons are named {lexicon.name!r} (a lexicon read "
+                "from a file is named after the file's stem)"
+            )
+        seen.add(lexicon.name)
+
+
 def featurize(
     task: str,
     rows: Sequence,
@@ -261,10 +284,13 @@ def featurize(
     """Ids, labels and feature vectors of prepared rows.
 
     ``config`` defaults to the task's full feature set.  ``removed``
-    names a feature group of the task's ablations to leave out.  The
-    term task raises ``ValueError`` when given ``clusters``.
+    names a feature group of the task's ablations to leave out.  Raises
+    ``ValueError`` when two lexicons share a name or a name holds ``|``,
+    a tab or a line break, and for the term task when given
+    ``clusters``.
     """
     spec = get_task(task)
+    _check_lexicon_names(lexicons)
     config = spec.default_config if config is None else config
     active = lexicons
     if removed is not None:
@@ -379,6 +405,51 @@ def run_experiment(
     model = fit(vectors, labels, C=C, tol=tol, max_epochs=max_epochs, seed=seed)
     _, gold, vectors = featurize(task, test_rows, *features)
     return ExperimentResult(report=score(model, vectors, gold), model=model)
+
+
+@dataclass(frozen=True)
+class AblationRow:
+    """One ablation result; the "all" row is the full-feature baseline."""
+
+    group: str
+    macro_f: float
+    delta: float
+
+
+def run_ablation(
+    groups: Sequence[str],
+    train_data: Sequence,
+    test_data: Sequence,
+    task: str = "message",
+    lexicons: Sequence[Lexicon] = (),
+    clusters: Mapping[str, int] | None = None,
+    C: float = 0.005,
+    tol: float = 0.1,
+    max_epochs: int = 1000,
+    seed: int = 42,
+) -> list[AblationRow]:
+    """Retrain once per removed feature group and report score deltas.
+
+    Every run uses the same seed and hyperparameters; only the feature
+    configuration changes.  The first row is the all-features baseline,
+    followed by one row per group in the requested order.  Each corpus
+    is prepared once for all the runs.
+    """
+    groups = ablation_groups(task, groups)
+    train_rows = prepare(task, train_data)
+    test_rows = prepare(task, test_data)
+    scores = [
+        run_experiment(
+            task, train_rows, test_rows, lexicons, clusters, removed=group,
+            C=C, tol=tol, max_epochs=max_epochs, seed=seed,
+        ).report.macro_f
+        for group in [None, *groups]
+    ]
+    baseline = scores[0]
+    return [
+        AblationRow(group=group, macro_f=value, delta=value - baseline)
+        for group, value in zip(["all", *groups], scores)
+    ]
 
 
 def run_message_experiment(

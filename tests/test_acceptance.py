@@ -17,7 +17,7 @@ import pytest
 from oracles import oracle_kkt_violation, oracle_lexicon, oracle_svm_dual
 from tweetsent.cli import main
 from tweetsent.corpus_io import write_message_corpus
-from tweetsent.evaluation import macro_f_pos_neg, majority_baseline, run_ablation
+from tweetsent.evaluation import macro_f_pos_neg, majority_baseline
 from tweetsent.features_message import MessageFeatureConfig
 from tweetsent.lexicon_builder import build_lexicon
 from tweetsent.linear_model import train
@@ -26,7 +26,7 @@ from tweetsent.negation import (
     flip_term_polarity,
     mark_negation,
 )
-from tweetsent.pipeline import run_message_experiment
+from tweetsent.pipeline import run_ablation, run_message_experiment
 from tweetsent.synthetic import make_message_corpus, make_term_corpus
 from tweetsent.wordlists import default_negation_words
 

@@ -360,6 +360,44 @@ def test_non_finite_lexicon_values_exit_1(score, message, message_files, tmp_pat
     assert not model_path.exists()
 
 
+def test_lexicons_sharing_a_name_exit_1(message_files, tmp_path, capsys):
+    """Two lexicons named alike would overwrite each other's features."""
+    train, _ = message_files
+    paths = []
+    for folder in ("a", "b"):
+        (tmp_path / folder).mkdir()
+        paths.append(tmp_path / folder / "lex.tsv")
+        paths[-1].write_text("good\tpositive\t1\nbad\tnegative\t-1\n")
+    model_path = tmp_path / "model.tsv"
+    code, out, err = run(
+        capsys, "train", "--input", str(train), "--lexicon", str(paths[0]),
+        "--auto-lexicon", str(paths[1]), "--model", str(model_path),
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: two lexicons are named 'lex' "
+        "(a lexicon read from a file is named after the file's stem)\n"
+    )
+    assert not model_path.exists()
+
+
+@pytest.mark.parametrize("stem", ["a|b", "t\tb", "t\rb"])
+def test_lexicon_names_that_split_feature_names_exit_1(
+    stem, message_files, tmp_path, capsys
+):
+    train, _ = message_files
+    lexicon = tmp_path / f"{stem}.tsv"
+    lexicon.write_text("good\tpositive\t1\n")
+    model_path = tmp_path / "model.tsv"
+    code, out, err = run(
+        capsys, "train", "--input", str(train), "--lexicon", str(lexicon),
+        "--model", str(model_path),
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: lexicon name {stem!r} holds '|', a tab or a line break\n"
+    assert not model_path.exists()
+
+
 def test_cv_with_more_folds_than_rows_exits_1(message_files, capsys):
     train, _ = message_files
     code, out, err = run(capsys, "train", "--input", str(train), "--cv", "10")

@@ -5,16 +5,14 @@ from hypothesis import given, strategies as st
 
 from tweetsent.corpus_io import LabeledMessage
 from tweetsent.evaluation import (
-    AblationRow,
     format_ablation_table,
     format_ablation_tsv,
     format_report,
     macro_f_pos_neg,
     majority_baseline,
     report_kv,
-    run_ablation,
 )
-from tweetsent.pipeline import TASKS
+from tweetsent.pipeline import TASKS, AblationRow, run_ablation
 
 LABELS = ("negative", "neutral", "positive")
 

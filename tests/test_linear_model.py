@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -311,9 +312,11 @@ def test_saved_model_predicts_like_the_model_in_memory(tmp_path_factory, n, seed
         "message", prepare_messages(messages[split:]), [lexicon]
     )
     for v in test_vectors:
+        # The saved file holds only the features with a non-zero weight,
+        # so each model indexes the row by its own dictionary.
         x = vectorize(v, model.dictionary)
         before = decision_values(model, x)
-        after = decision_values(loaded, x)
+        after = decision_values(loaded, vectorize(v, loaded.dictionary))
         # %.9g leaves each weight a relative error of at most 5e-9; the
         # bound doubles that to cover the float arithmetic.
         scale = np.abs(model.weights[:, x.indices]) @ np.abs(x.values)
@@ -323,6 +326,35 @@ def test_saved_model_predicts_like_the_model_in_memory(tmp_path_factory, n, seed
         if got != want:
             assert before[want] - before[got] <= bound[want] + bound[got]
         assert predict(loaded, v) == model.class_order[got]
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_pruned_file_decides_like_the_model_in_memory(tmp_path, seed):
+    """Dropping all-zero features moves no decision value beyond 1e-12.
+
+    The in-memory weights are first rounded to 9 digits as the file
+    rounds them, so only the pruning can differ.
+    """
+    messages, lexicon = make_message_corpus(n=240, seed=seed)
+    _, labels, vectors = featurize(
+        "message", prepare_messages(messages[:160]), [lexicon]
+    )
+    model = fit(vectors, labels, seed=seed)
+    path = tmp_path / "model.tsv"
+    written = save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.dictionary.size == written < model.dictionary.size
+    rounded = replace(
+        model, weights=np.vectorize(lambda w: float(f"{w:.9g}"))(model.weights)
+    )
+    _, _, test_vectors = featurize(
+        "message", prepare_messages(messages[160:]), [lexicon]
+    )
+    for v in test_vectors:
+        want = decision_values(rounded, vectorize(v, rounded.dictionary))
+        got = decision_values(loaded, vectorize(v, loaded.dictionary))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert predict(loaded, v) == predict(rounded, v)
 
 
 _MODEL_TEXT = (

@@ -79,6 +79,25 @@ def _oracle_lines(model, tmp_path):
     return path.read_text(encoding="utf-8").split("\n")[:-1]
 
 
+def _pruned(model):
+    """``model`` without the features whose weights are zero in every class.
+
+    NaN compares unequal to 0, so a NaN column is kept.
+    """
+    dim = model.dictionary.size
+    keep = [i for i in range(dim) if any(w != 0 for w in model.weights[:, i])]
+    names = tuple(model.dictionary.names[i] for i in keep)
+    return LinearModel(
+        class_order=model.class_order,
+        weights=model.weights[:, keep + [dim]],
+        dictionary=FeatureDictionary(
+            names=names, index={n: i for i, n in enumerate(names)}
+        ),
+        C=model.C,
+        tol=model.tol,
+    )
+
+
 @settings(max_examples=150)
 @given(
     models(
@@ -90,12 +109,79 @@ def _oracle_lines(model, tmp_path):
     )
 )
 def test_writer_bytes_match_oracle(tmp_path_factory, model):
+    """The writer saves what the oracle saves of the pruned model."""
     tmp_path = tmp_path_factory.mktemp("writer")
-    save_model(model, tmp_path / "new.tsv")
-    oracle_save_model(model, tmp_path / "oracle.tsv")
+    pruned = _pruned(model)
+    assert save_model(model, tmp_path / "new.tsv") == pruned.dictionary.size
+    oracle_save_model(pruned, tmp_path / "oracle.tsv")
     assert (tmp_path / "new.tsv").read_bytes() == (
         tmp_path / "oracle.tsv"
     ).read_bytes()
+
+
+def _model(names, weights):
+    return LinearModel(
+        class_order=("negative", "positive"),
+        weights=np.array(weights, dtype=float),
+        dictionary=FeatureDictionary(
+            names=tuple(names), index={n: i for i, n in enumerate(names)}
+        ),
+        C=1.0,
+        tol=0.1,
+    )
+
+
+def test_only_features_with_a_non_zero_or_nan_weight_are_saved(tmp_path):
+    nan = float("nan")
+    model = _model(
+        ["zero", "nan", "negzero", "a", "b"],
+        [[0.0, nan, -0.0, 1.5, 0.0, 0.25], [0.0, 0.0, 0.0, 0.0, -2.0, -0.25]],
+    )
+    path = tmp_path / "m.tsv"
+    assert save_model(model, path) == 3
+    assert path.read_text() == (
+        "# linear model\nclasses\tnegative\tpositive\ndim\t3\nC\t1\ntol\t0.1\n"
+        "feat\t0\tnan\nfeat\t1\ta\nfeat\t2\tb\n"
+        "w\t0\tnan\t0\nw\t1\t1.5\t0\nw\t2\t0\t-2\nw\t3\t0.25\t-0.25\n"
+    )
+    # The NaN is written, so loading still refuses it.
+    with pytest.raises(ModelFormatError, match="non-finite weight at line 9 "):
+        load_model(path)
+
+
+def test_all_zero_model_saves_with_dim_0(tmp_path):
+    model = _model(["a", "b"], [[0.0, -0.0, 0.5], [0.0, 0.0, -0.5]])
+    path = tmp_path / "m.tsv"
+    assert save_model(model, path) == 0
+    assert path.read_text().split("\n")[2:] == [
+        "dim\t0", "C\t1", "tol\t0.1", "w\t0\t0.5\t-0.5", ""
+    ]
+    loaded = load_model(path)
+    assert loaded.dictionary.size == 0
+    np.testing.assert_array_equal(loaded.weights, [[0.5], [-0.5]])
+
+
+@settings(max_examples=100)
+@given(models())
+def test_pruned_save_load_save_is_byte_identical(tmp_path_factory, model):
+    path = tmp_path_factory.mktemp("cycle") / "m.tsv"
+    written = save_model(model, path)
+    first = path.read_bytes()
+    loaded = load_model(path)
+    assert loaded.dictionary == _pruned(model).dictionary
+    # 9 digits never round a non-zero weight to 0, so nothing more is pruned.
+    assert save_model(loaded, path) == written
+    assert path.read_bytes() == first
+
+
+@pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\rb", "\r"])
+def test_names_a_model_file_cannot_hold_are_refused(tmp_path, name):
+    # The name is refused even where its weights are zero.
+    model = _model(["ok", name], [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    path = tmp_path / "m.tsv"
+    with pytest.raises(ValueError, match=re.escape(f"feature name {name!r} holds")):
+        save_model(model, path)
+    assert not path.exists()
 
 
 # Lines per chunk: one line per chunk, chunks that end inside the

@@ -5,7 +5,6 @@ import pytest
 
 from tweetsent import pipeline
 from tweetsent.corpus_io import LabeledMessage, TermInstance, write_term_corpus
-from tweetsent.evaluation import run_ablation
 from tweetsent.linear_model import predict
 from tweetsent.pipeline import (
     extract_message_vectors,
@@ -14,6 +13,7 @@ from tweetsent.pipeline import (
     prepare,
     prepare_messages,
     prepare_raw,
+    run_ablation,
     run_experiment,
     run_message_experiment,
 )
