@@ -1,11 +1,19 @@
+import hashlib
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tweetsent import pipeline
-from tweetsent.corpus_io import LabeledMessage, TermInstance, write_term_corpus
-from tweetsent.linear_model import predict
+from tweetsent.corpus_io import (
+    LabeledMessage,
+    TermInstance,
+    load_cluster_map,
+    load_lexicon,
+    write_term_corpus,
+)
+from tweetsent.linear_model import predict, train
 from tweetsent.pipeline import (
     extract_message_vectors,
     extract_term_vectors,
@@ -143,6 +151,136 @@ def test_ablation_prepares_each_corpus_once(monkeypatch):
     rows = run_ablation(["word-ngrams", "negation"], TRAIN_MESSAGES, TEST_MESSAGES)
     assert len(rows) == 3
     assert len(seen) == len(TRAIN_MESSAGES) + len(TEST_MESSAGES)
+
+
+DATA = Path(__file__).parent / "data"
+# sha256 of each ablation run's weight bytes and dictionary names on the
+# golden fixtures, by removed group ("all" is the full feature set).
+ABLATION_MODEL_SHA256 = {
+    "plain": {
+        "all": (
+            "20c2c87e6550551ef21131be75f33b048783b89e1403d52252d83c584e90ad34"
+        ),
+        "lexicons": (
+            "c89502a7b73d41283f7af07e571c49522163ce0827b07a06e11fd4d0b6b92290"
+        ),
+        "manual-lex": (
+            "5e3e2cc4b2aac10f32cf91955fc92e33f2f4e7b4884f3363b83ef46a5848b7e2"
+        ),
+        "auto-lex": (
+            "721e57d889172d502501a470d6580468196036270769d388e6da248aeeaa7556"
+        ),
+        "ngrams": (
+            "e5793ec0e1b10f145e16b73f625109ec794283eeed980990747234a75db685fc"
+        ),
+        "word-ngrams": (
+            "23efd282b0829e8b8e96cddb64ca134ace8374fbcfc1ddb0ff996e0fa8d76202"
+        ),
+        "char-ngrams": (
+            "6831a5f4dcd709ab0a98a58d19e4a9eff69980b3452b590c5e57669af50c0631"
+        ),
+        "negation": (
+            "81e516613cadcb533441dead701e79dfffc1cf306cf63c35d404d39d169f80e3"
+        ),
+        "pos": (
+            "20c2c87e6550551ef21131be75f33b048783b89e1403d52252d83c584e90ad34"
+        ),
+        "clusters": (
+            "fb339b5e023395e2673fb7b634a35eac235098ac8a5ac8cf1e0b50871b12dfc3"
+        ),
+        "encodings": (
+            "9d66572bfd3f8596718a9684b81e1a143886210fa4e14c2e69dd294bff43f604"
+        ),
+    },
+    "tagged": {
+        "all": (
+            "b0ac90e19f5c0d74a81dae1ea08912ac4baf88fcee0664dff3e04fe37533c84c"
+        ),
+        "lexicons": (
+            "b8dfa0bc40c1333d80b846d05cb1ac0f24cf2e941e09bc912a6aaccba53e4c22"
+        ),
+        "manual-lex": (
+            "c7dbd714f70f18d1f35c7c67a6a578e515f71a82669cd09e9419ed5c028a0e14"
+        ),
+        "auto-lex": (
+            "54fd9b01cfefd26b36d54bca2f9041e5ebce1a4de006cee3366f838cbd0ca262"
+        ),
+        "ngrams": (
+            "cf9b7efd92ef847f5d7d93f3daced801f7b9277ee58ed3c3752ec35263b3c6ba"
+        ),
+        "word-ngrams": (
+            "e77fa2d963cf8343b9114e8a5a7cd2ac1b689b86a5f89ce5450e25e5414f32cc"
+        ),
+        "char-ngrams": (
+            "5757efe46f60a9b82befbf9a1f107cada5d8cd40895e8091811ec11c90f409cc"
+        ),
+        "negation": (
+            "b643431ca056ca52f019a587fceb9e8246059890b36ab7b1a3e575c87f1dd732"
+        ),
+        "pos": (
+            "43868a2b63c9a485f77e2d897785080bc7b544b2fa590a7d610e8dab4b72d719"
+        ),
+        "clusters": (
+            "6e136505b2b64a27700790010782242d6e0a3c48fa9abb0ffd09ea07e8679fe3"
+        ),
+        "encodings": (
+            "31288527b2b3410ef3ae9bb0929e4e702381a7e6b77745ce0feab0da188d8a81"
+        ),
+    },
+    "term": {
+        "all": (
+            "99f92e10f1e2cadc047d6b9cfcc928cf0a86968786ed7a717315ec7dd027cd7c"
+        ),
+        "lexicons": (
+            "b60ebf80708378a0b0aea563982238475f9888bea016e001a1646328ede72fc3"
+        ),
+        "manual-lex": (
+            "b5665c36b74a629338fdaa63e872588bd3ea1daf123d7f762d976a7b065de930"
+        ),
+        "auto-lex": (
+            "32ce08461021ed8507a90067c4106024c1490d3794c117541d76aae1af8fdfb2"
+        ),
+        "target": (
+            "aa4322e14cf147f3cc0f90b34c33bcd630ea6ee8507d4753b864322ab4eb269d"
+        ),
+        "context": (
+            "a091b4f668c9ad53e333af6037ead090da0a498b9faf3682709036f6f62a9312"
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("fixture", ["plain", "tagged", "term"])
+def test_ablation_models_match_pinned_hashes(fixture, monkeypatch):
+    task = "term" if fixture == "term" else "message"
+    suffix = "_tagged" if fixture == "tagged" else ""
+    folder = DATA / ("golden_term" if task == "term" else "golden_dump")
+    manual = "manual.tsv" if task == "term" else "planted.tsv"
+    lexicons = [
+        load_lexicon(folder / manual, kind="manual"),
+        load_lexicon(folder / "auto.tsv", kind="auto"),
+    ]
+    clusters = None if task == "term" else load_cluster_map(folder / "clusters.tsv")
+    fmt = "tagged" if suffix else "plain"
+    train_data, test_data = (
+        pipeline.load_corpus(task, folder / f"{part}{suffix}.tsv", fmt)
+        for part in ("train", "test")
+    )
+    models = []
+
+    def recording_train(*args, **kwargs):
+        models.append(train(*args, **kwargs))
+        return models[-1]
+
+    monkeypatch.setattr(pipeline, "train", recording_train)
+    groups = list(pipeline.TASKS[task].ablations)
+    run_ablation(groups, train_data, test_data, task, lexicons, clusters, C=0.05)
+    digests = {}
+    for group, model in zip(["all", *groups], models, strict=True):
+        digest = hashlib.sha256(model.weights.tobytes())
+        digest.update("\n".join(model.dictionary.names).encode())
+        digests[group] = digest.hexdigest()
+    assert digests == ABLATION_MODEL_SHA256[fixture]
 
 
 def test_term_instances_are_tokenized_once(tmp_path, monkeypatch):
