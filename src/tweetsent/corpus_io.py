@@ -131,13 +131,6 @@ class Lexicon:
     entries: dict[str, dict[str, float]] = field(default_factory=dict)
     kind: str = "manual"
 
-    def score(self, term: str, affect: str) -> float | None:
-        """Score of ``term`` for ``affect``, or None when absent."""
-        by_affect = self.entries.get(term)
-        if by_affect is None:
-            return None
-        return by_affect.get(affect)
-
     def namespaces(self) -> frozenset[str]:
         """Term namespaces present: "uni", "bi", "pair".
 

@@ -15,6 +15,8 @@ Feature names are namespaced ``group|detail``.  The groups:
   cls|ID    presence of each word cluster
   neg|...   number of negated contexts
 
+``pipeline.TASKS`` declares the same namespaces, in this order.
+
 Lexicon statistics are emitted per (lexicon, term namespace, scope,
 affect): ``lex|<name>|<uni/bi/pair>[|<scope>]|<stat>|<affect>``.  The
 scoring units of the three namespaces are the message's unigrams, its

@@ -47,16 +47,6 @@ class TermContext:
     at_end: bool
 
 
-@dataclass(frozen=True)
-class TermFeatureConfig:
-    """Which of the two feature families to extract."""
-
-    target: bool = True
-    context: bool = True
-
-
-DEFAULT_TERM_CONFIG = TermFeatureConfig()
-
 # Context tokens per side of the target.
 CONTEXT_WINDOW = 4
 # A target word this many characters long sets ``tgt|len|long``.
@@ -257,7 +247,6 @@ def extract_term_features(
     inst: TermInstance,
     lexicons: Sequence[Lexicon] = (),
     split_words: frozenset[str] | None = None,
-    config: TermFeatureConfig = DEFAULT_TERM_CONFIG,
 ) -> FeatureVector:
     """Extract target and context features for one term instance.
 
@@ -269,8 +258,6 @@ def extract_term_features(
 
     ctx = term_context(inst)
     fv = FeatureVector()
-    if config.target:
-        _target_features(fv, ctx, lexicons, split_words)
-    if config.context:
-        _context_features(fv, ctx, lexicons)
+    _target_features(fv, ctx, lexicons, split_words)
+    _context_features(fv, ctx, lexicons)
     return fv

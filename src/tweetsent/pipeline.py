@@ -37,12 +37,7 @@ from .features_message import (
     extract_message_features,
     vectorize,
 )
-from .features_term import (
-    DEFAULT_TERM_CONFIG,
-    TermFeatureConfig,
-    build_split_vocabulary,
-    extract_term_features,
-)
+from .features_term import build_split_vocabulary, extract_term_features
 from .linear_model import LinearModel, predict, train
 from .negation import NegationAnnotation, mark_negation
 from .tokenizer import TokenizedMessage, normalize, tokenize, tokens_from_tagged
@@ -87,12 +82,36 @@ def prepare_raw(rows: Sequence[tuple[str, str]]) -> list[PreparedMessage]:
     return prepare_messages(_unlabeled(rows))
 
 
+def _check_lexicon_names(lexicons: Sequence[Lexicon]) -> None:
+    """Raise ``ValueError`` unless each lexicon names its features apart.
+
+    A lexicon's features are named ``lex|<name>|...`` (on terms,
+    ``tgt|lex|<name>|...`` and ``ctx|lex|<name>|...``), so two lexicons
+    with one name would overwrite each other's statistics, and a ``|``
+    in a name would make one lexicon's names a prefix of another's.  A
+    tab or line break could not be saved in a model file.
+    """
+    seen = set()
+    for lexicon in lexicons:
+        if not frozenset("|\t\n\r").isdisjoint(lexicon.name):
+            raise ValueError(
+                f"lexicon name {lexicon.name!r} holds '|', a tab or a line break"
+            )
+        if lexicon.name in seen:
+            raise ValueError(
+                f"two lexicons are named {lexicon.name!r} (a lexicon read "
+                "from a file is named after the file's stem)"
+            )
+        seen.add(lexicon.name)
+
+
 def extract_message_vectors(
     prepared: Sequence[PreparedMessage],
     lexicons: Sequence[Lexicon] = (),
     clusters: Mapping[str, int] | None = None,
     config: MessageFeatureConfig = DEFAULT_MESSAGE_CONFIG,
 ) -> list[FeatureVector]:
+    _check_lexicon_names(lexicons)
     return [
         extract_message_features(p.tokens, p.annotation, lexicons, clusters, config)
         for p in prepared
@@ -103,14 +122,11 @@ def extract_term_vectors(
     instances: Sequence[TermInstance],
     lexicons: Sequence[Lexicon] = (),
     split_words: frozenset[str] | None = None,
-    config: TermFeatureConfig = DEFAULT_TERM_CONFIG,
 ) -> list[FeatureVector]:
+    _check_lexicon_names(lexicons)
     if split_words is None:
         split_words = build_split_vocabulary(lexicons)
-    return [
-        extract_term_features(inst, lexicons, split_words, config)
-        for inst in instances
-    ]
+    return [extract_term_features(inst, lexicons, split_words) for inst in instances]
 
 
 def _load_messages(path: str | Path, format: str, raw: bool) -> list[LabeledMessage]:
@@ -127,43 +143,17 @@ def _load_terms(path: str | Path, format: str, raw: bool) -> list[TermInstance]:
     return load_term_corpus(path)
 
 
-def _message_vectors(rows, active, lexicons, clusters, config):
-    return extract_message_vectors(rows, active, clusters, config)
-
-
-def _term_vectors(rows, active, lexicons, clusters, config):
+def _term_vectors(rows, lexicons, clusters, config):
     if clusters is not None:
         raise ValueError("the term task uses no cluster map (--clusters)")
-    # Hashtags split with the words of every lexicon given, including
-    # the ones an ablation variant leaves out.
-    split_words = build_split_vocabulary(lexicons)
-    return extract_term_vectors(rows, active, split_words=split_words, config=config)
+    if config is not None:
+        raise ValueError("the term task has no feature config")
+    return extract_term_vectors(rows, lexicons)
 
 
-# An ablation variant maps (feature config, lexicons) to the reduced pair.
-Variant = Callable[[object, Sequence[Lexicon]], tuple[object, Sequence[Lexicon]]]
-
-
-def _switch_off(*flags: str) -> Variant:
-    return lambda config, lexicons: (
-        replace(config, **dict.fromkeys(flags, False)),
-        lexicons,
-    )
-
-
-def _drop_kind(kind: str) -> Variant:
-    return lambda config, lexicons: (
-        config,
-        [lex for lex in lexicons if lex.kind != kind],
-    )
-
-
-# Both tasks remove lexicons the same way: from the list given.
-_LEXICON_ABLATIONS: dict[str, Variant] = {
-    "lexicons": lambda config, lexicons: (config, ()),
-    "manual-lex": _drop_kind("manual"),
-    "auto-lex": _drop_kind("auto"),
-}
+# The lexicon groups of both tasks, with the kind of lexicon each
+# removes (None: every lexicon).
+LEXICON_GROUPS = {"lexicons": None, "manual-lex": "manual", "auto-lex": "auto"}
 
 
 @dataclass(frozen=True)
@@ -171,46 +161,74 @@ class Task:
     """What one task does its own way: reading rows and featurizing them.
 
     ``load(path, format, raw)`` reads a corpus file and ``prepare`` turns
-    its rows into what ``extract(rows, active, lexicons, clusters,
-    config)`` featurizes; a run prepares each corpus once.
-    ``ablations`` maps each feature group an ablation can remove to its
-    variant, in the order error messages list them.
+    its rows into what ``extract(rows, lexicons, clusters, config)``
+    featurizes; a run prepares each corpus once.  Each feature name
+    starts with exactly one of ``namespaces``.  A lexicon's features lie
+    under ``lexicon_namespaces`` followed by ``<name>|``.  ``groups``
+    maps each feature group an ablation can remove, besides
+    :data:`LEXICON_GROUPS`, to the name prefixes of its features, or to
+    the config its variant extracts with when it renames features
+    instead.
     """
 
     load: Callable[[str | Path, str, bool], list]
     prepare: Callable[[Sequence], list]
     extract: Callable[..., list[FeatureVector]]
-    default_config: MessageFeatureConfig | TermFeatureConfig
-    ablations: Mapping[str, Variant]
+    default_config: MessageFeatureConfig | None
+    namespaces: tuple[str, ...]
+    lexicon_namespaces: tuple[str, ...]
+    groups: Mapping[str, tuple[str, ...] | MessageFeatureConfig]
+
+    @property
+    def ablations(self) -> tuple[str, ...]:
+        """Every removable group, in the order error messages list them."""
+        return (*LEXICON_GROUPS, *self.groups)
+
+    def removal(
+        self, group: str, lexicons: Sequence[Lexicon]
+    ) -> tuple[str, ...] | MessageFeatureConfig:
+        """The name prefixes ``group`` removes, or its variant's config."""
+        if group not in LEXICON_GROUPS:
+            return self.groups[group]
+        kind = LEXICON_GROUPS[group]
+        return tuple(
+            f"{namespace}{lexicon.name}|"
+            for namespace in self.lexicon_namespaces
+            for lexicon in lexicons
+            if kind in (None, lexicon.kind)
+        )
 
 
 TASKS: dict[str, Task] = {
     "message": Task(
         load=_load_messages,
         prepare=prepare_messages,
-        extract=_message_vectors,
+        extract=extract_message_vectors,
         default_config=DEFAULT_MESSAGE_CONFIG,
-        ablations={
-            **_LEXICON_ABLATIONS,
-            "ngrams": _switch_off("word_ngrams", "char_ngrams"),
-            "word-ngrams": _switch_off("word_ngrams"),
-            "char-ngrams": _switch_off("char_ngrams"),
-            "negation": _switch_off("negation"),
-            "pos": _switch_off("pos_counts"),
-            "clusters": _switch_off("clusters"),
-            "encodings": _switch_off("encodings"),
+        namespaces=(
+            "wng|", "cng|", "caps|", "pos|", "ht|", "lex|", "pnc|", "emo|",
+            "elo|", "cls|", "neg|",
+        ),
+        lexicon_namespaces=("lex|",),
+        groups={
+            "ngrams": ("wng|", "cng|"),
+            "word-ngrams": ("wng|",),
+            "char-ngrams": ("cng|",),
+            # Negation marking renames n-gram and lexicon features.
+            "negation": replace(DEFAULT_MESSAGE_CONFIG, negation=False),
+            "pos": ("pos|",),
+            "clusters": ("cls|",),
+            "encodings": ("caps|", "ht|", "pnc|", "emo|", "elo|"),
         },
     ),
     "term": Task(
         load=_load_terms,
         prepare=list,
         extract=_term_vectors,
-        default_config=DEFAULT_TERM_CONFIG,
-        ablations={
-            **_LEXICON_ABLATIONS,
-            "target": _switch_off("target"),
-            "context": _switch_off("context"),
-        },
+        default_config=None,
+        namespaces=("tgt|", "ctx|"),
+        lexicon_namespaces=("tgt|lex|", "ctx|lex|"),
+        groups={"target": ("tgt|",), "context": ("ctx|",)},
     ),
 }
 
@@ -251,53 +269,36 @@ def prepare(task: str, data: Sequence) -> list:
     return get_task(task).prepare(data)
 
 
-def _check_lexicon_names(lexicons: Sequence[Lexicon]) -> None:
-    """Raise ``ValueError`` unless each lexicon names its features apart.
-
-    A lexicon's features are named ``lex|<name>|...``, so two lexicons
-    with one name would overwrite each other's statistics, and a ``|``
-    in a name would make one lexicon's names a prefix of another's.  A
-    tab or line break could not be saved in a model file.
-    """
-    seen = set()
-    for lexicon in lexicons:
-        if any(c in lexicon.name for c in "|\t\n\r"):
-            raise ValueError(
-                f"lexicon name {lexicon.name!r} holds '|', a tab or a line break"
-            )
-        if lexicon.name in seen:
-            raise ValueError(
-                f"two lexicons are named {lexicon.name!r} (a lexicon read "
-                "from a file is named after the file's stem)"
-            )
-        seen.add(lexicon.name)
-
-
 def featurize(
     task: str,
     rows: Sequence,
     lexicons: Sequence[Lexicon] = (),
     clusters: Mapping[str, int] | None = None,
-    config: MessageFeatureConfig | TermFeatureConfig | None = None,
-    removed: str | None = None,
+    config: MessageFeatureConfig | None = None,
 ) -> tuple[list[str], list[str], list[FeatureVector]]:
     """Ids, labels and feature vectors of prepared rows.
 
-    ``config`` defaults to the task's full feature set.  ``removed``
-    names a feature group of the task's ablations to leave out.  Raises
-    ``ValueError`` when two lexicons share a name or a name holds ``|``,
-    a tab or a line break, and for the term task when given
-    ``clusters``.
+    ``config`` defaults to the message task's full feature set; the term
+    task has none.  Raises ``ValueError`` when two lexicons share a name
+    or a name holds ``|``, a tab or a line break, and for the term task
+    when given ``clusters`` or ``config``.
     """
     spec = get_task(task)
-    _check_lexicon_names(lexicons)
     config = spec.default_config if config is None else config
-    active = lexicons
-    if removed is not None:
-        (removed,) = ablation_groups(task, [removed])
-        config, active = spec.ablations[removed](config, lexicons)
-    vectors = spec.extract(rows, active, lexicons, clusters, config)
+    vectors = spec.extract(rows, lexicons, clusters, config)
     return [r.id for r in rows], [r.label for r in rows], vectors
+
+
+def remove_features(
+    vectors: Sequence[FeatureVector], prefixes: tuple[str, ...]
+) -> list[FeatureVector]:
+    """``vectors`` without the features whose names start with a prefix."""
+    return [
+        FeatureVector(
+            {n: x for n, x in v.entries.items() if not n.startswith(prefixes)}
+        )
+        for v in vectors
+    ]
 
 
 def fit(
@@ -389,8 +390,7 @@ def run_experiment(
     test_rows: Sequence,
     lexicons: Sequence[Lexicon] = (),
     clusters: Mapping[str, int] | None = None,
-    config: MessageFeatureConfig | TermFeatureConfig | None = None,
-    removed: str | None = None,
+    config: MessageFeatureConfig | None = None,
     C: float = 0.005,
     tol: float = 0.1,
     max_epochs: int = 1000,
@@ -398,9 +398,9 @@ def run_experiment(
 ) -> ExperimentResult:
     """Fit on prepared training rows and score on prepared test rows.
 
-    ``config`` and ``removed`` are as in :func:`featurize`.
+    ``config`` is as in :func:`featurize`.
     """
-    features = (lexicons, clusters, config, removed)
+    features = (lexicons, clusters, config)
     _, labels, vectors = featurize(task, train_rows, *features)
     model = fit(vectors, labels, C=C, tol=tol, max_epochs=max_epochs, seed=seed)
     _, gold, vectors = featurize(task, test_rows, *features)
@@ -430,21 +430,33 @@ def run_ablation(
 ) -> list[AblationRow]:
     """Retrain once per removed feature group and report score deltas.
 
-    Every run uses the same seed and hyperparameters; only the feature
-    configuration changes.  The first row is the all-features baseline,
-    followed by one row per group in the requested order.  Each corpus
-    is prepared once for all the runs.
+    Every run uses the same seed and hyperparameters; only the features
+    change.  The first row is the all-features baseline, followed by one
+    row per group in the requested order.  Each corpus is prepared and
+    featurized once, and a group's run drops the features under the
+    group's name prefixes.  Only a group given as a config (``negation``)
+    featurizes both corpora again.
     """
+    spec = get_task(task)
     groups = ablation_groups(task, groups)
-    train_rows = prepare(task, train_data)
-    test_rows = prepare(task, test_data)
-    scores = [
-        run_experiment(
-            task, train_rows, test_rows, lexicons, clusters, removed=group,
-            C=C, tol=tol, max_epochs=max_epochs, seed=seed,
-        ).report.macro_f
-        for group in [None, *groups]
-    ]
+    rows = [prepare(task, data) for data in (train_data, test_data)]
+    (_, labels, train_full), (_, gold, test_full) = (
+        featurize(task, r, lexicons, clusters) for r in rows
+    )
+    scores = []
+    for group in [None, *groups]:
+        removal = () if group is None else spec.removal(group, lexicons)
+        if isinstance(removal, MessageFeatureConfig):
+            train_vectors, test_vectors = (
+                featurize(task, r, lexicons, clusters, removal)[2] for r in rows
+            )
+        else:
+            train_vectors = remove_features(train_full, removal)
+            test_vectors = remove_features(test_full, removal)
+        model = fit(
+            train_vectors, labels, C=C, tol=tol, max_epochs=max_epochs, seed=seed
+        )
+        scores.append(score(model, test_vectors, gold).macro_f)
     baseline = scores[0]
     return [
         AblationRow(group=group, macro_f=value, delta=value - baseline)

@@ -273,10 +273,14 @@ def _oracle_pair_units(surfaces):
     return units
 
 
+def _oracle_score(lexicon, term, affect):
+    return lexicon.entries.get(term, {}).get(affect)
+
+
 def _oracle_lexicon_lookup(lexicon, namespace, text, affect):
-    score = lexicon.score(f"{namespace}:{text}", affect)
+    score = _oracle_score(lexicon, f"{namespace}:{text}", affect)
     if score is None and namespace == "uni":
-        score = lexicon.score(text, affect)
+        score = _oracle_score(lexicon, text, affect)
     return score
 
 
@@ -639,12 +643,12 @@ def oracle_unescape_text(text: str) -> str:
 
 
 def oracle_term_lookup(lexicon, words, affect):
-    """Per-word scores and matches for one affect via ``Lexicon.score``."""
+    """Per-word scores and matches for one affect, term by term."""
     scores, matched = [], []
     for w in words:
-        s = lexicon.score(f"uni:{w}", affect)
+        s = _oracle_score(lexicon, f"uni:{w}", affect)
         if s is None:
-            s = lexicon.score(w, affect)
+            s = _oracle_score(lexicon, w, affect)
         scores.append(0.0 if s is None else s)
         matched.append(s is not None)
     return scores, matched

@@ -202,9 +202,9 @@ def test_lexicon_score_and_namespaces():
         affects=("positive",),
         entries={"good": {"positive": 1.0}, "pair:a---b": {"positive": 0.5}},
     )
-    assert lexicon.score("good", "positive") == 1.0
-    assert lexicon.score("good", "negative") is None
-    assert lexicon.score("missing", "positive") is None
+    assert lexicon.entries["good"]["positive"] == 1.0
+    assert "negative" not in lexicon.entries["good"]
+    assert "missing" not in lexicon.entries
     assert lexicon.namespaces() == frozenset({"uni", "pair"})
 
 

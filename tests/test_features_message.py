@@ -27,7 +27,7 @@ from tweetsent.features_message import (
 )
 from tweetsent.linear_model import LinearModel, decision_values
 from tweetsent.negation import EMPTY_ANNOTATION, NegationAnnotation, mark_negation
-from tweetsent.pipeline import featurize, prepare_messages
+from tweetsent.pipeline import TASKS, featurize, prepare_messages, remove_features
 from tweetsent.tokenizer import tokenize, tokens_from_tagged
 
 
@@ -172,8 +172,11 @@ def test_manual_and_auto_lexicon_toggles():
     auto = lex({"good": {"positive": 1.0}}, name="a", kind="auto")
     rows = prepare_messages([LabeledMessage("1", "good", "positive")])
 
-    def lexicon_names(removed):
-        _, _, (fv,) = featurize("message", rows, [manual, auto], removed=removed)
+    _, _, full = featurize("message", rows, [manual, auto])
+
+    def lexicon_names(group):
+        prefixes = TASKS["message"].removal(group, [manual, auto]) if group else ()
+        (fv,) = remove_features(full, prefixes)
         return {name for name in fv.entries if name.startswith("lex|")}
 
     def block(name):

@@ -7,12 +7,11 @@ from oracles import oracle_term_lookup
 from tweetsent import features_term
 from tweetsent.corpus_io import Lexicon, TermInstance
 from tweetsent.features_term import (
-    DEFAULT_TERM_CONFIG,
-    TermFeatureConfig,
     build_split_vocabulary,
     extract_term_features,
     term_context,
 )
+from tweetsent.pipeline import TASKS, remove_features
 from tweetsent.tokenizer import normalize, tokenize
 
 
@@ -173,17 +172,12 @@ def test_ngram_edges():
     assert "tgt|wng|three four" not in fv.entries
 
 
-def test_target_and_context_toggles():
-    only_ctx = extract(
-        "not good at all", 1, 1, config=TermFeatureConfig(target=False)
-    )
-    assert only_ctx.entries
-    assert all(name.startswith("ctx|") for name in only_ctx.entries)
-    only_tgt = extract(
-        "not good at all", 1, 1, config=TermFeatureConfig(context=False)
-    )
-    assert only_tgt.entries
-    assert all(name.startswith("tgt|") for name in only_tgt.entries)
+def test_target_and_context_groups():
+    full = [extract("not good at all", 1, 1, [GOOD_LEX])]
+    for group, kept in (("target", "ctx|"), ("context", "tgt|")):
+        (rest,) = remove_features(full, TASKS["term"].removal(group, [GOOD_LEX]))
+        assert rest.entries
+        assert all(name.startswith(kept) for name in rest.entries)
 
 
 def test_term_context_window_and_edges():

@@ -1,18 +1,22 @@
 import hashlib
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tweetsent import pipeline
+from tweetsent import features_message, pipeline
 from tweetsent.corpus_io import (
     LabeledMessage,
+    Lexicon,
     TermInstance,
     load_cluster_map,
     load_lexicon,
     write_term_corpus,
 )
+from tweetsent.features_message import MessageFeatureConfig, extract_message_features
+from tweetsent.features_term import build_split_vocabulary
 from tweetsent.linear_model import predict, train
 from tweetsent.pipeline import (
     extract_message_vectors,
@@ -21,6 +25,7 @@ from tweetsent.pipeline import (
     prepare,
     prepare_messages,
     prepare_raw,
+    remove_features,
     run_ablation,
     run_experiment,
     run_message_experiment,
@@ -132,12 +137,10 @@ def test_featurize_returns_ids_labels_and_vectors():
     assert ids == ["t1", "t2", "t3"]
     assert labels == ["positive", "negative", "neutral"]
     assert vectors == extract_message_vectors(rows)
-    _, _, without = featurize("message", rows, removed="word-ngrams")
-    assert not any(n.startswith("wng|") for v in without for n in v.entries)
     with pytest.raises(ValueError, match="unknown task 'tweet'"):
         featurize("tweet", rows)
-    with pytest.raises(ValueError, match="unknown feature group 'target'"):
-        featurize("message", rows, removed="target")
+    with pytest.raises(ValueError, match="the term task has no feature config"):
+        featurize("term", [], config=MessageFeatureConfig())
 
 
 def test_ablation_prepares_each_corpus_once(monkeypatch):
@@ -250,8 +253,8 @@ ABLATION_MODEL_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("fixture", ["plain", "tagged", "term"])
-def test_ablation_models_match_pinned_hashes(fixture, monkeypatch):
+def _golden(fixture):
+    """Task, train and test corpora, lexicons and cluster map of a fixture."""
     task = "term" if fixture == "term" else "message"
     suffix = "_tagged" if fixture == "tagged" else ""
     folder = DATA / ("golden_term" if task == "term" else "golden_dump")
@@ -266,6 +269,12 @@ def test_ablation_models_match_pinned_hashes(fixture, monkeypatch):
         pipeline.load_corpus(task, folder / f"{part}{suffix}.tsv", fmt)
         for part in ("train", "test")
     )
+    return task, train_data, test_data, lexicons, clusters
+
+
+@pytest.mark.parametrize("fixture", ["plain", "tagged", "term"])
+def test_ablation_models_match_pinned_hashes(fixture, monkeypatch):
+    task, train_data, test_data, lexicons, clusters = _golden(fixture)
     models = []
 
     def recording_train(*args, **kwargs):
@@ -281,6 +290,102 @@ def test_ablation_models_match_pinned_hashes(fixture, monkeypatch):
         digest.update("\n".join(model.dictionary.names).encode())
         digests[group] = digest.hexdigest()
     assert digests == ABLATION_MODEL_SHA256[fixture]
+
+
+@pytest.mark.parametrize("fixture", ["plain", "tagged", "term"])
+def test_every_feature_name_has_one_namespace(fixture):
+    task, train_data, test_data, lexicons, clusters = _golden(fixture)
+    namespaces = pipeline.TASKS[task].namespaces
+    for data in (train_data, test_data):
+        _, _, vectors = featurize(task, prepare(task, data), lexicons, clusters)
+        names = {name for v in vectors for name in v.entries}
+        assert names
+        for name in names:
+            assert sum(name.startswith(ns) for ns in namespaces) == 1, name
+
+
+def test_message_docstring_lists_the_declared_namespaces():
+    doc = features_message.__doc__
+    listed = re.findall(r"^  (\w+\|)", doc, flags=re.MULTILINE)
+    assert listed == list(pipeline.TASKS["message"].namespaces)
+
+
+# The extraction each message group's prefixes stand for: the config
+# toggles it switches off, or the lexicon kinds it keeps.
+MESSAGE_GROUP_EXTRACTIONS = {
+    "lexicons": ((), ()),
+    "manual-lex": ((), ("auto",)),
+    "auto-lex": ((), ("manual",)),
+    "ngrams": (("word_ngrams", "char_ngrams"), ("manual", "auto")),
+    "word-ngrams": (("word_ngrams",), ("manual", "auto")),
+    "char-ngrams": (("char_ngrams",), ("manual", "auto")),
+    "pos": (("pos_counts",), ("manual", "auto")),
+    "clusters": (("clusters",), ("manual", "auto")),
+    "encodings": (("encodings",), ("manual", "auto")),
+}
+
+
+@pytest.mark.parametrize("fixture", ["plain", "tagged"])
+def test_removing_a_group_equals_extracting_without_it(fixture):
+    task, train_data, _, lexicons, clusters = _golden(fixture)
+    spec = pipeline.TASKS[task]
+    assert set(MESSAGE_GROUP_EXTRACTIONS) == set(spec.ablations) - {"negation"}
+    rows = prepare(task, train_data)
+    _, _, full = featurize(task, rows, lexicons, clusters)
+    for group, (toggles, kinds) in MESSAGE_GROUP_EXTRACTIONS.items():
+        config = MessageFeatureConfig(**dict.fromkeys(toggles, False))
+        kept = [lex for lex in lexicons if lex.kind in kinds]
+        _, _, fresh = featurize(task, rows, kept, clusters, config)
+        assert remove_features(full, spec.removal(group, lexicons)) == fresh, group
+
+
+def test_removing_a_term_lexicon_group_equals_extracting_without_it():
+    _, train_data, _, lexicons, _ = _golden("term")
+    spec = pipeline.TASKS["term"]
+    _, _, full = featurize("term", train_data, lexicons)
+    # Hashtags keep splitting with the words of every lexicon given.
+    split_words = build_split_vocabulary(lexicons)
+    kept_kinds = {"lexicons": (), "manual-lex": ("auto",), "auto-lex": ("manual",)}
+    for group, kinds in kept_kinds.items():
+        kept = [lex for lex in lexicons if lex.kind in kinds]
+        fresh = extract_term_vectors(train_data, kept, split_words)
+        assert remove_features(full, spec.removal(group, lexicons)) == fresh, group
+
+
+@pytest.mark.parametrize(
+    "groups, extractions",
+    [
+        (["word-ngrams", "lexicons", "encodings"], 1),
+        (["negation"], 2),
+        (list(pipeline.TASKS["message"].ablations), 2),
+    ],
+)
+def test_ablation_extracts_each_row_once_and_again_only_for_negation(
+    groups, extractions, monkeypatch
+):
+    seen = []
+
+    def counting_extract(tokens, *args):
+        seen.append(tokens)
+        return extract_message_features(tokens, *args)
+
+    monkeypatch.setattr(pipeline, "extract_message_features", counting_extract)
+    rows = run_ablation(groups, TRAIN_MESSAGES, TEST_MESSAGES)
+    assert len(rows) == len(groups) + 1
+    assert len(seen) == extractions * (len(TRAIN_MESSAGES) + len(TEST_MESSAGES))
+
+
+def test_vector_extractors_reject_clashing_lexicon_names():
+    twins = [Lexicon(name="lex", affects=("positive",)) for _ in range(2)]
+    rows = prepare_raw([("1", "good fun")])
+    with pytest.raises(ValueError, match="two lexicons are named 'lex'"):
+        extract_message_vectors(rows, twins)
+    instances = [TermInstance(id="t", text="good", label="positive", start=0, end=0)]
+    with pytest.raises(ValueError, match="two lexicons are named 'lex'"):
+        extract_term_vectors(instances, twins)
+    piped = [Lexicon(name="a|b", affects=("positive",))]
+    with pytest.raises(ValueError, match=r"holds '\|'"):
+        extract_term_vectors(instances, piped)
 
 
 def test_term_instances_are_tokenized_once(tmp_path, monkeypatch):
