@@ -16,6 +16,7 @@ from tweetsent.evaluation import format_report, macro_f_pos_neg, report_kv
 from tweetsent.features_message import format_feature_dump
 from tweetsent.linear_model import load_model, predict
 from tweetsent.pipeline import extract_message_vectors, prepare_messages
+from tweetsent.synthetic import make_emoticon_corpus
 
 TRAIN_MESSAGES = [
     LabeledMessage(id=f"p{i}", text=t, label="positive")
@@ -663,3 +664,42 @@ def test_term_task_matches_golden(tmp_path, capsys):
     )
     assert (code, err) == (0, "")
     assert out.encode() == (GOLDEN_TERM / "expected_ablation.tsv").read_bytes()
+
+
+SOLVER_DEFAULTS = ("--C", "0.005", "--tol", "0.1", "--max-epochs", "1000", "--seed", "42")
+
+
+def test_left_out_flags_take_the_library_defaults(tmp_path, capsys):
+    """Without solver or induction flags, each command gives the bytes of
+    a run that spells out the library defaults."""
+    resources = (
+        "--input", str(GOLDEN / "train.tsv"), "--lexicon", str(GOLDEN / "planted.tsv"),
+        "--auto-lexicon", str(GOLDEN / "auto.tsv"),
+        "--clusters", str(GOLDEN / "clusters.tsv"),
+    )
+    ablate = (
+        "ablate", *resources, "--test", str(GOLDEN / "test.tsv"),
+        "--groups", MESSAGE_GROUPS, "--tsv",
+    )
+    for argv in (("train", *resources, "--cv", "3"), ablate):
+        outputs = [run(capsys, *argv, *flags) for flags in ((), SOLVER_DEFAULTS)]
+        assert outputs[0][0] == 0
+        assert outputs[0][1:] == outputs[1][1:]
+    models = [tmp_path / "implicit.tsv", tmp_path / "explicit.tsv"]
+    for model, flags in zip(models, ((), SOLVER_DEFAULTS)):
+        code, _, err = run(capsys, "train", *resources, "--model", str(model), *flags)
+        assert (code, err) == (0, "")
+    assert models[0].read_bytes() == models[1].read_bytes()
+
+    raw = tmp_path / "raw.tsv"
+    write_raw_corpus(make_emoticon_corpus(n=200, seed=3)[0], raw)
+    lexicons = [tmp_path / "implicit" / "induced.tsv", tmp_path / "explicit" / "induced.tsv"]
+    for out_path, flags in zip(lexicons, ((), ("--min-count", "5", "--alpha", "0.5"))):
+        out_path.parent.mkdir()
+        code, _, err = run(
+            capsys, "build-lexicon", "--input", str(raw), "--labeling", "emoticon",
+            "--out", str(out_path), *flags,
+        )
+        assert (code, err) == (0, "")
+    assert lexicons[0].read_bytes() == lexicons[1].read_bytes()
+    assert len(load_lexicon(lexicons[0], kind="auto").entries) > 0
