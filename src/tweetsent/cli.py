@@ -67,11 +67,23 @@ def _load_lexicons(args) -> list:
     return lexicons
 
 
+# Solver and induction flags stay out of the parsed arguments unless
+# given, so a left-out flag takes the default of the library function
+# it goes to: linear_model.train or lexicon_builder.build_lexicon.
+_SOLVER_FLAGS = ("C", "tol", "max_epochs", "seed")
+_INDUCTION_FLAGS = ("min_count", "alpha", "per_message", "pair_window")
+
+
 def _add_train_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--C", type=float, default=0.005)
-    parser.add_argument("--tol", type=float, default=0.1)
-    parser.add_argument("--max-epochs", type=int, default=1000)
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--C", type=float, default=argparse.SUPPRESS)
+    parser.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+    parser.add_argument("--max-epochs", type=int, default=argparse.SUPPRESS)
+    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+
+
+def _given(args, flags: tuple[str, ...]) -> dict:
+    """The values of the ``flags`` given on the command line, by name."""
+    return {flag: getattr(args, flag) for flag in flags if hasattr(args, flag)}
 
 
 def _clusters(args):
@@ -92,11 +104,8 @@ def cmd_build_lexicon(args) -> int:
         corpus,
         labeling=args.labeling,
         seeds=seeds,
-        min_count=args.min_count,
-        alpha=args.alpha,
-        per_message=args.per_message,
-        pair_window=args.pair_window,
         name=Path(args.out).stem,
+        **_given(args, _INDUCTION_FLAGS),
     )
     write_lexicon(lexicon, args.out)
     print(f"wrote {len(lexicon.entries)} terms to {args.out}")
@@ -107,17 +116,13 @@ def cmd_train(args) -> int:
     _, labels, vectors = _featurize(args, args.input)
     if args.cv:
         scores = cross_validate(
-            vectors, labels, k=args.cv, seed=args.seed,
-            C=args.C, tol=args.tol, max_epochs=args.max_epochs,
+            vectors, labels, k=args.cv, **_given(args, _SOLVER_FLAGS)
         )
         for i, s in enumerate(scores):
             print(f"fold {i}\t{s:.2f}")
         print(f"mean\t{sum(scores) / len(scores):.2f}")
     if args.model:
-        model = fit(
-            vectors, labels, C=args.C, tol=args.tol,
-            max_epochs=args.max_epochs, seed=args.seed,
-        )
+        model = fit(vectors, labels, **_given(args, _SOLVER_FLAGS))
         written = save_model(model, args.model)
         print(
             f"wrote model ({written} of {model.dictionary.size} features) "
@@ -165,10 +170,7 @@ def cmd_ablate(args) -> int:
         task=args.task,
         lexicons=_load_lexicons(args),
         clusters=_clusters(args),
-        C=args.C,
-        tol=args.tol,
-        max_epochs=args.max_epochs,
-        seed=args.seed,
+        **_given(args, _SOLVER_FLAGS),
     )
     if args.tsv:
         print(format_ablation_tsv(rows), end="")
@@ -188,10 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="id<TAB>text corpus")
     p.add_argument("--labeling", choices=("hashtag", "emoticon"), required=True)
     p.add_argument("--seeds", help="hashtag<TAB>polarity seed file")
-    p.add_argument("--min-count", type=int, default=5)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--per-message", action="store_true")
-    p.add_argument("--pair-window", type=int, default=None)
+    p.add_argument("--min-count", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--alpha", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--per-message", action="store_true", default=argparse.SUPPRESS)
+    p.add_argument("--pair-window", type=int, default=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_lexicon)
 

@@ -11,19 +11,13 @@ punctuation or the message end) are dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .tokenizer import Token, TokenizedMessage
 from .wordlists import default_negation_words
 
 NEG_SUFFIX = "_NEG"
 
 _CLAUSE_PUNCTUATION = set(",.:;!?")
-
-
-def _surfaces(tokens) -> list[str]:
-    if isinstance(tokens, TokenizedMessage):
-        return tokens.surfaces()
-    return [t.surface if isinstance(t, Token) else t for t in tokens]
 
 
 def _closes_context(surface: str) -> bool:
@@ -34,12 +28,15 @@ def _closes_context(surface: str) -> bool:
 class NegationAnnotation:
     """Inclusive [start, end] token spans of negated contexts.
 
-    ``count`` equals ``len(spans)``; each span starts at the token right
-    after its negation word.
+    Each span starts at the token right after its negation word.
     """
 
     spans: tuple[tuple[int, int], ...]
-    count: int
+
+    @property
+    def count(self) -> int:
+        """The number of negated contexts."""
+        return len(self.spans)
 
     def in_scope(self, index: int) -> bool:
         return any(start <= index <= end for start, end in self.spans)
@@ -54,18 +51,16 @@ class NegationAnnotation:
         return flags
 
 
-EMPTY_ANNOTATION = NegationAnnotation(spans=(), count=0)
+EMPTY_ANNOTATION = NegationAnnotation(spans=())
 
 
-def mark_negation(tokens) -> NegationAnnotation:
-    """Find negated-context spans over ``tokens``.
+def mark_negation(surfaces: Sequence[str]) -> NegationAnnotation:
+    """Find negated-context spans over a message's token surfaces.
 
-    ``tokens`` may be a TokenizedMessage or a plain list of surfaces.
     Negation words come from the bundled list and match
     case-insensitively.
     """
     negation_words = default_negation_words()
-    surfaces = _surfaces(tokens)
     spans: list[tuple[int, int]] = []
     open_start: int | None = None
     for i, surface in enumerate(surfaces):
@@ -77,12 +72,13 @@ def mark_negation(tokens) -> NegationAnnotation:
             open_start = i + 1
     if open_start is not None and open_start < len(surfaces):
         spans.append((open_start, len(surfaces) - 1))
-    return NegationAnnotation(spans=tuple(spans), count=len(spans))
+    return NegationAnnotation(spans=tuple(spans))
 
 
-def apply_negation_suffix(tokens, annotation: NegationAnnotation) -> list[str]:
+def apply_negation_suffix(
+    surfaces: Sequence[str], annotation: NegationAnnotation
+) -> list[str]:
     """Append ``_NEG`` to every surface inside a negated context."""
-    surfaces = _surfaces(tokens)
     return [
         s + NEG_SUFFIX if negated else s
         for s, negated in zip(surfaces, annotation.scope_flags(len(surfaces)))
@@ -100,14 +96,3 @@ def flip_term_polarity(scores: list[float], position_of_negation: int) -> list[f
     return [
         -s if i > position_of_negation else s for i, s in enumerate(scores)
     ]
-
-
-__all__ = [
-    "NEG_SUFFIX",
-    "NegationAnnotation",
-    "EMPTY_ANNOTATION",
-    "default_negation_words",
-    "mark_negation",
-    "apply_negation_suffix",
-    "flip_term_polarity",
-]

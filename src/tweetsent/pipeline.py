@@ -66,7 +66,7 @@ def prepare_messages(messages: Sequence[LabeledMessage]) -> list[PreparedMessage
                 id=msg.id,
                 label=msg.label,
                 tokens=tokens,
-                annotation=mark_negation(tokens),
+                annotation=mark_negation(tokens.surfaces()),
             )
         )
     return prepared
@@ -302,19 +302,16 @@ def remove_features(
 
 
 def fit(
-    vectors: Sequence[FeatureVector],
-    labels: Sequence[str],
-    C: float = 0.005,
-    tol: float = 0.1,
-    max_epochs: int = 1000,
-    seed: int = 42,
+    vectors: Sequence[FeatureVector], labels: Sequence[str], **solver: float
 ) -> LinearModel:
-    """Build the feature dictionary from ``vectors``, index them and train."""
+    """Build the feature dictionary from ``vectors``, index them and train.
+
+    ``C``, ``tol``, ``max_epochs`` and ``seed`` go to
+    :func:`linear_model.train`, which holds their defaults.
+    """
     dictionary = build_feature_dictionary(vectors)
     indexed = [vectorize(v, dictionary) for v in vectors]
-    return train(
-        indexed, labels, dictionary, C=C, tol=tol, max_epochs=max_epochs, seed=seed
-    )
+    return train(indexed, labels, dictionary, **solver)
 
 
 def score(
@@ -329,15 +326,15 @@ def cross_validate(
     labels: Sequence[str],
     k: int = 10,
     seed: int = 42,
-    C: float = 0.005,
-    tol: float = 0.1,
-    max_epochs: int = 1000,
+    **solver: float,
 ) -> list[float]:
     """K-fold cross-validation; returns the per-fold pos/neg macro-F.
 
     Folds are stratified by label; when some class has fewer examples
     than ``k``, a warning is emitted and plain shuffled folds are used.
     Each fold is fit from scratch, feature dictionary included.
+    ``seed`` draws the folds and, with ``C``, ``tol`` and
+    ``max_epochs``, goes to :func:`linear_model.train`.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -369,8 +366,7 @@ def cross_validate(
     for f in range(k):
         used = [i for g in range(k) if g != f for i in folds[g]]
         model = fit(
-            [vectors[i] for i in used], [labels[i] for i in used],
-            C=C, tol=tol, max_epochs=max_epochs, seed=seed,
+            [vectors[i] for i in used], [labels[i] for i in used], seed=seed, **solver
         )
         held = folds[f]
         report = score(model, [vectors[i] for i in held], [labels[i] for i in held])
@@ -391,18 +387,16 @@ def run_experiment(
     lexicons: Sequence[Lexicon] = (),
     clusters: Mapping[str, int] | None = None,
     config: MessageFeatureConfig | None = None,
-    C: float = 0.005,
-    tol: float = 0.1,
-    max_epochs: int = 1000,
-    seed: int = 42,
+    **solver: float,
 ) -> ExperimentResult:
     """Fit on prepared training rows and score on prepared test rows.
 
-    ``config`` is as in :func:`featurize`.
+    ``config`` is as in :func:`featurize`; ``C``, ``tol``,
+    ``max_epochs`` and ``seed`` go to :func:`linear_model.train`.
     """
     features = (lexicons, clusters, config)
     _, labels, vectors = featurize(task, train_rows, *features)
-    model = fit(vectors, labels, C=C, tol=tol, max_epochs=max_epochs, seed=seed)
+    model = fit(vectors, labels, **solver)
     _, gold, vectors = featurize(task, test_rows, *features)
     return ExperimentResult(report=score(model, vectors, gold), model=model)
 
@@ -423,19 +417,22 @@ def run_ablation(
     task: str = "message",
     lexicons: Sequence[Lexicon] = (),
     clusters: Mapping[str, int] | None = None,
-    C: float = 0.005,
-    tol: float = 0.1,
-    max_epochs: int = 1000,
-    seed: int = 42,
+    **solver: float,
 ) -> list[AblationRow]:
     """Retrain once per removed feature group and report score deltas.
 
-    Every run uses the same seed and hyperparameters; only the features
-    change.  The first row is the all-features baseline, followed by one
-    row per group in the requested order.  Each corpus is prepared and
-    featurized once, and a group's run drops the features under the
-    group's name prefixes.  Only a group given as a config (``negation``)
+    Every run passes ``C``, ``tol``, ``max_epochs`` and ``seed`` to
+    :func:`linear_model.train`; only the features change.  The first row
+    is the all-features baseline, followed by one row per group in the
+    requested order.  Each corpus is prepared and featurized once, and a
+    group's run drops the features under the group's name prefixes from
+    the training vectors.  Only a group given as a config (``negation``)
     featurizes both corpora again.
+
+    A group with no features in the training corpus, such as ``pos`` on
+    plain input, ``clusters`` without a cluster map or ``auto-lex``
+    without an auto lexicon, trains the same model as ``all`` and
+    reports a delta of 0.00.
     """
     spec = get_task(task)
     groups = ablation_groups(task, groups)
@@ -452,10 +449,9 @@ def run_ablation(
             )
         else:
             train_vectors = remove_features(train_full, removal)
-            test_vectors = remove_features(test_full, removal)
-        model = fit(
-            train_vectors, labels, C=C, tol=tol, max_epochs=max_epochs, seed=seed
-        )
+            # predict drops names the model lacks, removed ones among them.
+            test_vectors = test_full
+        model = fit(train_vectors, labels, **solver)
         scores.append(score(model, test_vectors, gold).macro_f)
     baseline = scores[0]
     return [
@@ -470,14 +466,15 @@ def run_message_experiment(
     lexicons: Sequence[Lexicon] = (),
     clusters: Mapping[str, int] | None = None,
     config: MessageFeatureConfig = DEFAULT_MESSAGE_CONFIG,
-    C: float = 0.005,
-    tol: float = 0.1,
-    max_epochs: int = 1000,
-    seed: int = 42,
+    **solver: float,
 ) -> ExperimentResult:
-    """Train on one message corpus and score on another."""
+    """Train on one message corpus and score on another.
+
+    ``C``, ``tol``, ``max_epochs`` and ``seed`` go to
+    :func:`linear_model.train`.
+    """
     return run_experiment(
         "message", prepare_messages(train_messages), prepare_messages(test_messages),
-        lexicons, clusters, config, C=C, tol=tol, max_epochs=max_epochs, seed=seed,
+        lexicons, clusters, config, **solver,
     )
 

@@ -666,7 +666,9 @@ def test_term_task_matches_golden(tmp_path, capsys):
     assert out.encode() == (GOLDEN_TERM / "expected_ablation.tsv").read_bytes()
 
 
-SOLVER_DEFAULTS = ("--C", "0.005", "--tol", "0.1", "--max-epochs", "1000", "--seed", "42")
+SOLVER_DEFAULTS = (
+    "--C", "0.005", "--tol", "0.1", "--max-epochs", "1000", "--seed", "42"
+)
 
 
 def test_left_out_flags_take_the_library_defaults(tmp_path, capsys):
@@ -693,7 +695,7 @@ def test_left_out_flags_take_the_library_defaults(tmp_path, capsys):
 
     raw = tmp_path / "raw.tsv"
     write_raw_corpus(make_emoticon_corpus(n=200, seed=3)[0], raw)
-    lexicons = [tmp_path / "implicit" / "induced.tsv", tmp_path / "explicit" / "induced.tsv"]
+    lexicons = [tmp_path / side / "induced.tsv" for side in ("implicit", "explicit")]
     for out_path, flags in zip(lexicons, ((), ("--min-count", "5", "--alpha", "0.5"))):
         out_path.parent.mkdir()
         code, _, err = run(

@@ -38,7 +38,7 @@ def lex(entries, name="L", affects=("positive",), kind="manual"):
 def extract(text, lexicons=(), clusters=None, config=DEFAULT_MESSAGE_CONFIG):
     message = tokenize(text)
     return extract_message_features(
-        message, mark_negation(message), lexicons, clusters, config
+        message, mark_negation(message.surfaces()), lexicons, clusters, config
     )
 
 
@@ -213,7 +213,7 @@ def test_lexicon_sum_and_count_partition(tokens):
     lexicon = lex({"good": {"positive": 2.0}, "bad": {"positive": -1.0},
                    "meh": {"positive": 0.0}})
     message = tokenize(" ".join(tokens))
-    fv = extract_message_features(message, mark_negation(message), [lexicon])
+    fv = extract_message_features(message, mark_negation(message.surfaces()), [lexicon])
     scores = [
         lexicon.entries[s]["positive"]
         for s in message.surfaces()
@@ -341,7 +341,7 @@ def test_lexicon_features_match_oracle(words, tags, entries, affects):
         Lexicon(name=f"L{k}", affects=tuple(affects[k]), entries=entries[k])
         for k in range(2)
     ]
-    annotation = mark_negation(message)
+    annotation = mark_negation(message.surfaces())
     fv = extract_message_features(message, annotation, lexicons, config=_LEX_ONLY)
     got = FeatureVector({k: v for k, v in fv.entries.items() if k.startswith("lex|")})
     want = FeatureVector()
@@ -413,9 +413,9 @@ def test_row_features_match_per_feature_loops(words, tags, spans, config, sizes)
 def _check_row_features(words, tags, spans, config):
     message = _row_message(words, tags)
     if spans is None:
-        annotation = mark_negation(message)
+        annotation = mark_negation(message.surfaces())
     else:
-        annotation = NegationAnnotation(spans=spans, count=len(spans))
+        annotation = NegationAnnotation(spans=spans)
     assert features_message._scope_masks(message, annotation) == (
         oracle_scope_masks(message, annotation)
     )

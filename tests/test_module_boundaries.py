@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from tweetsent.cli import build_parser
+
 PACKAGE = Path(__file__).parents[1] / "src" / "tweetsent"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
@@ -133,3 +135,50 @@ def test_third_party_imports_are_detected():
         "    pass\n"
     )
     assert _third_party_imports(source) == ["scipy.sparse", "sklearn.svm", "regex"]
+
+
+SOLVER = ("C", "tol", "max_epochs", "seed")
+
+
+def test_no_pipeline_function_redeclares_a_solver_setting():
+    """``linear_model.train`` alone holds the solver defaults; pipeline
+    functions pass ``**solver`` on (``cross_validate`` keeps ``seed``,
+    which also draws its folds)."""
+    tree = ast.parse((PACKAGE / "pipeline.py").read_text(encoding="utf-8"))
+    declared = {
+        (node.name, arg.arg)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        for arg in node.args.args + node.args.kwonlyargs
+        if arg.arg in ("C", "tol", "max_epochs")
+    }
+    assert declared == set()
+
+
+@pytest.mark.parametrize(
+    "command, flags, given",
+    [
+        (
+            ["train", "--input", "in.tsv", "--model", "m.tsv"],
+            SOLVER,
+            ["--C", "1", "--tol", "1", "--max-epochs", "1", "--seed", "1"],
+        ),
+        (
+            ["ablate", "--input", "in.tsv", "--test", "t.tsv", "--groups", "pos"],
+            SOLVER,
+            ["--C", "1", "--tol", "1", "--max-epochs", "1", "--seed", "1"],
+        ),
+        (
+            ["build-lexicon", "--input", "in.tsv", "--labeling", "emoticon",
+             "--out", "o.tsv"],
+            ("min_count", "alpha", "per_message", "pair_window"),
+            ["--min-count", "1", "--alpha", "1", "--per-message", "--pair-window", "1"],
+        ),
+    ],
+)
+def test_left_out_cli_flags_stay_out_of_the_parsed_arguments(command, flags, given):
+    """The CLI declares no default of its own for a flag that a library
+    function takes, so the function's default applies."""
+    parser = build_parser()
+    assert [f for f in flags if hasattr(parser.parse_args(command), f)] == []
+    assert all(hasattr(parser.parse_args(command + given), f) for f in flags)

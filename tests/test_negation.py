@@ -22,7 +22,7 @@ _TOKENS = st.lists(_SURFACE, max_size=12)
 
 
 def test_contraction_context():
-    message = tokenize("i don't like this , but ok")
+    message = tokenize("i don't like this , but ok").surfaces()
     annotation = mark_negation(message)
     assert annotation.spans == ((3, 4),)
     assert apply_negation_suffix(message, annotation) == [
@@ -129,7 +129,7 @@ _SPANS = st.lists(
 def test_suffix_matches_per_token_scope_test(tokens, spans):
     for annotation in (
         mark_negation(tokens),
-        NegationAnnotation(spans=spans, count=len(spans)),
+        NegationAnnotation(spans=spans),
     ):
         assert apply_negation_suffix(tokens, annotation) == (
             oracle_apply_negation_suffix(tokens, annotation)
