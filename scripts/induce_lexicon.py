@@ -15,13 +15,15 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--messages", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--min-count", type=int, default=5)
+    # Left out, it stays out of args and build_lexicon's default applies.
+    parser.add_argument("--min-count", type=int, default=argparse.SUPPRESS)
     args = parser.parse_args()
+    induction = {"min_count": args.min_count} if "min_count" in args else {}
 
     rows, pos_words, neg_words = make_emoticon_corpus(
         n=args.messages, seed=args.seed
     )
-    lexicon = build_lexicon(rows, "emoticon", min_count=args.min_count)
+    lexicon = build_lexicon(rows, "emoticon", **induction)
     print(f"{len(lexicon.entries)} entries")
 
     right = wrong = missing = 0

@@ -53,7 +53,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .tokenizer import TokenizedMessage, normalize, tokenize
 
@@ -66,9 +66,6 @@ NEUTRAL = "neutral"
 
 # Joins the two parts of a pair term.
 PAIR_SEPARATOR = "---"
-
-# A part of a pair: inclusive token span and its text.
-PairPart = tuple[int, int, str]
 
 
 class CorpusFormatError(ValueError):
@@ -123,7 +120,10 @@ class Lexicon:
 
     ``entries`` maps term -> affect -> score.  ``kind`` distinguishes
     hand-built lexicons ("manual") from corpus-induced ones ("auto"),
-    which ablation experiments toggle separately.
+    which ablation experiments toggle separately.  Unigrams and bigrams
+    are looked up by their text in ``unit_scores``; a pair ``A---B`` is
+    looked up by its head ``A`` and then its tail ``B`` in
+    ``pair_table``, so no pair text is ever built for a lookup.
     """
 
     name: str
@@ -180,22 +180,26 @@ class Lexicon:
         return frozenset(found), tables
 
     @cached_property
-    def pair_heads_tails(self) -> tuple[frozenset[str], frozenset[str]]:
-        """Texts that occur as the first and as the second part of a pair.
+    def pair_table(self) -> dict[str, dict[str, tuple[float | None, ...]]]:
+        """Pair scores by head text, then by tail text.
 
         A key splits at every occurrence of the separator, since a part
-        may itself be or contain a ``---`` token: ``x ------y`` yields
-        heads ``x ``, ``x -``, ``x --`` and ``x ---``.
+        may itself be or contain a ``---`` token: ``x ------y`` is found
+        under the heads ``x ``, ``x -``, ``x --`` and ``x ---``.
         """
-        heads, tails = set(), set()
+        table: dict[str, dict[str, tuple[float | None, ...]]] = {}
         width = len(PAIR_SEPARATOR)
-        for key in self.unit_scores("pair"):
+        for key, row in self.unit_scores("pair").items():
             at = key.find(PAIR_SEPARATOR)
             while at != -1:
-                heads.add(key[:at])
-                tails.add(key[at + width :])
+                table.setdefault(key[:at], {})[key[at + width :]] = row
                 at = key.find(PAIR_SEPARATOR, at + 1)
-        return frozenset(heads), frozenset(tails)
+        return table
+
+    @cached_property
+    def pair_tails(self) -> frozenset[str]:
+        """Texts that occur as the second part of a pair, at any split."""
+        return frozenset().union(*self.pair_table.values())
 
     @classmethod
     def from_word_lists(
@@ -236,34 +240,6 @@ class SeedSet:
             )
 
         return cls(positive=canon(positive), negative=canon(negative))
-
-
-def pair_units(
-    heads: Sequence[PairPart],
-    tails: Sequence[PairPart],
-    window: int | None = None,
-) -> list[tuple[PairPart, PairPart, str]]:
-    """Ordered pairs of a head part and a later tail part, with pair text.
-
-    The tail starts at least one token after the head ends, and at most
-    ``window`` tokens after when set.  Pairs come head-major, in the
-    order of ``heads`` and then ``tails``.
-    """
-    pairs = []
-    for head in heads:
-        first = head[1] + 2
-        joined = head[2] + PAIR_SEPARATOR
-        if window is None:
-            pairs += [
-                (head, tail, joined + tail[2]) for tail in tails if first <= tail[0]
-            ]
-        else:
-            pairs += [
-                (head, tail, joined + tail[2])
-                for tail in tails
-                if first <= tail[0] < first + window
-            ]
-    return pairs
 
 
 def _rows(

@@ -21,7 +21,9 @@ Lexicon statistics are emitted per (lexicon, term namespace, scope,
 affect): ``lex|<name>|<uni/bi/pair>[|<scope>]|<stat>|<affect>``.  The
 scoring units of the three namespaces are the message's unigrams, its
 bigrams, and its pairs ``A---B``, where ``A`` and ``B`` are unigrams or
-bigrams and at least one token separates them.  A unit belongs to a
+bigrams and at least one token separates them.  A pair is matched by its
+head ``A`` in the lexicon's ``pair_table``, then by each later part in
+the lexicon's tail set; no pair text is built.  A unit belongs to a
 scope when all its tokens do.  The scope segment is omitted for the
 all-tokens scope and is ``pos:TAG``, ``hashtag`` or ``caps`` otherwise.
 The four stats are ``cnt`` (scoring units with a score above zero),
@@ -45,7 +47,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus_io import Lexicon, pair_units
+from .corpus_io import Lexicon
 from .negation import EMPTY_ANNOTATION, NegationAnnotation, apply_negation_suffix
 from .tokenizer import TokenizedMessage, emoticon_polarity
 
@@ -227,35 +229,30 @@ def _scope_masks(
     return segments, masks, negated_bit
 
 
-def _pair_units(
-    surfaces: Sequence[str],
-    bigrams: Sequence[str],
-    masks: Sequence[int],
-    lexicons: Sequence[Lexicon],
-) -> list[Unit]:
-    """Pair units whose head and tail both occur in some lexicon's pairs."""
-    heads: set[str] = set()
-    tails: set[str] = set()
-    for lex in lexicons:
-        if "pair" in lex.namespaces():
-            lex_heads, lex_tails = lex.pair_heads_tails
-            heads |= lex_heads
-            tails |= lex_tails
-    parts = [(i, i, s) for i, s in enumerate(surfaces)] + [
-        (i, i + 1, text) for i, text in enumerate(bigrams)
-    ]
-    pairs = pair_units(
-        [p for p in parts if p[2] in heads], [p for p in parts if p[2] in tails]
-    )
+def _pair_hits(
+    parts: Sequence[tuple[int, int, str, int]], lexicon: Lexicon
+) -> list[tuple[int, tuple[float | None, ...]]]:
+    """(scope mask, score row) of each pair of ``parts`` in the lexicon.
+
+    Parts are the message's unigrams and bigrams as (first token, last
+    token, text, scope mask).
+    """
+    tails = [p for p in parts if p[2] in lexicon.pair_tails]
+    hits = []
+    for h_start, h_end, head, h_mask in parts:
+        by_tail = lexicon.pair_table.get(head)
+        if by_tail is not None:
+            hits += [
+                ((t_end, h_start, -h_end, t_start), h_mask & t_mask, row)
+                for t_start, t_end, tail, t_mask in tails
+                if t_start > h_end + 1 and (row := by_tail.get(tail)) is not None
+            ]
     # Order by final position, then by the unit's token positions, so
     # "last" statistics follow message order.  On spans that is (tail end,
     # head start, longer head first, tail start): a bigram head's second
     # token precedes every tail token.
-    pairs.sort(key=lambda u: (u[1][1], u[0][0], -u[0][1], u[1][0]))
-    return [
-        (text, masks[head[0]] & masks[head[1]] & masks[tail[0]] & masks[tail[1]])
-        for head, tail, text in pairs
-    ]
+    hits.sort(key=lambda hit: hit[0])
+    return [(mask, row) for _, mask, row in hits]
 
 
 def _lexicon_features(
@@ -276,17 +273,21 @@ def _lexicon_features(
             (text, masks[i] & masks[i + 1]) for i, text in enumerate(bigrams)
         ]
         if "pair" in wanted:
-            units_by_ns["pair"] = _pair_units(surfaces, bigrams, masks, lexicons)
+            parts = [(i, i, *unit) for i, unit in enumerate(units_by_ns["uni"])]
+            parts += [(i, i + 1, *unit) for i, unit in enumerate(units_by_ns["bi"])]
     for lexicon in lexicons:
         for namespace in ("uni", "bi", "pair"):
             if namespace not in lexicon.namespaces():
                 continue
-            table = lexicon.unit_scores(namespace)
-            hits = [
-                (mask, row)
-                for text, mask in units_by_ns[namespace]
-                if (row := table.get(text)) is not None
-            ]
+            if namespace == "pair":
+                hits = _pair_hits(parts, lexicon)
+            else:
+                table = lexicon.unit_scores(namespace)
+                hits = [
+                    (mask, row)
+                    for text, mask in units_by_ns[namespace]
+                    if (row := table.get(text)) is not None
+                ]
             if not hits:
                 continue
             for k, segment in enumerate(segments):

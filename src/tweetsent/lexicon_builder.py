@@ -19,21 +19,16 @@ import math
 import string
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .corpus_io import (
-    Lexicon,
-    NEGATIVE,
-    PAIR_SEPARATOR,
-    POSITIVE,
-    PairPart,
-    SeedSet,
-    pair_units,
-)
+from .corpus_io import NEGATIVE, PAIR_SEPARATOR, POSITIVE, Lexicon, SeedSet
 from .tokenizer import TokenizedMessage, emoticon_polarity, is_emoticon, normalize, tokenize
 from .wordlists import default_function_words
 
 _PUNCT_CHARS = set(string.punctuation)
+
+# A part of a pair: inclusive token span and its text.
+PairPart = tuple[int, int, str]
 
 
 def pseudo_label_by_hashtag(message: TokenizedMessage, seeds: SeedSet) -> str | None:
@@ -61,6 +56,34 @@ def pseudo_label_by_emoticon(message: TokenizedMessage) -> str | None:
     if polarities == {NEGATIVE}:
         return NEGATIVE
     return None
+
+
+def pair_units(
+    heads: Sequence[PairPart],
+    tails: Sequence[PairPart],
+    window: int | None = None,
+) -> list[tuple[PairPart, PairPart, str]]:
+    """Ordered pairs of a head part and a later tail part, with pair text.
+
+    The tail starts at least one token after the head ends, and at most
+    ``window`` tokens after when set.  Pairs come head-major, in the
+    order of ``heads`` and then ``tails``.
+    """
+    pairs = []
+    for head in heads:
+        first = head[1] + 2
+        joined = head[2] + PAIR_SEPARATOR
+        if window is None:
+            pairs += [
+                (head, tail, joined + tail[2]) for tail in tails if first <= tail[0]
+            ]
+        else:
+            pairs += [
+                (head, tail, joined + tail[2])
+                for tail in tails
+                if first <= tail[0] < first + window
+            ]
+    return pairs
 
 
 def _is_pure_punctuation(token: str) -> bool:

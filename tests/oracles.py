@@ -42,11 +42,11 @@ from tweetsent.corpus_io import (
     Lexicon,
     SeedSet,
     TermInstance,
-    pair_units,
 )
 from tweetsent import features_message
 from tweetsent.features_message import FeatureDictionary, IndexedVector
 from tweetsent.lexicon_builder import (
+    pair_units,
     pseudo_label_by_emoticon,
     pseudo_label_by_hashtag,
     term_namespace,

@@ -208,6 +208,18 @@ def test_lexicon_score_and_namespaces():
     assert lexicon.namespaces() == frozenset({"uni", "pair"})
 
 
+def test_loading_a_lexicon_builds_no_pair_table(tmp_path):
+    """The pair table is built on the first pair lookup, not in
+    ``load_lexicon``, whose time is a setup cost."""
+    path = tmp_path / "lex.tsv"
+    path.write_text("pair:a---b\tpositive\t0.5\npair:a---c d\tpositive\t1\n")
+    lexicon = load_lexicon(path)
+    assert "pair_table" not in vars(lexicon)
+    assert "pair_tails" not in vars(lexicon)
+    assert lexicon.pair_table == {"a": {"b": (0.5,), "c d": (1.0,)}}
+    assert "pair_table" in vars(lexicon)
+
+
 def test_cluster_map(tmp_path):
     path = tmp_path / "clusters.tsv"
     path.write_text("good\t17\nbad\t999\n")

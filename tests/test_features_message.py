@@ -13,7 +13,7 @@ from oracles import (
     oracle_word_ngram_features,
 )
 
-from tweetsent import features_message
+from tweetsent import features_message, lexicon_builder
 from tweetsent.corpus_io import LabeledMessage, Lexicon
 from tweetsent.features_message import (
     DEFAULT_MESSAGE_CONFIG,
@@ -27,7 +27,13 @@ from tweetsent.features_message import (
 )
 from tweetsent.linear_model import LinearModel, decision_values
 from tweetsent.negation import EMPTY_ANNOTATION, NegationAnnotation, mark_negation
-from tweetsent.pipeline import TASKS, featurize, prepare_messages, remove_features
+from tweetsent.pipeline import (
+    TASKS,
+    extract_message_vectors,
+    featurize,
+    prepare_messages,
+    remove_features,
+)
 from tweetsent.tokenizer import tokenize, tokens_from_tagged
 
 
@@ -95,6 +101,59 @@ def test_bigram_and_pair_lexicons():
     assert fv.get("lex|L|pair|sum|positive") == 1.0
     # Two tokens leave no room for a gapped pair.
     assert "lex|L|pair|sum|positive" not in extract("good day", [pair_lex]).entries
+
+
+def test_pair_key_is_found_at_every_separator():
+    pair_lex = lex({"pair:x ------y": {"positive": 0.5}})
+    splits = {"x ": "---y", "x -": "--y", "x --": "-y", "x ---": "y"}
+    assert pair_lex.pair_table == {h: {t: (0.5,)} for h, t in splits.items()}
+    assert pair_lex.pair_tails == {"---y", "--y", "-y", "y"}
+    # No part ends in a space, so the head "x " is never probed; the other
+    # three splits each match one message.
+    for head, tail in (("-", "--y"), ("--", "-y"), ("---", "y")):
+        tagged = (("x", "N"), (head, ","), ("z", "N"), (tail, ","))
+        message = tokens_from_tagged(tagged)
+        fv = extract_message_features(message, EMPTY_ANNOTATION, [pair_lex])
+        assert fv.get("lex|L|pair|sum|positive") == 0.5
+
+
+def test_pair_lexicons_sharing_a_head_count_only_their_own_pairs():
+    day = lex({"pair:good---day": {"positive": 1.0}}, name="D")
+    night = lex(
+        {"pair:good---night": {"positive": 2.0}, "pair:bad---day": {"positive": 4.0}},
+        name="N",
+    )
+    fv = extract("good x day night", [day, night])
+    assert fv.get("lex|D|pair|cnt|positive") == 1
+    assert fv.get("lex|D|pair|sum|positive") == 1.0
+    assert fv.get("lex|N|pair|cnt|positive") == 1
+    assert fv.get("lex|N|pair|sum|positive") == 2.0
+
+
+def test_pair_last_follows_message_order_at_one_tail():
+    # All three pairs end at "d": "a b---d" comes first (its head starts
+    # first and is longer), then "a---d", then "b---d".  Probing heads in
+    # part order (unigrams, then bigrams) would find "a b---d" last.
+    pair_lex = lex({
+        "pair:a b---d": {"positive": 1.0},
+        "pair:b---d": {"positive": 2.0},
+        "pair:a---d": {"positive": 3.0},
+    })
+    fv = extract("a b c d", [pair_lex])
+    assert fv.get("lex|L|pair|last|positive") == 2.0
+    assert fv.get("lex|L|pair|max|positive") == 3.0
+    assert fv.get("lex|L|pair|cnt|positive") == 3
+
+
+def test_pair_features_build_no_pair_string(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("pair strings built for a pair lexicon lookup")
+
+    monkeypatch.setattr(lexicon_builder, "pair_units", refuse)
+    pair_lex = lex({"pair:good---day": {"positive": 1.0}})
+    rows = prepare_messages([LabeledMessage("1", "good x day", "positive")])
+    (fv,) = extract_message_vectors(rows, [pair_lex])
+    assert fv.get("lex|L|pair|sum|positive") == 1.0
 
 
 def test_lexicon_scopes_on_tagged_input():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tweetsent.cli import build_parser
+from tweetsent.cli import _INDUCTION_FLAGS, _SOLVER_FLAGS, build_parser
 
 PACKAGE = Path(__file__).parents[1] / "src" / "tweetsent"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -182,3 +182,87 @@ def test_left_out_cli_flags_stay_out_of_the_parsed_arguments(command, flags, giv
     parser = build_parser()
     assert [f for f in flags if hasattr(parser.parse_args(command), f)] == []
     assert all(hasattr(parser.parse_args(command + given), f) for f in flags)
+
+
+SCRIPTS = sorted((Path(__file__).parents[1] / "scripts").glob("*.py"))
+SETTINGS = frozenset(_SOLVER_FLAGS + _INDUCTION_FLAGS)
+
+
+def _script_setting_defaults(source: str) -> list[str]:
+    """Solver and induction flags that ``source`` declares with a default
+    other than ``argparse.SUPPRESS``.
+
+    A flag whose value is read only as an argument of a
+    ``tweetsent.synthetic`` corpus generator (a script's corpus ``--seed``)
+    is no setting.
+    """
+    tree = ast.parse(source)
+    generators = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "tweetsent.synthetic"
+        for alias in node.names
+    }
+    in_generator = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in generators
+        for inner in ast.walk(node)
+    }
+    reads = [
+        (node.attr, id(node) in in_generator)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+    ]
+    found = []
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_argument"
+        ):
+            continue
+        dest = node.args[0].value.lstrip("-").replace("-", "_")
+        default = {k.arg: k.value for k in node.keywords}.get("default")
+        suppressed = isinstance(default, ast.Attribute) and default.attr == "SUPPRESS"
+        dest_reads = [generated for attr, generated in reads if attr == dest]
+        corpus_only = bool(dest_reads) and all(dest_reads)
+        if dest in SETTINGS and not suppressed and not corpus_only:
+            found.append(dest)
+    return found
+
+
+def test_scripts_are_found():
+    assert len(SCRIPTS) >= 4
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_no_script_declares_a_solver_or_induction_default(path):
+    """A script passes on only the settings given, like the CLI, so the
+    library default applies to a left-out flag."""
+    assert _script_setting_defaults(path.read_text(encoding="utf-8")) == []
+
+
+def test_script_setting_defaults_are_detected():
+    source = (
+        "import argparse\n"
+        "from tweetsent.synthetic import make_message_corpus as corpus\n"
+        "parser = argparse.ArgumentParser()\n"
+        "parser.add_argument('--min-count', type=int, default=5)\n"
+        "parser.add_argument('--alpha', type=float, default=argparse.SUPPRESS)\n"
+        "parser.add_argument('--per-message', action='store_true')\n"
+        "parser.add_argument('--seed', type=int, default=7)\n"
+        "parser.add_argument('--C', type=float, default=0.005)\n"
+        "parser.add_argument('--messages', type=int, default=100)\n"
+        "args = parser.parse_args()\n"
+        "rows = corpus(n=args.messages, seed=args.seed)\n"
+    )
+    assert _script_setting_defaults(source) == ["min_count", "per_message", "C"]
+    trained = source + "fit(rows, seed=args.seed)\n"
+    assert _script_setting_defaults(trained) == [
+        "min_count", "per_message", "seed", "C"
+    ]
