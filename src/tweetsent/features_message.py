@@ -35,6 +35,10 @@ inside a negated context feed a separate block whose affect segment
 carries a ``_NEG`` suffix; the lexicon is still consulted with the
 plain surface.
 
+``MessageFeatureConfig`` chooses only negation marking and the bare
+unigram baseline.  Every other group is left out of a run by removing
+its name prefixes, which ``pipeline.TASKS`` declares.
+
 Ngram and count features are binary or raw counts; zero-valued entries
 are never stored.
 """
@@ -127,38 +131,31 @@ def vectorize(vector: FeatureVector, dictionary: FeatureDictionary) -> IndexedVe
     return IndexedVector(indices=indices[order], values=values[order])
 
 
-# Word n-gram sizes that also get wildcard forms, and the character
-# n-gram sizes.
+# The longest word n-gram, the word n-gram sizes that also get wildcard
+# forms, and the character n-gram sizes.
+NGRAM_MAX = 4
 WILDCARD_SIZES = (3, 4)
 CHAR_NGRAM_SIZES = (3, 4, 5)
 
 
 @dataclass(frozen=True)
 class MessageFeatureConfig:
-    """Feature-group toggles and the longest word n-gram."""
+    """Negation marking, and the paper's bare unigram baseline.
 
-    word_ngrams: bool = True
-    char_ngrams: bool = True
-    pos_counts: bool = True
-    lexicons: bool = True
-    # The surface-encoding groups caps, ht, pnc, emo and elo, as one unit.
-    encodings: bool = True
-    clusters: bool = True
+    These two rename or replace features.  Every other group is left out
+    of a run by removing its name prefixes, which ``pipeline.TASKS``
+    declares.  The baseline emits word unigrams and nothing else: it
+    ignores lexicons and cluster maps, and ``neg|count`` still follows
+    ``negation``.
+    """
+
     negation: bool = True
-    ngram_max: int = 4
+    baseline: bool = False
 
     @classmethod
     def unigrams_only(cls) -> "MessageFeatureConfig":
         """Bare unigram baseline: no other groups, no negation marking."""
-        return cls(
-            char_ngrams=False,
-            pos_counts=False,
-            lexicons=False,
-            encodings=False,
-            clusters=False,
-            negation=False,
-            ngram_max=1,
-        )
+        return cls(negation=False, baseline=True)
 
 
 DEFAULT_MESSAGE_CONFIG = MessageFeatureConfig()
@@ -396,20 +393,17 @@ def extract_message_features(
     surfaces = [t.surface.lower() for t in msg.tokens]
     suffixed = apply_negation_suffix(surfaces, annotation)
 
-    if config.word_ngrams:
-        _word_ngram_features(fv, suffixed, config.ngram_max)
-    if config.char_ngrams:
+    _word_ngram_features(fv, suffixed, 1 if config.baseline else NGRAM_MAX)
+    if not config.baseline:
         _char_ngram_features(fv, msg, suffixed)
-    if config.pos_counts:
         tags: dict[str, int] = {}
         for t in msg.tokens:
             if t.pos_tag is not None:
                 tags[t.pos_tag] = tags.get(t.pos_tag, 0) + 1
         for tag, count in tags.items():
             fv.set(f"pos|{tag}", count)
-    if config.lexicons and lexicons:
-        _lexicon_features(fv, msg, surfaces, annotation, lexicons)
-    if config.encodings:
+        if lexicons:
+            _lexicon_features(fv, msg, surfaces, annotation, lexicons)
         fv.set("caps|count", sum(1 for t in msg.tokens if t.all_caps))
         fv.set("ht|count", sum(1 for t in msg.tokens if t.kind == "hashtag"))
         _punctuation_features(fv, msg)
@@ -422,11 +416,11 @@ def extract_message_features(
                 if t.elongated and t.kind in ("word", "hashtag")
             ),
         )
-    if config.clusters and clusters is not None:
-        for surface in surfaces:
-            cid = clusters.get(surface)
-            if cid is not None:
-                fv.set(f"cls|{cid}", 1)
+        if clusters is not None:
+            for surface in surfaces:
+                cid = clusters.get(surface)
+                if cid is not None:
+                    fv.set(f"cls|{cid}", 1)
     if config.negation:
         fv.set("neg|count", annotation.count)
     return fv

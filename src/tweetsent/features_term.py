@@ -245,17 +245,15 @@ def _context_features(
 
 def extract_term_features(
     inst: TermInstance,
-    lexicons: Sequence[Lexicon] = (),
-    split_words: frozenset[str] | None = None,
+    lexicons: Sequence[Lexicon],
+    split_words: frozenset[str],
 ) -> FeatureVector:
     """Extract target and context features for one term instance.
 
-    ``split_words`` defaults to :func:`build_split_vocabulary` of
-    ``lexicons``.
+    ``split_words`` is the hashtag-splitting vocabulary, which
+    ``pipeline.extract_term_vectors`` builds once per corpus with
+    :func:`build_split_vocabulary`.
     """
-    if split_words is None:
-        split_words = build_split_vocabulary(lexicons)
-
     ctx = term_context(inst)
     fv = FeatureVector()
     _target_features(fv, ctx, lexicons, split_words)

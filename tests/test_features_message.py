@@ -1,4 +1,3 @@
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -216,14 +215,31 @@ def test_unigrams_only_config():
     assert fv.entries == {"wng|no": 1.0, "wng|fun": 1.0, "wng|:)": 1.0}
 
 
-def test_encodings_off_config():
-    config = replace(DEFAULT_MESSAGE_CONFIG, encodings=False)
-    fv = extract("SOOOO good !! :)", config=config)
-    assert not any(
-        name.split("|")[0] in ("caps", "ht", "pnc", "emo", "elo")
-        for name in fv.entries
+def test_unigrams_only_ignores_tags_lexicons_and_clusters():
+    message = tokens_from_tagged(
+        (("GOOD", "A"), ("not", "R"), ("day", "N"), ("#win", "#"), (":)", "E"))
     )
-    assert "wng|good" in fv.entries
+    lexicon = lex({"good": {"positive": 2.0}, "bi:good not": {"positive": 1.0}})
+    fv = extract_message_features(
+        message,
+        mark_negation(message.surfaces()),
+        [lexicon],
+        {"good": 7, "day": 3},
+        MessageFeatureConfig.unigrams_only(),
+    )
+    assert fv.entries == dict.fromkeys(
+        ["wng|good", "wng|not", "wng|day", "wng|#win", "wng|:)"], 1.0
+    )
+
+
+def test_baseline_with_negation_marks_unigrams_and_counts_contexts():
+    fv = extract("no fun here", config=MessageFeatureConfig(baseline=True))
+    assert fv.entries == {
+        "wng|no": 1.0,
+        "wng|fun_NEG": 1.0,
+        "wng|here_NEG": 1.0,
+        "neg|count": 1.0,
+    }
 
 
 def test_manual_and_auto_lexicon_toggles():
@@ -245,11 +261,6 @@ def test_manual_and_auto_lexicon_toggles():
     assert lexicon_names("manual-lex") == block("a")
     assert lexicon_names("auto-lex") == block("m")
     assert lexicon_names("lexicons") == set()
-    no_lex = extract(
-        "good", [manual, auto],
-        config=replace(DEFAULT_MESSAGE_CONFIG, lexicons=False),
-    )
-    assert not any(name.startswith("lex|") for name in no_lex.entries)
 
 
 @given(st.lists(st.sampled_from(["aa", "bb", "cc", "dd"]), max_size=6))
@@ -322,12 +333,6 @@ def test_format_feature_dump_sorted():
 _WORDS = ["good", "Bad", "LOL", "#win", "not", "never", "x", "y", ",", ".", "---"]
 _LEX_WORDS = ["good", "bad", "lol", "#win", "not", "x", "y", ",", "---"]
 _AFFECTS = ("positive", "negative", "anger")
-_LEX_ONLY = replace(
-    MessageFeatureConfig.unigrams_only(),
-    word_ngrams=False,
-    lexicons=True,
-    negation=True,
-)
 
 
 def _lexicon_terms():
@@ -401,7 +406,7 @@ def test_lexicon_features_match_oracle(words, tags, entries, affects):
         for k in range(2)
     ]
     annotation = mark_negation(message.surfaces())
-    fv = extract_message_features(message, annotation, lexicons, config=_LEX_ONLY)
+    fv = extract_message_features(message, annotation, lexicons)
     got = FeatureVector({k: v for k, v in fv.entries.items() if k.startswith("lex|")})
     want = FeatureVector()
     surfaces = [t.surface.lower() for t in message.tokens]
@@ -416,10 +421,18 @@ _ROW_WORDS = st.sampled_from(
     ["good", "Bad", "LOL", "#win", "not", "never", "don't", "*", ".", ",",
      "\u01c5x", "\u4e2d\u6587", "_", "sooo", "@bob", "http://x.y", ":)", "a"]
 ) | st.text(min_size=1, max_size=4)
-_ROW_CONFIGS = st.builds(MessageFeatureConfig, ngram_max=st.integers(0, 5))
-# (WILDCARD_SIZES, CHAR_NGRAM_SIZES), patched into features_message.
-_PAPER_SIZES = (features_message.WILDCARD_SIZES, features_message.CHAR_NGRAM_SIZES)
+_ROW_CONFIGS = st.builds(
+    MessageFeatureConfig, negation=st.booleans(), baseline=st.booleans()
+)
+# (NGRAM_MAX, WILDCARD_SIZES, CHAR_NGRAM_SIZES), patched into
+# features_message.
+_PAPER_SIZES = (
+    features_message.NGRAM_MAX,
+    features_message.WILDCARD_SIZES,
+    features_message.CHAR_NGRAM_SIZES,
+)
 _ROW_SIZES = st.tuples(
+    st.integers(0, 5),
     st.lists(st.integers(1, 6), max_size=3).map(tuple),
     st.lists(st.integers(1, 6), max_size=4).map(tuple),
 )
@@ -460,9 +473,10 @@ def _row_message(words, tags):
     sizes=st.just(_PAPER_SIZES) | _ROW_SIZES,
 )
 def test_row_features_match_per_feature_loops(words, tags, spans, config, sizes):
-    wildcard_sizes, char_ngram_sizes = sizes
+    ngram_max, wildcard_sizes, char_ngram_sizes = sizes
     with mock.patch.multiple(
         features_message,
+        NGRAM_MAX=ngram_max,
         WILDCARD_SIZES=wildcard_sizes,
         CHAR_NGRAM_SIZES=char_ngram_sizes,
     ):

@@ -22,9 +22,9 @@ def lex(entries, name="L", affects=("positive",)):
 GOOD_LEX = lex({"good": {"positive": 2.0}})
 
 
-def extract(text, start, end, lexicons=(), **kwargs):
+def extract(text, start, end, lexicons=()):
     inst = TermInstance(id="t", text=text, label="positive", start=start, end=end)
-    return extract_term_features(inst, lexicons, **kwargs)
+    return extract_term_features(inst, lexicons, build_split_vocabulary(lexicons))
 
 
 def test_flipped_target_lexicon_golden():

@@ -266,3 +266,80 @@ def test_script_setting_defaults_are_detected():
     assert _script_setting_defaults(trained) == [
         "min_count", "per_message", "seed", "C"
     ]
+
+
+def _config_fields(source: str) -> list[str]:
+    """Fields of the ``MessageFeatureConfig`` class defined in ``source``."""
+    return [
+        stmt.target.id
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and node.name == "MessageFeatureConfig"
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+
+
+def _config_keywords(source: str) -> set[str]:
+    """Keywords given to ``MessageFeatureConfig``, to ``cls`` inside that
+    class, or to ``replace``, anywhere in ``source``."""
+    tree = ast.parse(source)
+    in_class = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "MessageFeatureConfig"
+        for inner in ast.walk(node)
+    }
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+        if name in ("MessageFeatureConfig", "replace") or (
+            name == "cls" and id(node) in in_class
+        ):
+            found.update(k.arg for k in node.keywords if k.arg is not None)
+    return found
+
+
+def _never_given_config_fields(sources: list[str]) -> list[str]:
+    """``MessageFeatureConfig`` fields that no call in ``sources`` sets."""
+    fields = [f for source in sources for f in _config_fields(source)]
+    given = set().union(*map(_config_keywords, sources))
+    return [f for f in fields if f not in given]
+
+
+def test_every_message_config_field_is_set_by_a_caller():
+    """A config field that no library or script call sets is a second
+    way to leave out features that name-prefix removal already covers."""
+    sources = [path.read_text(encoding="utf-8") for path in MODULES + SCRIPTS]
+    assert any(map(_config_fields, sources))
+    assert _never_given_config_fields(sources) == []
+
+
+def test_never_given_config_fields_are_detected():
+    config = (
+        "from dataclasses import dataclass, replace\n"
+        "@dataclass(frozen=True)\n"
+        "class MessageFeatureConfig:\n"
+        "    negation: bool = True\n"
+        "    baseline: bool = False\n"
+        "    ngram_max: int = 4\n"
+        "    clusters: bool = True\n"
+        "    @classmethod\n"
+        "    def bare(cls):\n"
+        "        return cls(baseline=True)\n"
+        "class Other:\n"
+        "    @classmethod\n"
+        "    def make(cls):\n"
+        "        return cls(ngram_max=1)\n"
+    )
+    caller = (
+        "from tweetsent import features_message\n"
+        "a = replace(DEFAULT, negation=False)\n"
+        "b = features_message.MessageFeatureConfig(**{'clusters': False})\n"
+        "c = 'x'.replace('x', 'y')\n"
+    )
+    assert _never_given_config_fields([config, caller]) == ["ngram_max", "clusters"]
+    called = caller + "d = features_message.MessageFeatureConfig(clusters=False)\n"
+    assert _never_given_config_fields([config, called]) == ["ngram_max"]

@@ -310,32 +310,20 @@ def test_message_docstring_lists_the_declared_namespaces():
     assert listed == list(pipeline.TASKS["message"].namespaces)
 
 
-# The extraction each message group's prefixes stand for: the config
-# toggles it switches off, or the lexicon kinds it keeps.
-MESSAGE_GROUP_EXTRACTIONS = {
-    "lexicons": ((), ()),
-    "manual-lex": ((), ("auto",)),
-    "auto-lex": ((), ("manual",)),
-    "ngrams": (("word_ngrams", "char_ngrams"), ("manual", "auto")),
-    "word-ngrams": (("word_ngrams",), ("manual", "auto")),
-    "char-ngrams": (("char_ngrams",), ("manual", "auto")),
-    "pos": (("pos_counts",), ("manual", "auto")),
-    "clusters": (("clusters",), ("manual", "auto")),
-    "encodings": (("encodings",), ("manual", "auto")),
-}
+# The lexicon kinds each lexicon group's run keeps.
+KEPT_LEXICON_KINDS = {"lexicons": (), "manual-lex": ("auto",), "auto-lex": ("manual",)}
 
 
 @pytest.mark.parametrize("fixture", ["plain", "tagged"])
 def test_removing_a_group_equals_extracting_without_it(fixture):
     task, train_data, _, lexicons, clusters = _golden(fixture)
     spec = pipeline.TASKS[task]
-    assert set(MESSAGE_GROUP_EXTRACTIONS) == set(spec.ablations) - {"negation"}
+    assert set(KEPT_LEXICON_KINDS) == set(pipeline.LEXICON_GROUPS)
     rows = prepare(task, train_data)
     _, _, full = featurize(task, rows, lexicons, clusters)
-    for group, (toggles, kinds) in MESSAGE_GROUP_EXTRACTIONS.items():
-        config = MessageFeatureConfig(**dict.fromkeys(toggles, False))
+    for group, kinds in KEPT_LEXICON_KINDS.items():
         kept = [lex for lex in lexicons if lex.kind in kinds]
-        _, _, fresh = featurize(task, rows, kept, clusters, config)
+        _, _, fresh = featurize(task, rows, kept, clusters)
         assert remove_features(full, spec.removal(group, lexicons)) == fresh, group
 
 
@@ -345,8 +333,7 @@ def test_removing_a_term_lexicon_group_equals_extracting_without_it():
     _, _, full = featurize("term", train_data, lexicons)
     # Hashtags keep splitting with the words of every lexicon given.
     split_words = build_split_vocabulary(lexicons)
-    kept_kinds = {"lexicons": (), "manual-lex": ("auto",), "auto-lex": ("manual",)}
-    for group, kinds in kept_kinds.items():
+    for group, kinds in KEPT_LEXICON_KINDS.items():
         kept = [lex for lex in lexicons if lex.kind in kinds]
         fresh = extract_term_vectors(train_data, kept, split_words)
         assert remove_features(full, spec.removal(group, lexicons)) == fresh, group
