@@ -62,7 +62,6 @@ CLASS_ORDER = ("negative", "neutral", "positive")
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
-NEUTRAL = "neutral"
 
 # Joins the two parts of a pair term.
 PAIR_SEPARATOR = "---"

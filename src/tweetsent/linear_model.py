@@ -47,8 +47,9 @@ class LinearModel:
     ``weights`` has shape (n_classes, dim + 1); the final column is the
     bias.  A trained model keeps every dictionary feature, weights of
     zero included; a loaded one holds only the features that
-    :func:`save_model` wrote.  ``epochs``, ``objective_history`` and
-    ``alphas`` are training diagnostics and are not persisted.
+    :func:`save_model` wrote.  ``epochs`` and ``alphas`` are training
+    diagnostics and are not persisted; class c's final dual objective is
+    ``sum(alphas[c]) - 0.5 * ||weights[c]||^2``, bias column included.
     """
 
     class_order: tuple[str, ...]
@@ -57,7 +58,6 @@ class LinearModel:
     C: float
     tol: float
     epochs: tuple[int, ...] | None = None
-    objective_history: tuple[tuple[float, ...], ...] | None = None
     alphas: tuple[np.ndarray, ...] | None = None
 
 
@@ -70,11 +70,11 @@ def _train_binary(
     tol: float,
     max_epochs: int,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, int, list[float], np.ndarray]:
+) -> tuple[np.ndarray, int, np.ndarray]:
     """Solve one binary subproblem.
 
     ``q_diag[i]`` is row i's squared norm plus 1 for the bias.  Returns
-    (weights, epochs run, per-epoch dual objectives, duals).
+    (weights, epochs run, duals).
     """
     n = len(rows)
     w = np.zeros(dim + 1)
@@ -86,7 +86,6 @@ def _train_binary(
     alpha = [0.0] * n
     ys = targets.tolist()
     bias = 0.0
-    objectives: list[float] = []
     epochs_run = 0
     for _ in range(max_epochs):
         epochs_run += 1
@@ -111,11 +110,10 @@ def _train_binary(
                 alpha[i] = updated
                 w[ind] += val * step
                 bias += step
-        w[dim] = bias
-        objectives.append(float(np.array(alpha).sum() - 0.5 * (w @ w)))
         if worst < tol:
             break
-    return w, epochs_run, objectives, np.array(alpha)
+    w[dim] = bias
+    return w, epochs_run, np.array(alpha)
 
 
 def train(
@@ -175,17 +173,15 @@ def train(
 
     weights = np.zeros((len(classes), dim + 1))
     epochs = []
-    histories = []
     duals = []
     for position, cls in enumerate(classes):
         targets = np.where(np.array(labels) == cls, 1.0, -1.0)
         rng = np.random.default_rng([seed, position])
-        w, epochs_run, objectives, alpha = _train_binary(
+        w, epochs_run, alpha = _train_binary(
             rows, q_diag, targets, dim, C, tol, max_epochs, rng
         )
         weights[position] = w
         epochs.append(epochs_run)
-        histories.append(tuple(objectives))
         duals.append(alpha)
     return LinearModel(
         class_order=tuple(classes),
@@ -194,7 +190,6 @@ def train(
         C=C,
         tol=tol,
         epochs=tuple(epochs),
-        objective_history=tuple(histories),
         alphas=tuple(duals),
     )
 

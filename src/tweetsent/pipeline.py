@@ -143,7 +143,7 @@ def _load_terms(path: str | Path, format: str, raw: bool) -> list[TermInstance]:
     return load_term_corpus(path)
 
 
-def _term_vectors(rows, lexicons, clusters, config):
+def _term_vectors(rows, lexicons, clusters, config=None):
     if clusters is not None:
         raise ValueError("the term task uses no cluster map (--clusters)")
     if config is not None:
@@ -161,7 +161,7 @@ class Task:
     """What one task does its own way: reading rows and featurizing them.
 
     ``load(path, format, raw)`` reads a corpus file and ``prepare`` turns
-    its rows into what ``extract(rows, lexicons, clusters, config)``
+    its rows into what ``extract(rows, lexicons, clusters[, config])``
     featurizes; a run prepares each corpus once.  Each feature name
     starts with exactly one of ``namespaces``.  A lexicon's features lie
     under ``lexicon_namespaces`` followed by ``<name>|``.  ``groups``
@@ -174,7 +174,6 @@ class Task:
     load: Callable[[str | Path, str, bool], list]
     prepare: Callable[[Sequence], list]
     extract: Callable[..., list[FeatureVector]]
-    default_config: MessageFeatureConfig | None
     namespaces: tuple[str, ...]
     lexicon_namespaces: tuple[str, ...]
     groups: Mapping[str, tuple[str, ...] | MessageFeatureConfig]
@@ -204,7 +203,6 @@ TASKS: dict[str, Task] = {
         load=_load_messages,
         prepare=prepare_messages,
         extract=extract_message_vectors,
-        default_config=DEFAULT_MESSAGE_CONFIG,
         namespaces=(
             "wng|", "cng|", "caps|", "pos|", "ht|", "lex|", "pnc|", "emo|",
             "elo|", "cls|", "neg|",
@@ -225,7 +223,6 @@ TASKS: dict[str, Task] = {
         load=_load_terms,
         prepare=list,
         extract=_term_vectors,
-        default_config=None,
         namespaces=("tgt|", "ctx|"),
         lexicon_namespaces=("tgt|lex|", "ctx|lex|"),
         groups={"target": ("tgt|",), "context": ("ctx|",)},
@@ -283,9 +280,8 @@ def featurize(
     or a name holds ``|``, a tab or a line break, and for the term task
     when given ``clusters`` or ``config``.
     """
-    spec = get_task(task)
-    config = spec.default_config if config is None else config
-    vectors = spec.extract(rows, lexicons, clusters, config)
+    given = {} if config is None else {"config": config}
+    vectors = get_task(task).extract(rows, lexicons, clusters, **given)
     return [r.id for r in rows], [r.label for r in rows], vectors
 
 

@@ -482,13 +482,12 @@ def oracle_load_model(path: str | Path) -> LinearModel:
 def oracle_train_binary(rows, targets, dim, C, tol, max_epochs, rng):
     """One binary dual coordinate descent subproblem, on numpy scalars.
 
-    Returns (weights, epochs run, per-epoch dual objectives, duals).
+    Returns (weights, epochs run, duals).
     """
     n = len(rows)
     w = np.zeros(dim + 1)
     alpha = np.zeros(n)
     q_diag = np.array([v @ v + 1.0 for _, v in rows])
-    objectives: list[float] = []
     epochs_run = 0
     for _ in range(max_epochs):
         epochs_run += 1
@@ -512,10 +511,9 @@ def oracle_train_binary(rows, targets, dim, C, tol, max_epochs, rng):
                 alpha[i] = updated
                 w[ind] += step * val
                 w[dim] += step
-        objectives.append(float(alpha.sum() - 0.5 * (w @ w)))
         if worst < tol:
             break
-    return w, epochs_run, objectives, alpha
+    return w, epochs_run, alpha
 
 
 def _dict_is_pure_punctuation(token: str) -> bool:

@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -612,6 +615,52 @@ def test_message_ablate_and_cv_match_golden(fmt, capsys):
     )
     assert (code, err) == (0, "")
     assert out.encode() == (GOLDEN / f"expected_cv{suffix}.txt").read_bytes()
+
+
+def _cli_in_child(blas_threads: str, *argv: str) -> bytes:
+    """stdout of ``python -m tweetsent.cli argv`` run in a child process
+    whose OpenBLAS uses ``blas_threads`` threads."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "tweetsent.cli", *argv],
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    return done.stdout
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """Models, reports and ablation tables keep their bytes whether numpy's
+    BLAS runs on one thread or on two."""
+    lexicon = ("--lexicon", str(GOLDEN / "planted.tsv"))
+    outputs = {}
+    for threads in ("1", "2"):
+        model = tmp_path / f"model{threads}.tsv"
+        _cli_in_child(
+            threads, "train", "--input", str(GOLDEN / "train.tsv"),
+            "--model", str(model), "--C", "1", *lexicon,
+        )
+        kv = _cli_in_child(
+            threads, "evaluate", "--input", str(GOLDEN / "test.tsv"),
+            "--model", str(model), "--kv", *lexicon,
+        )
+        table = _cli_in_child(
+            threads, "ablate", "--input", str(GOLDEN / "train.tsv"),
+            "--test", str(GOLDEN / "test.tsv"), "--groups", MESSAGE_GROUPS,
+            "--tsv", *lexicon, "--auto-lexicon", str(GOLDEN / "auto.tsv"),
+            "--clusters", str(GOLDEN / "clusters.tsv"), "--C", "0.05",
+        )
+        outputs[threads] = (model.read_bytes(), kv, table)
+    assert outputs["1"] == outputs["2"]
+    model, kv, table = outputs["1"]
+    assert hashlib.sha256(model).hexdigest() == GOLDEN_MODEL_SHA256["plain"]
+    assert kv == (GOLDEN / "expected_eval_kv.txt").read_bytes()
+    assert table == (GOLDEN / "expected_ablation.tsv").read_bytes()
 
 
 GOLDEN_TERM = Path(__file__).parent / "data" / "golden_term"

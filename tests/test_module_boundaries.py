@@ -4,6 +4,7 @@ but numpy."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -343,3 +344,87 @@ def test_never_given_config_fields_are_detected():
     assert _never_given_config_fields([config, caller]) == ["ngram_max", "clusters"]
     called = caller + "d = features_message.MessageFeatureConfig(clusters=False)\n"
     assert _never_given_config_fields([config, called]) == ["ngram_max"]
+
+
+ROOT = Path(__file__).parents[1]
+USERS = sorted(p for d in ("src", "bench", "scripts") for p in (ROOT / d).rglob("*.py"))
+
+
+def _public_definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """Each public module-level name of ``tree`` with the statement binding it."""
+    found = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [
+                node.id
+                for target in targets
+                for node in ast.walk(target)
+                if isinstance(node, ast.Name)
+            ]
+        else:
+            continue
+        found += [(name, stmt) for name in names if not name.startswith("_")]
+    return found
+
+
+def _references(node: ast.AST) -> Counter:
+    """How often each identifier is read, taken as an attribute or imported
+    by name inside ``node``."""
+    counts = Counter()
+    for inner in ast.walk(node):
+        if isinstance(inner, ast.Name) and not isinstance(inner.ctx, ast.Store):
+            counts[inner.id] += 1
+        elif isinstance(inner, ast.Attribute):
+            counts[inner.attr] += 1
+        elif isinstance(inner, ast.ImportFrom):
+            counts.update(alias.name for alias in inner.names)
+    return counts
+
+
+def _unreferenced_names(modules: dict[str, str], users: list[str]) -> list[str]:
+    """``module.name`` for each public module-level name of ``modules``
+    (module name to source) that no code in ``users`` references outside
+    the statement that defines it.  ``users`` includes the modules'
+    own sources."""
+    total = sum((_references(ast.parse(source)) for source in users), Counter())
+    return [
+        f"{module}.{name}"
+        for module, source in modules.items()
+        for name, stmt in _public_definitions(ast.parse(source))
+        if total[name] == _references(stmt)[name]
+    ]
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    """A public helper that only tests call is code to delete."""
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    users = [path.read_text(encoding="utf-8") for path in USERS]
+    assert len(users) > len(modules)
+    assert _unreferenced_names(modules, users) == []
+
+
+def test_unreferenced_names_are_detected():
+    module = (
+        "LIMIT = 3\n"
+        "UNUSED, USED = 1, 2\n"
+        "_PRIVATE = 4\n"
+        "TABLE: dict = {}\n"
+        "def helper(n):\n"
+        "    return helper(n - 1) if n else LIMIT\n"
+        "class Shape:\n"
+        "    def area(self) -> 'Shape':\n"
+        "        return Shape()\n"
+        "def api():\n"
+        "    return USED\n"
+    )
+    user = (
+        "from tweetsent.shapes import api\n"
+        "import tweetsent.shapes as shapes\n"
+        "print(api(), shapes.TABLE)\n"
+    )
+    assert _unreferenced_names({"shapes": module}, [module, user]) == [
+        "shapes.UNUSED", "shapes.helper", "shapes.Shape"
+    ]
