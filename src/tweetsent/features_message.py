@@ -27,10 +27,11 @@ the lexicon's tail set; no pair text is built.  A unit belongs to a
 scope when all its tokens do.  The scope segment is omitted for the
 all-tokens scope and is ``pos:TAG``, ``hashtag`` or ``caps`` otherwise.
 The four stats are ``cnt`` (scoring units with a score above zero),
-``sum``, ``max`` and ``last`` (score of the last unit, in order of its
-final token, with a score above zero).  A unigram takes each affect's
-score from its ``uni:`` term and, where that term is absent or lacks
-the affect, from the unprefixed term.  Units whose tokens all lie
+``sum`` (of all scores), ``max`` (the largest score above zero, or 0
+when there is none) and ``last`` (score of the last unit, in order of
+its final token, with a score above zero).  A unigram takes each
+affect's score from its ``uni:`` term and, where that term is absent or
+lacks the affect, from the unprefixed term.  Units whose tokens all lie
 inside a negated context feed a separate block whose affect segment
 carries a ``_NEG`` suffix; the lexicon is still consulted with the
 plain surface.
@@ -166,29 +167,6 @@ DEFAULT_MESSAGE_CONFIG = MessageFeatureConfig()
 Unit = tuple[str, int]
 
 
-def _emit_lexicon_block(
-    fv: FeatureVector,
-    prefix: str,
-    affect: str,
-    scores: list[float],
-) -> None:
-    if not scores:
-        return
-    count = sum(1 for s in scores if s > 0)
-    total = sum(scores)
-    top = max(scores)
-    if count == 0:
-        top = 0.0
-    last = 0.0
-    for s in scores:
-        if s > 0:
-            last = s
-    fv.set(f"{prefix}|cnt|{affect}", count)
-    fv.set(f"{prefix}|sum|{affect}", total)
-    fv.set(f"{prefix}|max|{affect}", top)
-    fv.set(f"{prefix}|last|{affect}", last)
-
-
 def _scope_masks(
     message: TokenizedMessage, annotation: NegationAnnotation
 ) -> tuple[list[str], list[int], int]:
@@ -302,8 +280,14 @@ def _lexicon_features(
                         score = row[j]
                         if score is not None:
                             (negated if is_negated else plain).append(score)
-                    _emit_lexicon_block(fv, prefix, affect, plain)
-                    _emit_lexicon_block(fv, prefix, f"{affect}_NEG", negated)
+                    for label, scores in ((affect, plain), (affect + "_NEG", negated)):
+                        if scores:
+                            above = [s for s in scores if s > 0]
+                            fv.set(f"{prefix}|cnt|{label}", len(above))
+                            fv.set(f"{prefix}|sum|{label}", sum(scores))
+                            fv.set(f"{prefix}|max|{label}", max(above, default=0.0))
+                            last = above[-1] if above else 0.0
+                            fv.set(f"{prefix}|last|{label}", last)
 
 
 def _word_ngram_features(

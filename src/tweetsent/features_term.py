@@ -3,9 +3,16 @@
 Target features describe the span itself under the ``tgt|`` namespace;
 context features describe up to four tokens on either side under
 ``ctx|``.  Hashtag tokens inside the target are split into words before
-any target feature is computed.  When a negation word occurs right
-before or inside the target, lexicon scores of everything after it are
-flipped.
+any target feature is computed.
+
+Lexicon statistics are emitted per (scope, lexicon, affect) as
+``<tgt/ctx>|lex|<name>|<affect>|<stat>``, over the scores of the words
+that the lexicon scores for that affect.  A word takes each affect's
+score from its ``uni:`` term, else from its plain term.  When a
+negation word occurs right before or inside the target, the target
+scores of every word after it are flipped first.  The four stats are
+``cnt`` (scores above zero), ``sum``, ``max`` (over all matched
+scores, so it can be negative) and ``last`` (the last non-zero score).
 
 Target groups: word ngrams (plus full term, leading and ending
 ngrams), 2/3-character word prefixes and suffixes, elongated words,
@@ -101,42 +108,35 @@ def _word_features(fv: FeatureVector, namespace: str, words: Sequence[str]) -> N
     fv.entries.update(dict.fromkeys(names, 1.0))
 
 
-def _lexicon_stats(
-    fv: FeatureVector, prefix: str, scores: list[float], matched: list[bool]
+def _lexicon_features(
+    fv: FeatureVector,
+    prefix: str,
+    lexicon: Lexicon,
+    words: Sequence[str],
+    flip_pos: int | None = None,
 ) -> None:
-    hit = [s for s, m in zip(scores, matched) if m]
-    if not hit:
-        return
-    fv.set(f"{prefix}|cnt", sum(1 for s in hit if s > 0))
-    fv.set(f"{prefix}|sum", sum(hit))
-    fv.set(f"{prefix}|max", max(hit))
-    last = 0.0
-    for s in hit:
-        if s != 0:
-            last = s
-    fv.set(f"{prefix}|last", last)
+    """Add ``<prefix>|<affect>|<stat>`` for each affect that a word matches.
 
-
-def _lookup_all(
-    lexicon: Lexicon, words: Sequence[str]
-) -> list[tuple[list[float], list[bool]]]:
-    """Per affect, in ``lexicon.affects`` order: word scores and matches.
-
-    A word takes each affect's score from its ``uni:`` term, else from
-    its plain term; absent scores read 0.0 and unmatched.  Empty when no
-    word has an entry, since unmatched scores add no feature.
+    With ``flip_pos``, the scores of the words after that position are
+    flipped first.
     """
     table = lexicon.unit_scores("uni")
-    rows = [table.get(w) for w in words]
-    if rows.count(None) == len(rows):
-        return []
-    out = []
-    for k in range(len(lexicon.affects)):
-        found = [None if row is None else row[k] for row in rows]
-        out.append(
-            ([0.0 if s is None else s for s in found], [s is not None for s in found])
-        )
-    return out
+    signs = [1.0] * len(words)
+    if flip_pos is not None:
+        signs = flip_term_polarity(signs, flip_pos)
+    hits = [
+        (sign, row)
+        for sign, word in zip(signs, words)
+        if (row := table.get(word)) is not None
+    ]
+    for k, affect in enumerate(lexicon.affects):
+        scores = [sign * row[k] for sign, row in hits if row[k] is not None]
+        if scores:
+            name = f"{prefix}|{affect}"
+            fv.set(f"{name}|cnt", sum(1 for s in scores if s > 0))
+            fv.set(f"{name}|sum", sum(scores))
+            fv.set(f"{name}|max", max(scores))
+            fv.set(f"{name}|last", next((s for s in reversed(scores) if s), 0.0))
 
 
 def _negation_position(ctx: TermContext, words_lower: list[str]) -> int | None:
@@ -216,11 +216,7 @@ def _target_features(
         fv.set("tgt|pos|middle", 1)
 
     for lexicon in lexicons:
-        looked_up = zip(lexicon.affects, _lookup_all(lexicon, lower))
-        for affect, (scores, matched) in looked_up:
-            if flip_pos is not None:
-                scores = flip_term_polarity(scores, flip_pos)
-            _lexicon_stats(fv, f"tgt|lex|{lexicon.name}|{affect}", scores, matched)
+        _lexicon_features(fv, f"tgt|lex|{lexicon.name}", lexicon, lower, flip_pos)
 
     if any(t.kind == "mention" for t in ctx.target):
         fv.set("tgt|has_user", 1)
@@ -236,11 +232,8 @@ def _context_features(
     _word_features(fv, "ctx", left)
     _word_features(fv, "ctx", right)
 
-    in_order = left + right
     for lexicon in lexicons:
-        looked_up = zip(lexicon.affects, _lookup_all(lexicon, in_order))
-        for affect, (scores, matched) in looked_up:
-            _lexicon_stats(fv, f"ctx|lex|{lexicon.name}|{affect}", scores, matched)
+        _lexicon_features(fv, f"ctx|lex|{lexicon.name}", lexicon, left + right)
 
 
 def extract_term_features(

@@ -45,18 +45,21 @@ def _zipf_probs(count: int, exponent: float = 1.2) -> np.ndarray:
     return probs / probs.sum()
 
 
+# Share of a sentiment message's planted words drawn from the wrong side.
+MESSAGE_NOISE = 0.1
+
+
 def make_message_corpus(
     n: int = 1000,
     seed: int = 42,
-    noise: float = 0.1,
 ) -> tuple[list[LabeledMessage], Lexicon]:
     """A message corpus plus the lexicon covering its planted signal.
 
     Positive and negative messages carry a few sentiment words from a
-    600-word planted vocabulary (``noise`` of them drawn from the wrong
-    side); neutral messages are mostly filler.  The returned lexicon
-    scores the full vocabulary, so lexicon features generalize to words
-    an ngram model never saw.
+    600-word planted vocabulary (a :data:`MESSAGE_NOISE` share of them
+    drawn from the wrong side); neutral messages are mostly filler.  The
+    returned lexicon scores the full vocabulary, so lexicon features
+    generalize to words an ngram model never saw.
     """
     rng = np.random.default_rng(seed)
     taken: set[str] = set()
@@ -80,7 +83,7 @@ def make_message_corpus(
             own = other = None
         if own is not None:
             for _ in range(int(rng.integers(2, 5))):
-                source = other if rng.random() < noise else own
+                source = other if rng.random() < MESSAGE_NOISE else own
                 tokens.append(str(rng.choice(source, p=sent_probs)))
         elif rng.random() < 0.2:
             side = pos_words if rng.random() < 0.5 else neg_words

@@ -211,8 +211,24 @@ _TERM_KEYS = ["good", "uni:good", "bad", "uni:bad", "uni:meh", "fine", "uni:day"
 _AFFECTS = ("positive", "negative", "anger")
 
 
-def _score_route(lexicon, words):
-    return [oracle_term_lookup(lexicon, words, a) for a in lexicon.affects]
+def _oracle_lexicon_features(fv, prefix, lexicon, words, flip_pos=None):
+    """Reference for ``features_term._lexicon_features``: statistics of
+    per-word oracle lookups, with scores after ``flip_pos`` negated."""
+    for affect in lexicon.affects:
+        scores, matched = oracle_term_lookup(lexicon, words, affect)
+        if flip_pos is not None:
+            scores = [-s if i > flip_pos else s for i, s in enumerate(scores)]
+        hit = [s for s, m in zip(scores, matched) if m]
+        if not hit:
+            continue
+        fv.set(f"{prefix}|{affect}|cnt", sum(1 for s in hit if s > 0))
+        fv.set(f"{prefix}|{affect}|sum", sum(hit))
+        fv.set(f"{prefix}|{affect}|max", max(hit))
+        last = 0.0
+        for s in hit:
+            if s != 0:
+                last = s
+        fv.set(f"{prefix}|{affect}|last", last)
 
 
 @st.composite
@@ -244,6 +260,8 @@ def test_term_lexicon_features_match_score_route(lexicons, words, data):
     start = data.draw(st.integers(0, n - 1))
     end = data.draw(st.integers(start, n - 1))
     got = extract(text, start, end, lexicons)
-    with mock.patch.object(features_term, "_lookup_all", _score_route):
+    with mock.patch.object(
+        features_term, "_lexicon_features", _oracle_lexicon_features
+    ):
         want = extract(text, start, end, lexicons)
     assert list(got.entries.items()) == list(want.entries.items())

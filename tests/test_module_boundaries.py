@@ -350,8 +350,9 @@ ROOT = Path(__file__).parents[1]
 USERS = sorted(p for d in ("src", "bench", "scripts") for p in (ROOT / d).rglob("*.py"))
 
 
-def _public_definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
-    """Each public module-level name of ``tree`` with the statement binding it."""
+def _definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """Each module-level name of ``tree`` but dunder names, with the
+    statement binding it."""
     found = []
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -366,7 +367,7 @@ def _public_definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
             ]
         else:
             continue
-        found += [(name, stmt) for name in names if not name.startswith("_")]
+        found += [(name, stmt) for name in names if not name.endswith("__")]
     return found
 
 
@@ -385,21 +386,26 @@ def _references(node: ast.AST) -> Counter:
 
 
 def _unreferenced_names(modules: dict[str, str], users: list[str]) -> list[str]:
-    """``module.name`` for each public module-level name of ``modules``
-    (module name to source) that no code in ``users`` references outside
-    the statement that defines it.  ``users`` includes the modules'
-    own sources."""
+    """``module.name`` for each module-level name of ``modules`` (module
+    name to source) that nothing references outside the statement that
+    defines it: no code in ``users``, which includes the modules' own
+    sources, for a public name, and no code in its own module for a
+    private one."""
     total = sum((_references(ast.parse(source)) for source in users), Counter())
-    return [
-        f"{module}.{name}"
-        for module, source in modules.items()
-        for name, stmt in _public_definitions(ast.parse(source))
-        if total[name] == _references(stmt)[name]
-    ]
+    found = []
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        own = _references(tree)
+        for name, stmt in _definitions(tree):
+            seen = own if name.startswith("_") else total
+            if seen[name] == _references(stmt)[name]:
+                found.append(f"{module}.{name}")
+    return found
 
 
 def test_every_public_name_is_used_outside_the_tests():
-    """A public helper that only tests call is code to delete."""
+    """A public helper that only tests call, or a private one that its own
+    module no longer calls, is code to delete."""
     modules = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     users = [path.read_text(encoding="utf-8") for path in USERS]
     assert len(users) > len(modules)
@@ -411,20 +417,25 @@ def test_unreferenced_names_are_detected():
         "LIMIT = 3\n"
         "UNUSED, USED = 1, 2\n"
         "_PRIVATE = 4\n"
+        "__version__ = '1'\n"
         "TABLE: dict = {}\n"
         "def helper(n):\n"
         "    return helper(n - 1) if n else LIMIT\n"
+        "def _left_behind(n):\n"
+        "    return _left_behind(n - 1) if n else _PRIVATE\n"
+        "def _square(n):\n"
+        "    return n * n\n"
         "class Shape:\n"
         "    def area(self) -> 'Shape':\n"
         "        return Shape()\n"
         "def api():\n"
-        "    return USED\n"
+        "    return USED, _square(2)\n"
     )
     user = (
-        "from tweetsent.shapes import api\n"
+        "from tweetsent.shapes import api, _left_behind\n"
         "import tweetsent.shapes as shapes\n"
-        "print(api(), shapes.TABLE)\n"
+        "print(api(), shapes.TABLE, _left_behind(1))\n"
     )
     assert _unreferenced_names({"shapes": module}, [module, user]) == [
-        "shapes.UNUSED", "shapes.helper", "shapes.Shape"
+        "shapes.UNUSED", "shapes.helper", "shapes._left_behind", "shapes.Shape"
     ]

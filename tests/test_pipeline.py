@@ -304,6 +304,28 @@ def test_every_feature_name_has_one_namespace(fixture):
             assert sum(name.startswith(ns) for ns in namespaces) == 1, name
 
 
+# sha256 of every entry extracted from a golden fixture's train and test
+# corpora, in insertion order, as name and repr(value).  The golden feature
+# dumps are sorted, so this pins the order in which extraction emits.
+ENTRY_ORDER_SHA256 = {
+    "plain": "5e35b46bf92562b99c9442391e7dae8f76616de55d666a61cfaaa121988481ef",
+    "tagged": "07fc4e266a153b4800437970284c6f6376e0c46c5038dadb4df12bcf357b5e99",
+    "term": "30c86d2128b87b01fbaf4f7fb1f1816cfc3e7499fc71b66ab570c75696b3e9c6",
+}
+
+
+@pytest.mark.parametrize("fixture", ["plain", "tagged", "term"])
+def test_extracted_entries_match_pinned_hash(fixture):
+    task, train_data, test_data, lexicons, clusters = _golden(fixture)
+    digest = hashlib.sha256()
+    for data in (train_data, test_data):
+        _, _, vectors = featurize(task, prepare(task, data), lexicons, clusters)
+        for vector in vectors:
+            for name, value in vector.entries.items():
+                digest.update(f"{name}\t{value!r}\n".encode())
+    assert digest.hexdigest() == ENTRY_ORDER_SHA256[fixture]
+
+
 def test_message_docstring_lists_the_declared_namespaces():
     doc = features_message.__doc__
     listed = re.findall(r"^  (\w+\|)", doc, flags=re.MULTILINE)
