@@ -156,7 +156,7 @@ class Lexicon:
         self,
     ) -> tuple[frozenset[str], dict[str, dict[str, tuple[float | None, ...]]]]:
         rows = {
-            term: tuple(by_affect.get(a) for a in self.affects)
+            term: tuple(map(by_affect.get, self.affects))
             for term, by_affect in self.entries.items()
         }
         # Any term can match a unigram's plain-surface lookup.

@@ -78,12 +78,16 @@ class FeatureVector:
 class FeatureDictionary:
     """Bijection between feature names and dense indices.
 
-    Names are sorted, so the mapping is independent of extraction
-    order.
+    Built from ``names`` alone: ``index`` maps each name to its position
+    and takes no part in equality.  :func:`build_feature_dictionary`
+    sorts the names, so the mapping is independent of extraction order.
     """
 
     names: tuple[str, ...]
-    index: dict[str, int]
+    index: dict[str, int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "index", dict(zip(self.names, range(len(self.names)))))
 
     @property
     def size(self) -> int:
@@ -110,8 +114,7 @@ def build_feature_dictionary(vectors: Iterable[FeatureVector]) -> FeatureDiction
     names = set()
     for v in vectors:
         names.update(v.entries)
-    ordered = tuple(sorted(names))
-    return FeatureDictionary(names=ordered, index={n: i for i, n in enumerate(ordered)})
+    return FeatureDictionary(tuple(sorted(names)))
 
 
 def vectorize(vector: FeatureVector, dictionary: FeatureDictionary) -> IndexedVector:

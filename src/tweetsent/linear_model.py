@@ -129,8 +129,8 @@ def train(
     """Train a one-vs-rest linear SVM.
 
     ``C`` and ``tol`` must be finite and positive, ``max_epochs`` at
-    least 1, every class in ``classes`` must occur in ``labels``, and
-    every row's squared norm must be finite.
+    least 1, ``seed`` non-negative, every class in ``classes`` must
+    occur in ``labels``, and every row's squared norm must be finite.
     Each binary subproblem draws its epoch permutations from a generator
     derived from (seed, class position), so results do not depend on the
     order the subproblems run in.
@@ -140,6 +140,8 @@ def train(
             raise ValueError(f"{name} must be finite and positive, got {value}")
     if max_epochs < 1:
         raise ValueError(f"max_epochs must be at least 1, got {max_epochs}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if len(vectors) == 0:
         raise ValueError("empty training data")
     if len(vectors) != len(labels):
@@ -201,11 +203,9 @@ def decision_values(model: LinearModel, vector: IndexedVector) -> np.ndarray:
     return model.weights[:, vector.indices] @ vector.values + model.weights[:, -1]
 
 
-def predict(model: LinearModel, vector: FeatureVector | IndexedVector) -> str:
-    """Predicted class; ties go to the earliest class in class order."""
-    if isinstance(vector, FeatureVector):
-        vector = vectorize(vector, model.dictionary)
-    scores = decision_values(model, vector)
+def predict(model: LinearModel, vector: FeatureVector) -> str:
+    """Predicted class; unknown names drop and ties go to the earliest class."""
+    scores = decision_values(model, vectorize(vector, model.dictionary))
     return model.class_order[int(np.argmax(scores))]
 
 
@@ -437,12 +437,11 @@ def load_model(path: str | Path) -> LinearModel:
     try:
         with path.open("r", encoding="utf-8") as fh:
             class_order, dim, C, tol = _read_header(fh, path)
-            names = _read_records(fh, path, 6, "feat", dim, 2)
-            names = tuple(chain.from_iterable(names))
-            index = dict(zip(names, range(dim)))
-            if len(index) != dim:
+            chunks = _read_records(fh, path, 6, "feat", dim, 2)
+            dictionary = FeatureDictionary(tuple(chain.from_iterable(chunks)))
+            if len(dictionary.index) != dim:
                 seen = set()
-                for i, name in enumerate(names):
+                for i, name in enumerate(dictionary.names):
                     if name in seen:
                         line = f"feat\t{i}\t{name}"
                         raise _fault("duplicate feature name", 6 + i, path, line)
@@ -457,7 +456,7 @@ def load_model(path: str | Path) -> LinearModel:
     return LinearModel(
         class_order=class_order,
         weights=np.concatenate(rows).reshape(dim + 1, n).T.copy(),
-        dictionary=FeatureDictionary(names=names, index=index),
+        dictionary=dictionary,
         C=C,
         tol=tol,
     )

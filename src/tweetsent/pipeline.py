@@ -31,6 +31,7 @@ from .corpus_io import (
 from .evaluation import EvalReport, macro_f_pos_neg
 from .features_message import (
     DEFAULT_MESSAGE_CONFIG,
+    FeatureDictionary,
     FeatureVector,
     MessageFeatureConfig,
     build_feature_dictionary,
@@ -130,6 +131,8 @@ def extract_term_vectors(
 
 
 def _load_messages(path: str | Path, format: str, raw: bool) -> list[LabeledMessage]:
+    if raw and format != "plain":
+        raise ValueError(f"raw input has no '{format}' format (--format)")
     if raw:
         return _unlabeled(load_raw_corpus(path))
     return load_message_corpus(path, format=format)
@@ -255,8 +258,9 @@ def load_corpus(
     """Read a corpus file of ``task``.
 
     Message corpora are plain or tagged; with ``raw`` they are unlabeled
-    ``id<TAB>text`` rows.  Term corpora are plain only: a tagged
-    ``format`` or ``raw`` raises ``ValueError``.
+    ``id<TAB>text`` rows, and a ``format`` other than plain raises
+    ``ValueError``.  Term corpora are plain only: a tagged ``format`` or
+    ``raw`` raises ``ValueError``.
     """
     return get_task(task).load(path, format, raw)
 
@@ -285,27 +289,22 @@ def featurize(
     return [r.id for r in rows], [r.label for r in rows], vectors
 
 
-def remove_features(
-    vectors: Sequence[FeatureVector], prefixes: tuple[str, ...]
-) -> list[FeatureVector]:
-    """``vectors`` without the features whose names start with a prefix."""
-    return [
-        FeatureVector(
-            {n: x for n, x in v.entries.items() if not n.startswith(prefixes)}
-        )
-        for v in vectors
-    ]
-
-
 def fit(
-    vectors: Sequence[FeatureVector], labels: Sequence[str], **solver: float
+    vectors: Sequence[FeatureVector],
+    labels: Sequence[str],
+    without: tuple[str, ...] = (),
+    **solver: float,
 ) -> LinearModel:
     """Build the feature dictionary from ``vectors``, index them and train.
 
-    ``C``, ``tol``, ``max_epochs`` and ``seed`` go to
+    The dictionary leaves out the names that start with a prefix in
+    ``without``.  ``C``, ``tol``, ``max_epochs`` and ``seed`` go to
     :func:`linear_model.train`, which holds their defaults.
     """
     dictionary = build_feature_dictionary(vectors)
+    if without:
+        kept = (n for n in dictionary.names if not n.startswith(without))
+        dictionary = FeatureDictionary(tuple(kept))
     indexed = [vectorize(v, dictionary) for v in vectors]
     return train(indexed, labels, dictionary, **solver)
 
@@ -338,6 +337,8 @@ def cross_validate(
         raise ValueError(f"{len(vectors)} vectors but {len(labels)} labels")
     if k > len(labels):
         raise ValueError(f"k = {k} folds but only {len(labels)} rows")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     by_label: dict[str, list[int]] = {}
     for i, label in enumerate(labels):
@@ -421,9 +422,9 @@ def run_ablation(
     :func:`linear_model.train`; only the features change.  The first row
     is the all-features baseline, followed by one row per group in the
     requested order.  Each corpus is prepared and featurized once, and a
-    group's run drops the features under the group's name prefixes from
-    the training vectors.  Only a group given as a config (``negation``)
-    featurizes both corpora again.
+    group's run fits on a dictionary without the names under the group's
+    prefixes, so its model never sees them.  Only a group given as a
+    config (``negation``) featurizes both corpora again.
 
     A group with no features in the training corpus, such as ``pos`` on
     plain input, ``clusters`` without a cluster map or ``auto-lex``
@@ -443,11 +444,10 @@ def run_ablation(
             train_vectors, test_vectors = (
                 featurize(task, r, lexicons, clusters, removal)[2] for r in rows
             )
+            removal = ()
         else:
-            train_vectors = remove_features(train_full, removal)
-            # predict drops names the model lacks, removed ones among them.
-            test_vectors = test_full
-        model = fit(train_vectors, labels, **solver)
+            train_vectors, test_vectors = train_full, test_full
+        model = fit(train_vectors, labels, without=removal, **solver)
         scores.append(score(model, test_vectors, gold).macro_f)
     baseline = scores[0]
     return [

@@ -466,10 +466,7 @@ def oracle_load_model(path: str | Path) -> LinearModel:
     weights = np.zeros((len(class_order), dim + 1))
     for i, row in enumerate(weight_rows):
         weights[:, i] = row
-    dictionary = FeatureDictionary(
-        names=tuple(names),
-        index={n: i for i, n in enumerate(names)},
-    )
+    dictionary = FeatureDictionary(tuple(names))
     return LinearModel(
         class_order=class_order,
         weights=weights,

@@ -198,6 +198,20 @@ def test_term_task_rejects_message_options(argv, option, term_files, tmp_path, c
     assert f"({option})" in err
 
 
+def test_raw_input_rejects_the_tagged_format(message_files, tmp_path, capsys):
+    train, _ = message_files
+    model = tmp_path / "model.tsv"
+    run(capsys, "train", "--input", str(train), "--model", str(model))
+    raw = tmp_path / "raw.tsv"
+    write_raw_corpus([("r1", "Good/A day/N")], raw)
+    code, out, err = run(
+        capsys, "predict", "--input", str(raw), "--model", str(model),
+        "--raw", "--format", "tagged",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: raw input has no 'tagged' format (--format)\n"
+
+
 def test_train_cv_deterministic(message_files, capsys):
     train, _ = message_files
     args = ("train", "--input", str(train), "--cv", "2", "--C", "1", "--seed", "9")
@@ -313,6 +327,7 @@ def test_missing_class_exits_1(tmp_path, capsys):
         ("--C", "0", "C must be finite and positive, got 0.0"),
         ("--tol", "nan", "tol must be finite and positive, got nan"),
         ("--max-epochs", "0", "max_epochs must be at least 1, got 0"),
+        ("--seed", "-1", "seed must be a non-negative integer, got -1"),
     ],
 )
 def test_bad_hyperparameters_exit_1(flag, value, message, message_files, tmp_path, capsys):
@@ -635,8 +650,8 @@ def _cli_in_child(blas_threads: str, *argv: str) -> bytes:
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """Models, reports and ablation tables keep their bytes whether numpy's
-    BLAS runs on one thread or on two."""
+    """Models, reports, ablation tables and cross-validation folds keep
+    their bytes whether numpy's BLAS runs on one thread or on two."""
     lexicon = ("--lexicon", str(GOLDEN / "planted.tsv"))
     outputs = {}
     for threads in ("1", "2"):
@@ -655,12 +670,19 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
             "--tsv", *lexicon, "--auto-lexicon", str(GOLDEN / "auto.tsv"),
             "--clusters", str(GOLDEN / "clusters.tsv"), "--C", "0.05",
         )
-        outputs[threads] = (model.read_bytes(), kv, table)
+        folds = _cli_in_child(
+            threads, "train", "--input", str(GOLDEN / "train.tsv"),
+            "--cv", "3", "--seed", "5", *lexicon,
+            "--auto-lexicon", str(GOLDEN / "auto.tsv"),
+            "--clusters", str(GOLDEN / "clusters.tsv"), "--C", "0.05",
+        )
+        outputs[threads] = (model.read_bytes(), kv, table, folds)
     assert outputs["1"] == outputs["2"]
-    model, kv, table = outputs["1"]
+    model, kv, table, folds = outputs["1"]
     assert hashlib.sha256(model).hexdigest() == GOLDEN_MODEL_SHA256["plain"]
     assert kv == (GOLDEN / "expected_eval_kv.txt").read_bytes()
     assert table == (GOLDEN / "expected_ablation.tsv").read_bytes()
+    assert folds == (GOLDEN / "expected_cv.txt").read_bytes()
 
 
 GOLDEN_TERM = Path(__file__).parent / "data" / "golden_term"

@@ -31,7 +31,6 @@ from tweetsent.pipeline import (
     extract_message_vectors,
     featurize,
     prepare_messages,
-    remove_features,
 )
 from tweetsent.tokenizer import tokenize, tokens_from_tagged
 
@@ -242,25 +241,26 @@ def test_baseline_with_negation_marks_unigrams_and_counts_contexts():
     }
 
 
-def test_manual_and_auto_lexicon_toggles():
+def test_manual_and_auto_lexicon_toggles(check_fit_without):
     manual = lex({"good": {"positive": 1.0}}, name="m", kind="manual")
     auto = lex({"good": {"positive": 1.0}}, name="a", kind="auto")
     rows = prepare_messages([LabeledMessage("1", "good", "positive")])
 
     _, _, full = featurize("message", rows, [manual, auto])
 
-    def lexicon_names(group):
+    def lexicon_names(group, kept):
         prefixes = TASKS["message"].removal(group, [manual, auto]) if group else ()
-        (fv,) = remove_features(full, prefixes)
-        return {name for name in fv.entries if name.startswith("lex|")}
+        _, _, fresh = featurize("message", rows, kept)
+        dictionary = check_fit_without(full, prefixes, fresh)
+        return {name for name in dictionary.names if name.startswith("lex|")}
 
     def block(name):
         return {f"lex|{name}|uni|{stat}|positive" for stat in ("cnt", "sum", "max", "last")}
 
-    assert lexicon_names(None) == block("m") | block("a")
-    assert lexicon_names("manual-lex") == block("a")
-    assert lexicon_names("auto-lex") == block("m")
-    assert lexicon_names("lexicons") == set()
+    assert lexicon_names(None, [manual, auto]) == block("m") | block("a")
+    assert lexicon_names("manual-lex", [auto]) == block("a")
+    assert lexicon_names("auto-lex", [manual]) == block("m")
+    assert lexicon_names("lexicons", []) == set()
 
 
 @given(st.lists(st.sampled_from(["aa", "bb", "cc", "dd"]), max_size=6))
@@ -516,6 +516,19 @@ def _check_row_features(words, tags, spans, config):
 _NAMES = [f"f{k}" for k in range(12)]
 
 
+def test_feature_dictionary_indexes_its_names():
+    names = ("b", "a", "c")
+    dictionary = FeatureDictionary(names)
+    assert dictionary.index == {"b": 0, "a": 1, "c": 2}
+    assert [dictionary.names[i] for i in dictionary.index.values()] == list(names)
+    stale = FeatureDictionary(names)
+    object.__setattr__(stale, "index", {})
+    assert stale == dictionary
+    assert FeatureDictionary(("b", "a")) != dictionary
+    with pytest.raises(TypeError):
+        FeatureDictionary(names, {"b": 0, "a": 1, "c": 2})
+
+
 @settings(max_examples=300)
 @example(entries={}, known=["f1"], seed=0)
 @example(entries={"f3": 1.0, "f0": 2.0}, known=[], seed=0)
@@ -531,7 +544,7 @@ _NAMES = [f"f{k}" for k in range(12)]
 )
 def test_vectorize_matches_tuple_sort(entries, known, seed):
     names = tuple(sorted(known))
-    dictionary = FeatureDictionary(names, {n: i for i, n in enumerate(names)})
+    dictionary = FeatureDictionary(names)
     vector = FeatureVector(dict(entries))
     got = vectorize(vector, dictionary)
     want = oracle_vectorize(vector, dictionary)

@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 from oracles import oracle_term_lookup
 from tweetsent import features_term
 from tweetsent.corpus_io import Lexicon, TermInstance
+from tweetsent.features_message import FeatureVector
 from tweetsent.features_term import (
     build_split_vocabulary,
     extract_term_features,
     term_context,
 )
-from tweetsent.pipeline import TASKS, remove_features
+from tweetsent.pipeline import TASKS
 from tweetsent.tokenizer import normalize, tokenize
 
 
@@ -172,12 +173,17 @@ def test_ngram_edges():
     assert "tgt|wng|three four" not in fv.entries
 
 
-def test_target_and_context_groups():
+def test_target_and_context_groups(check_fit_without):
     full = [extract("not good at all", 1, 1, [GOOD_LEX])]
     for group, kept in (("target", "ctx|"), ("context", "tgt|")):
-        (rest,) = remove_features(full, TASKS["term"].removal(group, [GOOD_LEX]))
-        assert rest.entries
-        assert all(name.startswith(kept) for name in rest.entries)
+        fresh = [
+            FeatureVector({n: x for n, x in v.entries.items() if n.startswith(kept)})
+            for v in full
+        ]
+        prefixes = TASKS["term"].removal(group, [GOOD_LEX])
+        dictionary = check_fit_without(full, prefixes, fresh)
+        assert dictionary.names
+        assert all(name.startswith(kept) for name in dictionary.names)
 
 
 def test_term_context_window_and_edges():

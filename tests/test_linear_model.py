@@ -31,7 +31,7 @@ BINARY = ("negative", "positive")
 
 def make_dictionary(dim):
     names = tuple(f"f{i}" for i in range(dim))
-    return FeatureDictionary(names=names, index={n: i for i, n in enumerate(names)})
+    return FeatureDictionary(names)
 
 
 def iv(dense):
@@ -180,6 +180,7 @@ def test_train_errors():
         ({"tol": float("nan")}, "tol must be finite and positive, got nan"),
         ({"tol": 0.0}, "tol must be finite and positive, got 0.0"),
         ({"max_epochs": 0}, "max_epochs must be at least 1, got 0"),
+        ({"seed": -1}, "seed must be a non-negative integer, got -1"),
     ],
 )
 def test_train_rejects_bad_hyperparameters(setting, message):
@@ -209,8 +210,7 @@ def test_predict_tie_breaks_to_first_class():
         C=1.0,
         tol=0.1,
     )
-    assert predict(model, iv([1.0])) == "negative"
-    assert predict(model, FeatureVector(entries={"f0": 1.0})) == "negative"
+    assert predict(model, FeatureVector({"f0": 1.0})) == "negative"
 
 
 def test_decision_values_golden():
@@ -272,6 +272,8 @@ def test_cross_validate_errors():
         cross_validate(vectors, labels[:-1], k=2)
     with pytest.raises(ValueError, match="k = 7 folds but only 6 rows"):
         cross_validate(vectors, labels, k=7)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        cross_validate(vectors, labels, k=2, seed=-1)
     # As many folds as rows is leave-one-out.
     with pytest.warns(UserWarning, match="fewer than 6"):
         assert len(cross_validate(vectors, labels, k=6, C=1.0)) == 6
@@ -381,7 +383,7 @@ def test_load_golden_file(tmp_path):
     model = load_model(path)
     assert model.class_order == ("negative", "positive")
     np.testing.assert_array_equal(model.weights, [[0.5, 0.1], [-0.5, -0.1]])
-    assert predict(model, iv([1.0])) == "negative"
+    assert predict(model, FeatureVector({"f0": 1.0})) == "negative"
 
 
 def test_load_rejects_truncated_model(tmp_path):

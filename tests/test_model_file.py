@@ -45,9 +45,7 @@ def models(draw, dims=st.integers(0, 12), finite=True):
     return LinearModel(
         class_order=tuple(classes),
         weights=weights,
-        dictionary=FeatureDictionary(
-            names=tuple(names), index={n: i for i, n in enumerate(names)}
-        ),
+        dictionary=FeatureDictionary(tuple(names)),
         C=draw(setting),
         tol=draw(setting),
     )
@@ -90,9 +88,7 @@ def _pruned(model):
     return LinearModel(
         class_order=model.class_order,
         weights=model.weights[:, keep + [dim]],
-        dictionary=FeatureDictionary(
-            names=names, index={n: i for i, n in enumerate(names)}
-        ),
+        dictionary=FeatureDictionary(names),
         C=model.C,
         tol=model.tol,
     )
@@ -123,9 +119,7 @@ def _model(names, weights):
     return LinearModel(
         class_order=("negative", "positive"),
         weights=np.array(weights, dtype=float),
-        dictionary=FeatureDictionary(
-            names=tuple(names), index={n: i for i, n in enumerate(names)}
-        ),
+        dictionary=FeatureDictionary(tuple(names)),
         C=1.0,
         tol=0.1,
     )
@@ -298,9 +292,7 @@ def test_first_faulty_line_is_reported_across_blocks(tmp_path):
     model = LinearModel(
         class_order=("negative", "positive"),
         weights=np.arange(82.0).reshape(2, 41),
-        dictionary=FeatureDictionary(
-            names=tuple(names), index={n: i for i, n in enumerate(names)}
-        ),
+        dictionary=FeatureDictionary(tuple(names)),
         C=1.0,
         tol=0.1,
     )
@@ -322,7 +314,7 @@ def _small_model_lines(tmp_path):
     model = LinearModel(
         class_order=("negative", "positive"),
         weights=np.array([[1.0, -2.0, 0.5], [0.25, 3.0, -1.0]]),
-        dictionary=FeatureDictionary(names=("a", "b"), index={"a": 0, "b": 1}),
+        dictionary=FeatureDictionary(("a", "b")),
         C=0.5,
         tol=0.1,
     )

@@ -25,7 +25,6 @@ from tweetsent.pipeline import (
     prepare,
     prepare_messages,
     prepare_raw,
-    remove_features,
     run_ablation,
     run_experiment,
     run_message_experiment,
@@ -337,7 +336,7 @@ KEPT_LEXICON_KINDS = {"lexicons": (), "manual-lex": ("auto",), "auto-lex": ("man
 
 
 @pytest.mark.parametrize("fixture", ["plain", "tagged"])
-def test_removing_a_group_equals_extracting_without_it(fixture):
+def test_removing_a_group_equals_extracting_without_it(fixture, check_fit_without):
     task, train_data, _, lexicons, clusters = _golden(fixture)
     spec = pipeline.TASKS[task]
     assert set(KEPT_LEXICON_KINDS) == set(pipeline.LEXICON_GROUPS)
@@ -346,10 +345,12 @@ def test_removing_a_group_equals_extracting_without_it(fixture):
     for group, kinds in KEPT_LEXICON_KINDS.items():
         kept = [lex for lex in lexicons if lex.kind in kinds]
         _, _, fresh = featurize(task, rows, kept, clusters)
-        assert remove_features(full, spec.removal(group, lexicons)) == fresh, group
+        check_fit_without(full, spec.removal(group, lexicons), fresh)
 
 
-def test_removing_a_term_lexicon_group_equals_extracting_without_it():
+def test_removing_a_term_lexicon_group_equals_extracting_without_it(
+    check_fit_without,
+):
     _, train_data, _, lexicons, _ = _golden("term")
     spec = pipeline.TASKS["term"]
     _, _, full = featurize("term", train_data, lexicons)
@@ -358,7 +359,7 @@ def test_removing_a_term_lexicon_group_equals_extracting_without_it():
     for group, kinds in KEPT_LEXICON_KINDS.items():
         kept = [lex for lex in lexicons if lex.kind in kinds]
         fresh = extract_term_vectors(train_data, kept, split_words)
-        assert remove_features(full, spec.removal(group, lexicons)) == fresh, group
+        check_fit_without(full, spec.removal(group, lexicons), fresh)
 
 
 @pytest.mark.parametrize(
