@@ -109,12 +109,20 @@ def format_feature_dump(vector: FeatureVector) -> str:
     )
 
 
-def build_feature_dictionary(vectors: Iterable[FeatureVector]) -> FeatureDictionary:
-    """Build the name/index bijection from training vectors only."""
+def build_feature_dictionary(
+    vectors: Iterable[FeatureVector], without: tuple[str, ...] = ()
+) -> FeatureDictionary:
+    """Build the name/index bijection from training vectors only.
+
+    Names that start with a prefix in ``without`` are left out.
+    """
     names = set()
     for v in vectors:
         names.update(v.entries)
-    return FeatureDictionary(tuple(sorted(names)))
+    kept = sorted(names)
+    if without:
+        kept = [n for n in kept if not n.startswith(without)]
+    return FeatureDictionary(tuple(kept))
 
 
 def vectorize(vector: FeatureVector, dictionary: FeatureDictionary) -> IndexedVector:

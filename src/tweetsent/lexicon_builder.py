@@ -10,7 +10,8 @@ the two classes:
 Positive scores indicate association with positive messages.  Candidate
 terms are unigrams, contiguous bigrams, and ordered non-contiguous
 pairs of unigram/bigram parts separated by at least one token, written
-``A---B``.
+``A---B``.  Candidates are counted as integer codes; only the terms
+that reach ``min_count`` are ever written out as text.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ import math
 import string
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
+
+import numpy as np
 
 from .corpus_io import NEGATIVE, PAIR_SEPARATOR, POSITIVE, Lexicon, SeedSet
 from .tokenizer import TokenizedMessage, emoticon_polarity, is_emoticon, normalize, tokenize
@@ -27,8 +30,9 @@ from .wordlists import default_function_words
 
 _PUNCT_CHARS = set(string.punctuation)
 
-# A part of a pair: inclusive token span and its text.
-PairPart = tuple[int, int, str]
+# A candidate's code: a unigram or bigram with text id i is i << 32, and
+# a pair of head id h and tail id t is h << 32 | (t + 1).
+_TAIL_MASK = (1 << 32) - 1
 
 
 def pseudo_label_by_hashtag(message: TokenizedMessage, seeds: SeedSet) -> str | None:
@@ -58,34 +62,6 @@ def pseudo_label_by_emoticon(message: TokenizedMessage) -> str | None:
     return None
 
 
-def pair_units(
-    heads: Sequence[PairPart],
-    tails: Sequence[PairPart],
-    window: int | None = None,
-) -> list[tuple[PairPart, PairPart, str]]:
-    """Ordered pairs of a head part and a later tail part, with pair text.
-
-    The tail starts at least one token after the head ends, and at most
-    ``window`` tokens after when set.  Pairs come head-major, in the
-    order of ``heads`` and then ``tails``.
-    """
-    pairs = []
-    for head in heads:
-        first = head[1] + 2
-        joined = head[2] + PAIR_SEPARATOR
-        if window is None:
-            pairs += [
-                (head, tail, joined + tail[2]) for tail in tails if first <= tail[0]
-            ]
-        else:
-            pairs += [
-                (head, tail, joined + tail[2])
-                for tail in tails
-                if first <= tail[0] < first + window
-            ]
-    return pairs
-
-
 def _is_pure_punctuation(token: str) -> bool:
     return (
         bool(token)
@@ -94,37 +70,56 @@ def _is_pure_punctuation(token: str) -> bool:
     )
 
 
-def extract_candidates(
+def _message_codes(
     tokens: list[str],
-    function_words: frozenset[str] | None = None,
-    pair_window: int | None = None,
-) -> list[str]:
-    """Candidate terms of one message, with repeats.
+    function_words: frozenset[str],
+    pair_window: int | None,
+    ids: dict[str, int],
+    token_flags: dict[str, tuple[int, bool]],
+) -> np.ndarray:
+    """Candidate codes of one message, with repeats, in candidate order.
 
-    Unigrams are bare tokens, bigrams are space-joined, and ordered
-    non-contiguous pairs of unigram/bigram parts (at least one token in
-    between, at most ``pair_window`` when set) are joined by ``---``.
-    Candidates containing pure-punctuation or ``@``-initial tokens are
-    dropped everywhere; pairs also drop function words.
+    Unigrams come first, then bigrams, then pairs head-major.  Unigram
+    and bigram texts get ids from ``ids`` (text -> id), new texts the
+    next free one.  ``token_flags`` caches each token's unigram id (-1
+    for a blocked token) and whether it can be part of a pair.
     """
-    if function_words is None:
-        function_words = default_function_words()
     n = len(tokens)
-    clean = [not (_is_pure_punctuation(t) or t.startswith("@")) for t in tokens]
-    # Pair parts: unigrams (i, i) and bigrams (i, i + 1), each clean of
-    # blocked tokens and function words.
-    usable = [ok and t.lower() not in function_words for ok, t in zip(clean, tokens)]
+    unigrams, usable = [], []
+    for t in tokens:
+        flags = token_flags.get(t)
+        if flags is None:
+            clean = not (_is_pure_punctuation(t) or t.startswith("@"))
+            flags = token_flags[t] = (
+                ids.setdefault(t, len(ids)) if clean else -1,
+                clean and t.lower() not in function_words,
+            )
+        unigrams.append(flags[0])
+        usable.append(flags[1])
     bigrams = [
-        (i, f"{tokens[i]} {tokens[i + 1]}")
+        ids.setdefault(f"{tokens[i]} {tokens[i + 1]}", len(ids))
+        if unigrams[i] >= 0 and unigrams[i + 1] >= 0
+        else -1
         for i in range(n - 1)
-        if clean[i] and clean[i + 1]
     ]
-    out = [t for t, ok in zip(tokens, clean) if ok]
-    out += [text for _, text in bigrams]
-    parts: list[PairPart] = [(i, i, t) for i, t in enumerate(tokens) if usable[i]]
-    parts += [(i, i + 1, text) for i, text in bigrams if usable[i] and usable[i + 1]]
-    out += [pair[2] for pair in pair_units(parts, parts, pair_window)]
-    return out
+    # Pair parts: unigrams (i, i) and bigrams (i, i + 1) free of blocked
+    # tokens and function words.
+    uni_at = [i for i in range(n) if usable[i]]
+    bi_at = [i for i in range(n - 1) if usable[i] and usable[i + 1]]
+    part_id = np.array(
+        [unigrams[i] for i in uni_at] + [bigrams[i] for i in bi_at], dtype=np.int64
+    )
+    part_start = np.array(uni_at + bi_at, dtype=np.int64)
+    part_end = np.array(uni_at + [i + 1 for i in bi_at], dtype=np.int64)
+    # The tail starts at least one token after the head ends, and at
+    # most ``pair_window`` tokens after when set.
+    gap = part_start - part_end[:, None]
+    linked = gap >= 2
+    if pair_window is not None:
+        linked &= gap < 2 + pair_window
+    head, tail = np.nonzero(linked)
+    singles = np.array([i for i in unigrams + bigrams if i >= 0], dtype=np.int64)
+    return np.concatenate((singles << 32, part_id[head] << 32 | (part_id[tail] + 1)))
 
 
 def term_namespace(term: str) -> str:
@@ -138,13 +133,13 @@ def term_namespace(term: str) -> str:
 
 @dataclass
 class CooccurrenceCounts:
-    """Candidate occurrence counts per term and class.
+    """Candidate occurrence counts of the kept terms and of each class.
 
-    ``term_count`` counts each term's occurrences in both classes, with
-    terms in order of first occurrence; ``positive_count`` counts those
-    in the positive class, so a term's negative count is the difference.
-    ``class_count[c]`` is the total number of candidate occurrences in
-    class ``c`` and always equals the per-term counts summed over terms.
+    ``term_count`` counts each kept term's occurrences in both classes,
+    in entry order; ``positive_count`` counts those in the positive
+    class, so a term's negative count is the difference.
+    ``class_count[c]`` is the number of occurrences of every candidate
+    in class ``c``, kept or not.
     """
 
     term_count: Counter[str] = field(default_factory=Counter)
@@ -163,28 +158,88 @@ def count_cooccurrences(
     function_words: frozenset[str] | None = None,
     per_message: bool = False,
     pair_window: int | None = None,
+    *,
+    min_count: int,
 ) -> CooccurrenceCounts:
-    """Count candidates over (tokens, class) pairs into two counters.
+    """Count candidates over (tokens, class) pairs; keep the frequent ones.
+
+    Unigrams are bare tokens, bigrams are space-joined, and ordered
+    non-contiguous pairs of unigram/bigram parts (at least one token in
+    between, at most ``pair_window`` when set) are joined by ``---``.
+    Candidates containing pure-punctuation or ``@``-initial tokens are
+    dropped everywhere; pairs also drop function words.
 
     Each occurrence counts once; with ``per_message`` a candidate counts
-    at most once per message.  Every candidate goes into ``term_count``,
-    and those of positive messages also into ``positive_count``.
-    A class other than positive or negative raises ``ValueError``.
+    at most once per message.  Every occurrence goes into
+    ``class_count``.  Only terms with at least ``min_count`` occurrences
+    are kept, in order of first occurrence; with ``per_message``, in
+    order of first message and then text.  Candidates are counted as
+    integer codes of interned unigram and bigram texts, and only kept
+    terms are turned back into text.  A class other than positive or
+    negative raises ``ValueError``.
     """
-    counts = CooccurrenceCounts()
+    if function_words is None:
+        function_words = default_function_words()
+    class_count = {POSITIVE: 0, NEGATIVE: 0}
+    # Each id is a distinct unigram or bigram text held in this dict, and
+    # 2**31 of them would not fit in memory, so codes fit in an int64.
+    ids: dict[str, int] = {}
+    token_flags: dict[str, tuple[int, bool]] = {}
+    chunks: list[np.ndarray] = []
+    positive: list[bool] = []
     for tokens, label in corpus:
-        if label not in counts.class_count:
+        if label not in class_count:
             raise ValueError(
                 f"unknown class {label!r}; expected {POSITIVE!r} or {NEGATIVE!r}"
             )
-        candidates = extract_candidates(tokens, function_words, pair_window)
+        codes = _message_codes(tokens, function_words, pair_window, ids, token_flags)
         if per_message:
-            candidates = sorted(set(candidates))
-        counts.class_count[label] += len(candidates)
-        counts.term_count.update(candidates)
-        if label == POSITIVE:
-            counts.positive_count.update(candidates)
-    return counts
+            codes = np.unique(codes)
+        class_count[label] += len(codes)
+        chunks.append(codes)
+        positive.append(label == POSITIVE)
+
+    # Runs of equal codes in stable sorted order are the distinct
+    # candidates; a run's first element is its first occurrence.
+    sizes = [len(codes) for codes in chunks]
+    codes = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
+    del chunks
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    run_start = np.ones(len(codes), dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
+    run_count = np.diff(starts, append=len(codes))
+    kept = run_count >= min_count
+    starts, run_count = starts[kept], run_count[kept]
+    kept_codes, first = codes[starts], order[starts]
+    del codes
+    # seen_positive[i] counts the positive occurrences among the first i.
+    seen_positive = np.zeros(len(order) + 1, dtype=np.int64)
+    np.cumsum(np.repeat(positive, sizes)[order], out=seen_positive[1:])
+    run_positive = seen_positive[starts + run_count] - seen_positive[starts]
+
+    texts = list(ids)
+    heads = (kept_codes >> 32).tolist()
+    tails = (kept_codes & _TAIL_MASK).tolist()
+    terms = [
+        texts[h] if t == 0 else texts[h] + PAIR_SEPARATOR + texts[t - 1]
+        for h, t in zip(heads, tails)
+    ]
+    if per_message:
+        # By first message, then text: sort by text, then stably by message.
+        by_text = sorted(range(len(terms)), key=terms.__getitem__)
+        rank = np.array(by_text, dtype=np.int64)
+        message = np.searchsorted(np.cumsum(sizes), first[rank], side="right")
+        rank = rank[np.argsort(message, kind="stable")]
+    else:
+        rank = np.argsort(first)
+    terms = [terms[j] for j in rank.tolist()]
+    return CooccurrenceCounts(
+        term_count=Counter(dict(zip(terms, run_count[rank].tolist()))),
+        positive_count=Counter(dict(zip(terms, run_positive[rank].tolist()))),
+        class_count=class_count,
+    )
 
 
 def pmi_score(counts: CooccurrenceCounts, term: str, alpha: float = 0.5) -> float:
@@ -233,11 +288,14 @@ def build_lexicon(
     Messages with conflicting or missing signals are skipped; with
     emoticon labeling, the labeling emoticons are removed before
     counting.  Terms occurring fewer than ``min_count`` times are
-    dropped.  Every entry carries the positive-direction score under
-    ``positive`` and its negation under ``negative``, with namespace
-    prefixes ``uni:``, ``bi:`` and ``pair:``.  ``alpha`` must be finite
-    and positive, and ``pair_window`` None or at least 1.
+    dropped before any is scored.  Every entry carries the
+    positive-direction score under ``positive`` and its negation under
+    ``negative``, with namespace prefixes ``uni:``, ``bi:`` and
+    ``pair:``.  ``min_count`` must be at least 1, ``alpha`` finite and
+    positive, and ``pair_window`` None or at least 1.
     """
+    if min_count < 1:
+        raise ValueError(f"min_count must be at least 1, got {min_count}")
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
     if pair_window is not None and pair_window < 1:
@@ -269,15 +327,15 @@ def build_lexicon(
     if not streams:
         raise ValueError("no labeled messages")
 
-    counts = count_cooccurrences(streams, function_words, per_message, pair_window)
+    counts = count_cooccurrences(
+        streams, function_words, per_message, pair_window, min_count=min_count
+    )
     for cls in (POSITIVE, NEGATIVE):
         if counts.class_count[cls] == 0:
             raise ValueError(f"no {cls} candidates after labeling")
 
     entries: dict[str, dict[str, float]] = {}
-    for term, occurrences in counts.term_count.items():
-        if occurrences < min_count:
-            continue
+    for term in counts.term_count:
         score = pmi_score(counts, term, alpha)
         key = f"{term_namespace(term)}:{term}"
         entries[key] = {POSITIVE: score, NEGATIVE: -score}

@@ -31,7 +31,6 @@ from .corpus_io import (
 from .evaluation import EvalReport, macro_f_pos_neg
 from .features_message import (
     DEFAULT_MESSAGE_CONFIG,
-    FeatureDictionary,
     FeatureVector,
     MessageFeatureConfig,
     build_feature_dictionary,
@@ -301,10 +300,7 @@ def fit(
     ``without``.  ``C``, ``tol``, ``max_epochs`` and ``seed`` go to
     :func:`linear_model.train`, which holds their defaults.
     """
-    dictionary = build_feature_dictionary(vectors)
-    if without:
-        kept = (n for n in dictionary.names if not n.startswith(without))
-        dictionary = FeatureDictionary(tuple(kept))
+    dictionary = build_feature_dictionary(vectors, without)
     indexed = [vectorize(v, dictionary) for v in vectors]
     return train(indexed, labels, dictionary, **solver)
 

@@ -46,7 +46,6 @@ from tweetsent.corpus_io import (
 from tweetsent import features_message
 from tweetsent.features_message import FeatureDictionary, IndexedVector
 from tweetsent.lexicon_builder import (
-    pair_units,
     pseudo_label_by_emoticon,
     pseudo_label_by_hashtag,
     term_namespace,
@@ -542,7 +541,12 @@ def _dict_candidates(tokens, function_words, pair_window):
             and b.lower() not in function_words
         ):
             parts.append((i, i + 1, f"{a} {b}"))
-    out += [pair[2] for pair in pair_units(parts, parts, pair_window)]
+    for _head_start, head_end, head_text in parts:
+        for tail_start, _tail_end, tail_text in parts:
+            gap = tail_start - head_end - 1
+            if gap < 1 or (pair_window is not None and gap > pair_window):
+                continue
+            out.append(f"{head_text}---{tail_text}")
     return out
 
 

@@ -450,6 +450,8 @@ def test_build_lexicon(tmp_path, capsys):
         ("--alpha", "nan", "alpha must be finite and positive, got nan"),
         ("--alpha", "0", "alpha must be finite and positive, got 0.0"),
         ("--pair-window", "0", "pair_window must be at least 1, got 0"),
+        ("--min-count", "0", "min_count must be at least 1, got 0"),
+        ("--min-count", "-3", "min_count must be at least 1, got -3"),
     ],
 )
 def test_build_lexicon_bad_settings_exit_1(tmp_path, capsys, flag, value, message):

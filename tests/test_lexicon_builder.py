@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 from collections import Counter
@@ -18,17 +19,18 @@ from tweetsent.corpus_io import (
     CorpusFormatError,
     SeedSet,
     load_seed_set,
+    write_lexicon,
 )
 from tweetsent.lexicon_builder import (
     CooccurrenceCounts,
     build_lexicon,
     count_cooccurrences,
-    extract_candidates,
     pmi_score,
     pseudo_label_by_emoticon,
     pseudo_label_by_hashtag,
     term_namespace,
 )
+from tweetsent.synthetic import make_emoticon_corpus
 from tweetsent.tokenizer import tokenize
 from tweetsent.wordlists import default_function_words
 
@@ -69,34 +71,40 @@ _LEXICON_CORPUS = [
 ]
 
 
+def _candidates(tokens, function_words=None, pair_window=None):
+    """Occurrences of each candidate term of one message."""
+    counts = count_cooccurrences(
+        [(tokens, POSITIVE)], function_words, pair_window=pair_window, min_count=1
+    )
+    return counts.term_count
+
+
 def test_candidates_three_tokens_no_filtering():
-    got = extract_candidates(["a", "b", "c"], function_words=NO_FILTER)
-    assert sorted(got) == sorted(["a", "b", "c", "a b", "b c", "a---c"])
+    got = _candidates(["a", "b", "c"], function_words=NO_FILTER)
+    assert got == Counter(["a", "b", "c", "a b", "b c", "a---c"])
 
 
 def test_candidates_function_words_block_pair_parts_only():
-    got = extract_candidates(["a", "b", "c"])
+    got = _candidates(["a", "b", "c"])
     assert "a" in got
     assert "a b" in got
     assert not any("---" in term for term in got)
 
 
 def test_candidates_drop_mentions_and_punctuation():
-    assert extract_candidates(["@user", "hi"], function_words=NO_FILTER) == ["hi"]
-    assert extract_candidates([], function_words=NO_FILTER) == []
+    assert _candidates(["@user", "hi"], function_words=NO_FILTER) == Counter(["hi"])
+    assert _candidates([], function_words=NO_FILTER) == Counter()
 
 
 def test_candidates_keep_emoticons_drop_pure_punctuation():
-    got = extract_candidates([":)", "!!", "x"], function_words=NO_FILTER)
-    assert sorted(got) == [":)", ":)---x", "x"]
+    got = _candidates([":)", "!!", "x"], function_words=NO_FILTER)
+    assert got == Counter([":)", ":)---x", "x"])
 
 
 def test_candidates_pair_window():
-    wide = extract_candidates(["a", "b", "c", "d"], function_words=NO_FILTER)
+    wide = _candidates(["a", "b", "c", "d"], function_words=NO_FILTER)
     assert "a---d" in wide
-    narrow = extract_candidates(
-        ["a", "b", "c", "d"], function_words=NO_FILTER, pair_window=1
-    )
+    narrow = _candidates(["a", "b", "c", "d"], function_words=NO_FILTER, pair_window=1)
     assert "a---d" not in narrow
     assert "a---c" in narrow
     assert "a b---d" in narrow
@@ -104,7 +112,7 @@ def test_candidates_pair_window():
 
 
 def test_candidates_pair_example_with_default_filtering():
-    got = extract_candidates(["nice", "the", "day"])
+    got = _candidates(["nice", "the", "day"])
     assert "the" in got
     assert [t for t in got if "---" in t] == ["nice---day"]
 
@@ -118,16 +126,40 @@ def test_candidates_pair_example_with_default_filtering():
 )
 def test_candidates_match_enumeration_oracle(tokens, pair_window):
     function_words = frozenset({"the"})
-    got = extract_candidates(tokens, function_words, pair_window)
-    want = oracle_candidates(tokens, function_words, pair_window)
-    assert sorted(got) == sorted(want)
+    got = _candidates(tokens, function_words, pair_window)
+    assert got == Counter(oracle_candidates(tokens, function_words, pair_window))
 
 
 @given(st.lists(st.sampled_from(["aa", "bb", "the", "on", "zz"]), max_size=6))
 def test_candidates_default_filter_matches_bundled_list(tokens):
-    got = extract_candidates(tokens)
-    want = oracle_candidates(tokens, default_function_words())
-    assert sorted(got) == sorted(want)
+    got = _candidates(tokens)
+    assert got == Counter(oracle_candidates(tokens, default_function_words()))
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(["aa", "bb", "cc", "the", "@u"]), max_size=6),
+            st.sampled_from([POSITIVE, NEGATIVE]),
+        ),
+        max_size=6,
+    ),
+    st.integers(min_value=1, max_value=4),
+    st.booleans(),
+)
+def test_count_min_count_keeps_frequent_terms_in_order(corpus, k, per_message):
+    function_words = frozenset({"the"})
+    counts = count_cooccurrences(corpus, function_words, per_message, min_count=k)
+    want_terms, want_classes = oracle_counts(corpus, function_words, per_message)
+    # The oracle's dict holds terms in order of first counting.
+    kept = [
+        term for term, by in want_terms.items() if by[POSITIVE] + by[NEGATIVE] >= k
+    ]
+    assert list(counts.term_count) == kept
+    assert list(counts.positive_count) == kept
+    for term in kept:
+        assert _by_class(counts, term) == want_terms[term]
+    assert counts.class_count == want_classes
 
 
 def _by_class(counts, term):
@@ -137,7 +169,9 @@ def _by_class(counts, term):
 
 
 def test_count_single_message():
-    counts = count_cooccurrences([(["good"], POSITIVE)], function_words=NO_FILTER)
+    counts = count_cooccurrences(
+        [(["good"], POSITIVE)], function_words=NO_FILTER, min_count=1
+    )
     assert counts.term_count == {"good": 1}
     assert counts.positive_count == {"good": 1}
     assert counts.class_count == {POSITIVE: 1, NEGATIVE: 0}
@@ -147,8 +181,10 @@ def test_count_single_message():
 
 
 def test_count_doubling():
-    once = count_cooccurrences(_COUNT_FIXTURE, function_words=NO_FILTER)
-    twice = count_cooccurrences(_COUNT_FIXTURE * 2, function_words=NO_FILTER)
+    once = count_cooccurrences(_COUNT_FIXTURE, function_words=NO_FILTER, min_count=1)
+    twice = count_cooccurrences(
+        _COUNT_FIXTURE * 2, function_words=NO_FILTER, min_count=1
+    )
     assert twice.total == 2 * once.total
     for term in once.term_count:
         for label, count in _by_class(once, term).items():
@@ -157,11 +193,11 @@ def test_count_doubling():
 
 def test_count_per_message_collapse():
     corpus = [(["x", "x"], POSITIVE)]
-    plain = count_cooccurrences(corpus, function_words=NO_FILTER)
+    plain = count_cooccurrences(corpus, function_words=NO_FILTER, min_count=1)
     assert _by_class(plain, "x")[POSITIVE] == 2
     assert plain.class_count[POSITIVE] == 3
     collapsed = count_cooccurrences(
-        corpus, function_words=NO_FILTER, per_message=True
+        corpus, function_words=NO_FILTER, per_message=True, min_count=1
     )
     assert _by_class(collapsed, "x")[POSITIVE] == 1
     assert collapsed.class_count[POSITIVE] == 2
@@ -170,7 +206,7 @@ def test_count_per_message_collapse():
 @pytest.mark.parametrize("per_message", [False, True])
 def test_count_fixture_matches_oracle(per_message):
     counts = count_cooccurrences(
-        _COUNT_FIXTURE, function_words=NO_FILTER, per_message=per_message
+        _COUNT_FIXTURE, function_words=NO_FILTER, per_message=per_message, min_count=1
     )
     want_terms, want_classes = oracle_counts(
         _COUNT_FIXTURE, per_message=per_message
@@ -192,7 +228,7 @@ def test_count_fixture_matches_oracle(per_message):
 def test_count_rejects_other_classes():
     expected = "unknown class 'neutral'; expected 'positive' or 'negative'"
     with pytest.raises(ValueError, match=expected):
-        count_cooccurrences([(["a"], "neutral")])
+        count_cooccurrences([(["a"], "neutral")], min_count=1)
 
 
 def _counts_from(f_pos, f_neg, cc_pos, cc_neg, term="t"):
@@ -205,14 +241,16 @@ def _counts_from(f_pos, f_neg, cc_pos, cc_neg, term="t"):
 
 def test_pmi_balanced_term_scores_zero():
     counts = count_cooccurrences(
-        [(["w"], POSITIVE), (["w"], NEGATIVE)], function_words=NO_FILTER
+        [(["w"], POSITIVE), (["w"], NEGATIVE)], function_words=NO_FILTER, min_count=1
     )
     assert pmi_score(counts, "w") == 0.0
 
 
 def test_pmi_one_class_term():
     counts = count_cooccurrences(
-        [(["good"], POSITIVE), (["bad"], NEGATIVE)], function_words=NO_FILTER
+        [(["good"], POSITIVE), (["bad"], NEGATIVE)],
+        function_words=NO_FILTER,
+        min_count=1,
     )
     assert pmi_score(counts, "good") == pytest.approx(math.log2(5.0))
     assert pmi_score(counts, "bad") == pytest.approx(-math.log2(5.0))
@@ -429,12 +467,14 @@ def test_build_lexicon_errors():
         ({"alpha": -1.0}, "alpha must be finite and positive, got -1.0"),
         ({"pair_window": 0}, "pair_window must be at least 1, got 0"),
         ({"pair_window": -1}, "pair_window must be at least 1, got -1"),
+        ({"min_count": 0}, "min_count must be at least 1, got 0"),
+        ({"min_count": -3}, "min_count must be at least 1, got -3"),
     ],
 )
 def test_build_lexicon_rejects_bad_settings(setting, message):
     corpus = [("1", "good fun :)"), ("2", "bad day :(")]
     with pytest.raises(ValueError, match=re.escape(message)):
-        build_lexicon(corpus, "emoticon", min_count=1, **setting)
+        build_lexicon(corpus, "emoticon", **{"min_count": 1, **setting})
 
 
 def test_build_lexicon_rejects_seeds_with_emoticon_labeling():
@@ -526,3 +566,40 @@ def test_build_lexicon_matches_dict_counting_oracle(
     got = build_lexicon(corpus, labeling, **options).entries
     assert list(got) == list(want)
     assert _float_bits(got) == _float_bits(want)
+
+
+# sha256 of the written lexicon induced from make_emoticon_corpus(n=300,
+# seed=7) with min_count 2, and its uni/bi/pair entry counts.
+INDUCED_LEXICON_SHA256 = {
+    "default": (
+        "008eeb9edcc2fe142f97f68cf8f114e8c49e5944faa4df4f537d617ed183b164",
+        (315, 22, 312),
+    ),
+    "per_message": (
+        "c3c5f7dcdda86426c82710821477bb39b0f42b4413f9c7745e8caf2be7e52863",
+        (315, 22, 223),
+    ),
+    "pair_window": (
+        "8e5b0c5e45ae5835bd44485a5e75ade6a04ba968c2435f94acc8eca9d2e0ab04",
+        (315, 22, 68),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "variant,options",
+    [
+        ("default", {}),
+        ("per_message", {"per_message": True}),
+        ("pair_window", {"pair_window": 2}),
+    ],
+)
+def test_induced_lexicon_bytes_are_pinned(tmp_path, variant, options):
+    rows = make_emoticon_corpus(n=300, seed=7)[0]
+    lexicon = build_lexicon(rows, "emoticon", min_count=2, **options)
+    path = tmp_path / "induced.tsv"
+    write_lexicon(lexicon, path)
+    namespaces = [key.split(":", 1)[0] for key in lexicon.entries]
+    shape = tuple(namespaces.count(ns) for ns in ("uni", "bi", "pair"))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert (digest, shape) == INDUCED_LEXICON_SHA256[variant]
