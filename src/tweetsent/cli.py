@@ -35,7 +35,6 @@ from .pipeline import (
     featurize,
     fit,
     load_corpus,
-    prepare,
     run_ablation,
     score,
 )
@@ -94,7 +93,7 @@ def _featurize(args, path: str, raw: bool = False):
     """Ids, labels and feature vectors of the ``--task`` corpus at ``path``."""
     lexicons, clusters = _load_lexicons(args), _clusters(args)
     data = load_corpus(args.task, path, args.format, raw)
-    return featurize(args.task, prepare(args.task, data), lexicons, clusters)
+    return featurize(args.task, data, lexicons, clusters)
 
 
 def cmd_build_lexicon(args) -> int:

@@ -17,8 +17,7 @@ columns, the fourth holding ``surface/TAG`` pairs separated by whitespace::
     id<TAB>label<TAB>text<TAB>Good/A day/N !/,
 
 Term corpus (``start`` and ``end`` are inclusive token indices into the
-toolkit's own tokenization of the normalized text; each instance is
-tokenized once, when it is built)::
+toolkit's own tokenization of the normalized text)::
 
     id<TAB>start<TAB>end<TAB>label<TAB>text
 
@@ -43,6 +42,8 @@ comment; ``#`` plus the lowercased word must tokenize as one hashtag::
 Labels are exactly ``positive``, ``negative`` or ``neutral``.  Literal
 tabs inside message text are escaped as ``\\t`` (and backslash as
 ``\\\\``); the loaders undo the escaping.
+
+Messages and term instances are tokenized once, when they are built.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .tokenizer import TokenizedMessage, normalize, tokenize
+from .tokenizer import TokenizedMessage, normalize, tokenize, tokens_from_tagged
 
 # Fixed class order used for model weights, reports and tie-breaking.
 CLASS_ORDER = ("negative", "neutral", "positive")
@@ -77,13 +78,22 @@ class LabeledMessage:
 
     ``tagged`` holds (surface, pos-tag) pairs when the corpus was produced
     by an external tagger; ``None`` means the toolkit tokenizes ``text``
-    itself.
+    itself.  ``tokens`` is computed once on construction: the tagged
+    tokens as given, else the tokenization of the normalized text.
     """
 
     id: str
     text: str
     label: str
     tagged: tuple[tuple[str, str], ...] | None = None
+    tokens: TokenizedMessage = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.tagged is not None:
+            tokens = tokens_from_tagged(self.tagged)
+        else:
+            tokens = tokenize(normalize(self.text))
+        object.__setattr__(self, "tokens", tokens)
 
 
 @dataclass(frozen=True)
@@ -468,23 +478,29 @@ def load_seed_set(path: str | Path) -> SeedSet:
     """Load seeds from ``hashtag<TAB>positive|negative`` lines.
 
     ``#`` plus the lowercased seed must tokenize as that one hashtag, or
-    no message could ever match it.
+    no message could ever match it.  A seed listed under both
+    polarities, in any case, is an error: every message it tags would
+    carry conflicting seeds and be dropped.
     """
     path = Path(path)
-    positive, negative = [], []
+    polarity_of: dict[str, str] = {}
     for lineno, (term, polarity) in _rows(path, 2):
         tag = "#" + term.lower()
         if [(t.kind, t.surface) for t in tokenize(tag).tokens] != [("hashtag", tag)]:
             raise CorpusFormatError(
                 f"seed '{term}' is not one hashtag word at line {lineno} of {path}"
             )
-        if polarity == POSITIVE:
-            positive.append(term)
-        elif polarity == NEGATIVE:
-            negative.append(term)
-        else:
+        if polarity not in (POSITIVE, NEGATIVE):
             raise CorpusFormatError(
                 f"seed polarity must be positive or negative at line {lineno} "
                 f"of {path}, got '{polarity}'"
             )
-    return SeedSet.from_words(positive, negative)
+        if polarity_of.setdefault(tag, polarity) != polarity:
+            raise CorpusFormatError(
+                f"seed '{term}' is listed as both positive and negative at line "
+                f"{lineno} of {path}"
+            )
+    return SeedSet.from_words(
+        (tag for tag, p in polarity_of.items() if p == POSITIVE),
+        (tag for tag, p in polarity_of.items() if p == NEGATIVE),
+    )

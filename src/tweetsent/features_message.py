@@ -53,7 +53,12 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus_io import Lexicon
-from .negation import EMPTY_ANNOTATION, NegationAnnotation, apply_negation_suffix
+from .negation import (
+    EMPTY_ANNOTATION,
+    NegationAnnotation,
+    apply_negation_suffix,
+    mark_negation,
+)
 from .tokenizer import TokenizedMessage, emoticon_polarity
 
 
@@ -373,19 +378,18 @@ def _emoticon_features(fv: FeatureVector, message: TokenizedMessage) -> None:
 
 def extract_message_features(
     msg: TokenizedMessage,
-    neg: NegationAnnotation,
     lexicons: Sequence[Lexicon] = (),
     clusters: Mapping[str, int] | None = None,
     config: MessageFeatureConfig = DEFAULT_MESSAGE_CONFIG,
 ) -> FeatureVector:
     """Extract the message-level feature vector.
 
-    ``neg`` is the message's negated-context annotation; it is ignored
-    when the config disables negation handling.
+    Negated contexts are marked over the message's surfaces unless the
+    config disables negation handling.
     """
     fv = FeatureVector()
-    annotation = neg if config.negation else EMPTY_ANNOTATION
     surfaces = [t.surface.lower() for t in msg.tokens]
+    annotation = mark_negation(surfaces) if config.negation else EMPTY_ANNOTATION
     suffixed = apply_negation_suffix(surfaces, annotation)
 
     _word_ngram_features(fv, suffixed, 1 if config.baseline else NGRAM_MAX)

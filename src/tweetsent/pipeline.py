@@ -39,47 +39,19 @@ from .features_message import (
 )
 from .features_term import build_split_vocabulary, extract_term_features
 from .linear_model import LinearModel, predict, train
-from .negation import NegationAnnotation, mark_negation
-from .tokenizer import TokenizedMessage, normalize, tokenize, tokens_from_tagged
 
 
-@dataclass(frozen=True)
-class PreparedMessage:
-    """A message tokenized and negation-annotated once, reused across runs."""
+def prepare_messages(messages: Sequence[LabeledMessage]) -> list[LabeledMessage]:
+    """The messages as a list; a message is tokenized when it is built.
 
-    id: str
-    label: str | None
-    tokens: TokenizedMessage
-    annotation: NegationAnnotation
+    Kept for the benchmark harness, which calls it by name.
+    """
+    return list(messages)
 
 
-def prepare_messages(messages: Sequence[LabeledMessage]) -> list[PreparedMessage]:
-    """Tokenize and annotate a corpus; tagged tokens are kept as given."""
-    prepared = []
-    for msg in messages:
-        if msg.tagged is not None:
-            tokens = tokens_from_tagged(msg.tagged)
-        else:
-            tokens = tokenize(normalize(msg.text))
-        prepared.append(
-            PreparedMessage(
-                id=msg.id,
-                label=msg.label,
-                tokens=tokens,
-                annotation=mark_negation(tokens.surfaces()),
-            )
-        )
-    return prepared
-
-
-def _unlabeled(rows: Sequence[tuple[str, str]]) -> list[LabeledMessage]:
+def prepare_raw(rows: Sequence[tuple[str, str]]) -> list[LabeledMessage]:
     """(id, text) rows as messages whose placeholder label is never scored."""
     return [LabeledMessage(id=i, text=t, label="neutral") for i, t in rows]
-
-
-def prepare_raw(rows: Sequence[tuple[str, str]]) -> list[PreparedMessage]:
-    """Prepare unlabeled (id, text) rows for prediction."""
-    return prepare_messages(_unlabeled(rows))
 
 
 def _check_lexicon_names(lexicons: Sequence[Lexicon]) -> None:
@@ -106,15 +78,15 @@ def _check_lexicon_names(lexicons: Sequence[Lexicon]) -> None:
 
 
 def extract_message_vectors(
-    prepared: Sequence[PreparedMessage],
+    messages: Sequence[LabeledMessage],
     lexicons: Sequence[Lexicon] = (),
     clusters: Mapping[str, int] | None = None,
     config: MessageFeatureConfig = DEFAULT_MESSAGE_CONFIG,
 ) -> list[FeatureVector]:
     _check_lexicon_names(lexicons)
     return [
-        extract_message_features(p.tokens, p.annotation, lexicons, clusters, config)
-        for p in prepared
+        extract_message_features(m.tokens, lexicons, clusters, config)
+        for m in messages
     ]
 
 
@@ -133,7 +105,7 @@ def _load_messages(path: str | Path, format: str, raw: bool) -> list[LabeledMess
     if raw and format != "plain":
         raise ValueError(f"raw input has no '{format}' format (--format)")
     if raw:
-        return _unlabeled(load_raw_corpus(path))
+        return prepare_raw(load_raw_corpus(path))
     return load_message_corpus(path, format=format)
 
 
@@ -162,9 +134,9 @@ LEXICON_GROUPS = {"lexicons": None, "manual-lex": "manual", "auto-lex": "auto"}
 class Task:
     """What one task does its own way: reading rows and featurizing them.
 
-    ``load(path, format, raw)`` reads a corpus file and ``prepare`` turns
-    its rows into what ``extract(rows, lexicons, clusters[, config])``
-    featurizes; a run prepares each corpus once.  Each feature name
+    ``load(path, format, raw)`` reads a corpus file into rows, each
+    tokenized once when it is built, and ``extract(rows, lexicons,
+    clusters[, config])`` featurizes them.  Each feature name
     starts with exactly one of ``namespaces``.  A lexicon's features lie
     under ``lexicon_namespaces`` followed by ``<name>|``.  ``groups``
     maps each feature group an ablation can remove, besides
@@ -174,7 +146,6 @@ class Task:
     """
 
     load: Callable[[str | Path, str, bool], list]
-    prepare: Callable[[Sequence], list]
     extract: Callable[..., list[FeatureVector]]
     namespaces: tuple[str, ...]
     lexicon_namespaces: tuple[str, ...]
@@ -203,7 +174,6 @@ class Task:
 TASKS: dict[str, Task] = {
     "message": Task(
         load=_load_messages,
-        prepare=prepare_messages,
         extract=extract_message_vectors,
         namespaces=(
             "wng|", "cng|", "caps|", "pos|", "ht|", "lex|", "pnc|", "emo|",
@@ -223,7 +193,6 @@ TASKS: dict[str, Task] = {
     ),
     "term": Task(
         load=_load_terms,
-        prepare=list,
         extract=_term_vectors,
         namespaces=("tgt|", "ctx|"),
         lexicon_namespaces=("tgt|lex|", "ctx|lex|"),
@@ -264,11 +233,6 @@ def load_corpus(
     return get_task(task).load(path, format, raw)
 
 
-def prepare(task: str, data: Sequence) -> list:
-    """Rows ready to featurize: messages tokenized and negation-annotated."""
-    return get_task(task).prepare(data)
-
-
 def featurize(
     task: str,
     rows: Sequence,
@@ -276,7 +240,7 @@ def featurize(
     clusters: Mapping[str, int] | None = None,
     config: MessageFeatureConfig | None = None,
 ) -> tuple[list[str], list[str], list[FeatureVector]]:
-    """Ids, labels and feature vectors of prepared rows.
+    """Ids, labels and feature vectors of rows as loaded.
 
     ``config`` defaults to the message task's full feature set; the term
     task has none.  Raises ``ValueError`` when two lexicons share a name
@@ -382,7 +346,7 @@ def run_experiment(
     config: MessageFeatureConfig | None = None,
     **solver: float,
 ) -> ExperimentResult:
-    """Fit on prepared training rows and score on prepared test rows.
+    """Fit on training rows and score on test rows.
 
     ``config`` is as in :func:`featurize`; ``C``, ``tol``,
     ``max_epochs`` and ``seed`` go to :func:`linear_model.train`.
@@ -417,7 +381,7 @@ def run_ablation(
     Every run passes ``C``, ``tol``, ``max_epochs`` and ``seed`` to
     :func:`linear_model.train`; only the features change.  The first row
     is the all-features baseline, followed by one row per group in the
-    requested order.  Each corpus is prepared and featurized once, and a
+    requested order.  Each corpus is featurized once, and a
     group's run fits on a dictionary without the names under the group's
     prefixes, so its model never sees them.  Only a group given as a
     config (``negation``) featurizes both corpora again.
@@ -429,7 +393,7 @@ def run_ablation(
     """
     spec = get_task(task)
     groups = ablation_groups(task, groups)
-    rows = [prepare(task, data) for data in (train_data, test_data)]
+    rows = [train_data, test_data]
     (_, labels, train_full), (_, gold, test_full) = (
         featurize(task, r, lexicons, clusters) for r in rows
     )
@@ -457,16 +421,15 @@ def run_message_experiment(
     test_messages: Sequence[LabeledMessage],
     lexicons: Sequence[Lexicon] = (),
     clusters: Mapping[str, int] | None = None,
-    config: MessageFeatureConfig = DEFAULT_MESSAGE_CONFIG,
+    config: MessageFeatureConfig | None = None,
     **solver: float,
 ) -> ExperimentResult:
     """Train on one message corpus and score on another.
 
-    ``C``, ``tol``, ``max_epochs`` and ``seed`` go to
-    :func:`linear_model.train`.
+    ``config`` is as in :func:`featurize`; ``C``, ``tol``, ``max_epochs``
+    and ``seed`` go to :func:`linear_model.train`.
     """
     return run_experiment(
-        "message", prepare_messages(train_messages), prepare_messages(test_messages),
-        lexicons, clusters, config, **solver,
+        "message", train_messages, test_messages, lexicons, clusters, config, **solver
     )
 

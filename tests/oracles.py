@@ -45,11 +45,7 @@ from tweetsent.corpus_io import (
 )
 from tweetsent import features_message
 from tweetsent.features_message import FeatureDictionary, IndexedVector
-from tweetsent.lexicon_builder import (
-    pseudo_label_by_emoticon,
-    pseudo_label_by_hashtag,
-    term_namespace,
-)
+from tweetsent.lexicon_builder import pseudo_label_by_emoticon, pseudo_label_by_hashtag
 from tweetsent.linear_model import LinearModel, ModelFormatError
 from tweetsent.negation import NEG_SUFFIX
 from tweetsent.tokenizer import (
@@ -517,17 +513,19 @@ def _dict_is_pure_punctuation(token: str) -> bool:
 
 
 def _dict_candidates(tokens, function_words, pair_window):
+    """(namespace, text) of each candidate, in the order they are built."""
+
     def blocked(tok: str) -> bool:
         return _dict_is_pure_punctuation(tok) or tok.startswith("@")
 
-    out: list[str] = []
+    out: list[tuple[str, str]] = []
     n = len(tokens)
     for tok in tokens:
         if not blocked(tok):
-            out.append(tok)
+            out.append(("uni", tok))
     for i in range(n - 1):
         if not blocked(tokens[i]) and not blocked(tokens[i + 1]):
-            out.append(f"{tokens[i]} {tokens[i + 1]}")
+            out.append(("bi", f"{tokens[i]} {tokens[i + 1]}"))
     parts = []
     for i, tok in enumerate(tokens):
         if not blocked(tok) and tok.lower() not in function_words:
@@ -546,7 +544,7 @@ def _dict_candidates(tokens, function_words, pair_window):
             gap = tail_start - head_end - 1
             if gap < 1 or (pair_window is not None and gap > pair_window):
                 continue
-            out.append(f"{head_text}---{tail_text}")
+            out.append(("pair", f"{head_text}---{tail_text}"))
     return out
 
 
@@ -597,12 +595,12 @@ def oracle_induced_entries(
     if not streams:
         raise ValueError("no labeled messages")
 
-    term_class_count: dict[str, dict[str, int]] = {}
+    term_class_count: dict[tuple[str, str], dict[str, int]] = {}
     class_count = {POSITIVE: 0, NEGATIVE: 0}
     for tokens, label in streams:
         candidates = _dict_candidates(tokens, function_words, pair_window)
         if per_message:
-            candidates = sorted(set(candidates))
+            candidates = sorted(set(candidates), key=lambda c: (c[1], c[0]))
         for term in candidates:
             by_class = term_class_count.setdefault(term, {})
             by_class[label] = by_class.get(label, 0) + 1
@@ -616,7 +614,8 @@ def oracle_induced_entries(
         if by_class.get(POSITIVE, 0) + by_class.get(NEGATIVE, 0) < min_count:
             continue
         score = _dict_pmi(term_class_count, class_count, term, alpha)
-        entries[f"{term_namespace(term)}:{term}"] = {POSITIVE: score, NEGATIVE: -score}
+        namespace, text = term
+        entries[f"{namespace}:{text}"] = {POSITIVE: score, NEGATIVE: -score}
     return entries
 
 
@@ -969,13 +968,16 @@ def oracle_load_seed_set(path):
             raise CorpusFormatError(
                 f"seed '{term}' is not one hashtag word at line {lineno} of {path}"
             )
-        if polarity == POSITIVE:
-            positive.append(term)
-        elif polarity == NEGATIVE:
-            negative.append(term)
-        else:
+        if polarity not in (POSITIVE, NEGATIVE):
             raise CorpusFormatError(
                 f"seed polarity must be positive or negative at line {lineno} "
                 f"of {path}, got '{polarity}'"
             )
+        opposite = negative if polarity == POSITIVE else positive
+        if any("#" + seen.lower() == tag for seen in opposite):
+            raise CorpusFormatError(
+                f"seed '{term}' is listed as both positive and negative at line "
+                f"{lineno} of {path}"
+            )
+        (positive if polarity == POSITIVE else negative).append(term)
     return SeedSet.from_words(positive, negative)

@@ -18,7 +18,7 @@ from tweetsent.corpus_io import (
 from tweetsent.evaluation import format_report, macro_f_pos_neg, report_kv
 from tweetsent.features_message import format_feature_dump
 from tweetsent.linear_model import load_model, predict
-from tweetsent.pipeline import extract_message_vectors, prepare_messages
+from tweetsent.pipeline import extract_message_vectors
 from tweetsent.synthetic import make_emoticon_corpus
 
 TRAIN_MESSAGES = [
@@ -95,8 +95,7 @@ def test_train_and_evaluate_message(message_files, tmp_path, capsys):
     assert code == 0
     # The printed report is exactly the library's formatting.
     model = load_model(model_path)
-    prepared = prepare_messages(TEST_MESSAGES)
-    vectors = extract_message_vectors(prepared)
+    vectors = extract_message_vectors(TEST_MESSAGES)
     predicted = [predict(model, v) for v in vectors]
     report = macro_f_pos_neg([m.label for m in TEST_MESSAGES], predicted)
     assert out == format_report(report)
@@ -496,6 +495,27 @@ def test_build_lexicon_emoticon_labeling_rejects_seeds(tmp_path, capsys):
     )
     assert (code, out) == (1, "")
     assert err == "error: emoticon labeling takes no seed set (--seeds)\n"
+    assert not out_path.exists()
+
+
+def test_build_lexicon_seed_listed_under_both_polarities_exits_1(tmp_path, capsys):
+    raw = tmp_path / "raw.tsv"
+    write_raw_corpus([("1", "good day #happy"), ("2", "bad day #sad")], raw)
+    seeds = tmp_path / "seeds.tsv"
+    seeds.write_text(
+        "happy\tpositive\nhappy\tnegative\njoy\tpositive\nsad\tnegative\n",
+        encoding="utf-8",
+    )
+    out_path = tmp_path / "induced.tsv"
+    code, out, err = run(
+        capsys, "build-lexicon", "--input", str(raw), "--labeling", "hashtag",
+        "--seeds", str(seeds), "--min-count", "1", "--out", str(out_path),
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: seed 'happy' is listed as both positive and negative at line 2 "
+        f"of {seeds}\n"
+    )
     assert not out_path.exists()
 
 

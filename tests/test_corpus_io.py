@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -34,7 +35,7 @@ from tweetsent.corpus_io import (
     write_raw_corpus,
     write_term_corpus,
 )
-from tweetsent.tokenizer import tokenize
+from tweetsent.tokenizer import normalize, tokenize
 
 
 def test_class_order_fixed():
@@ -85,6 +86,31 @@ def test_tagged_corpus(tmp_path):
     path.write_text("m1\tpositive\tGood day !\tGood/A day/N !/,\n")
     msg = load_message_corpus(path, format="tagged")[0]
     assert msg.tagged == (("Good", "A"), ("day", "N"), ("!", ","))
+
+
+def test_message_is_tokenized_on_construction():
+    message = LabeledMessage(id="a", text="I don't like it , ok", label="negative")
+    assert message.tokens == tokenize(normalize(message.text))
+    assert message.tokens.surfaces()[:3] == ["I", "do", "n't"]
+    assert "tokens" not in repr(message)
+
+
+def test_tagged_message_keeps_given_tokens():
+    message = LabeledMessage(
+        id="a",
+        text="ignored",
+        label="positive",
+        tagged=(("Good", "A"), ("day", "N")),
+    )
+    assert message.tokens.surfaces() == ["Good", "day"]
+    assert [t.pos_tag for t in message.tokens.tokens] == ["A", "N"]
+
+
+def test_replacing_a_message_text_tokenizes_the_new_text():
+    message = LabeledMessage(id="a", text="good day", label="positive")
+    negated = replace(message, text="not good")
+    assert negated.tokens == tokenize("not good")
+    assert message.tokens == tokenize("good day")
 
 
 def test_tagged_corpus_malformed_pair(tmp_path):
@@ -242,6 +268,7 @@ _LOADERS = {
     "term": load_term_corpus,
     "lexicon": load_lexicon,
     "cluster": load_cluster_map,
+    "seed": load_seed_set,
 }
 
 
@@ -258,6 +285,11 @@ _LOADERS = {
         ("lexicon", "a\tpositive\t1\ngood\tpositive\tinf\n", "non-finite score 'inf'"),
         ("lexicon", "good\tpositive\t-1e400\n", "non-finite score '-1e400'"),
         ("cluster", "good\tx\n", "non-integer cluster id 'x'"),
+        (
+            "seed",
+            "happy\tpositive\njoy\tpositive\nHappy\tnegative\n",
+            "seed 'Happy' is listed as both positive and negative",
+        ),
     ],
 )
 def test_loader_errors_name_the_file(tmp_path, loader, text, message):

@@ -13,7 +13,7 @@ from oracles import (
 )
 
 from tweetsent import features_message
-from tweetsent.corpus_io import LabeledMessage, Lexicon
+from tweetsent.corpus_io import PAIR_SEPARATOR, LabeledMessage, Lexicon
 from tweetsent.features_message import (
     DEFAULT_MESSAGE_CONFIG,
     FeatureDictionary,
@@ -25,13 +25,8 @@ from tweetsent.features_message import (
     vectorize,
 )
 from tweetsent.linear_model import LinearModel, decision_values
-from tweetsent.negation import EMPTY_ANNOTATION, NegationAnnotation, mark_negation
-from tweetsent.pipeline import (
-    TASKS,
-    extract_message_vectors,
-    featurize,
-    prepare_messages,
-)
+from tweetsent.negation import NegationAnnotation, mark_negation
+from tweetsent.pipeline import TASKS, extract_message_vectors, featurize
 from tweetsent.tokenizer import tokenize, tokens_from_tagged
 
 
@@ -40,10 +35,7 @@ def lex(entries, name="L", affects=("positive",), kind="manual"):
 
 
 def extract(text, lexicons=(), clusters=None, config=DEFAULT_MESSAGE_CONFIG):
-    message = tokenize(text)
-    return extract_message_features(
-        message, mark_negation(message.surfaces()), lexicons, clusters, config
-    )
+    return extract_message_features(tokenize(text), lexicons, clusters, config)
 
 
 def test_golden_positive_message():
@@ -111,7 +103,7 @@ def test_pair_key_is_found_at_every_separator():
     for head, tail in (("-", "--y"), ("--", "-y"), ("---", "y")):
         tagged = (("x", "N"), (head, ","), ("z", "N"), (tail, ","))
         message = tokens_from_tagged(tagged)
-        fv = extract_message_features(message, EMPTY_ANNOTATION, [pair_lex])
+        fv = extract_message_features(message, [pair_lex])
         assert fv.get("lex|L|pair|sum|positive") == 0.5
 
 
@@ -143,18 +135,45 @@ def test_pair_last_follows_message_order_at_one_tail():
     assert fv.get("lex|L|pair|cnt|positive") == 3
 
 
-def test_pair_features_build_no_pair_string():
+class _KeyRecorder(dict):
+    """A dict that appends the key of every ``get`` to ``seen``."""
+
+    def __init__(self, items, seen):
+        super().__init__(items)
+        self.seen = seen
+
+    def get(self, key, default=None):
+        self.seen.append(key)
+        return super().get(key, default)
+
+
+def test_pair_features_build_no_pair_string(monkeypatch):
     pair_lex = lex({"pair:good---day": {"positive": 1.0}})
-    rows = prepare_messages([LabeledMessage("1", "good x day", "positive")])
-    (fv,) = extract_message_vectors(rows, [pair_lex])
+    seen = []
+    table = {
+        head: _KeyRecorder(by_tail, seen)
+        for head, by_tail in pair_lex.pair_table.items()
+    }
+    object.__setattr__(pair_lex, "pair_table", _KeyRecorder(table, seen))
+    unit_scores = Lexicon.unit_scores
+
+    def no_pair_units(self, namespace):
+        assert namespace != "pair", "pair scores looked up by pair text"
+        return unit_scores(self, namespace)
+
+    monkeypatch.setattr(Lexicon, "unit_scores", no_pair_units)
+    messages = [LabeledMessage("1", "good x day", "positive")]
+    (fv,) = extract_message_vectors(messages, [pair_lex])
     assert fv.get("lex|L|pair|sum|positive") == 1.0
+    assert "good" in seen and "day" in seen
+    assert [key for key in seen if PAIR_SEPARATOR in key] == []
 
 
 def test_lexicon_scopes_on_tagged_input():
     message = tokens_from_tagged((("GOOD", "A"), ("day", "N"), ("#win", "#")))
     lexicon = lex({"good": {"positive": 2.0}, "day": {"positive": -1.0},
                    "#win": {"positive": 1.0}})
-    fv = extract_message_features(message, EMPTY_ANNOTATION, [lexicon])
+    fv = extract_message_features(message, [lexicon])
     assert fv.get("lex|L|uni|sum|positive") == 2.0
     assert fv.get("lex|L|uni|pos:A|sum|positive") == 2.0
     assert fv.get("lex|L|uni|caps|sum|positive") == 2.0
@@ -217,7 +236,6 @@ def test_unigrams_only_ignores_tags_lexicons_and_clusters():
     lexicon = lex({"good": {"positive": 2.0}, "bi:good not": {"positive": 1.0}})
     fv = extract_message_features(
         message,
-        mark_negation(message.surfaces()),
         [lexicon],
         {"good": 7, "day": 3},
         MessageFeatureConfig.unigrams_only(),
@@ -240,7 +258,7 @@ def test_baseline_with_negation_marks_unigrams_and_counts_contexts():
 def test_manual_and_auto_lexicon_toggles(check_fit_without):
     manual = lex({"good": {"positive": 1.0}}, name="m", kind="manual")
     auto = lex({"good": {"positive": 1.0}}, name="a", kind="auto")
-    rows = prepare_messages([LabeledMessage("1", "good", "positive")])
+    rows = [LabeledMessage("1", "good", "positive")]
 
     _, _, full = featurize("message", rows, [manual, auto])
 
@@ -279,7 +297,7 @@ def test_lexicon_sum_and_count_partition(tokens):
     lexicon = lex({"good": {"positive": 2.0}, "bad": {"positive": -1.0},
                    "meh": {"positive": 0.0}})
     message = tokenize(" ".join(tokens))
-    fv = extract_message_features(message, mark_negation(message.surfaces()), [lexicon])
+    fv = extract_message_features(message, [lexicon])
     scores = [
         lexicon.entries[s]["positive"]
         for s in message.surfaces()
@@ -409,7 +427,7 @@ def test_lexicon_features_match_oracle(words, tags, entries, affects):
         for k in range(2)
     ]
     annotation = mark_negation(message.surfaces())
-    fv = extract_message_features(message, annotation, lexicons)
+    fv = extract_message_features(message, lexicons)
     got = FeatureVector({k: v for k, v in fv.entries.items() if k.startswith("lex|")})
     want = FeatureVector()
     surfaces = [t.surface.lower() for t in message.tokens]
@@ -503,15 +521,18 @@ def _check_row_features(words, tags, spans, config):
                      "bi:good at": {"positive": 0.5}},
         )
     ]
-    got = extract_message_features(message, annotation, lexicons, config=config)
-    with mock.patch.multiple(
-        features_message,
-        _word_ngram_features=oracle_word_ngram_features,
-        _char_ngram_features=oracle_char_ngram_features,
-        _scope_masks=oracle_scope_masks,
-        apply_negation_suffix=oracle_apply_negation_suffix,
-    ):
-        want = extract_message_features(message, annotation, lexicons, config=config)
+    # Drawn spans stand in for the ones negation marking would find.
+    mark = mark_negation if spans is None else lambda surfaces: annotation
+    with mock.patch.object(features_message, "mark_negation", mark):
+        got = extract_message_features(message, lexicons, config=config)
+        with mock.patch.multiple(
+            features_message,
+            _word_ngram_features=oracle_word_ngram_features,
+            _char_ngram_features=oracle_char_ngram_features,
+            _scope_masks=oracle_scope_masks,
+            apply_negation_suffix=oracle_apply_negation_suffix,
+        ):
+            want = extract_message_features(message, lexicons, config=config)
     # Same names, values and insertion order.
     assert list(got.entries.items()) == list(want.entries.items())
 

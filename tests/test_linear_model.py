@@ -23,7 +23,7 @@ from tweetsent.linear_model import (
     save_model,
     train,
 )
-from tweetsent.pipeline import cross_validate, featurize, fit, prepare_messages
+from tweetsent.pipeline import cross_validate, featurize, fit
 from tweetsent.synthetic import make_message_corpus
 
 BINARY = ("negative", "positive")
@@ -308,17 +308,13 @@ def test_saved_model_predicts_like_the_model_in_memory(tmp_path_factory, n, seed
     """
     messages, lexicon = make_message_corpus(n=n, seed=seed)
     split = 2 * n // 3
-    _, labels, vectors = featurize(
-        "message", prepare_messages(messages[:split]), [lexicon]
-    )
+    _, labels, vectors = featurize("message", messages[:split], [lexicon])
     assume(set(labels) == set(CLASS_ORDER))
     model = fit(vectors, labels, C=C, seed=seed)
     path = tmp_path_factory.mktemp("model") / "model.tsv"
     save_model(model, path)
     loaded = load_model(path)
-    _, _, test_vectors = featurize(
-        "message", prepare_messages(messages[split:]), [lexicon]
-    )
+    _, _, test_vectors = featurize("message", messages[split:], [lexicon])
     for v in test_vectors:
         # The saved file holds only the features with a non-zero weight,
         # so each model indexes the row by its own dictionary.
@@ -344,9 +340,7 @@ def test_pruned_file_decides_like_the_model_in_memory(tmp_path, seed):
     rounds them, so only the pruning can differ.
     """
     messages, lexicon = make_message_corpus(n=240, seed=seed)
-    _, labels, vectors = featurize(
-        "message", prepare_messages(messages[:160]), [lexicon]
-    )
+    _, labels, vectors = featurize("message", messages[:160], [lexicon])
     model = fit(vectors, labels, seed=seed)
     path = tmp_path / "model.tsv"
     written = save_model(model, path)
@@ -355,9 +349,7 @@ def test_pruned_file_decides_like_the_model_in_memory(tmp_path, seed):
     rounded = replace(
         model, weights=np.vectorize(lambda w: float(f"{w:.9g}"))(model.weights)
     )
-    _, _, test_vectors = featurize(
-        "message", prepare_messages(messages[160:]), [lexicon]
-    )
+    _, _, test_vectors = featurize("message", messages[160:], [lexicon])
     for v in test_vectors:
         want = decision_values(rounded, vectorize(v, rounded.dictionary))
         got = decision_values(loaded, vectorize(v, loaded.dictionary))

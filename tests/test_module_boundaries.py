@@ -3,6 +3,7 @@ the top of the module, and import nothing outside the standard library
 but numpy."""
 
 import ast
+import importlib
 import sys
 from collections import Counter
 from pathlib import Path
@@ -438,4 +439,96 @@ def test_unreferenced_names_are_detected():
     )
     assert _unreferenced_names({"shapes": module}, [module, user]) == [
         "shapes.UNUSED", "shapes.helper", "shapes._left_behind", "shapes.Shape"
+    ]
+
+
+HARNESS = sorted(p for d in ("bench", "scripts") for p in (ROOT / d).glob("*.py"))
+
+
+def _package_references(source: str) -> list[str]:
+    """``module.name`` for each package name that ``source`` uses, and
+    ``module`` for each package module it imports.
+
+    A name is used when imported with ``from tweetsent.module import
+    name``, read as ``module.name`` on a module imported from the
+    package, or listed in a ``LAYERS`` table of ``(module, names)``
+    pairs.
+    """
+    tree = ast.parse(source)
+    found, modules = [], {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or node.level or not node.module:
+            continue
+        if node.module == "tweetsent":
+            for alias in node.names:
+                modules[alias.asname or alias.name] = alias.name
+                found.append(alias.name)
+        elif node.module.startswith("tweetsent."):
+            module = node.module.removeprefix("tweetsent.")
+            found += [f"{module}.{alias.name}" for alias in node.names]
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ):
+            found.append(f"{modules[node.value.id]}.{node.attr}")
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets
+        ):
+            layers = ast.literal_eval(node.value)
+            found += [f"{m}.{name}" for m, names in layers.values() for name in names]
+    return found
+
+
+def _missing(references: list[str]) -> list[str]:
+    """The references whose module or name the package lacks."""
+    missing = []
+    for reference in references:
+        module, _, name = reference.partition(".")
+        try:
+            imported = importlib.import_module(f"tweetsent.{module}")
+        except ImportError:
+            missing.append(reference)
+            continue
+        if name and not hasattr(imported, name):
+            missing.append(reference)
+    return missing
+
+
+def test_every_package_name_the_benchmark_and_scripts_use_exists():
+    """A refactor that deletes or renames a name that ``bench/`` or
+    ``scripts/`` calls fails here, not in a benchmark run."""
+    references = sorted(
+        {
+            reference
+            for path in HARNESS
+            for reference in _package_references(path.read_text(encoding="utf-8"))
+        }
+    )
+    assert len(references) > 40
+    assert _missing(references) == []
+
+
+def test_package_references_are_found_and_checked():
+    source = (
+        "from tweetsent import pipeline as pl, corpus_io\n"
+        "from tweetsent.features_message import vectorize, gone\n"
+        "from common import macro_f\n"
+        "import tweetsent\n"
+        "LAYERS = {'x': ('linear_model', ('train', 'fit_all'))}\n"
+        "def job():\n"
+        "    from tweetsent import lexicon_builder\n"
+        "    rows = pl.featurize(corpus_io.load_raw_corpus('r.tsv'))\n"
+        "    return lexicon_builder.build_lexicon(rows), tweetsent.__file__\n"
+    )
+    references = _package_references(source)
+    assert sorted(references) == [
+        "corpus_io", "corpus_io.load_raw_corpus", "features_message.gone",
+        "features_message.vectorize", "lexicon_builder",
+        "lexicon_builder.build_lexicon", "linear_model.fit_all",
+        "linear_model.train", "pipeline", "pipeline.featurize",
+    ]
+    assert _missing(references + ["no_such_module"]) == [
+        "features_message.gone", "linear_model.fit_all", "no_such_module"
     ]

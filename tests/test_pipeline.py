@@ -13,6 +13,7 @@ from tweetsent.corpus_io import (
     TermInstance,
     load_cluster_map,
     load_lexicon,
+    write_message_corpus,
     write_term_corpus,
 )
 from tweetsent.features_message import MessageFeatureConfig, extract_message_features
@@ -22,8 +23,6 @@ from tweetsent.pipeline import (
     extract_message_vectors,
     extract_term_vectors,
     featurize,
-    prepare,
-    prepare_messages,
     prepare_raw,
     run_ablation,
     run_experiment,
@@ -35,29 +34,6 @@ from tweetsent.synthetic import (
     make_term_corpus,
 )
 from tweetsent.tokenizer import tokenize
-
-
-def test_prepare_messages_untagged():
-    prepared = prepare_messages(
-        [LabeledMessage(id="a", text="i don't like it , ok", label="negative")]
-    )
-    assert len(prepared) == 1
-    assert prepared[0].id == "a"
-    assert prepared[0].label == "negative"
-    assert prepared[0].tokens.surfaces()[:3] == ["i", "do", "n't"]
-    assert prepared[0].annotation.spans == ((3, 4),)
-
-
-def test_prepare_messages_tagged_keeps_given_tokens():
-    message = LabeledMessage(
-        id="a",
-        text="ignored",
-        label="positive",
-        tagged=(("Good", "A"), ("day", "N")),
-    )
-    prepared = prepare_messages([message])
-    assert prepared[0].tokens.surfaces() == ["Good", "day"]
-    assert [t.pos_tag for t in prepared[0].tokens.tokens] == ["A", "N"]
 
 
 def test_prepare_raw_defaults_to_neutral():
@@ -97,7 +73,7 @@ def test_run_message_experiment_separable():
     assert result.report.macro_f == 100.0
     assert result.report.n == 3
     # The trained model is directly usable.
-    vectors = extract_message_vectors(prepare_messages(TEST_MESSAGES))
+    vectors = extract_message_vectors(TEST_MESSAGES)
     assert predict(result.model, vectors[0]) == "positive"
 
 
@@ -131,27 +107,42 @@ def test_run_experiment_term_separable():
 
 
 def test_featurize_returns_ids_labels_and_vectors():
-    rows = prepare("message", TEST_MESSAGES)
-    ids, labels, vectors = featurize("message", rows)
+    ids, labels, vectors = featurize("message", TEST_MESSAGES)
     assert ids == ["t1", "t2", "t3"]
     assert labels == ["positive", "negative", "neutral"]
-    assert vectors == extract_message_vectors(rows)
+    assert vectors == extract_message_vectors(TEST_MESSAGES)
     with pytest.raises(ValueError, match="unknown task 'tweet'"):
-        featurize("tweet", rows)
+        featurize("tweet", TEST_MESSAGES)
     with pytest.raises(ValueError, match="the term task has no feature config"):
         featurize("term", [], config=MessageFeatureConfig())
 
 
-def test_ablation_prepares_each_corpus_once(monkeypatch):
+def _count_tokenize_calls(monkeypatch) -> list[str]:
+    """Route ``tokenize`` in every tweetsent module through a recorder."""
     seen = []
 
     def counting_tokenize(text):
         seen.append(text)
         return tokenize(text)
 
-    monkeypatch.setattr(pipeline, "tokenize", counting_tokenize)
-    rows = run_ablation(["word-ngrams", "negation"], TRAIN_MESSAGES, TEST_MESSAGES)
-    assert len(rows) == 3
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tweetsent") and getattr(module, "tokenize", None) is tokenize:
+            monkeypatch.setattr(module, "tokenize", counting_tokenize)
+    return seen
+
+
+def test_messages_are_tokenized_once(tmp_path, monkeypatch):
+    write_message_corpus(TRAIN_MESSAGES, tmp_path / "train.tsv")
+    write_message_corpus(TEST_MESSAGES, tmp_path / "test.tsv")
+    seen = _count_tokenize_calls(monkeypatch)
+    train_rows, test_rows = (
+        pipeline.load_corpus("message", tmp_path / f"{part}.tsv")
+        for part in ("train", "test")
+    )
+    featurize("message", train_rows)
+    groups = list(pipeline.TASKS["message"].ablations)
+    rows = run_ablation(groups, train_rows, test_rows)
+    assert len(rows) == len(groups) + 1
     assert len(seen) == len(TRAIN_MESSAGES) + len(TEST_MESSAGES)
 
 
@@ -296,7 +287,7 @@ def test_every_feature_name_has_one_namespace(fixture):
     task, train_data, test_data, lexicons, clusters = _golden(fixture)
     namespaces = pipeline.TASKS[task].namespaces
     for data in (train_data, test_data):
-        _, _, vectors = featurize(task, prepare(task, data), lexicons, clusters)
+        _, _, vectors = featurize(task, data, lexicons, clusters)
         names = {name for v in vectors for name in v.entries}
         assert names
         for name in names:
@@ -318,7 +309,7 @@ def test_extracted_entries_match_pinned_hash(fixture):
     task, train_data, test_data, lexicons, clusters = _golden(fixture)
     digest = hashlib.sha256()
     for data in (train_data, test_data):
-        _, _, vectors = featurize(task, prepare(task, data), lexicons, clusters)
+        _, _, vectors = featurize(task, data, lexicons, clusters)
         for vector in vectors:
             for name, value in vector.entries.items():
                 digest.update(f"{name}\t{value!r}\n".encode())
@@ -340,11 +331,10 @@ def test_removing_a_group_equals_extracting_without_it(fixture, check_fit_withou
     task, train_data, _, lexicons, clusters = _golden(fixture)
     spec = pipeline.TASKS[task]
     assert set(KEPT_LEXICON_KINDS) == set(pipeline.LEXICON_GROUPS)
-    rows = prepare(task, train_data)
-    _, _, full = featurize(task, rows, lexicons, clusters)
+    _, _, full = featurize(task, train_data, lexicons, clusters)
     for group, kinds in KEPT_LEXICON_KINDS.items():
         kept = [lex for lex in lexicons if lex.kind in kinds]
-        _, _, fresh = featurize(task, rows, kept, clusters)
+        _, _, fresh = featurize(task, train_data, kept, clusters)
         check_fit_without(full, spec.removal(group, lexicons), fresh)
 
 
@@ -402,16 +392,8 @@ def test_term_instances_are_tokenized_once(tmp_path, monkeypatch):
     instances, lexicon = make_term_corpus(n=30, seed=2)
     path = tmp_path / "terms.tsv"
     write_term_corpus(instances, path)
-    seen = []
-
-    def counting_tokenize(text):
-        seen.append(text)
-        return tokenize(text)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("tweetsent") and getattr(module, "tokenize", None) is tokenize:
-            monkeypatch.setattr(module, "tokenize", counting_tokenize)
-    rows = prepare("term", pipeline.load_corpus("term", path))
+    seen = _count_tokenize_calls(monkeypatch)
+    rows = pipeline.load_corpus("term", path)
     _, _, vectors = featurize("term", rows, [lexicon])
     assert len(vectors) == len(seen) == len(instances)
 
