@@ -47,7 +47,7 @@ are never stored.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -114,20 +114,12 @@ def format_feature_dump(vector: FeatureVector) -> str:
     )
 
 
-def build_feature_dictionary(
-    vectors: Iterable[FeatureVector], without: tuple[str, ...] = ()
-) -> FeatureDictionary:
-    """Build the name/index bijection from training vectors only.
-
-    Names that start with a prefix in ``without`` are left out.
-    """
+def build_feature_dictionary(vectors: Iterable[FeatureVector]) -> FeatureDictionary:
+    """Build the name/index bijection from training vectors only."""
     names = set()
     for v in vectors:
         names.update(v.entries)
-    kept = sorted(names)
-    if without:
-        kept = [n for n in kept if not n.startswith(without)]
-    return FeatureDictionary(tuple(kept))
+    return FeatureDictionary(tuple(sorted(names)))
 
 
 def vectorize(vector: FeatureVector, dictionary: FeatureDictionary) -> IndexedVector:
@@ -146,6 +138,22 @@ def vectorize(vector: FeatureVector, dictionary: FeatureDictionary) -> IndexedVe
         indices, values = indices[known], values[known]
     order = indices.argsort()
     return IndexedVector(indices=indices[order], values=values[order])
+
+
+def select_columns(
+    rows: Sequence[IndexedVector], dictionary: FeatureDictionary, keep: np.ndarray
+) -> tuple[list[IndexedVector], FeatureDictionary]:
+    """Rows and dictionary cut to the columns that the boolean ``keep`` marks.
+
+    Kept columns are renumbered in order; the others drop, as
+    :func:`vectorize` drops names unknown to the dictionary.
+    """
+    renumber = np.cumsum(keep, dtype=np.int64) - 1
+    selected = []
+    for row in rows:
+        kept = keep[row.indices]
+        selected.append(IndexedVector(renumber[row.indices[kept]], row.values[kept]))
+    return selected, FeatureDictionary(tuple(compress(dictionary.names, keep)))
 
 
 # The longest word n-gram, the word n-gram sizes that also get wildcard

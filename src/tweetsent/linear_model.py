@@ -203,10 +203,14 @@ def decision_values(model: LinearModel, vector: IndexedVector) -> np.ndarray:
     return model.weights[:, vector.indices] @ vector.values + model.weights[:, -1]
 
 
+def classify(model: LinearModel, vector: IndexedVector) -> str:
+    """Class with the largest decision value; ties go to the earliest class."""
+    return model.class_order[int(np.argmax(decision_values(model, vector)))]
+
+
 def predict(model: LinearModel, vector: FeatureVector) -> str:
-    """Predicted class; unknown names drop and ties go to the earliest class."""
-    scores = decision_values(model, vectorize(vector, model.dictionary))
-    return model.class_order[int(np.argmax(scores))]
+    """:func:`classify` the vector; names unknown to the model drop."""
+    return classify(model, vectorize(vector, model.dictionary))
 
 
 # Rows per write when saving: 64 rows is within 25% of the speed of

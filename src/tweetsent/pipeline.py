@@ -21,6 +21,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .corpus_io import (
+    CLASS_ORDER,
     LabeledMessage,
     Lexicon,
     TermInstance,
@@ -35,10 +36,11 @@ from .features_message import (
     MessageFeatureConfig,
     build_feature_dictionary,
     extract_message_features,
+    select_columns,
     vectorize,
 )
 from .features_term import build_split_vocabulary, extract_term_features
-from .linear_model import LinearModel, predict, train
+from .linear_model import LinearModel, classify, predict, train
 
 
 def prepare_messages(messages: Sequence[LabeledMessage]) -> list[LabeledMessage]:
@@ -253,18 +255,14 @@ def featurize(
 
 
 def fit(
-    vectors: Sequence[FeatureVector],
-    labels: Sequence[str],
-    without: tuple[str, ...] = (),
-    **solver: float,
+    vectors: Sequence[FeatureVector], labels: Sequence[str], **solver: float
 ) -> LinearModel:
     """Build the feature dictionary from ``vectors``, index them and train.
 
-    The dictionary leaves out the names that start with a prefix in
-    ``without``.  ``C``, ``tol``, ``max_epochs`` and ``seed`` go to
+    ``C``, ``tol``, ``max_epochs`` and ``seed`` go to
     :func:`linear_model.train`, which holds their defaults.
     """
-    dictionary = build_feature_dictionary(vectors, without)
+    dictionary = build_feature_dictionary(vectors)
     indexed = [vectorize(v, dictionary) for v in vectors]
     return train(indexed, labels, dictionary, **solver)
 
@@ -287,9 +285,10 @@ def cross_validate(
 
     Folds are stratified by label; when some class has fewer examples
     than ``k``, a warning is emitted and plain shuffled folds are used.
-    Each fold is fit from scratch, feature dictionary included.
-    ``seed`` draws the folds and, with ``C``, ``tol`` and
-    ``max_epochs``, goes to :func:`linear_model.train`.
+    A fold whose training rows lack a class raises ``ValueError`` before
+    any fold trains.  The vectors are indexed once; each fold keeps the
+    columns its training rows use.  ``seed`` draws the folds and, with
+    ``C``, ``tol`` and ``max_epochs``, goes to :func:`linear_model.train`.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -318,16 +317,24 @@ def cross_validate(
         )
         for j, idx in enumerate(rng.permutation(len(labels))):
             folds[j % k].append(int(idx))
-
+    training = [[i for g in range(k) if g != f for i in folds[g]] for f in range(k)]
+    for f, used in enumerate(training):
+        if absent := sorted(set(CLASS_ORDER).difference(labels[i] for i in used)):
+            raise ValueError(f"fold {f}: class '{absent[0]}' absent from training rows")
+    dictionary = build_feature_dictionary(vectors)
+    rows = [vectorize(v, dictionary) for v in vectors]
     scores = []
-    for f in range(k):
-        used = [i for g in range(k) if g != f for i in folds[g]]
-        model = fit(
-            [vectors[i] for i in used], [labels[i] for i in used], seed=seed, **solver
+    for used, held in zip(training, folds):
+        keep = np.zeros(dictionary.size, dtype=bool)
+        for i in used:
+            keep[rows[i].indices] = True
+        selected, kept = select_columns(rows, dictionary, keep)
+        model = train(
+            [selected[i] for i in used], [labels[i] for i in used], kept,
+            seed=seed, **solver,
         )
-        held = folds[f]
-        report = score(model, [vectors[i] for i in held], [labels[i] for i in held])
-        scores.append(report.macro_f)
+        predicted = [classify(model, selected[i]) for i in held]
+        scores.append(macro_f_pos_neg([labels[i] for i in held], predicted).macro_f)
     return scores
 
 
@@ -381,10 +388,10 @@ def run_ablation(
     Every run passes ``C``, ``tol``, ``max_epochs`` and ``seed`` to
     :func:`linear_model.train`; only the features change.  The first row
     is the all-features baseline, followed by one row per group in the
-    requested order.  Each corpus is featurized once, and a
-    group's run fits on a dictionary without the names under the group's
-    prefixes, so its model never sees them.  Only a group given as a
-    config (``negation``) featurizes both corpora again.
+    requested order.  Each corpus is featurized and indexed once, and a
+    group's run keeps the columns whose names start with none of the
+    group's prefixes, so its model never sees them.  Only a group given
+    as a config (``negation``) featurizes both corpora again.
 
     A group with no features in the training corpus, such as ``pos`` on
     plain input, ``clusters`` without a cluster map or ``auto-lex``
@@ -393,22 +400,26 @@ def run_ablation(
     """
     spec = get_task(task)
     groups = ablation_groups(task, groups)
-    rows = [train_data, test_data]
-    (_, labels, train_full), (_, gold, test_full) = (
-        featurize(task, r, lexicons, clusters) for r in rows
+    (_, labels, train_vectors), (_, gold, test_vectors) = (
+        featurize(task, r, lexicons, clusters) for r in (train_data, test_data)
     )
+    dictionary = build_feature_dictionary(train_vectors)
+    rows = [vectorize(v, dictionary) for v in (*train_vectors, *test_vectors)]
+    del train_vectors, test_vectors
     scores = []
     for group in [None, *groups]:
         removal = () if group is None else spec.removal(group, lexicons)
         if isinstance(removal, MessageFeatureConfig):
-            train_vectors, test_vectors = (
-                featurize(task, r, lexicons, clusters, removal)[2] for r in rows
-            )
-            removal = ()
+            features = (lexicons, clusters, removal)
+            model = fit(featurize(task, train_data, *features)[2], labels, **solver)
+            report = score(model, featurize(task, test_data, *features)[2], gold)
         else:
-            train_vectors, test_vectors = train_full, test_full
-        model = fit(train_vectors, labels, without=removal, **solver)
-        scores.append(score(model, test_vectors, gold).macro_f)
+            keep = np.array([not n.startswith(removal) for n in dictionary.names], bool)
+            selected, kept = select_columns(rows, dictionary, keep)
+            model = train(selected[: len(labels)], labels, kept, **solver)
+            predicted = [classify(model, r) for r in selected[len(labels) :]]
+            report = macro_f_pos_neg(gold, predicted)
+        scores.append(report.macro_f)
     baseline = scores[0]
     return [
         AblationRow(group=group, macro_f=value, delta=value - baseline)

@@ -1,11 +1,15 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from tweetsent import pipeline
-from tweetsent.features_message import build_feature_dictionary, vectorize
+from tweetsent.features_message import (
+    build_feature_dictionary,
+    select_columns,
+    vectorize,
+)
 
 # Make the sibling oracles module importable from every test file.
 sys.path.insert(0, str(Path(__file__).parent))
@@ -19,27 +23,34 @@ settings.load_profile("suite")
 
 
 @pytest.fixture
-def check_fit_without(monkeypatch):
-    """``check(full, prefixes, fresh)`` for ``pipeline.fit(..., without=prefixes)``.
+def check_select_columns():
+    """``check(full, keep, fresh, fit_rows=None)`` for ``select_columns``.
 
-    With training stubbed out, ``check`` asserts that the dictionary
-    ``fit`` builds from ``full`` has the names of a fresh dictionary
-    built from ``fresh``, and that ``fit`` indexes each ``full`` row to
-    the indices and values of its ``fresh`` row under that fresh
-    dictionary.  It returns ``fit``'s dictionary.
+    ``check`` indexes the vectors ``full`` against a dictionary of all
+    their names and selects the columns whose name ``keep`` accepts.  It
+    asserts that the kept names equal a fresh dictionary built from the
+    vectors ``fresh`` (only those at the positions ``fit_rows``, when
+    given), and that each selected row has the dtypes and bytes of its
+    ``fresh`` row vectorized against that fresh dictionary.  It returns
+    the kept dictionary.
     """
-    monkeypatch.setattr(
-        pipeline, "train", lambda indexed, labels, dictionary: (indexed, dictionary)
-    )
 
-    def check(full, prefixes, fresh):
-        indexed, dictionary = pipeline.fit(full, [None] * len(full), without=prefixes)
-        want = build_feature_dictionary(fresh)
-        assert dictionary.names == want.names
-        for got, vector in zip(indexed, fresh, strict=True):
+    def check(full, keep, fresh, fit_rows=None):
+        dictionary = build_feature_dictionary(full)
+        rows = [vectorize(v, dictionary) for v in full]
+        mask = np.array([keep(name) for name in dictionary.names], dtype=bool)
+        selected, kept = select_columns(rows, dictionary, mask)
+        fit = fresh if fit_rows is None else [fresh[i] for i in fit_rows]
+        want = build_feature_dictionary(fit)
+        assert kept.names == want.names
+        for got, vector in zip(selected, fresh, strict=True):
             expected = vectorize(vector, want)
-            assert got.indices.tobytes() == expected.indices.tobytes()
-            assert got.values.tobytes() == expected.values.tobytes()
-        return dictionary
+            for array, wanted in (
+                (got.indices, expected.indices),
+                (got.values, expected.values),
+            ):
+                assert array.dtype == wanted.dtype
+                assert array.tobytes() == wanted.tobytes()
+        return kept
 
     return check

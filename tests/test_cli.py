@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from tweetsent import pipeline
 from tweetsent.cli import main
 from tweetsent.corpus_io import (
     LabeledMessage,
@@ -315,6 +316,22 @@ def test_missing_class_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert "error: class 'neutral' absent from training data" in err
+
+
+def test_cross_validation_fold_missing_a_class_exits_1(tmp_path, capsys, monkeypatch):
+    """The lone neutral row is held out by one fold, whose training rows
+    then lack the class; no fold trains before the error."""
+    monkeypatch.setattr(pipeline, "train", lambda *args, **kwargs: pytest.fail())
+    seven = tmp_path / "seven.tsv"
+    labels = ["positive"] * 3 + ["negative"] * 3 + ["neutral"]
+    write_message_corpus(
+        [LabeledMessage(i, f"row {i}", label) for i, label in zip("abcdefg", labels)],
+        seven,
+    )
+    with pytest.warns(UserWarning, match="fewer than 3"):
+        code, out, err = run(capsys, "train", "--input", str(seven), "--cv", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: fold 2: class 'neutral' absent from training rows\n"
 
 
 @pytest.mark.parametrize(
@@ -672,9 +689,15 @@ def _cli_in_child(blas_threads: str, *argv: str) -> bytes:
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """Models, reports, ablation tables and cross-validation folds keep
-    their bytes whether numpy's BLAS runs on one thread or on two."""
+    """Models, reports, and the ablation tables and cross-validation folds
+    of both tasks keep their bytes whether numpy's BLAS runs on one
+    thread or on two."""
     lexicon = ("--lexicon", str(GOLDEN / "planted.tsv"))
+    term_lexicons = (
+        "--lexicon", str(GOLDEN_TERM / "manual.tsv"),
+        "--auto-lexicon", str(GOLDEN_TERM / "auto.tsv"),
+    )
+    term_train = ("train", "--task", "term", "--input", str(GOLDEN_TERM / "train.tsv"))
     outputs = {}
     for threads in ("1", "2"):
         model = tmp_path / f"model{threads}.tsv"
@@ -698,13 +721,27 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
             "--auto-lexicon", str(GOLDEN / "auto.tsv"),
             "--clusters", str(GOLDEN / "clusters.tsv"), "--C", "0.05",
         )
-        outputs[threads] = (model.read_bytes(), kv, table, folds)
+        term_folds = _cli_in_child(
+            threads, *term_train, "--cv", "3", "--seed", "5", *term_lexicons,
+            "--C", "0.05",
+        )
+        term_table = _cli_in_child(
+            threads, "ablate", *term_train[1:], "--test",
+            str(GOLDEN_TERM / "test.tsv"), *term_lexicons,
+            "--groups", "lexicons,manual-lex,auto-lex,target,context",
+            "--C", "0.05", "--tsv",
+        )
+        outputs[threads] = (
+            model.read_bytes(), kv, table, folds, term_folds, term_table
+        )
     assert outputs["1"] == outputs["2"]
-    model, kv, table, folds = outputs["1"]
+    model, kv, table, folds, term_folds, term_table = outputs["1"]
     assert hashlib.sha256(model).hexdigest() == GOLDEN_MODEL_SHA256["plain"]
     assert kv == (GOLDEN / "expected_eval_kv.txt").read_bytes()
     assert table == (GOLDEN / "expected_ablation.tsv").read_bytes()
     assert folds == (GOLDEN / "expected_cv.txt").read_bytes()
+    assert term_folds == (GOLDEN_TERM / "expected_cv.txt").read_bytes()
+    assert term_table == (GOLDEN_TERM / "expected_ablation.tsv").read_bytes()
 
 
 GOLDEN_TERM = Path(__file__).parent / "data" / "golden_term"

@@ -22,6 +22,7 @@ from tweetsent.features_message import (
     build_feature_dictionary,
     extract_message_features,
     format_feature_dump,
+    select_columns,
     vectorize,
 )
 from tweetsent.linear_model import LinearModel, decision_values
@@ -255,7 +256,7 @@ def test_baseline_with_negation_marks_unigrams_and_counts_contexts():
     }
 
 
-def test_manual_and_auto_lexicon_toggles(check_fit_without):
+def test_manual_and_auto_lexicon_toggles(check_select_columns):
     manual = lex({"good": {"positive": 1.0}}, name="m", kind="manual")
     auto = lex({"good": {"positive": 1.0}}, name="a", kind="auto")
     rows = [LabeledMessage("1", "good", "positive")]
@@ -265,7 +266,9 @@ def test_manual_and_auto_lexicon_toggles(check_fit_without):
     def lexicon_names(group, kept):
         prefixes = TASKS["message"].removal(group, [manual, auto]) if group else ()
         _, _, fresh = featurize("message", rows, kept)
-        dictionary = check_fit_without(full, prefixes, fresh)
+        dictionary = check_select_columns(
+            full, lambda name: not name.startswith(prefixes), fresh
+        )
         return {name for name in dictionary.names if name.startswith("lex|")}
 
     def block(name):
@@ -330,11 +333,16 @@ def test_dictionary_sorted_and_order_independent():
     assert build_feature_dictionary([]).size == 0
 
 
-def test_dictionary_leaves_out_prefixes():
-    entries = {"lex|a": 1.0, "w|b": 1.0, "lex|c": 1.0, "x": 1.0}
-    dictionary = build_feature_dictionary([FeatureVector(entries)], ("lex|", "x"))
-    assert dictionary.names == ("w|b",)
-    assert dictionary.index == {"w|b": 0}
+def test_selected_columns_leave_out_prefixes():
+    entries = {"lex|a": 1.0, "w|b": 2.0, "lex|c": 3.0, "x": 4.0, "y": 5.0}
+    full = build_feature_dictionary([FeatureVector(entries)])
+    row = vectorize(FeatureVector(entries), full)
+    keep = np.array([not n.startswith(("lex|", "x")) for n in full.names])
+    (selected,), dictionary = select_columns([row], full, keep)
+    assert dictionary.names == ("w|b", "y")
+    assert dictionary.index == {"w|b": 0, "y": 1}
+    assert selected.indices.tolist() == [0, 1]
+    assert selected.values.tolist() == [2.0, 5.0]
 
 
 def test_vectorize_drops_unknown_names():

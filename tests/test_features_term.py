@@ -173,7 +173,7 @@ def test_ngram_edges():
     assert "tgt|wng|three four" not in fv.entries
 
 
-def test_target_and_context_groups(check_fit_without):
+def test_target_and_context_groups(check_select_columns):
     full = [extract("not good at all", 1, 1, [GOOD_LEX])]
     for group, kept in (("target", "ctx|"), ("context", "tgt|")):
         fresh = [
@@ -181,7 +181,9 @@ def test_target_and_context_groups(check_fit_without):
             for v in full
         ]
         prefixes = TASKS["term"].removal(group, [GOOD_LEX])
-        dictionary = check_fit_without(full, prefixes, fresh)
+        dictionary = check_select_columns(
+            full, lambda name: not name.startswith(prefixes), fresh
+        )
         assert dictionary.names
         assert all(name.startswith(kept) for name in dictionary.names)
 

@@ -262,9 +262,8 @@ def _golden(fixture):
     return task, train_data, test_data, lexicons, clusters
 
 
-@pytest.mark.parametrize("fixture", ["plain", "tagged", "term"])
-def test_ablation_models_match_pinned_hashes(fixture, monkeypatch):
-    task, train_data, test_data, lexicons, clusters = _golden(fixture)
+def _record_models(monkeypatch) -> list:
+    """The list that every model ``pipeline`` trains from now on joins."""
     models = []
 
     def recording_train(*args, **kwargs):
@@ -272,14 +271,57 @@ def test_ablation_models_match_pinned_hashes(fixture, monkeypatch):
         return models[-1]
 
     monkeypatch.setattr(pipeline, "train", recording_train)
+    return models
+
+
+def _model_digest(model) -> str:
+    """sha256 of a model's weight bytes and dictionary names."""
+    digest = hashlib.sha256(model.weights.tobytes())
+    digest.update("\n".join(model.dictionary.names).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("fixture", ["plain", "tagged", "term"])
+def test_ablation_models_match_pinned_hashes(fixture, monkeypatch):
+    task, train_data, test_data, lexicons, clusters = _golden(fixture)
+    models = _record_models(monkeypatch)
     groups = list(pipeline.TASKS[task].ablations)
     run_ablation(groups, train_data, test_data, task, lexicons, clusters, C=0.05)
-    digests = {}
-    for group, model in zip(["all", *groups], models, strict=True):
-        digest = hashlib.sha256(model.weights.tobytes())
-        digest.update("\n".join(model.dictionary.names).encode())
-        digests[group] = digest.hexdigest()
+    digests = {
+        group: _model_digest(model)
+        for group, model in zip(["all", *groups], models, strict=True)
+    }
     assert digests == ABLATION_MODEL_SHA256[fixture]
+
+
+# sha256 of each fold's model, as in ABLATION_MODEL_SHA256, when a golden
+# fixture's training corpus is cross-validated with k=3, seed=5 and C=0.05.
+CV_MODEL_SHA256 = {
+    "plain": [
+        "9a6e6ba802d160ea8aae2cb8f261d592c6a934a5b3090f6399f2f8106962426e",
+        "f7632120dfa260f127737c8cae838c84683d0d3c322fe29086b8a229f7875fd1",
+        "47dc50dcb5a6ff9ab0e160484ac50de2d6e32c931c4071253497eb60131ac2a0",
+    ],
+    "tagged": [
+        "63484de1a7e4636828080fdc9c53dfd23d07aa655f3d01d72baad75f598f4631",
+        "dba75b36c60449baf32b7f87340bbdd4d0245e8c9b90c9622bd0adef72289abc",
+        "3780c5079633893fb791b7c680d50653ea783d47b1b9130206f057dc0d3eac29",
+    ],
+    "term": [
+        "f542e54fc23d928ea6f13a73072ed6d786ecaf4052a11cfdab64c28a8973bffd",
+        "ec322fcf50718393eccd5f28cdb0e456d8fee8ee7b8fc6ac4aeb2dc89b56d31f",
+        "1f5f3d8a0f5db8869943cda80f66408b1a4bfb1376a0182752d8bfe43cdb21e8",
+    ],
+}
+
+
+@pytest.mark.parametrize("fixture", ["plain", "tagged", "term"])
+def test_cross_validation_models_match_pinned_hashes(fixture, monkeypatch):
+    task, train_data, _, lexicons, clusters = _golden(fixture)
+    _, labels, vectors = featurize(task, train_data, lexicons, clusters)
+    models = _record_models(monkeypatch)
+    pipeline.cross_validate(vectors, labels, k=3, seed=5, C=0.05)
+    assert [_model_digest(m) for m in models] == CV_MODEL_SHA256[fixture]
 
 
 @pytest.mark.parametrize("fixture", ["plain", "tagged", "term"])
@@ -327,7 +369,7 @@ KEPT_LEXICON_KINDS = {"lexicons": (), "manual-lex": ("auto",), "auto-lex": ("man
 
 
 @pytest.mark.parametrize("fixture", ["plain", "tagged"])
-def test_removing_a_group_equals_extracting_without_it(fixture, check_fit_without):
+def test_removing_a_group_equals_extracting_without_it(fixture, check_select_columns):
     task, train_data, _, lexicons, clusters = _golden(fixture)
     spec = pipeline.TASKS[task]
     assert set(KEPT_LEXICON_KINDS) == set(pipeline.LEXICON_GROUPS)
@@ -335,11 +377,12 @@ def test_removing_a_group_equals_extracting_without_it(fixture, check_fit_withou
     for group, kinds in KEPT_LEXICON_KINDS.items():
         kept = [lex for lex in lexicons if lex.kind in kinds]
         _, _, fresh = featurize(task, train_data, kept, clusters)
-        check_fit_without(full, spec.removal(group, lexicons), fresh)
+        prefixes = spec.removal(group, lexicons)
+        check_select_columns(full, lambda name: not name.startswith(prefixes), fresh)
 
 
 def test_removing_a_term_lexicon_group_equals_extracting_without_it(
-    check_fit_without,
+    check_select_columns,
 ):
     _, train_data, _, lexicons, _ = _golden("term")
     spec = pipeline.TASKS["term"]
@@ -349,7 +392,72 @@ def test_removing_a_term_lexicon_group_equals_extracting_without_it(
     for group, kinds in KEPT_LEXICON_KINDS.items():
         kept = [lex for lex in lexicons if lex.kind in kinds]
         fresh = extract_term_vectors(train_data, kept, split_words)
-        check_fit_without(full, spec.removal(group, lexicons), fresh)
+        prefixes = spec.removal(group, lexicons)
+        check_select_columns(full, lambda name: not name.startswith(prefixes), fresh)
+
+
+def _stratified_folds(labels, k, seed):
+    """The folds ``cross_validate`` draws when every class has ``k`` rows."""
+    rng = np.random.default_rng(seed)
+    folds = [[] for _ in range(k)]
+    for label in sorted(set(labels)):
+        ids = [i for i, other in enumerate(labels) if other == label]
+        for j, i in enumerate(rng.permutation(ids)):
+            folds[j % k].append(int(i))
+    return folds
+
+
+@pytest.mark.parametrize("fixture", ["plain", "tagged", "term"])
+def test_fold_and_edge_masks_equal_a_fresh_index(
+    fixture, check_select_columns, monkeypatch
+):
+    """Each fold of the golden 3-fold split keeps the names its training
+    rows use; keeping no column and keeping every column are the edges."""
+    task, train_data, _, lexicons, clusters = _golden(fixture)
+    _, labels, vectors = featurize(task, train_data, lexicons, clusters)
+    models = _record_models(monkeypatch)
+    pipeline.cross_validate(vectors, labels, k=3, seed=5, C=0.05)
+    folds = _stratified_folds(labels, 3, 5)
+    for held, model in zip(folds, models, strict=True):
+        used = [i for i in range(len(vectors)) if i not in held]
+        names = {name for i in used for name in vectors[i].entries}
+        kept = check_select_columns(vectors, names.__contains__, vectors, used)
+        assert kept.names == model.dictionary.names
+    empty = [features_message.FeatureVector() for _ in vectors]
+    assert check_select_columns(vectors, lambda name: False, empty).size == 0
+    check_select_columns(vectors, lambda name: True, vectors)
+
+
+def _count_index_calls(monkeypatch) -> dict[str, int]:
+    """Calls of ``pipeline``'s dictionary builder and ``vectorize`` from now on."""
+    calls = {"build_feature_dictionary": 0, "vectorize": 0}
+
+    def counting(name):
+        wrapped = getattr(pipeline, name)
+
+        def call(*args):
+            calls[name] += 1
+            return wrapped(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(pipeline, name, counting(name))
+    return calls
+
+
+def test_ablation_and_cross_validation_index_each_corpus_once(monkeypatch):
+    """Only the ``negation`` run builds a second dictionary and indexes
+    the training corpus again."""
+    calls = _count_index_calls(monkeypatch)
+    groups = list(pipeline.TASKS["message"].ablations)
+    run_ablation(groups, TRAIN_MESSAGES, TEST_MESSAGES)
+    n, m = len(TRAIN_MESSAGES), len(TEST_MESSAGES)
+    assert calls == {"build_feature_dictionary": 2, "vectorize": 2 * n + m}
+    calls.update(build_feature_dictionary=0, vectorize=0)
+    _, labels, vectors = featurize("message", TRAIN_MESSAGES)
+    pipeline.cross_validate(vectors, labels, k=3, C=1.0)
+    assert calls == {"build_feature_dictionary": 1, "vectorize": n}
 
 
 @pytest.mark.parametrize(
