@@ -42,11 +42,17 @@ its name prefixes, which ``pipeline.TASKS`` declares.
 
 Ngram and count features are binary or raw counts; zero-valued entries
 are never stored.
+
+A token's character n-gram names depend only on its negation-suffixed
+surface, so they are built once per distinct surface and kept in a
+least-recently-used memo of at most ``CHAR_NGRAM_MEMO`` surfaces; rows
+share the memo's strings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import compress, repeat
 from typing import Iterable, Mapping, Sequence
 
@@ -161,6 +167,9 @@ def select_columns(
 NGRAM_MAX = 4
 WILDCARD_SIZES = (3, 4)
 CHAR_NGRAM_SIZES = (3, 4, 5)
+# Distinct token surfaces whose character n-gram names are memoized.  A
+# surface of 5-9 letters takes about 1 KB, so a full memo holds about 8 MB.
+CHAR_NGRAM_MEMO = 8192
 
 
 @dataclass(frozen=True)
@@ -336,15 +345,24 @@ def _word_ngram_features(
     fv.entries.update(dict.fromkeys(names, 1.0))
 
 
+@lru_cache(maxsize=CHAR_NGRAM_MEMO)
+def _char_ngrams(surface: str, sizes: tuple[int, ...]) -> tuple[str, ...]:
+    """``cng|`` names of one surface, by n, then by start."""
+    # A list comprehension builds the tuple faster than a generator does,
+    # which matters when most lookups miss.
+    return tuple(
+        ["cng|" + surface[i : i + n] for n in sizes for i in range(len(surface) - n + 1)]
+    )
+
+
 def _char_ngram_features(
     fv: FeatureVector, message: TokenizedMessage, suffixed: Sequence[str]
 ) -> None:
     names = [
-        "cng|" + surface[i : i + n]
+        name
         for token, surface in zip(message.tokens, suffixed)
         if token.kind not in ("url", "mention")
-        for n in CHAR_NGRAM_SIZES
-        for i in range(len(surface) - n + 1)
+        for name in _char_ngrams(surface, CHAR_NGRAM_SIZES)
     ]
     fv.entries.update(dict.fromkeys(names, 1.0))
 

@@ -30,6 +30,7 @@ extraction neither tokenizes nor checks spans again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .corpus_io import Lexicon, TermInstance
@@ -60,6 +61,10 @@ CONTEXT_WINDOW = 4
 LONG_WORD_LEN = 8
 # Lengths of the word prefixes and suffixes.
 PREFIX_SIZES = (2, 3)
+# Distinct (namespace, word) pairs whose prefix and suffix names are
+# memoized.  A word of 5-9 letters takes about 0.5 KB, so a full memo
+# holds about 4 MB.
+AFFIX_MEMO = 8192
 
 
 def term_context(inst: TermInstance) -> TermContext:
@@ -97,14 +102,22 @@ def _target_words(target: Sequence[Token], split_words: frozenset[str]) -> list[
     return words
 
 
+@lru_cache(maxsize=AFFIX_MEMO)
+def _affixes(namespace: str, word: str, sizes: tuple[int, ...]) -> tuple[str, ...]:
+    """``pre|`` and ``suf|`` names of one word, by size."""
+    names: list[str] = []
+    for n in sizes:
+        if len(word) >= n:
+            names += (f"{namespace}|pre|{word[:n]}", f"{namespace}|suf|{word[-n:]}")
+    return tuple(names)
+
+
 def _word_features(fv: FeatureVector, namespace: str, words: Sequence[str]) -> None:
     """Binary word unigrams, bigrams and 2/3-character prefixes and suffixes."""
     names = [f"{namespace}|wng|{w}" for w in words]
     names += [f"{namespace}|wng|{a} {b}" for a, b in zip(words, words[1:])]
     for w in words:
-        for n in PREFIX_SIZES:
-            if len(w) >= n:
-                names += (f"{namespace}|pre|{w[:n]}", f"{namespace}|suf|{w[-n:]}")
+        names += _affixes(namespace, w, PREFIX_SIZES)
     fv.entries.update(dict.fromkeys(names, 1.0))
 
 

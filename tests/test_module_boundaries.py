@@ -139,6 +139,76 @@ def test_third_party_imports_are_detected():
     assert _third_party_imports(source) == ["scipy.sparse", "sklearn.svm", "regex"]
 
 
+def _unbounded_caches(source: str) -> list[str]:
+    """The function name for each unbounded ``functools`` cache that
+    decorates a function in ``source``, and ``line N`` for any other use:
+    ``lru_cache`` with ``maxsize`` None, or ``functools.cache``, whose
+    import by name counts as a use."""
+    tree = ast.parse(source)
+    decorated = {
+        id(decorator): node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for decorator in node.decorator_list
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            unbounded = node.module == "functools" and any(
+                alias.name == "cache" for alias in node.names
+            )
+        elif isinstance(node, ast.Attribute):
+            unbounded = node.attr == "cache" and (
+                isinstance(node.value, ast.Name) and node.value.id == "functools"
+            )
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            unbounded = name == "lru_cache" and any(
+                isinstance(size, ast.Constant) and size.value is None for size in sizes
+            )
+        else:
+            continue
+        if unbounded:
+            found.append(decorated.get(id(node), f"line {node.lineno}"))
+    return found
+
+
+def test_only_the_bundled_word_lists_are_cached_without_bound():
+    """A memo keyed by corpus text must have a bound, or a paper-scale
+    corpus grows it without limit.  ``wordlists._bundled`` is keyed by the
+    name of a file that ships with the package."""
+    found = [
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for name in _unbounded_caches(path.read_text(encoding="utf-8"))
+    ]
+    assert found == ["wordlists._bundled"]
+
+
+def test_unbounded_caches_are_detected():
+    source = (
+        "import functools\n"
+        "from functools import cache as memo, lru_cache\n"
+        "@lru_cache(maxsize=None)\n"
+        "def a(x): ...\n"
+        "@functools.lru_cache(None, typed=True)\n"
+        "def b(x): ...\n"
+        "@memo\n"
+        "def c(x): ...\n"
+        "@functools.cache\n"
+        "def d(x): ...\n"
+        "@lru_cache(maxsize=4096)\n"
+        "def e(x): ...\n"
+        "@lru_cache\n"
+        "def f(x): ...\n"
+        "g = lru_cache(maxsize=None)(f)\n"
+        "cache = {}\n"
+    )
+    assert _unbounded_caches(source) == ["line 2", "a", "b", "d", "line 15"]
+
+
 SOLVER = ("C", "tol", "max_epochs", "seed")
 
 

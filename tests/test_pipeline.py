@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tweetsent import features_message, pipeline
+from tweetsent import features_message, features_term, pipeline
 from tweetsent.corpus_io import (
     LabeledMessage,
     Lexicon,
@@ -346,8 +346,7 @@ ENTRY_ORDER_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("fixture", ["plain", "tagged", "term"])
-def test_extracted_entries_match_pinned_hash(fixture):
+def _entry_order_digest(fixture):
     task, train_data, test_data, lexicons, clusters = _golden(fixture)
     digest = hashlib.sha256()
     for data in (train_data, test_data):
@@ -355,7 +354,48 @@ def test_extracted_entries_match_pinned_hash(fixture):
         for vector in vectors:
             for name, value in vector.entries.items():
                 digest.update(f"{name}\t{value!r}\n".encode())
-    assert digest.hexdigest() == ENTRY_ORDER_SHA256[fixture]
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("fixture", ["plain", "tagged", "term"])
+def test_extracted_entries_match_pinned_hash(fixture):
+    assert _entry_order_digest(fixture) == ENTRY_ORDER_SHA256[fixture]
+
+
+# Each memo of names per token surface, with its bound, a key that no
+# golden fixture uses, and the fixtures whose extraction reads it.
+MEMOS = {
+    "char-ngrams": (
+        features_message._char_ngrams,
+        features_message.CHAR_NGRAM_MEMO,
+        lambda k: (f"filler{k}", features_message.CHAR_NGRAM_SIZES),
+        ("plain", "tagged"),
+    ),
+    "affixes": (
+        features_term._affixes,
+        features_term.AFFIX_MEMO,
+        lambda k: ("tgt", f"filler{k}", features_term.PREFIX_SIZES),
+        ("term",),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MEMOS)
+def test_extracted_entries_do_not_depend_on_a_memo(name):
+    memo, bound, filler, fixtures = MEMOS[name]
+    assert memo.cache_info().maxsize == bound
+
+    def overfill():
+        for k in range(bound + 100):
+            memo(*filler(k))
+        assert memo.cache_info().currsize == bound
+
+    # Cleared, then warm from the cleared pass, then full of other keys.
+    for state in (memo.cache_clear, lambda: None, overfill):
+        state()
+        for fixture in fixtures:
+            assert _entry_order_digest(fixture) == ENTRY_ORDER_SHA256[fixture]
+            assert memo.cache_info().currsize <= bound
 
 
 def test_message_docstring_lists_the_declared_namespaces():
