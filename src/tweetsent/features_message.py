@@ -46,7 +46,8 @@ are never stored.
 A token's character n-gram names depend only on its negation-suffixed
 surface, so they are built once per distinct surface and kept in a
 least-recently-used memo of at most ``CHAR_NGRAM_MEMO`` surfaces; rows
-share the memo's strings.
+share the memo's strings.  A lookup that misses costs more than building
+the names outright, so the memo pays only where surfaces repeat.
 """
 
 from __future__ import annotations
