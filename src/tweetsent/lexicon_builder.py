@@ -10,17 +10,23 @@ the two classes:
 Positive scores indicate association with positive messages.  Candidate
 terms are unigrams, contiguous bigrams, and ordered non-contiguous
 pairs of unigram/bigram parts separated by at least one token, written
-``A---B``.  Candidates are counted as integer codes; only the terms
-that reach ``min_count`` are ever written out as text.
+``A---B``.  Candidates are counted as integer codes in two passes:
+the first counts unigrams and bigrams, and the second stores only the
+occurrences of candidates that can still reach ``min_count``.  A pair
+is bounded by its parts' counts times their largest counts in one
+message, not by their counts alone: three messages ``alpha zed beta
+beta`` hold ``alpha---beta`` six times and ``alpha`` three times.  Only
+the terms that reach ``min_count`` are ever written out as text.
 """
 
 from __future__ import annotations
 
 import math
 import string
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from itertools import chain, islice
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -33,6 +39,10 @@ _PUNCT_CHARS = set(string.punctuation)
 # A candidate's code: a unigram or bigram with text id i is i << 32, and
 # a pair of head id h and tail id t is h << 32 | (t + 1).
 _TAIL_MASK = (1 << 32) - 1
+
+# Messages that each pass takes at a time: pass 1 records them in
+# numpy arrays, and pass 2 tests their candidate occurrences together.
+_BATCH = 256
 
 
 def pseudo_label_by_hashtag(message: TokenizedMessage, seeds: SeedSet) -> str | None:
@@ -70,19 +80,21 @@ def _is_pure_punctuation(token: str) -> bool:
     )
 
 
-def _message_codes(
+def _message_parts(
     tokens: list[str],
     function_words: frozenset[str],
-    pair_window: int | None,
     ids: dict[str, int],
     token_flags: dict[str, tuple[int, bool]],
-) -> np.ndarray:
-    """Candidate codes of one message, with repeats, in candidate order.
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Singles and pair parts of one message.
 
-    Unigrams come first, then bigrams, then pairs head-major.  Unigram
-    and bigram texts get ids from ``ids`` (text -> id), new texts the
-    next free one.  ``token_flags`` caches each token's unigram id (-1
-    for a blocked token) and whether it can be part of a pair.
+    Returns the unigram and bigram ids in candidate order (unigrams,
+    then bigrams), and the pair parts' ids, first and last token
+    positions: unigrams (i, i), then bigrams (i, i + 1), free of blocked
+    tokens and function words.  Texts get ids from ``ids`` (text -> id),
+    new texts the next free one.  ``token_flags`` caches each token's
+    unigram id (-1 for a blocked token) and whether it can be part of a
+    pair.
     """
     n = len(tokens)
     unigrams, usable = [], []
@@ -102,24 +114,82 @@ def _message_codes(
         else -1
         for i in range(n - 1)
     ]
-    # Pair parts: unigrams (i, i) and bigrams (i, i + 1) free of blocked
-    # tokens and function words.
     uni_at = [i for i in range(n) if usable[i]]
     bi_at = [i for i in range(n - 1) if usable[i] and usable[i + 1]]
-    part_id = np.array(
-        [unigrams[i] for i in uni_at] + [bigrams[i] for i in bi_at], dtype=np.int64
+    return (
+        [i for i in unigrams + bigrams if i >= 0],
+        [unigrams[i] for i in uni_at] + [bigrams[i] for i in bi_at],
+        uni_at + bi_at,
+        uni_at + [i + 1 for i in bi_at],
     )
-    part_start = np.array(uni_at + bi_at, dtype=np.int64)
-    part_end = np.array(uni_at + [i + 1 for i in bi_at], dtype=np.int64)
+
+
+def _pair_codes(
+    part_id: np.ndarray,
+    part_first: np.ndarray,
+    part_last: np.ndarray,
+    pair_window: int | None,
+) -> np.ndarray:
+    """Codes of one message's pairs, head-major."""
     # The tail starts at least one token after the head ends, and at
     # most ``pair_window`` tokens after when set.
-    gap = part_start - part_end[:, None]
+    gap = part_first - part_last[:, None]
     linked = gap >= 2
     if pair_window is not None:
         linked &= gap < 2 + pair_window
     head, tail = np.nonzero(linked)
-    singles = np.array([i for i in unigrams + bigrams if i >= 0], dtype=np.int64)
-    return np.concatenate((singles << 32, part_id[head] << 32 | (part_id[tail] + 1)))
+    return part_id[head] << 32 | (part_id[tail] + 1)
+
+
+class _Batch(NamedTuple):
+    """Pass 1's record of a batch of messages.
+
+    Message j's singles are ``singles[single_at[j]:single_at[j + 1]]``,
+    and its pair parts' ids, first and last token positions likewise
+    through ``part_at``.
+    """
+
+    positive: np.ndarray
+    single_at: np.ndarray
+    singles: np.ndarray
+    part_at: np.ndarray
+    part_id: np.ndarray
+    part_first: np.ndarray
+    part_last: np.ndarray
+
+
+def _read_batch(
+    messages: list[tuple[list[str], str]],
+    function_words: frozenset[str],
+    ids: dict[str, int],
+    token_flags: dict[str, tuple[int, bool]],
+) -> _Batch:
+    """Pass 1 over a batch of (tokens, class) messages."""
+    singles, part_id, part_first, part_last = [], [], [], []
+    single_at, part_at = [0], [0]
+    for tokens, label in messages:
+        if label not in (POSITIVE, NEGATIVE):
+            raise ValueError(
+                f"unknown class {label!r}; expected {POSITIVE!r} or {NEGATIVE!r}"
+            )
+        own, own_id, own_first, own_last = _message_parts(
+            tokens, function_words, ids, token_flags
+        )
+        singles += own
+        part_id += own_id
+        part_first += own_first
+        part_last += own_last
+        single_at.append(len(singles))
+        part_at.append(len(part_id))
+    return _Batch(
+        np.array([label == POSITIVE for _, label in messages], dtype=bool),
+        np.array(single_at, dtype=np.int64),
+        np.array(singles, dtype=np.int64),
+        np.array(part_at, dtype=np.int64),
+        np.array(part_id, dtype=np.int64),
+        np.array(part_first, dtype=np.int32),
+        np.array(part_last, dtype=np.int32),
+    )
 
 
 def term_namespace(term: str) -> str:
@@ -173,51 +243,116 @@ def count_cooccurrences(
     at most once per message.  Every occurrence goes into
     ``class_count``.  Only terms with at least ``min_count`` occurrences
     are kept, in order of first occurrence; with ``per_message``, in
-    order of first message and then text.  Candidates are counted as
-    integer codes of interned unigram and bigram texts, and only kept
-    terms are turned back into text.  A class other than positive or
-    negative raises ``ValueError``.
+    order of first message and then text.  ``corpus`` is read once.  A
+    class other than positive or negative raises ``ValueError``.
+
+    Candidates are integer codes of interned unigram and bigram texts,
+    counted in two passes.  The first keeps each message's single
+    (unigram and bigram) ids and pair parts, and counts every single
+    and its largest count in one message.  The second enumerates the
+    pairs, adds every candidate to ``class_count`` and stores only the
+    occurrences that can still reach ``min_count``: a single whose
+    count reaches it, and a pair A---B whose count(A) * most(B) and
+    count(B) * most(A) both reach it, where most(X) is X's largest
+    count in one message.  A message holds A---B at most as often as
+    the product of its counts of A and B, so a pair can occur more
+    often than either part: three messages ``alpha zed beta beta`` hold
+    ``alpha---beta`` six times and ``alpha`` three times.  With
+    ``per_message`` every most(X) is 1.  One stable sort of the stored
+    codes gives each term's count, and only the kept terms are turned
+    back into text.
     """
     if function_words is None:
         function_words = default_function_words()
-    class_count = {POSITIVE: 0, NEGATIVE: 0}
     # Each id is a distinct unigram or bigram text held in this dict, and
     # 2**31 of them would not fit in memory, so codes fit in an int64.
     ids: dict[str, int] = {}
     token_flags: dict[str, tuple[int, bool]] = {}
-    chunks: list[np.ndarray] = []
-    positive: list[bool] = []
-    for tokens, label in corpus:
-        if label not in class_count:
-            raise ValueError(
-                f"unknown class {label!r}; expected {POSITIVE!r} or {NEGATIVE!r}"
-            )
-        codes = _message_codes(tokens, function_words, pair_window, ids, token_flags)
+    # Pass 1.
+    batches: deque[_Batch] = deque()
+    messages = iter(corpus)
+    while chunk := list(islice(messages, _BATCH)):
+        batches.append(_read_batch(chunk, function_words, ids, token_flags))
+    del token_flags
+
+    # count(X) counts X's occurrences, or with per_message the messages
+    # holding it; most(X) is its largest count in one message.
+    count = np.zeros(len(ids), dtype=np.int64)
+    most = np.ones(len(ids), dtype=np.int64)
+    for batch in batches:
+        n = len(batch.positive)
+        message = np.repeat(np.arange(n), np.diff(batch.single_at))
+        key, in_message = np.unique(batch.singles * n + message, return_counts=True)
+        single = key // n
         if per_message:
-            codes = np.unique(codes)
-        class_count[label] += len(codes)
-        chunks.append(codes)
-        positive.append(label == POSITIVE)
+            np.add.at(count, single, 1)
+        else:
+            np.add.at(count, single, in_message)
+            np.maximum.at(most, single, in_message)
+    # Indexed by a code's low half (tail id + 1, or 0 for a single), so
+    # that a single's test reduces to count >= min_count.
+    tail_count = np.concatenate(([min_count], count))
+    tail_most = np.concatenate(([1], most))
+
+    # Pass 2, freeing each batch's record once read.
+    class_count = {POSITIVE: 0, NEGATIVE: 0}
+    positive: list[np.ndarray] = []
+    stored: list[np.ndarray] = []
+    sizes: list[np.ndarray] = []  # stored occurrences per message
+    while batches:
+        batch = batches.popleft()
+        single_codes = batch.singles << 32
+        single_at, part_at = batch.single_at.tolist(), batch.part_at.tolist()
+        chunks = []
+        for j in range(len(batch.positive)):
+            p0, p1 = part_at[j], part_at[j + 1]
+            codes = np.concatenate((
+                single_codes[single_at[j] : single_at[j + 1]],
+                _pair_codes(
+                    batch.part_id[p0:p1],
+                    batch.part_first[p0:p1],
+                    batch.part_last[p0:p1],
+                    pair_window,
+                ),
+            ))
+            chunks.append(np.unique(codes) if per_message else codes)
+        lengths = np.array([len(c) for c in chunks])
+        class_count[POSITIVE] += int(lengths[batch.positive].sum())
+        class_count[NEGATIVE] += int(lengths[~batch.positive].sum())
+        codes = np.concatenate(chunks)
+        del chunks
+        head, tail = codes >> 32, codes & _TAIL_MASK
+        reachable = count[head] * tail_most[tail] >= min_count
+        reachable &= tail_count[tail] * most[head] >= min_count
+        del head, tail
+        stored.append(codes[reachable])
+        message = np.repeat(np.arange(len(lengths)), lengths)
+        sizes.append(np.bincount(message[reachable], minlength=len(lengths)))
+        positive.append(batch.positive)
 
     # Runs of equal codes in stable sorted order are the distinct
     # candidates; a run's first element is its first occurrence.
-    sizes = [len(codes) for codes in chunks]
-    codes = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-    del chunks
+    codes = np.concatenate(stored) if stored else np.zeros(0, dtype=np.int64)
+    del stored
     order = np.argsort(codes, kind="stable")
     codes = codes[order]
     run_start = np.ones(len(codes), dtype=bool)
     np.not_equal(codes[1:], codes[:-1], out=run_start[1:])
     starts = np.flatnonzero(run_start)
-    run_count = np.diff(starts, append=len(codes))
+    del run_start
+    run_count = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=run_count[:-1])
+    run_count[-1:] = len(codes) - starts[-1:]
     kept = run_count >= min_count
-    starts, run_count = starts[kept], run_count[kept]
-    kept_codes, first = codes[starts], order[starts]
+    kept_codes = codes[starts[kept]]
     del codes
-    # seen_positive[i] counts the positive occurrences among the first i.
-    seen_positive = np.zeros(len(order) + 1, dtype=np.int64)
-    np.cumsum(np.repeat(positive, sizes)[order], out=seen_positive[1:])
-    run_positive = seen_positive[starts + run_count] - seen_positive[starts]
+    sizes = np.concatenate(sizes) if sizes else np.zeros(0, dtype=np.int64)
+    positive = np.concatenate(positive) if positive else np.zeros(0, dtype=bool)
+    run_positive = np.add.reduceat(
+        np.repeat(positive, sizes)[order], starts, dtype=np.int64
+    )[kept]
+    run_count, first = run_count[kept], order[starts[kept]]
+    del order, starts, kept
 
     texts = list(ids)
     heads = (kept_codes >> 32).tolist()
@@ -270,6 +405,29 @@ def pmi_score(counts: CooccurrenceCounts, term: str, alpha: float = 0.5) -> floa
     return math.log2(numerator) - math.log2(denominator)
 
 
+def _labeled_streams(
+    corpus: Iterable[tuple[str, str]], labeling: str, seeds: SeedSet | None
+) -> Iterator[tuple[list[str], str]]:
+    """(lowercased tokens, class) of each labeled message, one at a time.
+
+    With emoticon labeling, the labeling emoticons are removed.
+    """
+    for _msg_id, text in corpus:
+        message = tokenize(normalize(text))
+        if labeling == "hashtag":
+            label = pseudo_label_by_hashtag(message, seeds)
+            kept = message.tokens
+        else:
+            label = pseudo_label_by_emoticon(message)
+            kept = [
+                t
+                for t in message.tokens
+                if not (t.kind == "emoticon" and emoticon_polarity(t.surface))
+            ]
+        if label is not None:
+            yield [t.surface.lower() for t in kept], label
+
+
 def build_lexicon(
     corpus: Iterable[tuple[str, str]],
     labeling: str,
@@ -307,28 +465,16 @@ def build_lexicon(
     if labeling == "emoticon" and seeds is not None:
         raise ValueError("emoticon labeling takes no seed set (--seeds)")
 
-    streams: list[tuple[list[str], str]] = []
-    for _msg_id, text in corpus:
-        message = tokenize(normalize(text))
-        if labeling == "hashtag":
-            label = pseudo_label_by_hashtag(message, seeds)
-            kept = message.tokens
-        else:
-            label = pseudo_label_by_emoticon(message)
-            kept = [
-                t
-                for t in message.tokens
-                if not (t.kind == "emoticon" and emoticon_polarity(t.surface))
-            ]
-        if label is None:
-            continue
-        streams.append(([t.surface.lower() for t in kept], label))
-
-    if not streams:
+    labeled = _labeled_streams(corpus, labeling, seeds)
+    first = next(labeled, None)
+    if first is None:
         raise ValueError("no labeled messages")
-
     counts = count_cooccurrences(
-        streams, function_words, per_message, pair_window, min_count=min_count
+        chain([first], labeled),
+        function_words,
+        per_message,
+        pair_window,
+        min_count=min_count,
     )
     for cls in (POSITIVE, NEGATIVE):
         if counts.class_count[cls] == 0:

@@ -162,6 +162,66 @@ def test_count_min_count_keeps_frequent_terms_in_order(corpus, k, per_message):
     assert counts.class_count == want_classes
 
 
+def _count_items(counts):
+    """Everything a count result holds, in entry order."""
+    return (
+        list(counts.term_count.items()),
+        list(counts.positive_count.items()),
+        counts.class_count,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(["aa", "bb", "cc", "dd", "the"]), max_size=8),
+            st.sampled_from([POSITIVE, NEGATIVE]),
+        ),
+        max_size=12,
+    ),
+    st.booleans(),
+    st.sampled_from([None, 1, 2]),
+    st.integers(min_value=1, max_value=8),
+)
+def test_count_min_count_equals_the_full_count_cut_at_min_count(
+    corpus, per_message, pair_window, k
+):
+    # Five words repeat inside messages, so pairs can outnumber their
+    # parts; the filter on stored occurrences must keep every such pair.
+    function_words = frozenset({"the"})
+    options = dict(per_message=per_message, pair_window=pair_window)
+    full = count_cooccurrences(corpus, function_words, **options, min_count=1)
+    got = count_cooccurrences(corpus, function_words, **options, min_count=k)
+    kept = [term for term, n in full.term_count.items() if n >= k]
+    assert _count_items(got) == (
+        [(term, full.term_count[term]) for term in kept],
+        [(term, full.positive_count[term]) for term in kept],
+        full.class_count,
+    )
+    once = count_cooccurrences(
+        (message for message in corpus), function_words, **options, min_count=k
+    )
+    assert _count_items(once) == _count_items(got)
+
+
+def test_pair_can_reach_min_count_when_its_parts_do_not():
+    # Each positive row holds alpha---beta twice and alpha once.
+    rows = [(str(i), "alpha zed beta beta :)") for i in range(3)]
+    rows += [(str(i), "gamma zed delta :(") for i in range(3, 8)]
+    lexicon = build_lexicon(rows, "emoticon", min_count=5)
+    assert "pair:alpha---beta" in lexicon.entries
+    assert "uni:alpha" not in lexicon.entries
+    assert _float_bits(lexicon.entries) == _float_bits(
+        oracle_induced_entries(rows, "emoticon", min_count=5)
+    )
+    streams = [(["alpha", "zed", "beta", "beta"], POSITIVE)] * 3
+    streams += [(["gamma", "zed", "delta"], NEGATIVE)] * 5
+    counts = count_cooccurrences(streams, min_count=5)
+    assert counts.term_count["alpha---beta"] == 6
+    assert counts.term_count["alpha"] == 0
+
+
 def _by_class(counts, term):
     """A term's per-class counts, read off the two counters."""
     f_pos = counts.positive_count[term]
