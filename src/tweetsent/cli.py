@@ -28,12 +28,12 @@ from .evaluation import (
 )
 from .features_message import format_feature_dump
 from .lexicon_builder import build_lexicon
-from .linear_model import load_model, predict, save_model
+from .linear_model import load_model, predict, save_model, train
 from .pipeline import (
     TASKS,
     cross_validate,
     featurize,
-    fit,
+    index,
     load_corpus,
     run_ablation,
     score,
@@ -112,23 +112,24 @@ def cmd_build_lexicon(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if not (args.cv or args.model):
+        raise ValueError("nothing to do: pass --model and/or --cv")
     _, labels, vectors = _featurize(args, args.input)
+    dictionary, rows = index(vectors)
+    del vectors
+    solver = _given(args, _SOLVER_FLAGS)
     if args.cv:
-        scores = cross_validate(
-            vectors, labels, k=args.cv, **_given(args, _SOLVER_FLAGS)
-        )
+        scores = cross_validate(dictionary, rows, labels, k=args.cv, **solver)
         for i, s in enumerate(scores):
             print(f"fold {i}\t{s:.2f}")
         print(f"mean\t{sum(scores) / len(scores):.2f}")
     if args.model:
-        model = fit(vectors, labels, **_given(args, _SOLVER_FLAGS))
+        model = train(rows, labels, dictionary, **solver)
         written = save_model(model, args.model)
         print(
             f"wrote model ({written} of {model.dictionary.size} features) "
             f"to {args.model}"
         )
-    elif not args.cv:
-        raise ValueError("nothing to do: pass --model and/or --cv")
     return 0
 
 

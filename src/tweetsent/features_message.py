@@ -62,6 +62,7 @@ import numpy as np
 from .corpus_io import Lexicon
 from .negation import (
     EMPTY_ANNOTATION,
+    NEG_SUFFIX,
     NegationAnnotation,
     apply_negation_suffix,
     mark_negation,
@@ -314,7 +315,8 @@ def _lexicon_features(
                         score = row[j]
                         if score is not None:
                             (negated if is_negated else plain).append(score)
-                    for label, scores in ((affect, plain), (affect + "_NEG", negated)):
+                    blocks = ((affect, plain), (affect + NEG_SUFFIX, negated))
+                    for label, scores in blocks:
                         if scores:
                             above = [s for s in scores if s > 0]
                             fv.set(f"{prefix}|cnt|{label}", len(above))

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import math
 import string
-from collections import Counter, deque
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, islice
-from typing import Iterable, Iterator, NamedTuple
+from itertools import chain
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -40,8 +41,9 @@ _PUNCT_CHARS = set(string.punctuation)
 # a pair of head id h and tail id t is h << 32 | (t + 1).
 _TAIL_MASK = (1 << 32) - 1
 
-# Messages that each pass takes at a time: pass 1 records them in
-# numpy arrays, and pass 2 tests their candidate occurrences together.
+# Messages per range in which the single counts and pass 2 walk pass 1's
+# flat record: one np.unique counts a range's singles, and pass 2 tests
+# a range's candidate occurrences together.
 _BATCH = 256
 
 
@@ -141,57 +143,6 @@ def _pair_codes(
     return part_id[head] << 32 | (part_id[tail] + 1)
 
 
-class _Batch(NamedTuple):
-    """Pass 1's record of a batch of messages.
-
-    Message j's singles are ``singles[single_at[j]:single_at[j + 1]]``,
-    and its pair parts' ids, first and last token positions likewise
-    through ``part_at``.
-    """
-
-    positive: np.ndarray
-    single_at: np.ndarray
-    singles: np.ndarray
-    part_at: np.ndarray
-    part_id: np.ndarray
-    part_first: np.ndarray
-    part_last: np.ndarray
-
-
-def _read_batch(
-    messages: list[tuple[list[str], str]],
-    function_words: frozenset[str],
-    ids: dict[str, int],
-    token_flags: dict[str, tuple[int, bool]],
-) -> _Batch:
-    """Pass 1 over a batch of (tokens, class) messages."""
-    singles, part_id, part_first, part_last = [], [], [], []
-    single_at, part_at = [0], [0]
-    for tokens, label in messages:
-        if label not in (POSITIVE, NEGATIVE):
-            raise ValueError(
-                f"unknown class {label!r}; expected {POSITIVE!r} or {NEGATIVE!r}"
-            )
-        own, own_id, own_first, own_last = _message_parts(
-            tokens, function_words, ids, token_flags
-        )
-        singles += own
-        part_id += own_id
-        part_first += own_first
-        part_last += own_last
-        single_at.append(len(singles))
-        part_at.append(len(part_id))
-    return _Batch(
-        np.array([label == POSITIVE for _, label in messages], dtype=bool),
-        np.array(single_at, dtype=np.int64),
-        np.array(singles, dtype=np.int64),
-        np.array(part_at, dtype=np.int64),
-        np.array(part_id, dtype=np.int64),
-        np.array(part_first, dtype=np.int32),
-        np.array(part_last, dtype=np.int32),
-    )
-
-
 def term_namespace(term: str) -> str:
     """Candidate namespace by shape: pair, bi or uni."""
     if PAIR_SEPARATOR in term:
@@ -247,10 +198,12 @@ def count_cooccurrences(
     class other than positive or negative raises ``ValueError``.
 
     Candidates are integer codes of interned unigram and bigram texts,
-    counted in two passes.  The first keeps each message's single
-    (unigram and bigram) ids and pair parts, and counts every single
-    and its largest count in one message.  The second enumerates the
-    pairs, adds every candidate to ``class_count`` and stores only the
+    counted in two passes.  The first appends each message's class,
+    single (unigram and bigram) ids and pair parts to one flat record
+    with per-message offsets; every single's count and its largest
+    count in one message are then read off that record.  The second
+    walks the record in ranges of messages, enumerates the pairs, adds
+    every candidate to ``class_count`` and stores only the
     occurrences that can still reach ``min_count``: a single whose
     count reaches it, and a pair A---B whose count(A) * most(B) and
     count(B) * most(A) both reach it, where most(X) is X's largest
@@ -268,21 +221,48 @@ def count_cooccurrences(
     # 2**31 of them would not fit in memory, so codes fit in an int64.
     ids: dict[str, int] = {}
     token_flags: dict[str, tuple[int, bool]] = {}
-    # Pass 1.
-    batches: deque[_Batch] = deque()
-    messages = iter(corpus)
-    while chunk := list(islice(messages, _BATCH)):
-        batches.append(_read_batch(chunk, function_words, ids, token_flags))
+    # Pass 1: message j's class is positive[j], its singles are
+    # singles[single_at[j]:single_at[j + 1]], and its pair parts' ids,
+    # first and last token positions are likewise cut by part_at.
+    positive = bytearray()
+    single_at, singles = array("q", [0]), array("q")
+    part_at, part_id = array("q", [0]), array("q")
+    part_first, part_last = array("i"), array("i")
+    for tokens, label in corpus:
+        if label not in (POSITIVE, NEGATIVE):
+            raise ValueError(
+                f"unknown class {label!r}; expected {POSITIVE!r} or {NEGATIVE!r}"
+            )
+        own, own_id, own_first, own_last = _message_parts(
+            tokens, function_words, ids, token_flags
+        )
+        positive.append(label == POSITIVE)
+        singles.fromlist(own)
+        part_id.fromlist(own_id)
+        part_first.fromlist(own_first)
+        part_last.fromlist(own_last)
+        single_at.append(len(singles))
+        part_at.append(len(part_id))
     del token_flags
+    positive = np.frombuffer(positive, dtype=bool)
+    single_at, singles, part_at, part_id, part_first, part_last = (
+        np.frombuffer(a, dtype=a.typecode)
+        for a in (single_at, singles, part_at, part_id, part_first, part_last)
+    )
+    ranges = [
+        (lo, min(lo + _BATCH, len(positive)))
+        for lo in range(0, len(positive), _BATCH)
+    ]
 
     # count(X) counts X's occurrences, or with per_message the messages
     # holding it; most(X) is its largest count in one message.
     count = np.zeros(len(ids), dtype=np.int64)
     most = np.ones(len(ids), dtype=np.int64)
-    for batch in batches:
-        n = len(batch.positive)
-        message = np.repeat(np.arange(n), np.diff(batch.single_at))
-        key, in_message = np.unique(batch.singles * n + message, return_counts=True)
+    for lo, hi in ranges:
+        n = hi - lo
+        key = np.repeat(np.arange(n), np.diff(single_at[lo : hi + 1]))
+        key += singles[single_at[lo] : single_at[hi]] * n
+        key, in_message = np.unique(key, return_counts=True)
         single = key // n
         if per_message:
             np.add.at(count, single, 1)
@@ -294,31 +274,25 @@ def count_cooccurrences(
     tail_count = np.concatenate(([min_count], count))
     tail_most = np.concatenate(([1], most))
 
-    # Pass 2, freeing each batch's record once read.
+    # Pass 2.
     class_count = {POSITIVE: 0, NEGATIVE: 0}
-    positive: list[np.ndarray] = []
     stored: list[np.ndarray] = []
-    sizes: list[np.ndarray] = []  # stored occurrences per message
-    while batches:
-        batch = batches.popleft()
-        single_codes = batch.singles << 32
-        single_at, part_at = batch.single_at.tolist(), batch.part_at.tolist()
+    sizes = np.zeros(len(positive), dtype=np.int64)  # stored per message
+    for lo, hi in ranges:
+        s_at, p_at = single_at[lo : hi + 1].tolist(), part_at[lo : hi + 1].tolist()
         chunks = []
-        for j in range(len(batch.positive)):
-            p0, p1 = part_at[j], part_at[j + 1]
+        for j in range(hi - lo):
+            p0, p1 = p_at[j], p_at[j + 1]
             codes = np.concatenate((
-                single_codes[single_at[j] : single_at[j + 1]],
+                singles[s_at[j] : s_at[j + 1]] << 32,
                 _pair_codes(
-                    batch.part_id[p0:p1],
-                    batch.part_first[p0:p1],
-                    batch.part_last[p0:p1],
-                    pair_window,
+                    part_id[p0:p1], part_first[p0:p1], part_last[p0:p1], pair_window
                 ),
             ))
             chunks.append(np.unique(codes) if per_message else codes)
         lengths = np.array([len(c) for c in chunks])
-        class_count[POSITIVE] += int(lengths[batch.positive].sum())
-        class_count[NEGATIVE] += int(lengths[~batch.positive].sum())
+        class_count[POSITIVE] += int(lengths[positive[lo:hi]].sum())
+        class_count[NEGATIVE] += int(lengths[~positive[lo:hi]].sum())
         codes = np.concatenate(chunks)
         del chunks
         head, tail = codes >> 32, codes & _TAIL_MASK
@@ -326,9 +300,9 @@ def count_cooccurrences(
         reachable &= tail_count[tail] * most[head] >= min_count
         del head, tail
         stored.append(codes[reachable])
-        message = np.repeat(np.arange(len(lengths)), lengths)
-        sizes.append(np.bincount(message[reachable], minlength=len(lengths)))
-        positive.append(batch.positive)
+        message = np.repeat(np.arange(hi - lo), lengths)
+        sizes[lo:hi] = np.bincount(message[reachable], minlength=hi - lo)
+    del singles, single_at, part_at, part_id, part_first, part_last
 
     # Runs of equal codes in stable sorted order are the distinct
     # candidates; a run's first element is its first occurrence.
@@ -346,13 +320,15 @@ def count_cooccurrences(
     kept = run_count >= min_count
     kept_codes = codes[starts[kept]]
     del codes
-    sizes = np.concatenate(sizes) if sizes else np.zeros(0, dtype=np.int64)
-    positive = np.concatenate(positive) if positive else np.zeros(0, dtype=bool)
-    run_positive = np.add.reduceat(
-        np.repeat(positive, sizes)[order], starts, dtype=np.int64
-    )[kept]
-    run_count, first = run_count[kept], order[starts[kept]]
-    del order, starts, kept
+    # Positive flags in sorted order, zeroed on the dropped runs so that
+    # a sum from one kept run's start to the next counts that run alone.
+    flags = np.repeat(positive, sizes)[order]
+    flags[np.repeat(~kept, run_count)] = False
+    starts, run_count = starts[kept], run_count[kept]
+    first = order[starts]
+    del order, kept
+    run_positive = np.add.reduceat(flags, starts, dtype=np.int64)
+    del flags, starts
 
     texts = list(ids)
     heads = (kept_codes >> 32).tolist()
@@ -377,7 +353,7 @@ def count_cooccurrences(
     )
 
 
-def pmi_score(counts: CooccurrenceCounts, term: str, alpha: float = 0.5) -> float:
+def pmi_score(counts: CooccurrenceCounts, term: str, alpha: float) -> float:
     """PMI difference of ``term`` between the positive and negative class.
 
     Frequencies are smoothed by adding ``alpha`` times the term's total

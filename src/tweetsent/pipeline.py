@@ -3,9 +3,9 @@
 This is the only module that knows the two tasks: ``message`` labels
 whole messages, ``term`` labels token spans inside them.  They differ
 only in how a corpus row becomes a feature vector, which :data:`TASKS`
-records.  The rest is one recipe: :func:`fit` a one-vs-rest SVM on
-training vectors and :func:`score` its predictions by the pos/neg
-macro-F.  The CLI, cross-validation and the ablation harness
+records.  The rest is one recipe: :func:`index` the training vectors,
+train a one-vs-rest SVM on them and :func:`score` its predictions by
+the pos/neg macro-F.  The CLI, cross-validation and the ablation harness
 (:func:`run_ablation`) all go through this module, so a given corpus,
 configuration and seed always produce the same model and the same
 report.
@@ -32,7 +32,9 @@ from .corpus_io import (
 from .evaluation import EvalReport, macro_f_pos_neg
 from .features_message import (
     DEFAULT_MESSAGE_CONFIG,
+    FeatureDictionary,
     FeatureVector,
+    IndexedVector,
     MessageFeatureConfig,
     build_feature_dictionary,
     extract_message_features,
@@ -254,17 +256,17 @@ def featurize(
     return [r.id for r in rows], [r.label for r in rows], vectors
 
 
-def fit(
-    vectors: Sequence[FeatureVector], labels: Sequence[str], **solver: float
-) -> LinearModel:
-    """Build the feature dictionary from ``vectors``, index them and train.
+def index(
+    vectors: Sequence[FeatureVector], held: Sequence[FeatureVector] = ()
+) -> tuple[FeatureDictionary, list[IndexedVector]]:
+    """The feature dictionary of ``vectors``, and ``vectors`` then ``held``
+    indexed against it.
 
-    ``C``, ``tol``, ``max_epochs`` and ``seed`` go to
-    :func:`linear_model.train`, which holds their defaults.
+    ``held`` rows add no names to the dictionary: their names that
+    ``vectors`` lack are dropped.
     """
     dictionary = build_feature_dictionary(vectors)
-    indexed = [vectorize(v, dictionary) for v in vectors]
-    return train(indexed, labels, dictionary, **solver)
+    return dictionary, [vectorize(v, dictionary) for v in (*vectors, *held)]
 
 
 def score(
@@ -275,7 +277,8 @@ def score(
 
 
 def cross_validate(
-    vectors: Sequence[FeatureVector],
+    dictionary: FeatureDictionary,
+    rows: Sequence[IndexedVector],
     labels: Sequence[str],
     k: int = 10,
     seed: int = 42,
@@ -283,17 +286,18 @@ def cross_validate(
 ) -> list[float]:
     """K-fold cross-validation; returns the per-fold pos/neg macro-F.
 
-    Folds are stratified by label; when some class has fewer examples
-    than ``k``, a warning is emitted and plain shuffled folds are used.
-    A fold whose training rows lack a class raises ``ValueError`` before
-    any fold trains.  The vectors are indexed once; each fold keeps the
-    columns its training rows use.  ``seed`` draws the folds and, with
-    ``C``, ``tol`` and ``max_epochs``, goes to :func:`linear_model.train`.
+    ``dictionary`` and ``rows`` are a corpus as :func:`index` returns
+    it.  Folds are stratified by label; when some class has fewer
+    examples than ``k``, a warning is emitted and plain shuffled folds
+    are used.  A fold whose training rows lack a class raises
+    ``ValueError`` before any fold trains.  Each fold keeps the columns
+    its training rows use.  ``seed`` draws the folds and, with ``C``,
+    ``tol`` and ``max_epochs``, goes to :func:`linear_model.train`.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    if len(vectors) != len(labels):
-        raise ValueError(f"{len(vectors)} vectors but {len(labels)} labels")
+    if len(rows) != len(labels):
+        raise ValueError(f"{len(rows)} vectors but {len(labels)} labels")
     if k > len(labels):
         raise ValueError(f"k = {k} folds but only {len(labels)} rows")
     if seed < 0:
@@ -321,8 +325,6 @@ def cross_validate(
     for f, used in enumerate(training):
         if absent := sorted(set(CLASS_ORDER).difference(labels[i] for i in used)):
             raise ValueError(f"fold {f}: class '{absent[0]}' absent from training rows")
-    dictionary = build_feature_dictionary(vectors)
-    rows = [vectorize(v, dictionary) for v in vectors]
     scores = []
     for used, held in zip(training, folds):
         keep = np.zeros(dictionary.size, dtype=bool)
@@ -353,14 +355,15 @@ def run_experiment(
     config: MessageFeatureConfig | None = None,
     **solver: float,
 ) -> ExperimentResult:
-    """Fit on training rows and score on test rows.
+    """Train on training rows and score on test rows.
 
     ``config`` is as in :func:`featurize`; ``C``, ``tol``,
     ``max_epochs`` and ``seed`` go to :func:`linear_model.train`.
     """
     features = (lexicons, clusters, config)
     _, labels, vectors = featurize(task, train_rows, *features)
-    model = fit(vectors, labels, **solver)
+    dictionary, rows = index(vectors)
+    model = train(rows, labels, dictionary, **solver)
     _, gold, vectors = featurize(task, test_rows, *features)
     return ExperimentResult(report=score(model, vectors, gold), model=model)
 
@@ -403,15 +406,15 @@ def run_ablation(
     (_, labels, train_vectors), (_, gold, test_vectors) = (
         featurize(task, r, lexicons, clusters) for r in (train_data, test_data)
     )
-    dictionary = build_feature_dictionary(train_vectors)
-    rows = [vectorize(v, dictionary) for v in (*train_vectors, *test_vectors)]
+    dictionary, rows = index(train_vectors, test_vectors)
     del train_vectors, test_vectors
     scores = []
     for group in [None, *groups]:
         removal = () if group is None else spec.removal(group, lexicons)
         if isinstance(removal, MessageFeatureConfig):
             features = (lexicons, clusters, removal)
-            model = fit(featurize(task, train_data, *features)[2], labels, **solver)
+            own, own_rows = index(featurize(task, train_data, *features)[2])
+            model = train(own_rows, labels, own, **solver)
             report = score(model, featurize(task, test_data, *features)[2], gold)
         else:
             keep = np.array([not n.startswith(removal) for n in dictionary.names], bool)

@@ -2,6 +2,7 @@ import hashlib
 import math
 import re
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,6 +22,7 @@ from tweetsent.corpus_io import (
     load_seed_set,
     write_lexicon,
 )
+from tweetsent import lexicon_builder
 from tweetsent.lexicon_builder import (
     CooccurrenceCounts,
     build_lexicon,
@@ -136,6 +138,11 @@ def test_candidates_default_filter_matches_bundled_list(tokens):
     assert got == Counter(oracle_candidates(tokens, default_function_words()))
 
 
+# Messages per range of count_cooccurrences' pass-1 record: small ranges
+# put empty messages and messages without pair parts on range edges.
+BATCHES = [1, 2, 3, 256]
+
+
 @given(
     st.lists(
         st.tuples(
@@ -146,10 +153,12 @@ def test_candidates_default_filter_matches_bundled_list(tokens):
     ),
     st.integers(min_value=1, max_value=4),
     st.booleans(),
+    st.sampled_from(BATCHES),
 )
-def test_count_min_count_keeps_frequent_terms_in_order(corpus, k, per_message):
+def test_count_min_count_keeps_frequent_terms_in_order(corpus, k, per_message, batch):
     function_words = frozenset({"the"})
-    counts = count_cooccurrences(corpus, function_words, per_message, min_count=k)
+    with mock.patch.object(lexicon_builder, "_BATCH", batch):
+        counts = count_cooccurrences(corpus, function_words, per_message, min_count=k)
     want_terms, want_classes = oracle_counts(corpus, function_words, per_message)
     # The oracle's dict holds terms in order of first counting.
     kept = [
@@ -183,24 +192,26 @@ def _count_items(counts):
     st.booleans(),
     st.sampled_from([None, 1, 2]),
     st.integers(min_value=1, max_value=8),
+    st.sampled_from(BATCHES),
 )
 def test_count_min_count_equals_the_full_count_cut_at_min_count(
-    corpus, per_message, pair_window, k
+    corpus, per_message, pair_window, k, batch
 ):
     # Five words repeat inside messages, so pairs can outnumber their
     # parts; the filter on stored occurrences must keep every such pair.
     function_words = frozenset({"the"})
     options = dict(per_message=per_message, pair_window=pair_window)
     full = count_cooccurrences(corpus, function_words, **options, min_count=1)
-    got = count_cooccurrences(corpus, function_words, **options, min_count=k)
+    with mock.patch.object(lexicon_builder, "_BATCH", batch):
+        got = count_cooccurrences(corpus, function_words, **options, min_count=k)
+        once = count_cooccurrences(
+            (message for message in corpus), function_words, **options, min_count=k
+        )
     kept = [term for term, n in full.term_count.items() if n >= k]
     assert _count_items(got) == (
         [(term, full.term_count[term]) for term in kept],
         [(term, full.positive_count[term]) for term in kept],
         full.class_count,
-    )
-    once = count_cooccurrences(
-        (message for message in corpus), function_words, **options, min_count=k
     )
     assert _count_items(once) == _count_items(got)
 
@@ -303,7 +314,7 @@ def test_pmi_balanced_term_scores_zero():
     counts = count_cooccurrences(
         [(["w"], POSITIVE), (["w"], NEGATIVE)], function_words=NO_FILTER, min_count=1
     )
-    assert pmi_score(counts, "w") == 0.0
+    assert pmi_score(counts, "w", 0.5) == 0.0
 
 
 def test_pmi_one_class_term():
@@ -312,16 +323,16 @@ def test_pmi_one_class_term():
         function_words=NO_FILTER,
         min_count=1,
     )
-    assert pmi_score(counts, "good") == pytest.approx(math.log2(5.0))
-    assert pmi_score(counts, "bad") == pytest.approx(-math.log2(5.0))
+    assert pmi_score(counts, "good", 0.5) == pytest.approx(math.log2(5.0))
+    assert pmi_score(counts, "bad", 0.5) == pytest.approx(-math.log2(5.0))
 
 
 def test_pmi_errors():
     counts = _counts_from(1, 0, 2, 0)
     with pytest.raises(ValueError, match="both classes"):
-        pmi_score(counts, "t")
+        pmi_score(counts, "t", 0.5)
     with pytest.raises(ValueError, match="no occurrences"):
-        pmi_score(_counts_from(1, 1, 2, 2), "absent")
+        pmi_score(_counts_from(1, 1, 2, 2), "absent", 0.5)
 
 
 @given(
@@ -350,8 +361,8 @@ def test_pmi_antisymmetric_under_class_swap(f_pos, f_neg, extra_pos, extra_neg):
     if f_pos + f_neg == 0:
         f_neg = 2
     cc_pos, cc_neg = f_pos + extra_pos, f_neg + extra_neg
-    forward = pmi_score(_counts_from(f_pos, f_neg, cc_pos, cc_neg), "t")
-    swapped = pmi_score(_counts_from(f_neg, f_pos, cc_neg, cc_pos), "t")
+    forward = pmi_score(_counts_from(f_pos, f_neg, cc_pos, cc_neg), "t", 0.5)
+    swapped = pmi_score(_counts_from(f_neg, f_pos, cc_neg, cc_pos), "t", 0.5)
     assert swapped == -forward
 
 
@@ -366,9 +377,9 @@ def test_pmi_invariant_under_count_scaling(f_pos, f_neg, extra_pos, extra_neg, k
     if f_pos + f_neg == 0:
         f_pos = 1
     cc_pos, cc_neg = f_pos + extra_pos, f_neg + extra_neg
-    base = pmi_score(_counts_from(f_pos, f_neg, cc_pos, cc_neg), "t")
+    base = pmi_score(_counts_from(f_pos, f_neg, cc_pos, cc_neg), "t", 0.5)
     scaled = pmi_score(
-        _counts_from(k * f_pos, k * f_neg, k * cc_pos, k * cc_neg), "t"
+        _counts_from(k * f_pos, k * f_neg, k * cc_pos, k * cc_neg), "t", 0.5
     )
     assert scaled == base
 
@@ -376,7 +387,7 @@ def test_pmi_invariant_under_count_scaling(f_pos, f_neg, extra_pos, extra_neg, k
 def test_pmi_monotonic_in_positive_count():
     previous = -math.inf
     for f_pos in range(0, 5):
-        score = pmi_score(_counts_from(f_pos, 2, 8, 8), "t")
+        score = pmi_score(_counts_from(f_pos, 2, 8, 8), "t", 0.5)
         assert score > previous
         previous = score
 

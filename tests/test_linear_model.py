@@ -23,7 +23,7 @@ from tweetsent.linear_model import (
     save_model,
     train,
 )
-from tweetsent.pipeline import cross_validate, featurize, fit
+from tweetsent.pipeline import cross_validate, featurize, index
 from tweetsent.synthetic import make_message_corpus
 
 BINARY = ("negative", "positive")
@@ -246,37 +246,37 @@ def _one_hot_corpus():
 
 def test_cross_validate_separable():
     vectors, labels = _one_hot_corpus()
-    scores = cross_validate(vectors, labels, k=2, C=1.0, tol=0.01)
+    scores = cross_validate(*index(vectors), labels, k=2, C=1.0, tol=0.01)
     assert scores == [100.0, 100.0]
 
 
 def test_cross_validate_deterministic_per_seed():
     vectors, labels = _one_hot_corpus()
-    first = cross_validate(vectors, labels, k=2, seed=7, C=1.0, tol=0.01)
-    second = cross_validate(vectors, labels, k=2, seed=7, C=1.0, tol=0.01)
+    first = cross_validate(*index(vectors), labels, k=2, seed=7, C=1.0, tol=0.01)
+    second = cross_validate(*index(vectors), labels, k=2, seed=7, C=1.0, tol=0.01)
     assert first == second
 
 
 def test_cross_validate_small_class_fallback():
     vectors, labels = _one_hot_corpus()
     with pytest.warns(UserWarning, match="fewer than 3"):
-        scores = cross_validate(vectors, labels, k=3, C=1.0, tol=0.01)
+        scores = cross_validate(*index(vectors), labels, k=3, C=1.0, tol=0.01)
     assert len(scores) == 3
 
 
 def test_cross_validate_errors():
     vectors, labels = _one_hot_corpus()
     with pytest.raises(ValueError, match="k must be at least 2"):
-        cross_validate(vectors, labels, k=1)
+        cross_validate(*index(vectors), labels, k=1)
     with pytest.raises(ValueError, match="6 vectors but 5 labels"):
-        cross_validate(vectors, labels[:-1], k=2)
+        cross_validate(*index(vectors), labels[:-1], k=2)
     with pytest.raises(ValueError, match="k = 7 folds but only 6 rows"):
-        cross_validate(vectors, labels, k=7)
+        cross_validate(*index(vectors), labels, k=7)
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
-        cross_validate(vectors, labels, k=2, seed=-1)
+        cross_validate(*index(vectors), labels, k=2, seed=-1)
     # As many folds as rows is leave-one-out.
     with pytest.warns(UserWarning, match="fewer than 6"):
-        assert len(cross_validate(vectors, labels, k=6, C=1.0)) == 6
+        assert len(cross_validate(*index(vectors), labels, k=6, C=1.0)) == 6
 
 
 def test_save_load_round_trip(tmp_path):
@@ -310,7 +310,8 @@ def test_saved_model_predicts_like_the_model_in_memory(tmp_path_factory, n, seed
     split = 2 * n // 3
     _, labels, vectors = featurize("message", messages[:split], [lexicon])
     assume(set(labels) == set(CLASS_ORDER))
-    model = fit(vectors, labels, C=C, seed=seed)
+    dictionary, rows = index(vectors)
+    model = train(rows, labels, dictionary, C=C, seed=seed)
     path = tmp_path_factory.mktemp("model") / "model.tsv"
     save_model(model, path)
     loaded = load_model(path)
@@ -341,7 +342,8 @@ def test_pruned_file_decides_like_the_model_in_memory(tmp_path, seed):
     """
     messages, lexicon = make_message_corpus(n=240, seed=seed)
     _, labels, vectors = featurize("message", messages[:160], [lexicon])
-    model = fit(vectors, labels, seed=seed)
+    dictionary, rows = index(vectors)
+    model = train(rows, labels, dictionary, seed=seed)
     path = tmp_path / "model.tsv"
     written = save_model(model, path)
     loaded = load_model(path)

@@ -227,6 +227,29 @@ def test_no_pipeline_function_redeclares_a_solver_setting():
     assert declared == set()
 
 
+def test_no_induction_function_but_build_lexicon_declares_a_default():
+    """``build_lexicon`` alone holds the ``min_count`` and ``alpha``
+    defaults; the functions it passes them to require them."""
+    tree = ast.parse((PACKAGE / "lexicon_builder.py").read_text(encoding="utf-8"))
+    declared = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef) or node.name == "build_lexicon":
+            continue
+        positional = node.args.posonlyargs + node.args.args
+        defaulted = positional[len(positional) - len(node.args.defaults) :]
+        defaulted += [
+            arg
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+            if default is not None
+        ]
+        declared |= {
+            (node.name, arg.arg)
+            for arg in defaulted
+            if arg.arg in ("min_count", "alpha")
+        }
+    assert declared == set()
+
+
 @pytest.mark.parametrize(
     "command, flags, given",
     [

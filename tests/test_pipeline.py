@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tweetsent import features_message, features_term, pipeline
+from tweetsent import cli, features_message, features_term, pipeline
 from tweetsent.corpus_io import (
     LabeledMessage,
     Lexicon,
@@ -320,7 +320,7 @@ def test_cross_validation_models_match_pinned_hashes(fixture, monkeypatch):
     task, train_data, _, lexicons, clusters = _golden(fixture)
     _, labels, vectors = featurize(task, train_data, lexicons, clusters)
     models = _record_models(monkeypatch)
-    pipeline.cross_validate(vectors, labels, k=3, seed=5, C=0.05)
+    pipeline.cross_validate(*pipeline.index(vectors), labels, k=3, seed=5, C=0.05)
     assert [_model_digest(m) for m in models] == CV_MODEL_SHA256[fixture]
 
 
@@ -456,7 +456,7 @@ def test_fold_and_edge_masks_equal_a_fresh_index(
     task, train_data, _, lexicons, clusters = _golden(fixture)
     _, labels, vectors = featurize(task, train_data, lexicons, clusters)
     models = _record_models(monkeypatch)
-    pipeline.cross_validate(vectors, labels, k=3, seed=5, C=0.05)
+    pipeline.cross_validate(*pipeline.index(vectors), labels, k=3, seed=5, C=0.05)
     folds = _stratified_folds(labels, 3, 5)
     for held, model in zip(folds, models, strict=True):
         used = [i for i in range(len(vectors)) if i not in held]
@@ -486,9 +486,10 @@ def _count_index_calls(monkeypatch) -> dict[str, int]:
     return calls
 
 
-def test_ablation_and_cross_validation_index_each_corpus_once(monkeypatch):
+def test_ablation_and_cross_validation_index_each_corpus_once(monkeypatch, tmp_path):
     """Only the ``negation`` run builds a second dictionary and indexes
-    the training corpus again."""
+    the training corpus again; ``train --cv K --model`` indexes its
+    corpus once for both."""
     calls = _count_index_calls(monkeypatch)
     groups = list(pipeline.TASKS["message"].ablations)
     run_ablation(groups, TRAIN_MESSAGES, TEST_MESSAGES)
@@ -496,7 +497,13 @@ def test_ablation_and_cross_validation_index_each_corpus_once(monkeypatch):
     assert calls == {"build_feature_dictionary": 2, "vectorize": 2 * n + m}
     calls.update(build_feature_dictionary=0, vectorize=0)
     _, labels, vectors = featurize("message", TRAIN_MESSAGES)
-    pipeline.cross_validate(vectors, labels, k=3, C=1.0)
+    pipeline.cross_validate(*pipeline.index(vectors), labels, k=3, C=1.0)
+    assert calls == {"build_feature_dictionary": 1, "vectorize": n}
+    calls.update(build_feature_dictionary=0, vectorize=0)
+    corpus, model = tmp_path / "train.tsv", tmp_path / "model.tsv"
+    write_message_corpus(TRAIN_MESSAGES, corpus)
+    argv = ["train", "--input", str(corpus), "--cv", "3", "--model", str(model)]
+    assert cli.main(argv) == 0
     assert calls == {"build_feature_dictionary": 1, "vectorize": n}
 
 
