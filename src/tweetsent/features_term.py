@@ -72,9 +72,9 @@ def term_context(inst: TermInstance) -> TermContext:
     tokens = inst.tokens.tokens
     start, end = inst.start, inst.end
     return TermContext(
-        target=tuple(tokens[start : end + 1]),
-        left=tuple(tokens[max(0, start - CONTEXT_WINDOW) : start]),
-        right=tuple(tokens[end + 1 : end + 1 + CONTEXT_WINDOW]),
+        target=tokens[start : end + 1],
+        left=tokens[max(0, start - CONTEXT_WINDOW) : start],
+        right=tokens[end + 1 : end + 1 + CONTEXT_WINDOW],
         at_begin=start == 0,
         at_end=end == len(tokens) - 1,
     )

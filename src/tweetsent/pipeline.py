@@ -412,10 +412,9 @@ def run_ablation(
     for group in [None, *groups]:
         removal = () if group is None else spec.removal(group, lexicons)
         if isinstance(removal, MessageFeatureConfig):
-            features = (lexicons, clusters, removal)
-            own, own_rows = index(featurize(task, train_data, *features)[2])
-            model = train(own_rows, labels, own, **solver)
-            report = score(model, featurize(task, test_data, *features)[2], gold)
+            report = run_experiment(
+                task, train_data, test_data, lexicons, clusters, removal, **solver
+            ).report
         else:
             keep = np.array([not n.startswith(removal) for n in dictionary.names], bool)
             selected, kept = select_columns(rows, dictionary, keep)

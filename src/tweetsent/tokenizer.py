@@ -25,7 +25,7 @@ mention to ``@someuser``; both replacements are idempotent.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 URL_PLACEHOLDER = "http://someurl"
 USER_PLACEHOLDER = "@someuser"
@@ -86,15 +86,16 @@ _NEGATIVE_MOUTHS = set("([{/\\|")
 _MIRROR = str.maketrans("()[]{}<>", ")(][}{><")
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
-    """A single token with surface-level flags.
+    """A single token with surface-level flags, built whole.
 
     all_caps requires at least two uppercase letters and no lowercase
     ones, so words of uncased scripts such as CJK never qualify;
     elongated means some character repeats more than twice in a row;
-    initial_cap marks capital-then-lowercase words.  ``pos_tag`` is
-    filled from an optional sidecar input.
+    initial_cap marks capital-then-lowercase words.  ``pos_tag`` comes
+    from an optional sidecar input.  Fields stay assignable (a frozen
+    class builds 4x slower); no package code sets one after construction.
     """
 
     surface: str
@@ -105,12 +106,11 @@ class Token:
     pos_tag: str | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class TokenizedMessage:
-    tokens: list[Token] = field(default_factory=list)
+    """A message's tokens, in order, as an immutable tuple."""
 
-    def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
+    tokens: tuple[Token, ...]
 
 
 def normalize(text: str) -> str:
@@ -133,7 +133,7 @@ def _flags(surface: str) -> tuple[bool, bool, bool]:
     return all_caps, elongated, initial_cap
 
 
-def _make_token(surface: str, kind: str) -> Token:
+def _make_token(surface: str, kind: str, pos_tag: str | None = None) -> Token:
     if kind == "word" and not (
         surface.isalnum() or any(c.isalnum() for c in surface)
     ):
@@ -142,8 +142,9 @@ def _make_token(surface: str, kind: str) -> Token:
         # A lowercase letter and no capital: neither all-caps nor
         # initial-cap.  Symbols such as U+24D0 are lowercase without being
         # alphanumeric, so the kind check above still runs.
-        return Token(surface, kind, False, _ELONGATED_RE.search(surface) is not None)
-    return Token(surface, kind, *_flags(surface))
+        elongated = _ELONGATED_RE.search(surface) is not None
+        return Token(surface, kind, False, elongated, False, pos_tag)
+    return Token(surface, kind, *_flags(surface), pos_tag)
 
 
 def tokenize(text: str) -> TokenizedMessage:
@@ -161,7 +162,7 @@ def tokenize(text: str) -> TokenizedMessage:
                 tokens.append(_make_token(nt.group(2), "word"))
                 continue
         tokens.append(_make_token(surface, kind))
-    return TokenizedMessage(tokens=tokens)
+    return TokenizedMessage(tuple(tokens))
 
 
 def tokens_from_tagged(pairs: tuple[tuple[str, str], ...]) -> TokenizedMessage:
@@ -170,13 +171,9 @@ def tokens_from_tagged(pairs: tuple[tuple[str, str], ...]) -> TokenizedMessage:
     The external tool's tokenization is kept as-is; kinds and flags are
     recomputed from the surfaces.
     """
-    tokens = []
-    for surface, tag in pairs:
-        kind = _classify_surface(surface)
-        token = _make_token(surface, kind)
-        token.pos_tag = tag
-        tokens.append(token)
-    return TokenizedMessage(tokens=tokens)
+    return TokenizedMessage(
+        tuple(_make_token(s, _classify_surface(s), tag) for s, tag in pairs)
+    )
 
 
 def _classify_surface(surface: str) -> str:
@@ -217,21 +214,23 @@ def split_hashtag(tag: str, wordlist: set[str]) -> list[str]:
     """Split a hashtag into words by greedy longest-prefix matching.
 
     The leading ``#`` is stripped.  At each position the longest
-    wordlist entry matching a prefix is taken; characters covered by no
-    entry accumulate into a single residue token.  Concatenating the
-    result always reproduces the hashtag minus ``#``.
+    wordlist entry matching a lowercased prefix is taken (U+0130, whose
+    lowercase is two characters, matches only itself); characters
+    covered by no entry accumulate into a single residue token.
+    Concatenating the result always reproduces the hashtag minus ``#``.
     """
     body = tag.lstrip("#")
     if not body:
         return []
     lowered = body.lower()
-    max_len = max((len(w) for w in wordlist), default=0)
+    if len(lowered) != len(body):  # keep offsets into ``lowered`` valid in ``body``
+        lowered = "".join(c if len(c.lower()) > 1 else c.lower() for c in body)
     parts: list[str] = []
     residue_start = None
     i = 0
     while i < len(body):
         match_len = 0
-        for length in range(min(max_len, len(body) - i), 0, -1):
+        for length in range(len(body) - i, 0, -1):
             if lowered[i : i + length] in wordlist:
                 match_len = length
                 break

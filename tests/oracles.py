@@ -695,7 +695,7 @@ def oracle_tokenize(text: str) -> TokenizedMessage:
                 tokens.append(oracle_make_token(nt.group(2), "word"))
                 continue
         tokens.append(oracle_make_token(surface, kind))
-    return TokenizedMessage(tokens=tokens)
+    return TokenizedMessage(tuple(tokens))
 
 
 def oracle_apply_negation_suffix(surfaces, annotation) -> list[str]:

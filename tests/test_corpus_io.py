@@ -88,10 +88,23 @@ def test_tagged_corpus(tmp_path):
     assert msg.tagged == (("Good", "A"), ("day", "N"), ("!", ","))
 
 
+def test_loaded_rows_hold_token_tuples(tmp_path):
+    plain, tagged, terms = (tmp_path / f"{name}.tsv" for name in ("p", "t", "terms"))
+    plain.write_text("m1\tpositive\tGood day !\n")
+    tagged.write_text("m1\tpositive\tGood day !\tGood/A day/N !/,\n")
+    terms.write_text("t1\t0\t1\tpositive\tGood day !\n")
+    rows = [
+        *load_message_corpus(plain),
+        *load_message_corpus(tagged, format="tagged"),
+        *load_term_corpus(terms),
+    ]
+    assert [type(row.tokens.tokens) for row in rows] == [tuple] * 3
+
+
 def test_message_is_tokenized_on_construction():
     message = LabeledMessage(id="a", text="I don't like it , ok", label="negative")
     assert message.tokens == tokenize(normalize(message.text))
-    assert message.tokens.surfaces()[:3] == ["I", "do", "n't"]
+    assert [t.surface for t in message.tokens.tokens][:3] == ["I", "do", "n't"]
     assert "tokens" not in repr(message)
 
 
@@ -102,7 +115,7 @@ def test_tagged_message_keeps_given_tokens():
         label="positive",
         tagged=(("Good", "A"), ("day", "N")),
     )
-    assert message.tokens.surfaces() == ["Good", "day"]
+    assert [t.surface for t in message.tokens.tokens] == ["Good", "day"]
     assert [t.pos_tag for t in message.tokens.tokens] == ["A", "N"]
 
 

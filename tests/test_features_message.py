@@ -302,9 +302,9 @@ def test_lexicon_sum_and_count_partition(tokens):
     message = tokenize(" ".join(tokens))
     fv = extract_message_features(message, [lexicon])
     scores = [
-        lexicon.entries[s]["positive"]
-        for s in message.surfaces()
-        if s in lexicon.entries
+        lexicon.entries[t.surface]["positive"]
+        for t in message.tokens
+        if t.surface in lexicon.entries
     ]
     total = fv.get("lex|L|uni|sum|positive") + fv.get("lex|L|uni|sum|positive_NEG")
     assert total == pytest.approx(sum(scores))
@@ -434,7 +434,7 @@ def test_lexicon_features_match_oracle(words, tags, entries, affects):
         Lexicon(name=f"L{k}", affects=tuple(affects[k]), entries=entries[k])
         for k in range(2)
     ]
-    annotation = mark_negation(message.surfaces())
+    annotation = mark_negation([t.surface for t in message.tokens])
     fv = extract_message_features(message, lexicons)
     got = FeatureVector({k: v for k, v in fv.entries.items() if k.startswith("lex|")})
     want = FeatureVector()
@@ -515,7 +515,7 @@ def test_row_features_match_per_feature_loops(words, tags, spans, config, sizes)
 def _check_row_features(words, tags, spans, config):
     message = _row_message(words, tags)
     if spans is None:
-        annotation = mark_negation(message.surfaces())
+        annotation = mark_negation([t.surface for t in message.tokens])
     else:
         annotation = NegationAnnotation(spans=spans)
     assert features_message._scope_masks(message, annotation) == (

@@ -210,7 +210,7 @@ def test_term_instance_span_out_of_range(start, end):
 def test_term_instance_carries_its_tokens():
     inst = TermInstance(id="t", text="@bob is GREAT", label="positive", start=2, end=2)
     assert inst.tokens == tokenize(normalize(inst.text))
-    assert inst.tokens.surfaces() == ["@someuser", "is", "GREAT"]
+    assert [t.surface for t in inst.tokens.tokens] == ["@someuser", "is", "GREAT"]
 
 
 _TERM_WORDS = ["good", "bad", "meh", "not", "day", "#goodday", "@u", ":)", "Fine"]

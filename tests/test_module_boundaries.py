@@ -209,6 +209,111 @@ def test_unbounded_caches_are_detected():
     assert _unbounded_caches(source) == ["line 2", "a", "b", "d", "line 15"]
 
 
+def _dataclass_fields(source: str) -> set[str]:
+    """Field names of the ``@dataclass`` classes defined in ``source``."""
+    fields = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef) or not any(
+            getattr(d.func if isinstance(d, ast.Call) else d, "id", "") == "dataclass"
+            for d in node.decorator_list
+        ):
+            continue
+        fields.update(
+            stmt.target.id
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        )
+    return fields
+
+
+def _late_edits(source: str, fields: set[str]) -> list[str]:
+    """``line N: field`` for each statement in ``source`` that sets or
+    deletes an attribute named in ``fields``: by assignment, ``del``,
+    ``setattr`` or ``__setattr__`` with a literal name.  A constructor
+    (``__init__``, ``__post_init__``) may set its own ``self``'s fields."""
+    tree = ast.parse(source)
+    own = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("__init__", "__post_init__")
+        for inner in ast.walk(node)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+            target, name = node.value, node.attr
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", ""))
+            in ("setattr", "delattr", "__setattr__", "__delattr__")
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            target, name = node.args[0], node.args[1].value
+        else:
+            continue
+        is_self = isinstance(target, ast.Name) and target.id == "self"
+        if name in fields and not (is_self and id(node) in own):
+            found.append((node.lineno, name))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_no_package_code_edits_a_token_after_construction():
+    """Tokens and token sequences are built whole, so a row's features
+    follow from its text (or tags) alone; ``Token`` stays assignable only
+    because a frozen class builds several times slower."""
+    fields = _dataclass_fields((PACKAGE / "tokenizer.py").read_text(encoding="utf-8"))
+    assert {"surface", "pos_tag", "tokens"} <= fields
+    found = [
+        f"{path.stem} {edit}"
+        for path in MODULES
+        for edit in _late_edits(path.read_text(encoding="utf-8"), fields)
+    ]
+    assert found == []
+
+
+def test_late_token_edits_are_detected():
+    tokenizer = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(slots=True)\n"
+        "class Token:\n"
+        "    surface: str\n"
+        "    pos_tag: str | None = None\n"
+        "    LIMIT = 3\n"
+        "@dataclass\n"
+        "class TokenizedMessage:\n"
+        "    tokens: tuple\n"
+        "class Plain:\n"
+        "    kind: str\n"
+    )
+    fields = _dataclass_fields(tokenizer)
+    assert fields == {"surface", "pos_tag", "tokens"}
+    source = (
+        "token.pos_tag = tag\n"
+        "for t in tokens:\n"
+        "    t.surface = t.surface.lower()\n"
+        "message.tokens += (extra,)\n"
+        "setattr(token, 'pos_tag', 'N')\n"
+        "object.__setattr__(message, 'tokens', ())\n"
+        "del token.pos_tag\n"
+        "class Row:\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'tokens', ())\n"
+        "        self.surface = ''\n"
+        "        other.surface = ''\n"
+        "    def relabel(self):\n"
+        "        self.pos_tag = 'N'\n"
+        "token.kind = 'word'\n"
+        "index.tokens_seen = 3\n"
+        "print(token.pos_tag, getattr(token, 'surface'))\n"
+    )
+    assert _late_edits(source, fields) == [
+        "line 1: pos_tag", "line 3: surface", "line 4: tokens", "line 5: pos_tag",
+        "line 6: tokens", "line 7: pos_tag", "line 12: surface", "line 14: pos_tag",
+    ]
+
+
 SOLVER = ("C", "tol", "max_epochs", "seed")
 
 

@@ -22,7 +22,7 @@ _TOKENS = st.lists(_SURFACE, max_size=12)
 
 
 def test_contraction_context():
-    message = tokenize("i don't like this , but ok").surfaces()
+    message = [t.surface for t in tokenize("i don't like this , but ok").tokens]
     annotation = mark_negation(message)
     assert annotation.spans == ((3, 4),)
     assert apply_negation_suffix(message, annotation) == [

@@ -1,3 +1,6 @@
+from dataclasses import FrozenInstanceError
+
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import oracle_make_token, oracle_tokenize
 
@@ -22,12 +25,12 @@ _TEXT = st.text(
 
 
 def surfaces(text):
-    return tokenize(text).surfaces()
+    return [t.surface for t in tokenize(text).tokens]
 
 
 def test_golden_mixed_message():
     message = tokenize("I LOVE this!!! :)")
-    assert message.surfaces() == ["I", "LOVE", "this", "!!!", ":)"]
+    assert [t.surface for t in message.tokens] == ["I", "LOVE", "this", "!!!", ":)"]
     kinds = [t.kind for t in message.tokens]
     assert kinds == ["word", "word", "word", "punctuation", "emoticon"]
     caps = [t.all_caps for t in message.tokens]
@@ -46,7 +49,17 @@ def test_elongated_flags():
 
 
 def test_empty_text():
-    assert tokenize("").tokens == []
+    assert tokenize("").tokens == ()
+
+
+def test_token_sequences_are_frozen_tuples_of_slotted_tokens():
+    message = tokenize("I LOVE this!!! :)")
+    tagged = tokens_from_tagged((("Good", "A"), ("day", "N")))
+    assert type(message.tokens) is tuple and type(tagged.tokens) is tuple
+    with pytest.raises(FrozenInstanceError):
+        message.tokens = ()
+    # Without a per-token __dict__ a token takes about a quarter less memory.
+    assert not hasattr(message.tokens[0], "__dict__")
 
 
 def test_initial_cap_flag():
@@ -163,13 +176,35 @@ def test_split_hashtag_preserves_case():
     assert split_hashtag("#GoodDay", {"good", "day"}) == ["Good", "Day"]
 
 
+def test_split_hashtag_keeps_offsets_when_lowercasing_grows_a_character():
+    # "\u0130".lower() is two characters; it must not shift later matches.
+    words = {"i", "love", "you"}
+    assert split_hashtag("#\u0130loveyou", words) == ["\u0130", "love", "you"]
+
+
+def _longest_prefix_split(body, wordlist):
+    """Greedy split that tries every word at every position; a character
+    whose lowercase form is longer than one character matches only itself."""
+    lowered = "".join(c if len(c.lower()) > 1 else c.lower() for c in body)
+    parts, residue, i = [], "", 0
+    while i < len(body):
+        n = max((len(w) for w in wordlist if lowered.startswith(w, i)), default=0)
+        if n:
+            parts += [residue, body[i : i + n]] if residue else [body[i : i + n]]
+            residue, i = "", i + n
+        else:
+            residue, i = residue + body[i], i + 1
+    return parts + [residue] if residue else parts
+
+
 @given(
-    st.text(alphabet="abcd", min_size=1, max_size=12),
-    st.sets(st.text(alphabet="abcd", min_size=1, max_size=3), max_size=8),
+    st.text(alphabet="abcdI\u0130", min_size=1, max_size=12),
+    st.sets(st.text(alphabet="abcdi\u0130", min_size=1, max_size=3), max_size=8),
 )
 def test_split_hashtag_concatenation(body, wordlist):
     parts = split_hashtag("#" + body, wordlist)
     assert "".join(parts) == body
+    assert parts == _longest_prefix_split(body, wordlist)
 
 
 def test_tokens_from_tagged():
