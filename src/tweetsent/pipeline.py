@@ -43,6 +43,7 @@ from .features_message import (
 )
 from .features_term import build_split_vocabulary, extract_term_features
 from .linear_model import LinearModel, classify, predict, train
+from .negation import NEG_SUFFIX
 
 
 def prepare_messages(messages: Sequence[LabeledMessage]) -> list[LabeledMessage]:
@@ -88,6 +89,14 @@ def extract_message_vectors(
     config: MessageFeatureConfig = DEFAULT_MESSAGE_CONFIG,
 ) -> list[FeatureVector]:
     _check_lexicon_names(lexicons)
+    for lexicon in lexicons:  # negated blocks are named <affect>_NEG
+        for affect in lexicon.affects:
+            if affect + NEG_SUFFIX in lexicon.affects:
+                raise ValueError(
+                    f"lexicon {lexicon.name!r} has affects {affect!r} and "
+                    f"{affect + NEG_SUFFIX!r}: the negated features of the first "
+                    "would take the names of the second"
+                )
     return [
         extract_message_features(m.tokens, lexicons, clusters, config)
         for m in messages
@@ -306,12 +315,8 @@ def cross_validate(
     by_label: dict[str, list[int]] = {}
     for i, label in enumerate(labels):
         by_label.setdefault(label, []).append(i)
-    folds: list[list[int]] = [[] for _ in range(k)]
     if all(len(ids) >= k for ids in by_label.values()):
-        for label in sorted(by_label):
-            ids = np.array(by_label[label])
-            for j, idx in enumerate(rng.permutation(ids)):
-                folds[j % k].append(int(idx))
+        drawn = [rng.permutation(by_label[label]) for label in sorted(by_label)]
     else:
         small = sorted(l for l, ids in by_label.items() if len(ids) < k)
         warnings.warn(
@@ -319,8 +324,8 @@ def cross_validate(
             "using non-stratified folds",
             stacklevel=2,
         )
-        for j, idx in enumerate(rng.permutation(len(labels))):
-            folds[j % k].append(int(idx))
+        drawn = [rng.permutation(len(labels))]
+    folds = [[int(i) for ids in drawn for i in ids[f::k]] for f in range(k)]
     training = [[i for g in range(k) if g != f for i in folds[g]] for f in range(k)]
     for f, used in enumerate(training):
         if absent := sorted(set(CLASS_ORDER).difference(labels[i] for i in used)):

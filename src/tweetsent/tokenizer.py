@@ -9,8 +9,8 @@ alternatives below in order at each position:
 4. numbers with internal separators (``3.5``, ``1,200``)
 5. words: letters/digits with internal apostrophes or hyphens
    (``don't``, ``well-known``, ``2day``)
-6. maximal runs of ASCII punctuation (``!!!``, ``?!``)
-7. any other single character
+6. punctuation: maximal runs of ASCII punctuation (``!!!``, ``?!``),
+   or any other single character (rule 5 takes every letter and digit)
 
 Words ending in ``n't`` are split Penn-style into stem plus ``n't``
 (``don't`` -> ``do``, ``n't``) so the contracted negation is its own
@@ -30,26 +30,19 @@ from dataclasses import dataclass
 URL_PLACEHOLDER = "http://someurl"
 USER_PLACEHOLDER = "@someuser"
 
-# Eyes, optional nose, mouth; reversed form runs mouth to eyes.  Mouth
-# characters with a curl direction carry the polarity.
-_EMOTICON = r"""
-    (?:
-      [<>]?
-      [:;=8]                     # eyes
-      [\-o\*']?                  # optional nose
-      [\)\]\(\[dDpP/\\:\}\{@\|]  # mouth
-      |
-      [\)\]\(\[dDpP/\\:\}\{@\|]  # mouth (reversed form)
-      [\-o\*']?
-      [:;=8]
-      [<>]?
-    )"""
+# Eyes, optional nose, mouth; the reversed form runs mouth to eyes.
+# Mouth characters with a curl direction carry the polarity.
+_EYES = r"[:;=8]"
+_NOSE = r"[\-o\*']?"
+_MOUTH = r"[\)\]\(\[dDpP/\\:\}\{@\|]"
+_FORWARD_EMOTICON = rf"[<>]?{_EYES}{_NOSE}{_MOUTH}"
+_EMOTICON = rf"{_FORWARD_EMOTICON}|{_MOUTH}{_NOSE}{_EYES}[<>]?"
+_URL = r"https?://\S+|www\.\S+"
 
-_FORWARD_EMOTICON = r"[<>]?[:;=8][\-o\*']?[\)\]\(\[dDpP/\\:\}\{@\|]"
-
+# A capture group inside an alternative would slow the scanner.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<url>https?://\S+|www\.\S+)
+    (?P<url>%s)
     |
     (?P<emoticon>%s)
     |
@@ -61,18 +54,16 @@ _TOKEN_RE = re.compile(
     |
     (?P<word>\w(?:\w|['\-]\w)*)
     |
-    (?P<punctuation>[!-/:-@\[-`\{-~]+)
-    |
-    (?P<other>\S)
+    (?P<punctuation>[!-/:-@\[-`\{-~]+|\S)
     """
-    % _EMOTICON,
+    % (_URL, _EMOTICON),
     re.VERBOSE | re.UNICODE,
 )
 
-_EMOTICON_FULL_RE = re.compile("(?:%s)$" % _EMOTICON, re.VERBOSE)
-_FORWARD_FULL_RE = re.compile("(?:%s)$" % _FORWARD_EMOTICON)
+_EMOTICON_FULL_RE = re.compile(rf"(?:{_EMOTICON})\Z")
+_FORWARD_FULL_RE = re.compile(rf"{_FORWARD_EMOTICON}\Z")
 
-_URL_NORM_RE = re.compile(r"(?:https?://\S+|www\.\S+)")
+_URL_NORM_RE = re.compile(_URL)
 # Negative lookbehind keeps e-mail-like "a@b" intact.
 _USER_NORM_RE = re.compile(r"(?<![\w@])@\w+")
 
@@ -125,18 +116,14 @@ def _flags(surface: str) -> tuple[bool, bool, bool]:
     all_caps = capitals >= 2 and not any(c.islower() for c in surface)
     elongated = _ELONGATED_RE.search(surface) is not None
     initial_cap = (
-        bool(surface)
-        and surface[0].isupper()
-        and not any(c.isupper() for c in surface[1:])
-        and any(c.islower() for c in surface)
+        capitals == 1 and surface[0].isupper() and any(c.islower() for c in surface)
     )
     return all_caps, elongated, initial_cap
 
 
 def _make_token(surface: str, kind: str, pos_tag: str | None = None) -> Token:
-    if kind == "word" and not (
-        surface.isalnum() or any(c.isalnum() for c in surface)
-    ):
+    # A "word" with no letter or digit, such as "_", is punctuation.
+    if kind == "word" and not (surface.isalnum() or any(c.isalnum() for c in surface)):
         kind = "punctuation"
     if surface.islower():
         # A lowercase letter and no capital: neither all-caps nor
@@ -151,10 +138,8 @@ def tokenize(text: str) -> TokenizedMessage:
     """Tokenize ``text``; see the module docstring for the grammar."""
     tokens: list[Token] = []
     for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup or "other"
+        kind = match.lastgroup
         surface = match.group()
-        if kind == "other":
-            kind = "word" if surface.isalnum() else "punctuation"
         if kind == "word" and "'" in surface:
             nt = _NT_SPLIT_RE.match(surface)
             if nt:
@@ -178,8 +163,8 @@ def tokens_from_tagged(pairs: tuple[tuple[str, str], ...]) -> TokenizedMessage:
 
 def _classify_surface(surface: str) -> str:
     match = _TOKEN_RE.match(surface)
-    if match and match.group() == surface and match.lastgroup:
-        return match.lastgroup if match.lastgroup != "other" else "word"
+    if match and match.group() == surface:
+        return match.lastgroup
     return "word"
 
 
@@ -191,18 +176,17 @@ def is_emoticon(surface: str) -> bool:
 def emoticon_polarity(surface: str) -> str | None:
     """Polarity of an emoticon by mouth curl, or None.
 
-    Forward emoticons read eyes-nose-mouth; mouths in ``)]}dD`` smile
-    and mouths in ``([{/\\|`` frown.  Reversed emoticons are mirrored
-    (``(:`` becomes ``:)``) before the same rule applies.  Mouths like
-    ``p`` or ``@`` carry no polarity.
+    The mouth is the last character of a forward emoticon
+    (eyes-nose-mouth) and the mirrored first character of a reversed
+    one (``(:`` reads as ``:)``).  Mouths in ``)]}dD`` smile and mouths
+    in ``([{/\\|`` frown; mouths like ``p`` or ``@`` carry no polarity.
     """
     if not _EMOTICON_FULL_RE.match(surface):
         return None
-    if not _FORWARD_FULL_RE.match(surface):
-        surface = surface[::-1].translate(_MIRROR)
-        if not _FORWARD_FULL_RE.match(surface):
-            return None
-    mouth = surface[-1]
+    if _FORWARD_FULL_RE.match(surface):
+        mouth = surface[-1]
+    else:
+        mouth = surface[0].translate(_MIRROR)
     if mouth in _POSITIVE_MOUTHS:
         return "positive"
     if mouth in _NEGATIVE_MOUTHS:
@@ -220,30 +204,21 @@ def split_hashtag(tag: str, wordlist: set[str]) -> list[str]:
     Concatenating the result always reproduces the hashtag minus ``#``.
     """
     body = tag.lstrip("#")
-    if not body:
-        return []
     lowered = body.lower()
     if len(lowered) != len(body):  # keep offsets into ``lowered`` valid in ``body``
         lowered = "".join(c if len(c.lower()) > 1 else c.lower() for c in body)
     parts: list[str] = []
-    residue_start = None
-    i = 0
+    start = i = 0  # body[start:i] is the run that no entry covers
     while i < len(body):
-        match_len = 0
-        for length in range(len(body) - i, 0, -1):
-            if lowered[i : i + length] in wordlist:
-                match_len = length
+        for end in range(len(body), i, -1):
+            if lowered[i:end] in wordlist:
+                if start < i:
+                    parts.append(body[start:i])
+                parts.append(body[i:end])
+                start = i = end
                 break
-        if match_len:
-            if residue_start is not None:
-                parts.append(body[residue_start:i])
-                residue_start = None
-            parts.append(body[i : i + match_len])
-            i += match_len
         else:
-            if residue_start is None:
-                residue_start = i
             i += 1
-    if residue_start is not None:
-        parts.append(body[residue_start:])
+    if start < len(body):
+        parts.append(body[start:])
     return parts

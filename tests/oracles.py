@@ -13,7 +13,8 @@ dual coordinate descent loop on numpy scalars, lexicon induction over a
 dict of per-term class dicts, the per-character unescaping loop and the
 per-affect term lexicon lookup.  So are the row path's per-token and
 per-feature loops: token flags computed character by character (with the
-tokenizer's unchanged regular expressions), one ``in_scope`` call per
+tokenizer's ``n't`` and elongation expressions, and a copy of its first
+scanner, emoticon and URL patterns), one ``in_scope`` call per
 token, one ``FeatureVector.set`` per n-gram, and vectorizing by sorting
 (index, value) tuples.  The model-file reader is a per-record loop in
 which each line must be the next record the writer would write.  The
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import string
 import warnings
 from fractions import Fraction
@@ -51,7 +53,6 @@ from tweetsent.negation import NEG_SUFFIX
 from tweetsent.tokenizer import (
     _ELONGATED_RE,
     _NT_SPLIT_RE,
-    _TOKEN_RE,
     Token,
     TokenizedMessage,
     emoticon_polarity,
@@ -650,6 +651,97 @@ def oracle_term_lookup(lexicon, words, affect):
         scores.append(0.0 if s is None else s)
         matched.append(s is not None)
     return scores, matched
+
+
+# The tokenizer's rules as they were first written, before each was spelled
+# once: the verbose emoticon grammar, its forward half written out again,
+# the scanner pattern, the URL pattern and the polarity rule that mirrors
+# a reversed emoticon and matches it again.  The full-surface patterns end
+# in ``\Z`` where the first spelling had ``$``, so a trailing line break
+# ends no emoticon.
+_EMOTICON = r"""
+    (?:
+      [<>]?
+      [:;=8]                     # eyes
+      [\-o\*']?                  # optional nose
+      [\)\]\(\[dDpP/\\:\}\{@\|]  # mouth
+      |
+      [\)\]\(\[dDpP/\\:\}\{@\|]  # mouth (reversed form)
+      [\-o\*']?
+      [:;=8]
+      [<>]?
+    )"""
+
+_FORWARD_EMOTICON = r"[<>]?[:;=8][\-o\*']?[\)\]\(\[dDpP/\\:\}\{@\|]"
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<url>https?://\S+|www\.\S+)
+    |
+    (?P<emoticon>%s)
+    |
+    (?P<mention>@\w+)
+    |
+    (?P<hashtag>\#\w+)
+    |
+    (?P<number>[+\-]?\d+(?:[.,:/\-]\d+)+)
+    |
+    (?P<word>\w(?:\w|['\-]\w)*)
+    |
+    (?P<punctuation>[!-/:-@\[-`\{-~]+)
+    |
+    (?P<other>\S)
+    """
+    % _EMOTICON,
+    re.VERBOSE | re.UNICODE,
+)
+
+_EMOTICON_FULL_RE = re.compile(r"(?:%s)\Z" % _EMOTICON, re.VERBOSE)
+_FORWARD_FULL_RE = re.compile(r"(?:%s)\Z" % _FORWARD_EMOTICON)
+_URL_NORM_RE = re.compile(r"(?:https?://\S+|www\.\S+)")
+_USER_NORM_RE = re.compile(r"(?<![\w@])@\w+")
+_POSITIVE_MOUTHS = set(")]}dD")
+_NEGATIVE_MOUTHS = set("([{/\\|")
+_MIRROR = str.maketrans("()[]{}<>", ")(][}{><")
+
+
+def oracle_normalize(text: str) -> str:
+    text = _URL_NORM_RE.sub("http://someurl", text)
+    return _USER_NORM_RE.sub("@someuser", text)
+
+
+def oracle_is_emoticon(surface: str) -> bool:
+    return _EMOTICON_FULL_RE.match(surface) is not None
+
+
+def oracle_emoticon_polarity(surface: str) -> str | None:
+    """Polarity of an emoticon by mouth curl, or None.
+
+    Forward emoticons read eyes-nose-mouth; mouths in ``)]}dD`` smile
+    and mouths in ``([{/\\|`` frown.  Reversed emoticons are mirrored
+    (``(:`` becomes ``:)``) before the same rule applies.  Mouths like
+    ``p`` or ``@`` carry no polarity.
+    """
+    if not _EMOTICON_FULL_RE.match(surface):
+        return None
+    if not _FORWARD_FULL_RE.match(surface):
+        surface = surface[::-1].translate(_MIRROR)
+        if not _FORWARD_FULL_RE.match(surface):
+            return None
+    mouth = surface[-1]
+    if mouth in _POSITIVE_MOUTHS:
+        return "positive"
+    if mouth in _NEGATIVE_MOUTHS:
+        return "negative"
+    return None
+
+
+def oracle_classify_surface(surface: str) -> str:
+    """The kind of one externally tagged surface, before flags."""
+    match = _TOKEN_RE.match(surface)
+    if match and match.group() == surface and match.lastgroup:
+        return match.lastgroup if match.lastgroup != "other" else "word"
+    return "word"
 
 
 def _oracle_flags(surface: str) -> tuple[bool, bool, bool]:

@@ -433,6 +433,25 @@ def test_lexicon_names_that_split_feature_names_exit_1(
     assert not model_path.exists()
 
 
+def test_lexicon_affect_named_like_a_negated_one_exits_1(
+    message_files, tmp_path, capsys
+):
+    train, _ = message_files
+    lexicon = tmp_path / "lex.tsv"
+    lexicon.write_text("good\tpositive\t1\ngood\tpositive_NEG\t2\n")
+    model_path = tmp_path / "model.tsv"
+    code, out, err = run(
+        capsys, "train", "--input", str(train), "--lexicon", str(lexicon),
+        "--model", str(model_path),
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: lexicon 'lex' has affects 'positive' and 'positive_NEG': the "
+        "negated features of the first would take the names of the second\n"
+    )
+    assert not model_path.exists()
+
+
 def test_cv_with_more_folds_than_rows_exits_1(message_files, capsys):
     train, _ = message_files
     code, out, err = run(capsys, "train", "--input", str(train), "--cv", "10")

@@ -209,6 +209,46 @@ def test_unbounded_caches_are_detected():
     assert _unbounded_caches(source) == ["line 2", "a", "b", "d", "line 15"]
 
 
+# The emoticon mouth class and the URL pattern each serve more than one
+# tokenizer rule (scanner, polarity, normalization).  Spelled once and
+# spliced in, their uses cannot drift apart.
+RESPELLABLE = ("dDpP", "https?://")
+
+
+def _respelled_patterns(source: str) -> list[str]:
+    """Each of ``RESPELLABLE`` that more than one string constant of
+    ``source`` holds, with the lines those constants start on."""
+    constants = [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    found = []
+    for part in RESPELLABLE:
+        lines = sorted(node.lineno for node in constants if part in node.value)
+        if len(lines) > 1:
+            found.append(f"{part} on lines {lines}")
+    return found
+
+
+def test_each_tokenizer_pattern_is_spelled_once():
+    source = (PACKAGE / "tokenizer.py").read_text(encoding="utf-8")
+    assert _respelled_patterns(source) == []
+
+
+def test_respelled_patterns_are_detected():
+    source = (
+        'EMOTICON = r"[:;][)dDpP]|[)dDpP][:;]"\n'
+        'FORWARD = rf"{EYES}[)dDpP]"\n'
+        'MOUTH = "[)dDpP]"\n'
+        'SCANNER = re.compile(rf"{MOUTH}{MOUTH}|https?://\\S+")\n'
+        'URL = re.compile(r"(?:https?://\\S+)")\n'
+    )
+    assert _respelled_patterns(source) == [
+        "dDpP on lines [1, 2, 3]", "https?:// on lines [4, 5]",
+    ]
+
+
 def _dataclass_fields(source: str) -> set[str]:
     """Field names of the ``@dataclass`` classes defined in ``source``."""
     fields = set()

@@ -543,6 +543,24 @@ def test_vector_extractors_reject_clashing_lexicon_names():
         extract_term_vectors(instances, piped)
 
 
+def test_message_vectors_reject_an_affect_named_like_a_negated_one():
+    # Negated "positive" scores would be written as "positive_NEG"'s.
+    lexicon = Lexicon(
+        name="lex",
+        affects=("positive", "positive_NEG"),
+        entries={"good": {"positive": 1.0, "positive_NEG": 2.0}},
+    )
+    rows = prepare_raw([("1", "good day , not good")])
+    with pytest.raises(
+        ValueError,
+        match="lexicon 'lex' has affects 'positive' and 'positive_NEG'",
+    ):
+        extract_message_vectors(rows, [lexicon])
+    # Terms carry no negation suffix, so the term task takes the lexicon.
+    instances = [TermInstance(id="t", text="good", label="positive", start=0, end=0)]
+    assert extract_term_vectors(instances, [lexicon])
+
+
 def test_term_instances_are_tokenized_once(tmp_path, monkeypatch):
     instances, lexicon = make_term_corpus(n=30, seed=2)
     path = tmp_path / "terms.tsv"

@@ -1,8 +1,16 @@
+import itertools
 from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import oracle_make_token, oracle_tokenize
+from oracles import (
+    oracle_classify_surface,
+    oracle_emoticon_polarity,
+    oracle_is_emoticon,
+    oracle_make_token,
+    oracle_normalize,
+    oracle_tokenize,
+)
 
 from tweetsent.tokenizer import (
     URL_PLACEHOLDER,
@@ -134,6 +142,8 @@ def test_is_emoticon():
     assert is_emoticon("8)")
     assert not is_emoticon("!!")
     assert not is_emoticon("word")
+    # The whole surface: a trailing line break is not part of an emoticon.
+    assert not is_emoticon(":)\n")
 
 
 @given(st.text(alphabet=":;=8<>-o*')](}{[dDpP/\\|@", min_size=1, max_size=4))
@@ -245,3 +255,47 @@ def test_tokenize_matches_per_character_flags(text):
 @given(_PIECES | st.text(max_size=6), _KINDS)
 def test_make_token_matches_per_character_flags(surface, kind):
     assert _make_token(surface, kind) == oracle_make_token(surface, kind)
+
+
+def _assert_first_rules(text):
+    """The tokenizer reads ``text`` as its rules did when first written."""
+    assert is_emoticon(text) == oracle_is_emoticon(text)
+    assert emoticon_polarity(text) == oracle_emoticon_polarity(text)
+    assert normalize(text) == oracle_normalize(text)
+    pairs = [(t.surface, t.kind) for t in tokenize(text).tokens]
+    assert pairs == [(t.surface, t.kind) for t in oracle_tokenize(text).tokens]
+    tagged = tokens_from_tagged(((text, "N"),)).tokens[0].kind
+    assert tagged == oracle_make_token(text, oracle_classify_surface(text)).kind
+
+
+# Emoticon characters, a letter, punctuation, a space, and characters that
+# are word characters without being alphanumeric (_), are neither (U+20AC)
+# or are digits without being decimal (U+00B2).
+_RULE_ALPHABET = "<>:;=8-o*')](\\[dDpP/}{@|x! _\u20ac\u00b2"
+
+
+def test_every_short_string_follows_the_first_rules():
+    for n in (1, 2, 3):
+        for chars in itertools.product(_RULE_ALPHABET, repeat=n):
+            _assert_first_rules("".join(chars))
+
+
+_RULE_PIECES = st.sampled_from(
+    [":)", "(-:", ">:[", "]:<", "8D", "d:", ":p", "@:", ":|", "|;", "::",
+     "http://t.co/x", "www.a.b", "https://", "@user", "a@b", "#tag", "#",
+     "don't", "CAN'T", "n't", "3.5", "-1,200", "12:30", "Good", "WOW", "sooo",
+     "\u4e2d\u6587", "\U0001f600", "\u00e9", "\u0130", "\u00b2", "\u20ac",
+     "_", "!!", "?!", " ", "\t", "\n"]
+)
+
+_RULE_TEXT = st.lists(
+    _RULE_PIECES | st.text(alphabet=_RULE_ALPHABET, max_size=4) | st.text(max_size=3),
+    max_size=10,
+).map("".join)
+
+
+@settings(max_examples=400)
+@example("(-:\n")
+@given(_RULE_TEXT)
+def test_longer_strings_follow_the_first_rules(text):
+    _assert_first_rules(text)
