@@ -370,41 +370,6 @@ def _char_ngram_features(
     fv.entries.update(dict.fromkeys(names, 1.0))
 
 
-def _punctuation_features(fv: FeatureVector, message: TokenizedMessage) -> None:
-    exclaim = question = mixed = 0
-    for t in message.tokens:
-        if t.kind != "punctuation":
-            continue
-        chars = set(t.surface)
-        if chars == {"!"}:
-            exclaim += 1
-        elif chars == {"?"}:
-            question += 1
-        elif chars == {"!", "?"}:
-            mixed += 1
-    fv.set("pnc|exclaim|count", exclaim)
-    fv.set("pnc|question|count", question)
-    fv.set("pnc|mixed|count", mixed)
-    if message.tokens:
-        final = message.tokens[-1].surface
-        if "!" in final or "?" in final:
-            fv.set("pnc|last", 1)
-
-
-def _emoticon_features(fv: FeatureVector, message: TokenizedMessage) -> None:
-    for t in message.tokens:
-        if t.kind == "emoticon":
-            polarity = emoticon_polarity(t.surface)
-            if polarity:
-                fv.set(f"emo|{polarity}", 1)
-    if message.tokens:
-        final = message.tokens[-1]
-        if final.kind == "emoticon":
-            polarity = emoticon_polarity(final.surface)
-            if polarity:
-                fv.set(f"emo|last_{polarity}", 1)
-
-
 def extract_message_features(
     msg: TokenizedMessage,
     lexicons: Sequence[Lexicon] = (),
@@ -414,8 +379,17 @@ def extract_message_features(
     """Extract the message-level feature vector.
 
     Negated contexts are marked over the message's surfaces unless the
-    config disables negation handling.
+    config disables negation.  A lexicon with affects ``A`` and ``A_NEG``
+    raises ``ValueError``, as ``A_NEG`` would name the negated ``A`` block.
     """
+    for lexicon in lexicons:  # negated blocks are named <affect>_NEG
+        for affect in lexicon.affects:
+            if affect + NEG_SUFFIX in lexicon.affects:
+                raise ValueError(
+                    f"lexicon {lexicon.name!r} has affects {affect!r} and "
+                    f"{affect + NEG_SUFFIX!r}: the negated features of the first "
+                    "would take the names of the second"
+                )
     fv = FeatureVector()
     surfaces = [t.surface.lower() for t in msg.tokens]
     annotation = mark_negation(surfaces) if config.negation else EMPTY_ANNOTATION
@@ -425,25 +399,41 @@ def extract_message_features(
     if not config.baseline:
         _char_ngram_features(fv, msg, suffixed)
         tags: dict[str, int] = {}
+        emoticons: dict[str, float] = {}
+        caps = hashtags = exclaim = question = mixed = elongated = 0
+        polarity = None  # of the last emoticon
         for t in msg.tokens:
             if t.pos_tag is not None:
                 tags[t.pos_tag] = tags.get(t.pos_tag, 0) + 1
+            caps += t.all_caps
+            if t.kind == "punctuation":
+                chars = set(t.surface)
+                exclaim += chars == {"!"}
+                question += chars == {"?"}
+                mixed += chars == {"!", "?"}
+            elif t.kind == "emoticon":
+                polarity = emoticon_polarity(t.surface)
+                if polarity:
+                    emoticons[f"emo|{polarity}"] = 1.0
+            elif t.kind == "hashtag":
+                hashtags += 1
+            if t.elongated and t.kind in ("word", "hashtag"):
+                elongated += 1
         for tag, count in tags.items():
             fv.set(f"pos|{tag}", count)
         if lexicons:
             _lexicon_features(fv, msg, surfaces, annotation, lexicons)
-        fv.set("caps|count", sum(1 for t in msg.tokens if t.all_caps))
-        fv.set("ht|count", sum(1 for t in msg.tokens if t.kind == "hashtag"))
-        _punctuation_features(fv, msg)
-        _emoticon_features(fv, msg)
-        fv.set(
-            "elo|count",
-            sum(
-                1
-                for t in msg.tokens
-                if t.elongated and t.kind in ("word", "hashtag")
-            ),
-        )
+        fv.set("caps|count", caps)
+        fv.set("ht|count", hashtags)
+        fv.set("pnc|exclaim|count", exclaim)
+        fv.set("pnc|question|count", question)
+        fv.set("pnc|mixed|count", mixed)
+        final = msg.tokens[-1].surface if msg.tokens else ""
+        fv.set("pnc|last", "!" in final or "?" in final)
+        fv.entries.update(emoticons)
+        if polarity and msg.tokens[-1].kind == "emoticon":
+            fv.set(f"emo|last_{polarity}", 1)
+        fv.set("elo|count", elongated)
         if clusters is not None:
             for surface in surfaces:
                 cid = clusters.get(surface)

@@ -43,7 +43,6 @@ from .features_message import (
 )
 from .features_term import build_split_vocabulary, extract_term_features
 from .linear_model import LinearModel, classify, predict, train
-from .negation import NEG_SUFFIX
 
 
 def prepare_messages(messages: Sequence[LabeledMessage]) -> list[LabeledMessage]:
@@ -89,14 +88,6 @@ def extract_message_vectors(
     config: MessageFeatureConfig = DEFAULT_MESSAGE_CONFIG,
 ) -> list[FeatureVector]:
     _check_lexicon_names(lexicons)
-    for lexicon in lexicons:  # negated blocks are named <affect>_NEG
-        for affect in lexicon.affects:
-            if affect + NEG_SUFFIX in lexicon.affects:
-                raise ValueError(
-                    f"lexicon {lexicon.name!r} has affects {affect!r} and "
-                    f"{affect + NEG_SUFFIX!r}: the negated features of the first "
-                    "would take the names of the second"
-                )
     return [
         extract_message_features(m.tokens, lexicons, clusters, config)
         for m in messages

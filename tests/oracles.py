@@ -15,12 +15,15 @@ per-affect term lexicon lookup.  So are the row path's per-token and
 per-feature loops: token flags computed character by character (with the
 tokenizer's ``n't`` and elongation expressions, and a copy of its first
 scanner, emoticon and URL patterns), one ``in_scope`` call per
-token, one ``FeatureVector.set`` per n-gram, and vectorizing by sorting
-(index, value) tuples.  The model-file reader is a per-record loop in
-which each line must be the next record the writer would write.  The
-corpus, lexicon, cluster-map and seed loaders are the ones that each
-checked their own field count over a shared line reader, kept as
-written except that the cluster map is returned as a plain dict.
+token, one ``FeatureVector.set`` per n-gram, the count groups' six walks
+over the tokens (POS tags, all-caps words, hashtags, punctuation runs,
+emoticons and elongated words, with the punctuation and emoticon
+helpers), and vectorizing by sorting (index, value) tuples.  The
+model-file reader is a per-record loop in which each line must be the
+next record the writer would write.  The corpus, lexicon, cluster-map
+and seed loaders are the ones that each checked their own field count
+over a shared line reader, kept as written except that the cluster map
+is returned as a plain dict.
 """
 
 from __future__ import annotations
@@ -856,6 +859,64 @@ def oracle_char_ngram_features(fv, message, suffixed) -> None:
         for n in features_message.CHAR_NGRAM_SIZES:
             for i in range(len(surface) - n + 1):
                 fv.set(f"cng|{surface[i : i + n]}", 1)
+
+
+def oracle_count_features(fv, message) -> None:
+    """The ``pos|``, ``caps|``, ``ht|``, ``pnc|``, ``emo|`` and ``elo|``
+    entries, one walk over the tokens per group, in extraction order."""
+    tags: dict[str, int] = {}
+    for t in message.tokens:
+        if t.pos_tag is not None:
+            tags[t.pos_tag] = tags.get(t.pos_tag, 0) + 1
+    for tag, count in tags.items():
+        fv.set(f"pos|{tag}", count)
+    fv.set("caps|count", sum(1 for t in message.tokens if t.all_caps))
+    fv.set("ht|count", sum(1 for t in message.tokens if t.kind == "hashtag"))
+    _oracle_punctuation_features(fv, message)
+    _oracle_emoticon_features(fv, message)
+    fv.set(
+        "elo|count",
+        sum(
+            1
+            for t in message.tokens
+            if t.elongated and t.kind in ("word", "hashtag")
+        ),
+    )
+
+
+def _oracle_punctuation_features(fv, message) -> None:
+    exclaim = question = mixed = 0
+    for t in message.tokens:
+        if t.kind != "punctuation":
+            continue
+        chars = set(t.surface)
+        if chars == {"!"}:
+            exclaim += 1
+        elif chars == {"?"}:
+            question += 1
+        elif chars == {"!", "?"}:
+            mixed += 1
+    fv.set("pnc|exclaim|count", exclaim)
+    fv.set("pnc|question|count", question)
+    fv.set("pnc|mixed|count", mixed)
+    if message.tokens:
+        final = message.tokens[-1].surface
+        if "!" in final or "?" in final:
+            fv.set("pnc|last", 1)
+
+
+def _oracle_emoticon_features(fv, message) -> None:
+    for t in message.tokens:
+        if t.kind == "emoticon":
+            polarity = emoticon_polarity(t.surface)
+            if polarity:
+                fv.set(f"emo|{polarity}", 1)
+    if message.tokens:
+        final = message.tokens[-1]
+        if final.kind == "emoticon":
+            polarity = emoticon_polarity(final.surface)
+            if polarity:
+                fv.set(f"emo|last_{polarity}", 1)
 
 
 def oracle_vectorize(vector, dictionary) -> IndexedVector:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import (
     oracle_apply_negation_suffix,
     oracle_char_ngram_features,
+    oracle_count_features,
     oracle_lexicon_features,
     oracle_scope_masks,
     oracle_vectorize,
@@ -81,6 +82,25 @@ def test_negated_lexicon_block():
     assert fv.get("lex|L|uni|cnt|positive_NEG") == 1.0
     assert fv.get("lex|L|uni|last|positive_NEG") == 2.0
     assert "lex|L|uni|sum|positive" not in fv.entries
+
+
+@pytest.mark.parametrize(
+    "config", [DEFAULT_MESSAGE_CONFIG, MessageFeatureConfig.unigrams_only()]
+)
+def test_affect_named_like_a_negated_one_is_refused(config):
+    # Negated "positive" scores would be written as "positive_NEG"'s, so
+    # a direct caller is refused as the pipeline's callers are, under
+    # every config.
+    lexicon = lex(
+        {"good": {"positive": 1.0, "positive_NEG": 2.0}},
+        name="lex",
+        affects=("positive", "positive_NEG"),
+    )
+    with pytest.raises(
+        ValueError,
+        match="lexicon 'lex' has affects 'positive' and 'positive_NEG'",
+    ):
+        extract("good day , not good", [lexicon], config=config)
 
 
 def test_bigram_and_pair_lexicons():
@@ -543,6 +563,40 @@ def _check_row_features(words, tags, spans, config):
             want = extract_message_features(message, lexicons, config=config)
     # Same names, values and insertion order.
     assert list(got.entries.items()) == list(want.entries.items())
+
+
+_COUNT_PREFIXES = ("pos|", "caps|", "ht|", "pnc|", "emo|", "elo|")
+# Punctuation runs, emoticons with and without a polarity, hashtags,
+# elongated words and hashtags, all-caps words, and non-punctuation
+# tokens that hold "?" (a url) or "!" (a word, in tagged input only).
+_COUNT_WORDS = [
+    "!", "?", "?!", "!!!?", ".", ":)", ":(", ":P", "#win", "#sooogood",
+    "soooo", "GREAT", "LOL", "good", "not", "http://t.co/?a", "@bob", "wow!",
+]
+
+
+@settings(max_examples=300)
+@example(words=[], tags=None)
+@example(words=["?!"], tags=None)
+@example(words=[":)", "good", ":("], tags=None)
+@example(words=[":(", "good", ":)"], tags=None)
+@example(words=["good", ":P"], tags=None)
+@given(
+    words=st.lists(st.sampled_from(_COUNT_WORDS), max_size=10),
+    tags=st.none()
+    | st.lists(st.sampled_from(["A", "N", "V", "E", ","]), min_size=10, max_size=10),
+)
+def test_count_features_match_one_walk_per_group(words, tags):
+    message = _row_message(words, tags)
+    lexicons = [lex({"good": {"positive": 1.0}, "#win": {"positive": 2.0}})]
+    got = extract_message_features(message, lexicons)
+    want = FeatureVector()
+    oracle_count_features(want, message)
+    # Same names, values and insertion order, across the lexicon block.
+    counts = [
+        item for item in got.entries.items() if item[0].startswith(_COUNT_PREFIXES)
+    ]
+    assert counts == list(want.entries.items())
 
 
 _NAMES = [f"f{k}" for k in range(12)]

@@ -249,6 +249,48 @@ def test_respelled_patterns_are_detected():
     ]
 
 
+# A negated context's features are named with ``NEG_SUFFIX``.  Only
+# ``negation``, which suffixes surfaces, and ``features_message``, which
+# names the negated lexicon blocks and refuses the lexicons whose affects
+# those names would collide with, spell that rule.
+NEG_SUFFIX_READERS = ("negation", "features_message")
+
+
+def _neg_suffix_reads(source: str) -> list[int]:
+    """Lines of ``source`` that import, name or look up ``NEG_SUFFIX``."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if any(alias.name == "NEG_SUFFIX" for alias in node.names):
+                lines.add(node.lineno)
+        elif getattr(node, "id", getattr(node, "attr", None)) == "NEG_SUFFIX":
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_only_negation_and_message_features_read_the_negation_suffix():
+    found = [
+        f"{path.stem} line {line}"
+        for path in MODULES
+        if path.stem not in NEG_SUFFIX_READERS
+        for line in _neg_suffix_reads(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def test_negation_suffix_reads_are_detected():
+    source = (
+        "from .negation import NEG_SUFFIX\n"
+        "from . import negation\n"
+        "name = affect + negation.NEG_SUFFIX\n"
+        "label = 'NEG_SUFFIX'  # NEG_SUFFIX\n"
+        "def f(suffix=NEG_SUFFIX):\n"
+        "    return suffix\n"
+        "from .negation import NEG_SUFFIX as SUFFIX\n"
+    )
+    assert _neg_suffix_reads(source) == [1, 3, 5, 7]
+
+
 def _dataclass_fields(source: str) -> set[str]:
     """Field names of the ``@dataclass`` classes defined in ``source``."""
     fields = set()
