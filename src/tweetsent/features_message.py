@@ -370,6 +370,22 @@ def _char_ngram_features(
     fv.entries.update(dict.fromkeys(names, 1.0))
 
 
+def check_affect_names(lexicons: Sequence[Lexicon]) -> None:
+    """Raise ``ValueError`` for a lexicon with affects ``A`` and ``A_NEG``.
+
+    A negated block of affect ``A`` is named ``A_NEG``, so it would take
+    the names of the second affect's features.
+    """
+    for lexicon in lexicons:
+        for affect in lexicon.affects:
+            if affect + NEG_SUFFIX in lexicon.affects:
+                raise ValueError(
+                    f"lexicon {lexicon.name!r} has affects {affect!r} and "
+                    f"{affect + NEG_SUFFIX!r}: the negated features of the first "
+                    "would take the names of the second"
+                )
+
+
 def extract_message_features(
     msg: TokenizedMessage,
     lexicons: Sequence[Lexicon] = (),
@@ -379,17 +395,10 @@ def extract_message_features(
     """Extract the message-level feature vector.
 
     Negated contexts are marked over the message's surfaces unless the
-    config disables negation.  A lexicon with affects ``A`` and ``A_NEG``
-    raises ``ValueError``, as ``A_NEG`` would name the negated ``A`` block.
+    config disables negation.  Raises ``ValueError`` as
+    :func:`check_affect_names` does.
     """
-    for lexicon in lexicons:  # negated blocks are named <affect>_NEG
-        for affect in lexicon.affects:
-            if affect + NEG_SUFFIX in lexicon.affects:
-                raise ValueError(
-                    f"lexicon {lexicon.name!r} has affects {affect!r} and "
-                    f"{affect + NEG_SUFFIX!r}: the negated features of the first "
-                    "would take the names of the second"
-                )
+    check_affect_names(lexicons)
     fv = FeatureVector()
     surfaces = [t.surface.lower() for t in msg.tokens]
     annotation = mark_negation(surfaces) if config.negation else EMPTY_ANNOTATION

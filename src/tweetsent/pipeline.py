@@ -37,6 +37,7 @@ from .features_message import (
     IndexedVector,
     MessageFeatureConfig,
     build_feature_dictionary,
+    check_affect_names,
     extract_message_features,
     select_columns,
     vectorize,
@@ -88,6 +89,7 @@ def extract_message_vectors(
     config: MessageFeatureConfig = DEFAULT_MESSAGE_CONFIG,
 ) -> list[FeatureVector]:
     _check_lexicon_names(lexicons)
+    check_affect_names(lexicons)
     return [
         extract_message_features(m.tokens, lexicons, clusters, config)
         for m in messages
@@ -248,7 +250,8 @@ def featurize(
 
     ``config`` defaults to the message task's full feature set; the term
     task has none.  Raises ``ValueError`` when two lexicons share a name
-    or a name holds ``|``, a tab or a line break, and for the term task
+    or a name holds ``|``, a tab or a line break; for the message task
+    when a lexicon has affects ``A`` and ``A_NEG``; and for the term task
     when given ``clusters`` or ``config``.
     """
     given = {} if config is None else {"config": config}

@@ -9,7 +9,8 @@ of them import library internals beyond public dataclasses.
 The copies below import only the unchanged public functions they call.
 The model-file writer is the per-record loop that the bulk version in
 ``linear_model`` replaced, kept as written; so are the
-dual coordinate descent loop on numpy scalars, lexicon induction over a
+dual coordinate descent loop on numpy scalars that shrinking replaced
+(beside a copy with shrinking), lexicon induction over a
 dict of per-term class dicts, the per-character unescaping loop and the
 per-affect term lexicon lookup.  So are the row path's per-token and
 per-feature loops: token flags computed character by character (with the
@@ -476,9 +477,74 @@ def oracle_load_model(path: str | Path) -> LinearModel:
 
 
 def oracle_train_binary(rows, targets, dim, C, tol, max_epochs, rng):
+    """One binary dual coordinate descent subproblem with shrinking.
+
+    On numpy scalars, each sweep visits the rows of a boolean ``active``
+    mask.  A row at
+    ``alpha == 0`` whose gradient exceeds the previous sweep's largest
+    projected gradient, or at ``alpha == C`` whose gradient is below the
+    smallest, is dropped from the mask for later sweeps; a threshold
+    that is not positive (largest) or not negative (smallest) is
+    infinite.  When a sweep over a partial mask ends with every
+    projected gradient below ``tol``, or is the 100th such sweep since
+    the mask was last full, the mask is filled again and the thresholds
+    reset; training stops on a sweep over every row that ends with every
+    projected gradient below ``tol``.  Returns (weights, epochs run, duals).
+    """
+    n = len(rows)
+    w = np.zeros(dim + 1)
+    alpha = np.zeros(n)
+    q_diag = np.array([v @ v + 1.0 for _, v in rows])
+    active = np.ones(n, dtype=bool)
+    upper, lower = np.inf, -np.inf
+    epochs_run = 0
+    since_full = 0
+    for _ in range(max_epochs):
+        epochs_run += 1
+        since_full = 0 if active.all() else since_full + 1
+        projections = [0.0]
+        stay = active.copy()
+        for i in np.flatnonzero(active)[rng.permutation(active.sum())]:
+            ind, val = rows[i]
+            y = targets[i]
+            gradient = y * (w[ind] @ val + w[dim]) - 1.0
+            if alpha[i] <= 0.0:
+                if gradient > upper:
+                    stay[i] = False
+                    continue
+                projected = min(gradient, 0.0)
+            elif alpha[i] >= C:
+                if gradient < lower:
+                    stay[i] = False
+                    continue
+                projected = max(gradient, 0.0)
+            else:
+                projected = gradient
+            projections.append(projected)
+            if abs(projected) > 1e-12:
+                updated = min(max(alpha[i] - gradient / q_diag[i], 0.0), C)
+                step = (updated - alpha[i]) * y
+                alpha[i] = updated
+                w[ind] += step * val
+                w[dim] += step
+        high, low = max(projections), min(projections)
+        converged = max(abs(p) for p in projections) < tol
+        if converged and active.all():
+            break
+        if converged or since_full == 100:
+            active[:] = True
+            upper, lower = np.inf, -np.inf
+            continue
+        active = stay
+        upper = high if high > 0.0 else np.inf
+        lower = low if low < 0.0 else -np.inf
+    return w, epochs_run, alpha
+
+
+def oracle_train_binary_unshrunk(rows, targets, dim, C, tol, max_epochs, rng):
     """One binary dual coordinate descent subproblem, on numpy scalars.
 
-    Returns (weights, epochs run, duals).
+    Every sweep visits every row.  Returns (weights, epochs run, duals).
     """
     n = len(rows)
     w = np.zeros(dim + 1)

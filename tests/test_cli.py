@@ -452,6 +452,25 @@ def test_lexicon_affect_named_like_a_negated_one_exits_1(
     assert not model_path.exists()
 
 
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_lexicon_affect_named_like_a_negated_one_exits_1_on_empty_input(
+    command, message_files, tmp_path, capsys
+):
+    train, _ = message_files
+    model_path = tmp_path / "model.tsv"
+    run(capsys, "train", "--input", str(train), "--model", str(model_path))
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("")
+    lexicon = tmp_path / "lex.tsv"
+    lexicon.write_text("good\tpositive\t1\ngood\tpositive_NEG\t2\n")
+    code, out, err = run(
+        capsys, command, "--input", str(empty), "--model", str(model_path),
+        "--lexicon", str(lexicon),
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: lexicon 'lex' has affects 'positive' and ")
+
+
 def test_cv_with_more_folds_than_rows_exits_1(message_files, capsys):
     train, _ = message_files
     code, out, err = run(capsys, "train", "--input", str(train), "--cv", "10")
@@ -765,7 +784,7 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 GOLDEN_TERM = Path(__file__).parent / "data" / "golden_term"
 GOLDEN_TERM_MODEL_SHA256 = (
-    "5ebdda243ee1febd662e80b1a133a512969a12f41a5b14d9e7f63ffc5c11ef98"
+    "bd18406095e5e4e86461ea8e0de8cc98c1c290c8b0c279c4972bb6e4a479ce66"
 )
 
 

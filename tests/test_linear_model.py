@@ -6,7 +6,13 @@ import pytest
 
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import oracle_kkt_violation, oracle_svm_dual, oracle_train_binary
+from oracles import (
+    oracle_kkt_violation,
+    oracle_svm_dual,
+    oracle_train_binary,
+    oracle_train_binary_unshrunk,
+)
+from tweetsent import linear_model
 from tweetsent.corpus_io import CLASS_ORDER
 from tweetsent.features_message import (
     FeatureDictionary,
@@ -537,11 +543,16 @@ def test_solver_matches_numpy_scalar_loop(problem, C, tol, max_epochs, seed):
     _assert_matches_loop_oracle(vectors, labels, dim, C, tol, max_epochs, seed)
 
 
-@pytest.mark.parametrize("C,max_epochs", [(0.001, 1000), (10.0, 2)])
-def test_solver_matches_numpy_scalar_loop_at_bound_and_epoch_cap(C, max_epochs):
+def _problem_at_bound():
+    """30 sparse rows in 6 dimensions, labels cycling through the classes."""
     rng = np.random.default_rng(7)
     X = np.round(rng.normal(size=(30, 6)), 3) * (rng.random((30, 6)) < 0.5)
-    labels = [CLASS_ORDER[i % 3] for i in range(30)]
+    return X, [CLASS_ORDER[i % 3] for i in range(30)]
+
+
+@pytest.mark.parametrize("C,max_epochs", [(0.001, 1000), (10.0, 2)])
+def test_solver_matches_numpy_scalar_loop_at_bound_and_epoch_cap(C, max_epochs):
+    X, labels = _problem_at_bound()
     model = _assert_matches_loop_oracle(
         dense_rows(X.tolist()), labels, 6, C, 1e-6, max_epochs, 3
     )
@@ -549,3 +560,97 @@ def test_solver_matches_numpy_scalar_loop_at_bound_and_epoch_cap(C, max_epochs):
         assert max(model.epochs) == 2
     else:
         assert any((alpha == C).any() for alpha in model.alphas)
+
+
+class CountingRows(list):
+    """A row list that counts the rows read from it: one per coordinate visit."""
+
+    visits = 0
+
+    def __getitem__(self, i):
+        self.visits += 1
+        return super().__getitem__(i)
+
+
+def test_shrinking_visits_fewer_rows_than_full_sweeps(monkeypatch):
+    # At C=0.001 every dual reaches C in the first sweep and the second
+    # ends the run, so nothing is left to shrink; at C=0.1 most duals
+    # still end at C but take many sweeps.
+    X, labels = _problem_at_bound()
+    solve = linear_model._train_binary
+    counted = []
+
+    def counting(rows, *args):
+        counted.append(CountingRows(rows))
+        return solve(counted[-1], *args)
+
+    monkeypatch.setattr(linear_model, "_train_binary", counting)
+    model = train(
+        dense_rows(X.tolist()), labels, make_dictionary(6),
+        C=0.1, tol=1e-6, max_epochs=1000, seed=3,
+    )
+    assert any((alpha == 0.1).any() for alpha in model.alphas)
+    assert max(model.epochs) < 1000
+    assert sum(rows.visits for rows in counted) < sum(model.epochs) * len(X)
+
+
+def test_shrinking_does_not_stall_on_nearly_parallel_rows():
+    # Without a limit on shrunk sweeps in a row, "negative" shrinks rows
+    # that the optimum moves off their bound, and the rows left in the
+    # set (empty ones and the one at 1e-5) never get below tol: after
+    # 2,000 sweeps one shrunk row's projected gradient is still 2.0.
+    X = np.zeros((11, 1))
+    X[[2, 7, 8, 9], 0] = [-2.0, 1.0, 1e-5, -2.0]
+    labels = ["negative", "neutral", "positive", *["negative"] * 4, "neutral"]
+    labels += ["negative"] * 3
+    model = train(
+        dense_rows(X.tolist()), labels, make_dictionary(1),
+        C=10.0, tol=1e-6, max_epochs=2000, seed=0,
+    )
+    assert model.epochs[0] < 2000
+    for position, cls in enumerate(CLASS_ORDER):
+        y = np.where(np.array(labels) == cls, 1.0, -1.0)
+        assert oracle_kkt_violation(X, y, 10.0, model.alphas[position]) < 1e-4
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sparse_problems(),
+    st.sampled_from([0.001, 0.005, 0.1, 1.0, 10.0]),
+    st.integers(0, 2**16),
+)
+def test_shrinking_reaches_the_unshrunk_solution(problem, C, seed):
+    """Where the loop without shrinking converges at tol 1e-6, the
+    shrinking solver converges too, to the same decision values.
+
+    Duals whose projected gradients are at most g lie within n*C*g of
+    the optimal dual objective, so their weights lie within
+    sqrt(2*n*C*g) of the optimal ones.  On ill-conditioned rows that
+    distance can exceed 1e-4 for two converged solvers, so the decision
+    values are compared within 1e-4 plus that bound for both.
+    """
+    vectors, labels, dim = problem
+    cap = 10_000
+    model = train(
+        vectors, labels, make_dictionary(dim),
+        C=C, tol=1e-6, max_epochs=cap, seed=seed,
+    )
+    X = np.zeros((len(vectors), dim))
+    for row, v in zip(X, vectors):
+        row[v.indices] = v.values
+    probe = np.hstack([X, np.ones((len(X), 1))])
+    rows = [(v.indices, v.values) for v in vectors]
+    for position, cls in enumerate(CLASS_ORDER):
+        y = np.where(np.array(labels) == cls, 1.0, -1.0)
+        w, epochs, alpha = oracle_train_binary_unshrunk(
+            rows, y, dim, C, 1e-6, cap, np.random.default_rng([seed, position])
+        )
+        # Nearly parallel rows can hold both loops short of tol for good.
+        assume(epochs < cap)
+        assert model.epochs[position] < cap
+        shrunk = oracle_kkt_violation(X, y, C, model.alphas[position])
+        assert shrunk < 1e-4
+        unshrunk = oracle_kkt_violation(X, y, C, alpha)
+        radius = sum(np.sqrt(2 * len(X) * C * g) for g in (shrunk, unshrunk))
+        gap = np.abs(probe @ model.weights[position] - probe @ w)
+        assert (gap <= 1e-4 + radius * np.linalg.norm(probe, axis=1)).all()

@@ -164,13 +164,13 @@ ABLATION_MODEL_SHA256 = {
             "721e57d889172d502501a470d6580468196036270769d388e6da248aeeaa7556"
         ),
         "ngrams": (
-            "e5793ec0e1b10f145e16b73f625109ec794283eeed980990747234a75db685fc"
+            "e4429ba82bbdca3f8e28397f5316f518f8dbf12b8a921a70c009be0669758d00"
         ),
         "word-ngrams": (
-            "23efd282b0829e8b8e96cddb64ca134ace8374fbcfc1ddb0ff996e0fa8d76202"
+            "0edbf9cc7cd6027585daa50544fc5e3895803785780ca8703a1953a0c9682e25"
         ),
         "char-ngrams": (
-            "6831a5f4dcd709ab0a98a58d19e4a9eff69980b3452b590c5e57669af50c0631"
+            "367ba780d003c4e37f43907fdad1824d9bf97e6362050b8aa619c17657cd2514"
         ),
         "negation": (
             "81e516613cadcb533441dead701e79dfffc1cf306cf63c35d404d39d169f80e3"
@@ -199,16 +199,16 @@ ABLATION_MODEL_SHA256 = {
             "54fd9b01cfefd26b36d54bca2f9041e5ebce1a4de006cee3366f838cbd0ca262"
         ),
         "ngrams": (
-            "cf9b7efd92ef847f5d7d93f3daced801f7b9277ee58ed3c3752ec35263b3c6ba"
+            "02e8e4fc1a68b3537977fe7f3cc7afc8afb0065ca2148aba431233bd63b18edc"
         ),
         "word-ngrams": (
-            "e77fa2d963cf8343b9114e8a5a7cd2ac1b689b86a5f89ce5450e25e5414f32cc"
+            "a244e30733db106714e30e2200b4d418467d7ecadce4a34a4ac73e43c58578dc"
         ),
         "char-ngrams": (
-            "5757efe46f60a9b82befbf9a1f107cada5d8cd40895e8091811ec11c90f409cc"
+            "ce2a31248df4fdde48e5ecba81186460c300d2c3f8a1826895be60bca50a1111"
         ),
         "negation": (
-            "b643431ca056ca52f019a587fceb9e8246059890b36ab7b1a3e575c87f1dd732"
+            "8000427030932a2c0e79d1baf455342907d3d98ea226b48c92b07a5e85b43e62"
         ),
         "pos": (
             "43868a2b63c9a485f77e2d897785080bc7b544b2fa590a7d610e8dab4b72d719"
@@ -222,22 +222,22 @@ ABLATION_MODEL_SHA256 = {
     },
     "term": {
         "all": (
-            "99f92e10f1e2cadc047d6b9cfcc928cf0a86968786ed7a717315ec7dd027cd7c"
+            "506ede8246eb0eed76dcc57490c578e5533666faa1f9c4ab5ff5b8ff40f0e458"
         ),
         "lexicons": (
-            "b60ebf80708378a0b0aea563982238475f9888bea016e001a1646328ede72fc3"
+            "d186540d28e54f49b001fcdb489015e2cb42c4fbd525d2f6cb046eaafaea27ec"
         ),
         "manual-lex": (
-            "b5665c36b74a629338fdaa63e872588bd3ea1daf123d7f762d976a7b065de930"
+            "aa68098e5d088f0e9d53cd3de00c51fc8287110fc7bb208f53f78e39ef3d6415"
         ),
         "auto-lex": (
-            "32ce08461021ed8507a90067c4106024c1490d3794c117541d76aae1af8fdfb2"
+            "88440d87f5c76297466d44ffee7a5c1ba8fdc6ddad507e22bb57fcb15f5452b2"
         ),
         "target": (
-            "aa4322e14cf147f3cc0f90b34c33bcd630ea6ee8507d4753b864322ab4eb269d"
+            "2229fcf6c90e50d106d3dd957d971cbd76f1416e520a4f8703f909524fc5104c"
         ),
         "context": (
-            "a091b4f668c9ad53e333af6037ead090da0a498b9faf3682709036f6f62a9312"
+            "447f553d6ee8a502a4685dde91b15722189a24b99be76476bea5f97a0ceb9444"
         ),
     },
 }
@@ -308,9 +308,9 @@ CV_MODEL_SHA256 = {
         "3780c5079633893fb791b7c680d50653ea783d47b1b9130206f057dc0d3eac29",
     ],
     "term": [
-        "f542e54fc23d928ea6f13a73072ed6d786ecaf4052a11cfdab64c28a8973bffd",
-        "ec322fcf50718393eccd5f28cdb0e456d8fee8ee7b8fc6ac4aeb2dc89b56d31f",
-        "1f5f3d8a0f5db8869943cda80f66408b1a4bfb1376a0182752d8bfe43cdb21e8",
+        "d9cc28e5868a6c42919db274a3e7bcbc1d31e5d72ba9ef15083cd6f3caf2a36d",
+        "e360d22dd5dc422a0deedc33e9564452b912787d02566aebeb8a74897f414573",
+        "1621fc1f7f2a271d2bc8f9f7805de7a852d776b549828621552ef56596273040",
     ],
 }
 
