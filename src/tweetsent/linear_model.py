@@ -29,7 +29,9 @@ resolve to the earliest class in the model's class order.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Sequence
@@ -47,6 +49,10 @@ from .features_message import (
 
 class ModelFormatError(ValueError):
     """Raised when a model file is malformed or inconsistent."""
+
+
+class ConvergenceWarning(UserWarning):
+    """Warned when a class stops at ``max_epochs`` short of ``tol``."""
 
 
 @dataclass
@@ -90,11 +96,12 @@ def _train_binary(
     tol: float,
     max_epochs: int,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, int, np.ndarray]:
+) -> tuple[np.ndarray, int, np.ndarray, float]:
     """Solve one binary subproblem.
 
     ``q_diag[i]`` is row i's squared norm plus 1 for the bias.  Returns
-    (weights, epochs run, duals).
+    (weights, epochs run, duals, the last sweep's largest |projected
+    gradient|).
     """
     n = len(rows)
     w = np.zeros(dim + 1)
@@ -113,6 +120,7 @@ def _train_binary(
     # gradients, as the module docstring describes.
     upper, lower = math.inf, -math.inf
     shrunk_sweeps = 0
+    violation = math.inf
     for _ in range(max_epochs):
         epochs_run += 1
         high = low = 0.0
@@ -147,20 +155,21 @@ def _train_binary(
                 alpha[i] = updated
                 w[ind] = wi + val * step
                 bias += step
+        violation = max(high, -low)
         if len(active) < n:
             shrunk_sweeps += 1
-            if max(high, -low) < tol or shrunk_sweeps == _MAX_SHRUNK_SWEEPS:
+            if violation < tol or shrunk_sweeps == _MAX_SHRUNK_SWEEPS:
                 active, upper, lower = everything, math.inf, -math.inf
                 shrunk_sweeps = 0
                 continue
-        elif max(high, -low) < tol:
+        elif violation < tol:
             break
         upper = high if high > 0.0 else math.inf
         lower = low if low < 0.0 else -math.inf
         if shrunk:
             active = np.setdiff1d(active, shrunk, assume_unique=True)
     w[dim] = bias
-    return w, epochs_run, np.array(alpha)
+    return w, epochs_run, np.array(alpha), violation
 
 
 def train(
@@ -180,7 +189,10 @@ def train(
     occur in ``labels``, and every row's squared norm must be finite.
     Each binary subproblem draws its epoch permutations from a generator
     derived from (seed, class position), so results do not depend on the
-    order the subproblems run in.
+    order the subproblems run in.  A class whose last sweep still sees a
+    projected gradient as large as ``tol`` after ``max_epochs`` sweeps
+    gives a :class:`ConvergenceWarning` naming the class, its sweeps and
+    that gradient; its weights are kept.
     """
     for name, value in (("C", C), ("tol", tol)):
         if not (math.isfinite(value) and value > 0):
@@ -226,9 +238,17 @@ def train(
     for position, cls in enumerate(classes):
         targets = np.where(np.array(labels) == cls, 1.0, -1.0)
         rng = np.random.default_rng([seed, position])
-        w, epochs_run, alpha = _train_binary(
+        w, epochs_run, alpha, violation = _train_binary(
             rows, q_diag, targets, dim, C, tol, max_epochs, rng
         )
+        if violation >= tol:
+            warnings.warn(
+                f"class '{cls}' did not converge in {epochs_run} sweeps "
+                f"(max_epochs): max |projected gradient| {violation:.3g} "
+                f"is not below tol {tol:g}",
+                ConvergenceWarning,
+                stacklevel=2,
+            )
         weights[position] = w
         epochs.append(epochs_run)
         duals.append(alpha)
@@ -262,11 +282,26 @@ def predict(model: LinearModel, vector: FeatureVector) -> str:
 
 # Rows per write when saving: 64 rows is within 25% of the speed of
 # 4,096, and leaves the allocator holding no more memory than writing row
-# by row did; training's peak memory comes right after the save.
+# by row did; training's peak memory comes right after the save.  Each
+# distinct weight row is formatted once, before the first write, so the
+# save also holds a copy of the kept weight columns and the text of each
+# distinct row: at most the size of the ``w`` records, and about a tenth
+# of it on the bench models, where most n-grams share their training rows.
 _WRITE_ROWS = 64
 # Lines per chunk when loading: the transient strings of a chunk stay
-# near a megabyte.
+# near a megabyte.  Each distinct weight text is checked and parsed once,
+# through a memo that lives for one load and keeps the text and its row:
+# at most the ``w`` records' text, and about a tenth of it on the bench
+# models.
 _READ_LINES = 4096
+
+
+def _interleave(line_format: str, first: int, texts: list[str]) -> str:
+    """One ``line_format % (index, text)`` line per text, indices from ``first``."""
+    fields = [None] * (2 * len(texts))
+    fields[::2] = range(first, first + len(texts))
+    fields[1::2] = texts
+    return (line_format * len(texts)) % tuple(fields)
 
 
 def _check_names(names: Sequence[str]) -> None:
@@ -293,10 +328,12 @@ def save_model(model: LinearModel, path: str | Path) -> int:
     Returns the number of features written.
 
     Weights use 9 significant digits; save/load/save is byte-stable.
-    :func:`load_model` describes the format.  Records are formatted a
-    chunk of rows at a time, so memory beyond the model stays small.
-    Raises ``ValueError``, before the file is opened, when a feature
-    name holds a tab or a line break.
+    :func:`load_model` describes the format.  Each distinct weight
+    column is formatted once, and records are written a chunk of rows at
+    a time, so memory beyond the model stays near one copy of the kept
+    weights and the text of each distinct column.  Raises
+    ``ValueError``, before the file is opened, when a feature name holds
+    a tab or a line break.
     """
     path = Path(path)
     names = model.dictionary.names
@@ -305,7 +342,14 @@ def save_model(model: LinearModel, path: str | Path) -> int:
     # A NaN weight counts as non-zero, so load_model still rejects it.
     columns = np.append(np.flatnonzero(weights[:, :-1].any(axis=0)), len(names))
     dim = len(columns) - 1
-    row_format = "w\t%d" + "\t%.9g" * weights.shape[0] + "\n"
+    kept = np.ascontiguousarray(weights.T[columns])
+    # Columns are equal when their bytes are: float equality would write
+    # -0.0 as 0 and never match a NaN.
+    keys = kept.view(np.dtype((np.void, kept.itemsize * kept.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    row_format = "\t%.9g" * kept.shape[1] + "\n"
+    rows = kept[first].ravel().tolist()
+    texts = (row_format * len(first) % tuple(rows)).split("\n")
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("# linear model\n")
         fh.write("classes\t" + "\t".join(model.class_order) + "\n")
@@ -314,14 +358,10 @@ def save_model(model: LinearModel, path: str | Path) -> int:
         fh.write(f"tol\t{model.tol:.9g}\n")
         for s in range(0, dim, _WRITE_ROWS):
             chunk = columns[s : min(s + _WRITE_ROWS, dim)].tolist()
-            fields = chain.from_iterable(
-                zip(range(s, dim), map(names.__getitem__, chunk))
-            )
-            fh.write(("feat\t%d\t%s\n" * len(chunk)) % tuple(fields))
+            fh.write(_interleave("feat\t%d\t%s\n", s, [names[i] for i in chunk]))
         for s in range(0, dim + 1, _WRITE_ROWS):
-            rows = weights[:, columns[s : s + _WRITE_ROWS]].T
-            fields = np.column_stack((np.arange(s, s + len(rows)), rows))
-            fh.write((row_format * len(rows)) % tuple(fields.ravel().tolist()))
+            chunk = inverse[s : s + _WRITE_ROWS].tolist()
+            fh.write(_interleave("w\t%d%s\n", s, [texts[i] for i in chunk]))
     return dim
 
 
@@ -377,63 +417,103 @@ _NOUNS = {"feat": "feature", "w": "weight row"}
 _NOT_WRITTEN = " _\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
-def _check_records(
-    lines: list[str], key: str, first: int, tabs: int
-) -> list[str] | np.ndarray:
-    """The fields after the indices of records ``key<TAB>first``, ...
+def _record_texts(lines: list[str], key: str, first: int, tabs: int) -> list[str]:
+    """The text after ``key<TAB>i<TAB>`` in records ``key<TAB>first``, ...
 
-    Each line must hold ``tabs`` tabs, the key ``key`` and the next
-    index from ``first``, written as :func:`save_model` writes it.  For
-    ``w`` records the fields are returned as finite floats.  Raises
-    ``ValueError`` naming the first rule that some line breaks.
+    Each line ends in a line feed and must start with the key ``key``
+    and the next index from ``first``, written as :func:`save_model`
+    writes it.  Raises ``ValueError`` when some line does not: "malformed
+    record" if some line also lacks ``tabs`` tabs, as a record with
+    another number of fields is reported first.  The callers check the
+    tabs in the texts.
     """
-    n = len(lines)
-    if list(map(str.count, lines, repeat("\t"))) != [tabs] * n:
-        raise ValueError("malformed record")
-    text = "\t".join(lines)
-    fields = text.split("\t")
-    if fields[:: tabs + 1] != [key] * n or fields[1 :: tabs + 1] != list(
-        map(str, range(first, first + n))
-    ):
+    stop = first + len(lines)
+    texts: list[str] = []
+    start = first
+    while start < stop:  # the index's digits fix where the text starts
+        digits = len(str(start))
+        end = min(stop, 10**digits)
+        cut = len(key) + digits + 2
+        texts += [line[cut:-1] for line in lines[start - first : end - first]]
+        start = end
+    if "".join(lines) != _interleave(key + "\t%d\t%s\n", first, texts):
+        if list(map(str.count, lines, repeat("\t"))) != [tabs] * len(lines):
+            raise ValueError("malformed record")
         raise ValueError(f"expected {_NOUNS[key]} {first}")
-    del fields[:: tabs + 1]
-    del fields[::tabs]
-    if key == "feat":
-        return fields
-    if not text.isascii() or any(map(text.__contains__, _NOT_WRITTEN)):
+    return texts
+
+
+def _feature_names(lines: list[str], first: int) -> list[str]:
+    """The names in records ``feat<TAB>first<TAB>name``, ...
+
+    Raises ``ValueError`` as :func:`_record_texts` does, or when a name
+    holds a tab.
+    """
+    names = _record_texts(lines, "feat", first, 2)
+    if "\t" in "".join(names):
         raise ValueError("malformed record")
-    try:
-        values = np.fromiter(map(float, fields), np.float64, len(fields))
-    except ValueError:
-        raise ValueError("malformed record") from None
-    if not np.isfinite(values).all():
-        raise ValueError("non-finite weight")
-    return values
+    return names
+
+
+def _weight_rows(
+    lines: list[str], first: int, n: int, memo: dict[str, int], rows: list
+) -> np.ndarray:
+    """The rows of records ``w<TAB>first<TAB>v1...<TAB>vn``, ...
+
+    ``memo`` maps each weight text already read to its row.  A new text
+    must hold ``n`` finite numbers written as :func:`save_model` writes
+    them; it is parsed once, its values are appended to ``rows``, and
+    ``memo`` gets its row.  Raises ``ValueError`` naming the first rule
+    that some line breaks (see :func:`_record_texts`).
+    """
+    texts = _record_texts(lines, "w", first, n + 1)
+    new = list(set(texts).difference(memo))
+    if new:
+        if list(map(str.count, new, repeat("\t"))) != [n - 1] * len(new):
+            raise ValueError("malformed record")
+        joined = "\t".join(new)
+        if not joined.isascii() or any(map(joined.__contains__, _NOT_WRITTEN)):
+            raise ValueError("malformed record")
+        try:
+            values = np.fromiter(
+                map(float, joined.split("\t")), np.float64, n * len(new)
+            )
+        except ValueError:
+            raise ValueError("malformed record") from None
+        if not np.isfinite(values).all():
+            raise ValueError("non-finite weight")
+        memo.update(zip(new, range(len(memo), len(memo) + len(new))))
+        rows.append(values.reshape(len(new), n))
+    return np.fromiter(map(memo.__getitem__, texts), np.intp, len(texts))
 
 
 def _read_records(
-    fh, path: Path, lineno: int, key: str, count: int, tabs: int
-) -> list[list[str] | np.ndarray]:
+    fh, path: Path, lineno: int, key: str, count: int, check
+) -> list:
     """Read records ``key<TAB>0`` to ``key<TAB>count-1`` from line ``lineno``.
 
-    Lines are checked a chunk at a time; a chunk that breaks a rule is
-    checked again line by line, so the error names the first faulty
-    line.  Returns each chunk's fields.
+    ``check(lines, first)`` checks the records numbered from ``first``
+    and returns their fields.  Lines are checked a chunk at a time; a
+    chunk that breaks a rule is checked again line by line, so the
+    error names the first faulty line.  Returns each chunk's fields.
     """
     chunks = []
     found = 0
     while found < count and (
-        text := "".join(islice(fh, min(_READ_LINES, count - found)))
+        lines := list(islice(fh, min(_READ_LINES, count - found)))
     ):
-        lines = text.removesuffix("\n").split("\n")
+        if not lines[-1].endswith("\n"):
+            lines[-1] += "\n"  # the file's last line may lack its end
         try:
-            chunks.append(_check_records(lines, key, found, tabs))
+            chunks.append(check(lines, found))
         except ValueError:
             for i, line in enumerate(lines):
                 try:
-                    _check_records([line], key, found + i, tabs)
+                    check([line], found + i)
                 except ValueError as fault:
-                    raise _fault(str(fault), lineno + found + i, path, line) from None
+                    raise _fault(
+                        str(fault), lineno + found + i, path, line[:-1]
+                    ) from None
             raise  # a chunk fails only where one of its lines does
         found += len(lines)
     if found < count:
@@ -460,7 +540,10 @@ def load_model(path: str | Path) -> LinearModel:
 
     Lines may end in LF, CRLF or CR, and the last line's end may be
     missing.  Numbers are written with 9 significant digits, so save,
-    load and save again gives the same bytes.
+    load and save again gives the same bytes.  Lines are read a chunk at
+    a time, and each distinct weight text is checked and parsed once, so
+    memory beyond the model stays within one chunk of lines and the text
+    of the distinct weight rows.
 
     Raises ``ModelFormatError``, naming the file and, unless the file is
     not UTF-8 or ends among the ``feat`` or ``w`` records, the first
@@ -488,7 +571,7 @@ def load_model(path: str | Path) -> LinearModel:
     try:
         with path.open("r", encoding="utf-8") as fh:
             class_order, dim, C, tol = _read_header(fh, path)
-            chunks = _read_records(fh, path, 6, "feat", dim, 2)
+            chunks = _read_records(fh, path, 6, "feat", dim, _feature_names)
             dictionary = FeatureDictionary(tuple(chain.from_iterable(chunks)))
             if len(dictionary.index) != dim:
                 seen = set()
@@ -498,7 +581,9 @@ def load_model(path: str | Path) -> LinearModel:
                         raise _fault("duplicate feature name", 6 + i, path, line)
                     seen.add(name)
             n = len(class_order)
-            rows = _read_records(fh, path, 6 + dim, "w", dim + 1, n + 1)
+            rows: list[np.ndarray] = []
+            check = partial(_weight_rows, n=n, memo={}, rows=rows)
+            ids = _read_records(fh, path, 6 + dim, "w", dim + 1, check)
             if line := fh.readline():
                 line = line.removesuffix("\n")
                 raise _fault("line after the last weight row", 7 + 2 * dim, path, line)
@@ -506,7 +591,7 @@ def load_model(path: str | Path) -> LinearModel:
         raise ModelFormatError(f"not valid UTF-8 text in {path}") from None
     return LinearModel(
         class_order=class_order,
-        weights=np.concatenate(rows).reshape(dim + 1, n).T.copy(),
+        weights=np.concatenate(rows)[np.concatenate(ids)].T.copy(),
         dictionary=dictionary,
         C=C,
         tol=tol,

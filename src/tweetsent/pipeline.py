@@ -376,6 +376,10 @@ class AblationRow:
     delta: float
 
 
+def _warn_absent(group: str, reason: str) -> None:
+    warnings.warn(f"ablation group '{group}' removes nothing: {reason}", stacklevel=3)
+
+
 def run_ablation(
     groups: Sequence[str],
     train_data: Sequence,
@@ -395,27 +399,39 @@ def run_ablation(
     group's prefixes, so its model never sees them.  Only a group given
     as a config (``negation``) featurizes both corpora again.
 
-    A group with no features in the training corpus, such as ``pos`` on
-    plain input, ``clusters`` without a cluster map or ``auto-lex``
-    without an auto lexicon, trains the same model as ``all`` and
-    reports a delta of 0.00.
+    A group that removes nothing trains the same model as ``all``,
+    reports a delta of 0.00 and warns, naming the group and why: a
+    prefix group whose prefixes match no training feature, such as
+    ``pos`` on plain input, ``clusters`` without a cluster map or
+    ``auto-lex`` without an auto lexicon, and ``negation`` when no
+    training or test message has a negated context.
     """
     spec = get_task(task)
     groups = ablation_groups(task, groups)
     (_, labels, train_vectors), (_, gold, test_vectors) = (
         featurize(task, r, lexicons, clusters) for r in (train_data, test_data)
     )
+    negated = any("neg|count" in v.entries for v in (*train_vectors, *test_vectors))
     dictionary, rows = index(train_vectors, test_vectors)
     del train_vectors, test_vectors
     scores = []
     for group in [None, *groups]:
         removal = () if group is None else spec.removal(group, lexicons)
         if isinstance(removal, MessageFeatureConfig):
+            if not negated:
+                _warn_absent(group, "no training or test message has a negated context")
             report = run_experiment(
                 task, train_data, test_data, lexicons, clusters, removal, **solver
             ).report
         else:
             keep = np.array([not n.startswith(removal) for n in dictionary.names], bool)
+            if group is not None and keep.all():
+                _warn_absent(
+                    group,
+                    f"no training feature starts with {' or '.join(map(repr, removal))}"
+                    if removal
+                    else "no lexicon of its kind was given",
+                )
             selected, kept = select_columns(rows, dictionary, keep)
             model = train(selected[: len(labels)], labels, kept, **solver)
             predicted = [classify(model, r) for r in selected[len(labels) :]]

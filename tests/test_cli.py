@@ -1,4 +1,5 @@
 import hashlib
+import re
 import os
 import subprocess
 import sys
@@ -598,6 +599,50 @@ def test_ablate_table_output(message_files, capsys):
     assert out.splitlines()[0].split() == ["removed", "macro_f", "delta"]
 
 
+@pytest.mark.parametrize(
+    "golden,groups,warned",
+    [
+        # pos on the plain golden fixture, which carries no POS tags.
+        (
+            True,
+            "pos,encodings,negation",
+            {"pos": "no training feature starts with 'pos|'"},
+        ),
+        (
+            False,
+            "negation,auto-lex,clusters,word-ngrams",
+            {
+                "negation": "no training or test message has a negated context",
+                "auto-lex": "no lexicon of its kind was given",
+                "clusters": "no training feature starts with 'cls|'",
+            },
+        ),
+    ],
+)
+def test_ablation_groups_that_remove_nothing_warn(
+    message_files, capsys, golden, groups, warned
+):
+    """Such a group keeps its row with delta 0.00 and warns once, naming
+    the group and why; a group that removes something does not warn."""
+    train, test = message_files
+    if golden:
+        train, test = GOLDEN / "train.tsv", GOLDEN / "test.tsv"
+    with pytest.warns(UserWarning, match="removes nothing") as record:
+        code, out, err = run(
+            capsys, "ablate", "--input", str(train), "--test", str(test),
+            "--groups", groups, "--lexicon", str(GOLDEN / "planted.tsv"),
+            "--C", "0.05", "--tsv",
+        )
+    assert (code, err) == (0, "")
+    rows = dict(line.split("\t", 1) for line in out.splitlines())
+    assert list(rows) == ["all", *groups.split(",")]
+    assert [str(w.message) for w in record] == [
+        f"ablation group '{group}' removes nothing: {reason}"
+        for group, reason in warned.items()
+    ]
+    assert all(rows[group].endswith("\t0.00") for group in warned)
+
+
 def test_ablate_unknown_group_exits_1(message_files, capsys):
     train, test = message_files
     code, _, err = run(
@@ -686,7 +731,7 @@ def test_message_ablate_and_cv_match_golden(fmt, capsys):
     """Every message ablation variant and the CV folds stay byte-identical.
 
     Both runs use a manual and an auto lexicon and a cluster map, so
-    each group removes something.
+    each group removes something, except ``pos`` on plain input.
     """
     suffix = "" if fmt == "plain" else "_tagged"
     resources = (
@@ -709,9 +754,10 @@ def test_message_ablate_and_cv_match_golden(fmt, capsys):
     assert out.encode() == (GOLDEN / f"expected_cv{suffix}.txt").read_bytes()
 
 
-def _cli_in_child(blas_threads: str, *argv: str) -> bytes:
+def _cli_in_child(blas_threads: str, *argv: str, warning: str = "") -> bytes:
     """stdout of ``python -m tweetsent.cli argv`` run in a child process
-    whose OpenBLAS uses ``blas_threads`` threads."""
+    whose OpenBLAS uses ``blas_threads`` threads.  Its stderr must be
+    empty, or hold only ``warning`` as a UserWarning when one is given."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH")) if p
@@ -722,7 +768,12 @@ def _cli_in_child(blas_threads: str, *argv: str) -> bytes:
         capture_output=True,
         timeout=120,
     )
-    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.returncode == 0
+    if warning:
+        pattern = rf"[^\n]*: UserWarning: {re.escape(warning)}\n[^\n]*\n"
+        assert re.fullmatch(pattern, done.stderr.decode())
+    else:
+        assert done.stderr == b""
     return done.stdout
 
 
@@ -752,6 +803,8 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
             "--test", str(GOLDEN / "test.tsv"), "--groups", MESSAGE_GROUPS,
             "--tsv", *lexicon, "--auto-lexicon", str(GOLDEN / "auto.tsv"),
             "--clusters", str(GOLDEN / "clusters.tsv"), "--C", "0.05",
+            warning="ablation group 'pos' removes nothing: "
+            "no training feature starts with 'pos|'",
         )
         folds = _cli_in_child(
             threads, "train", "--input", str(GOLDEN / "train.tsv"),

@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from tweetsent.features_message import (
     vectorize,
 )
 from tweetsent.linear_model import (
+    ConvergenceWarning,
     LinearModel,
     ModelFormatError,
     decision_values,
@@ -594,15 +596,22 @@ def test_shrinking_visits_fewer_rows_than_full_sweeps(monkeypatch):
     assert sum(rows.visits for rows in counted) < sum(model.epochs) * len(X)
 
 
+def _nearly_parallel_rows():
+    """An 11-row, 1-feature problem whose ``neutral`` class does not reach
+    tol 1e-6 within 2,000 sweeps at C=10, shrinking or not."""
+    X = np.zeros((11, 1))
+    X[[2, 7, 8, 9], 0] = [-2.0, 1.0, 1e-5, -2.0]
+    labels = ["negative", "neutral", "positive", *["negative"] * 4, "neutral"]
+    labels += ["negative"] * 3
+    return X, labels
+
+
 def test_shrinking_does_not_stall_on_nearly_parallel_rows():
     # Without a limit on shrunk sweeps in a row, "negative" shrinks rows
     # that the optimum moves off their bound, and the rows left in the
     # set (empty ones and the one at 1e-5) never get below tol: after
     # 2,000 sweeps one shrunk row's projected gradient is still 2.0.
-    X = np.zeros((11, 1))
-    X[[2, 7, 8, 9], 0] = [-2.0, 1.0, 1e-5, -2.0]
-    labels = ["negative", "neutral", "positive", *["negative"] * 4, "neutral"]
-    labels += ["negative"] * 3
+    X, labels = _nearly_parallel_rows()
     model = train(
         dense_rows(X.tolist()), labels, make_dictionary(1),
         C=10.0, tol=1e-6, max_epochs=2000, seed=0,
@@ -611,6 +620,28 @@ def test_shrinking_does_not_stall_on_nearly_parallel_rows():
     for position, cls in enumerate(CLASS_ORDER):
         y = np.where(np.array(labels) == cls, 1.0, -1.0)
         assert oracle_kkt_violation(X, y, 10.0, model.alphas[position]) < 1e-4
+
+
+def test_a_class_stopped_short_of_tol_warns():
+    X, labels = _nearly_parallel_rows()
+    rows = dense_rows(X.tolist())
+    with pytest.warns(ConvergenceWarning) as record:
+        model = train(
+            rows, labels, make_dictionary(1), C=10.0, tol=1e-6, max_epochs=2000, seed=0
+        )
+    assert model.epochs[1] == 2000
+    assert [str(w.message) for w in record] == [
+        "class 'neutral' did not converge in 2000 sweeps (max_epochs): "
+        "max |projected gradient| 2e-05 is not below tol 1e-06"
+    ]
+    # pyproject.toml turns RuntimeWarnings into errors; this one stays a warning.
+    assert not issubclass(ConvergenceWarning, RuntimeWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = train(
+            rows, labels, make_dictionary(1), C=10.0, tol=1e-3, max_epochs=2000, seed=0
+        )
+    assert max(model.epochs) < 2000
 
 
 @settings(max_examples=100, deadline=None)

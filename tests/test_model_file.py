@@ -41,6 +41,15 @@ def models(draw, dims=st.integers(0, 12), finite=True):
     ) + _SPECIAL
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     weights = np.array(pool)[rng.integers(0, len(pool), (len(classes), dim + 1))]
+    if draw(st.booleans()):
+        # Every column one of at most three: a drawn column, the same with
+        # the sign of its zeros flipped and, unless finite, with a NaN.
+        column = weights[:, 0]
+        twins = [column, np.where(column == 0, -column, column)]
+        if not finite:
+            twins.append(np.where(np.arange(len(column)) == 0, np.nan, column))
+        picks = rng.integers(0, draw(st.integers(1, len(twins))), dim + 1)
+        weights = np.stack(twins, axis=1)[:, picks]
     setting = st.floats(allow_nan=False, allow_infinity=False)
     return LinearModel(
         class_order=tuple(classes),
@@ -191,7 +200,12 @@ def _write(path, lines, newline, ending):
 
 @settings(max_examples=200)
 @given(
-    model=models(),
+    model=models(
+        dims=st.one_of(
+            st.integers(0, 12),
+            st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1]),
+        )
+    ),
     data=st.data(),
     newline=st.sampled_from(["\n", "\r\n", "\r"]),
     read_lines=_READ_SIZES,
@@ -243,9 +257,17 @@ def mutated(draw, tmp_path):
     if draw(st.integers(0, 9)) == 0:
         return draw(st.binary(max_size=200)), False
     lines = _oracle_lines(draw(models(dims=st.integers(0, 5))), tmp_path)
-    kind = draw(st.sampled_from(["drop", "repeat", "swap", "garble", "edit"]))
+    kinds = ["drop", "repeat", "swap", "garble", "edit", "copy"]
+    kind = draw(st.sampled_from(kinds))
     at = draw(st.integers(0, len(lines) - 1))
-    if kind == "drop":
+    weight_lines = [i for i, line in enumerate(lines) if line.startswith("w\t")]
+    if kind == "copy" and len(weight_lines) > 1:
+        # A weight line replaced by an earlier one, whose values the
+        # reader has already parsed.
+        at = draw(st.sampled_from(weight_lines[1:]))
+        earlier = weight_lines[: weight_lines.index(at)]
+        lines[at] = lines[draw(st.sampled_from(earlier))]
+    elif kind == "drop":
         del lines[at]
     elif kind == "repeat":
         lines.insert(draw(st.integers(0, len(lines))), lines[at])
@@ -259,7 +281,8 @@ def mutated(draw, tmp_path):
         start = draw(st.integers(0, len(line)))
         end = draw(st.integers(start, min(len(line), start + 3)))
         lines[at] = line[:start] + draw(_GARBLE_CHARS) + line[end:]
-    return ("\n".join(lines) + "\n").encode("utf-8"), kind in ("garble", "edit")
+    one_line = kind in ("garble", "edit", "copy")
+    return ("\n".join(lines) + "\n").encode("utf-8"), one_line
 
 
 @settings(max_examples=400)
@@ -307,6 +330,35 @@ def test_first_faulty_line_is_reported_across_blocks(tmp_path):
         with mock.patch.object(linear_model, "_READ_LINES", read_lines):
             with pytest.raises(ModelFormatError, match="malformed record at line 31 "):
                 load_model(path)
+
+
+def test_each_distinct_weight_text_is_parsed_once(tmp_path):
+    """300 weight columns over 3 classes, each one of 4 distinct columns:
+    12 weights are converted, plus C and tol, however the lines chunk."""
+    rng = np.random.default_rng(0)
+    distinct = rng.normal(size=(3, 4))
+    picks = np.append(np.arange(4), rng.integers(0, 4, 296))
+    model = LinearModel(
+        class_order=("negative", "neutral", "positive"),
+        weights=distinct[:, picks],
+        dictionary=FeatureDictionary(tuple(f"f{i}" for i in range(299))),
+        C=1.0,
+        tol=0.1,
+    )
+    path = tmp_path / "m.tsv"
+    save_model(model, path)
+    for read_lines in (7, linear_model._READ_LINES):
+        converted = []
+
+        def counting_float(text):
+            converted.append(text)
+            return float(text)
+
+        with mock.patch.object(linear_model, "float", counting_float, create=True):
+            with mock.patch.object(linear_model, "_READ_LINES", read_lines):
+                loaded = load_model(path)
+        _assert_same_model(loaded, oracle_load_model(path))
+        assert len(converted) == 2 + 4 * 3
 
 
 def _small_model_lines(tmp_path):
