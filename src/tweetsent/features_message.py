@@ -22,9 +22,11 @@ affect): ``lex|<name>|<uni/bi/pair>[|<scope>]|<stat>|<affect>``.  The
 scoring units of the three namespaces are the message's unigrams, its
 bigrams, and its pairs ``A---B``, where ``A`` and ``B`` are unigrams or
 bigrams and at least one token separates them.  A pair is matched by its
-head ``A`` in the lexicon's ``pair_table``, then by each later part in
-the lexicon's tail set; no pair text is built.  A unit belongs to a
-scope when all its tokens do.  The scope segment is omitted for the
+head ``A`` in the lexicon's ``pair_table``, then by its tail ``B`` in
+that head's row; no pair text is built.  Pairs are visited in message
+order, by the tail's last token, then the head's first token (a bigram
+head before a unigram one), then the tail's first token, so the hits
+need no sort.  A unit belongs to a scope when all its tokens do.  The scope segment is omitted for the
 all-tokens scope and is ``pos:TAG``, ``hashtag`` or ``caps`` otherwise.
 The four stats are ``cnt`` (scoring units with a score above zero),
 ``sum`` (of all scores), ``max`` (the largest score above zero, or 0
@@ -240,29 +242,57 @@ def _scope_masks(
 
 
 def _pair_hits(
-    parts: Sequence[tuple[int, int, str, int]], lexicon: Lexicon
+    unigrams: Sequence[Unit], bigrams: Sequence[Unit], lexicon: Lexicon
 ) -> list[tuple[int, tuple[float | None, ...]]]:
-    """(scope mask, score row) of each pair of ``parts`` in the lexicon.
+    """(scope mask, score row) of each pair of the message in the lexicon.
 
-    Parts are the message's unigrams and bigrams as (first token, last
-    token, text, scope mask).
+    ``unigrams[i]`` and ``bigrams[i]`` are the units that start at token
+    ``i``.  Hits come out in order of the pair's final token, then of its
+    token positions, so "last" statistics follow message order.  On spans
+    that is (tail end, head start, longer head first, tail start), the
+    order in which the loops below visit them, so nothing is sorted.
     """
-    tails = [p for p in parts if p[2] in lexicon.pair_tails]
-    hits = []
-    for h_start, h_end, head, h_mask in parts:
-        by_tail = lexicon.pair_table.get(head)
+    table = lexicon.pair_table
+    # Heads with a row in the table, as (first token, last token, row by
+    # tail text, scope mask): by first token, the bigram first.
+    heads = []
+    for start, (text, mask) in enumerate(unigrams):
+        if start < len(bigrams):
+            bigram, bi_mask = bigrams[start]
+            by_tail = table.get(bigram)
+            if by_tail is not None:
+                heads.append((start, start + 1, by_tail, bi_mask))
+        by_tail = table.get(text)
         if by_tail is not None:
-            hits += [
-                ((t_end, h_start, -h_end, t_start), h_mask & t_mask, row)
-                for t_start, t_end, tail, t_mask in tails
-                if t_start > h_end + 1 and (row := by_tail.get(tail)) is not None
-            ]
-    # Order by final position, then by the unit's token positions, so
-    # "last" statistics follow message order.  On spans that is (tail end,
-    # head start, longer head first, tail start): a bigram head's second
-    # token precedes every tail token.
-    hits.sort(key=lambda hit: hit[0])
-    return [(mask, row) for _, mask, row in hits]
+            heads.append((start, start, by_tail, mask))
+    hits: list[tuple[int, tuple[float | None, ...]]] = []
+    if not heads:
+        return hits
+    tails = lexicon.pair_tails
+    for end in range(2, len(unigrams)):
+        # The tails that end at ``end``, the bigram first.  A tail starts
+        # at least two tokens after its head's last one, so the heads that
+        # start at end - 1 or later pair with neither.
+        bigram, bi_mask = bigrams[end - 1]
+        if bigram not in tails:
+            bigram = None
+        unigram, uni_mask = unigrams[end]
+        if unigram not in tails:
+            if bigram is None:
+                continue
+            unigram = None
+        for start, h_end, by_tail, mask in heads:
+            if start >= end - 1:
+                break
+            if bigram is not None and h_end < end - 2:
+                row = by_tail.get(bigram)
+                if row is not None:
+                    hits.append((mask & bi_mask, row))
+            if unigram is not None and h_end < end - 1:
+                row = by_tail.get(unigram)
+                if row is not None:
+                    hits.append((mask & uni_mask, row))
+    return hits
 
 
 def _lexicon_features(
@@ -276,21 +306,17 @@ def _lexicon_features(
     wanted = frozenset().union(*(lex.namespaces() for lex in lexicons))
     units_by_ns: dict[str, list[Unit]] = {"uni": list(zip(surfaces, masks))}
     if "bi" in wanted or "pair" in wanted:
-        bigrams = [
-            f"{surfaces[i]} {surfaces[i + 1]}" for i in range(len(surfaces) - 1)
-        ]
         units_by_ns["bi"] = [
-            (text, masks[i] & masks[i + 1]) for i, text in enumerate(bigrams)
+            (f"{surfaces[i]} {surfaces[i + 1]}", masks[i] & masks[i + 1])
+            for i in range(len(surfaces) - 1)
         ]
-        if "pair" in wanted:
-            parts = [(i, i, *unit) for i, unit in enumerate(units_by_ns["uni"])]
-            parts += [(i, i + 1, *unit) for i, unit in enumerate(units_by_ns["bi"])]
+    entries = fv.entries
     for lexicon in lexicons:
         for namespace in ("uni", "bi", "pair"):
             if namespace not in lexicon.namespaces():
                 continue
             if namespace == "pair":
-                hits = _pair_hits(parts, lexicon)
+                hits = _pair_hits(units_by_ns["uni"], units_by_ns["bi"], lexicon)
             else:
                 table = lexicon.unit_scores(namespace)
                 hits = [
@@ -302,28 +328,38 @@ def _lexicon_features(
                 continue
             for k, segment in enumerate(segments):
                 bit = 1 << k
-                in_scope = [
-                    (mask & negated_bit, row) for mask, row in hits if mask & bit
-                ]
-                if not in_scope:
+                plain: list[tuple[float | None, ...]] = []
+                negated: list[tuple[float | None, ...]] = []
+                for mask, row in hits:
+                    if mask & bit:
+                        (negated if mask & negated_bit else plain).append(row)
+                if not plain and not negated:
                     continue
                 prefix = f"lex|{lexicon.name}|{namespace}{segment}"
-                for j, affect in enumerate(lexicon.affects):
-                    plain: list[float] = []
-                    negated: list[float] = []
-                    for is_negated, row in in_scope:
-                        score = row[j]
-                        if score is not None:
-                            (negated if is_negated else plain).append(score)
-                    blocks = ((affect, plain), (affect + NEG_SUFFIX, negated))
-                    for label, scores in blocks:
-                        if scores:
-                            above = [s for s in scores if s > 0]
-                            fv.set(f"{prefix}|cnt|{label}", len(above))
-                            fv.set(f"{prefix}|sum|{label}", sum(scores))
-                            fv.set(f"{prefix}|max|{label}", max(above, default=0.0))
-                            last = above[-1] if above else 0.0
-                            fv.set(f"{prefix}|last|{label}", last)
+                # Each affect's column in the plain and the negated block;
+                # an empty block gives empty columns.
+                columns = zip(
+                    zip(*plain) if plain else repeat(()),
+                    zip(*negated) if negated else repeat(()),
+                )
+                # The writes below store what FeatureVector.set would: a
+                # float, and nothing for a zero; cnt, sum, max, last in
+                # that order.
+                for affect, blocks in zip(lexicon.affects, columns):
+                    for label, scores in zip((affect, affect + NEG_SUFFIX), blocks):
+                        if None in scores:
+                            scores = [s for s in scores if s is not None]
+                        if not scores:
+                            continue
+                        above = [s for s in scores if s > 0]
+                        if above:
+                            entries[f"{prefix}|cnt|{label}"] = float(len(above))
+                        total = sum(scores)
+                        if total:
+                            entries[f"{prefix}|sum|{label}"] = float(total)
+                        if above:
+                            entries[f"{prefix}|max|{label}"] = float(max(above))
+                            entries[f"{prefix}|last|{label}"] = float(above[-1])
 
 
 def _word_ngram_features(

@@ -52,7 +52,8 @@ class ModelFormatError(ValueError):
 
 
 class ConvergenceWarning(UserWarning):
-    """Warned when a class stops at ``max_epochs`` short of ``tol``."""
+    """Warned when a class stops at ``max_epochs`` before a full sweep
+    sees no projected gradient as large as ``tol``."""
 
 
 @dataclass
@@ -96,12 +97,12 @@ def _train_binary(
     tol: float,
     max_epochs: int,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, int, np.ndarray, float]:
+) -> tuple[np.ndarray, int, np.ndarray, float, int]:
     """Solve one binary subproblem.
 
     ``q_diag[i]`` is row i's squared norm plus 1 for the bias.  Returns
     (weights, epochs run, duals, the last sweep's largest |projected
-    gradient|).
+    gradient|, the number of rows that sweep visited or shrank).
     """
     n = len(rows)
     w = np.zeros(dim + 1)
@@ -123,6 +124,7 @@ def _train_binary(
     violation = math.inf
     for _ in range(max_epochs):
         epochs_run += 1
+        swept = len(active)
         high = low = 0.0
         shrunk = []
         for i in active[rng.permutation(len(active))].tolist():
@@ -169,7 +171,7 @@ def _train_binary(
         if shrunk:
             active = np.setdiff1d(active, shrunk, assume_unique=True)
     w[dim] = bias
-    return w, epochs_run, np.array(alpha), violation
+    return w, epochs_run, np.array(alpha), violation, swept
 
 
 def train(
@@ -189,10 +191,12 @@ def train(
     occur in ``labels``, and every row's squared norm must be finite.
     Each binary subproblem draws its epoch permutations from a generator
     derived from (seed, class position), so results do not depend on the
-    order the subproblems run in.  A class whose last sweep still sees a
-    projected gradient as large as ``tol`` after ``max_epochs`` sweeps
+    order the subproblems run in.  A class that stops at ``max_epochs``
     gives a :class:`ConvergenceWarning` naming the class, its sweeps and
-    that gradient; its weights are kept.
+    its last sweep's largest projected gradient, unless that sweep went
+    over every row and saw none as large as ``tol``.  When the last sweep
+    went over a shrunk set, the warning says so: the full set was not
+    checked again.  The class's weights are kept.
     """
     for name, value in (("C", C), ("tol", tol)):
         if not (math.isfinite(value) and value > 0):
@@ -238,14 +242,20 @@ def train(
     for position, cls in enumerate(classes):
         targets = np.where(np.array(labels) == cls, 1.0, -1.0)
         rng = np.random.default_rng([seed, position])
-        w, epochs_run, alpha, violation = _train_binary(
+        w, epochs_run, alpha, violation, swept = _train_binary(
             rows, q_diag, targets, dim, C, tol, max_epochs, rng
         )
-        if violation >= tol:
+        if swept < len(rows) or violation >= tol:
+            detail = (
+                f"over a shrunk set of {swept} of {len(rows)} rows; the full "
+                "set was not checked against"
+                if swept < len(rows)
+                else "is not below"
+            )
             warnings.warn(
                 f"class '{cls}' did not converge in {epochs_run} sweeps "
                 f"(max_epochs): max |projected gradient| {violation:.3g} "
-                f"is not below tol {tol:g}",
+                f"{detail} tol {tol:g}",
                 ConvergenceWarning,
                 stacklevel=2,
             )

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -26,9 +27,11 @@ from tweetsent.features_message import (
     select_columns,
     vectorize,
 )
+from tweetsent.lexicon_builder import build_lexicon
 from tweetsent.linear_model import LinearModel, decision_values
 from tweetsent.negation import NegationAnnotation, mark_negation
 from tweetsent.pipeline import TASKS, extract_message_vectors, featurize
+from tweetsent.synthetic import make_message_corpus
 from tweetsent.tokenizer import tokenize, tokens_from_tagged
 
 
@@ -440,8 +443,9 @@ _lexicon_entries = st.dictionaries(
 )
 @settings(max_examples=300)
 @given(
-    words=st.lists(st.sampled_from(_WORDS), max_size=9),
-    tags=st.none() | st.lists(st.sampled_from(["A", "N", "V"]), min_size=9, max_size=9),
+    words=st.lists(st.sampled_from(_WORDS), max_size=16),
+    tags=st.none()
+    | st.lists(st.sampled_from(["A", "N", "V"]), min_size=16, max_size=16),
     entries=st.tuples(_lexicon_entries, _lexicon_entries),
     affects=st.tuples(st.permutations(_AFFECTS), st.permutations(_AFFECTS)),
 )
@@ -461,6 +465,75 @@ def test_lexicon_features_match_oracle(words, tags, entries, affects):
     surfaces = [t.surface.lower() for t in message.tokens]
     oracle_lexicon_features(want, message, surfaces, annotation, lexicons)
     assert format_feature_dump(got) == format_feature_dump(want)
+    # Exact floats: a sum over the hits in another order could differ in
+    # the last bits, which the dump's %g hides.
+    assert got.entries == want.entries
+
+
+def test_induced_pair_lexicon_features_match_oracle():
+    # Induced as the benchmark's msg-induced inputs are: generated
+    # messages, a quarter with "not" inserted, whose raw rows carry their
+    # polarity only as a final ":)" or ":(".
+    messages, _ = make_message_corpus(n=1200, seed=5)
+    rng = np.random.default_rng(5)
+    for k, m in enumerate(messages):
+        if rng.random() < 0.25:
+            words = m.text.split(" ")
+            words.insert(int(rng.integers(0, len(words) - 1)), "not")
+            messages[k] = replace(m, text=" ".join(words))
+    marks = {"positive": " :)", "negative": " :("}
+    rows = [(m.id, m.text + marks.get(m.label, "")) for m in messages[200:]]
+    lexicon = build_lexicon(rows, "emoticon", name="induced")
+    assert sum(term.startswith("pair:") for term in lexicon.entries) > 1000
+    pair_entries = 0
+    for m in messages[:200]:
+        message = m.tokens
+        fv = extract_message_features(message, [lexicon])
+        got = {k: v for k, v in fv.entries.items() if k.startswith("lex|")}
+        want = FeatureVector()
+        surfaces = [t.surface.lower() for t in message.tokens]
+        annotation = mark_negation(surfaces)
+        oracle_lexicon_features(want, message, surfaces, annotation, [lexicon])
+        assert got == want.entries
+        pair_entries += sum(k.startswith("lex|induced|pair|") for k in got)
+    assert pair_entries > 1000
+
+
+def test_lexicon_statistics_that_come_to_zero_are_not_stored():
+    lexicon = lex(
+        {
+            "good": {"positive": 1.5},
+            "bad": {"positive": -1.5},
+            "ugly": {"positive": -2},
+            "nice": {"positive": 3},
+            "pair:good---bad": {"positive": 1.5},
+            "pair:good---x bad": {"positive": -1.5},
+        }
+    )
+
+    def lex_entries(text):
+        fv = extract(text, [lexicon])
+        assert all(type(v) is float for v in fv.entries.values())
+        return {k: v for k, v in fv.entries.items() if k.startswith("lex|")}
+
+    # +1.5 and -1.5 sum to zero, on unigrams and on pairs.
+    assert lex_entries("good y x bad") == {
+        "lex|L|uni|cnt|positive": 1.0,
+        "lex|L|uni|max|positive": 1.5,
+        "lex|L|uni|last|positive": 1.5,
+        "lex|L|pair|cnt|positive": 1.0,
+        "lex|L|pair|max|positive": 1.5,
+        "lex|L|pair|last|positive": 1.5,
+    }
+    # No score above zero: no cnt, max or last.
+    assert lex_entries("bad ugly") == {"lex|L|uni|sum|positive": -3.5}
+    # Integer scores are stored as floats.
+    assert lex_entries("nice") == {
+        "lex|L|uni|cnt|positive": 1.0,
+        "lex|L|uni|sum|positive": 3.0,
+        "lex|L|uni|max|positive": 3.0,
+        "lex|L|uni|last|positive": 3.0,
+    }
 
 
 # Row-path inputs: Unicode surfaces including titlecase (U+01C5),

@@ -632,7 +632,8 @@ def test_a_class_stopped_short_of_tol_warns():
     assert model.epochs[1] == 2000
     assert [str(w.message) for w in record] == [
         "class 'neutral' did not converge in 2000 sweeps (max_epochs): "
-        "max |projected gradient| 2e-05 is not below tol 1e-06"
+        "max |projected gradient| 2e-05 over a shrunk set of 6 of 11 rows; "
+        "the full set was not checked against tol 1e-06"
     ]
     # pyproject.toml turns RuntimeWarnings into errors; this one stays a warning.
     assert not issubclass(ConvergenceWarning, RuntimeWarning)
@@ -642,6 +643,30 @@ def test_a_class_stopped_short_of_tol_warns():
             rows, labels, make_dictionary(1), C=10.0, tol=1e-3, max_epochs=2000, seed=0
         )
     assert max(model.epochs) < 2000
+
+
+def test_a_class_stopped_after_a_shrunk_sweep_warns():
+    # At tol 1e-3, "positive" converges in 8 sweeps: its 7th goes over a
+    # shrunk set and sees nothing as large as tol, and its 8th checks
+    # every row.  Stopped after the 7th, it has not converged.
+    X, labels = _problem_at_bound()
+    rows = dense_rows(X.tolist())
+    with pytest.warns(ConvergenceWarning) as record:
+        model = train(
+            rows, labels, make_dictionary(6), C=0.1, tol=1e-3, max_epochs=7, seed=3
+        )
+    assert model.epochs == (7, 7, 7)
+    assert [str(w.message) for w in record][-1] == (
+        "class 'positive' did not converge in 7 sweeps (max_epochs): max "
+        "|projected gradient| 0.000869 over a shrunk set of 3 of 30 rows; the "
+        "full set was not checked against tol 0.001"
+    )
+    with pytest.warns(ConvergenceWarning) as record:
+        model = train(
+            rows, labels, make_dictionary(6), C=0.1, tol=1e-3, max_epochs=8, seed=3
+        )
+    assert model.epochs == (8, 8, 8)
+    assert [str(w.message).split("'")[1] for w in record] == ["negative", "neutral"]
 
 
 @settings(max_examples=100, deadline=None)
