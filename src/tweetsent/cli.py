@@ -24,6 +24,7 @@ from .evaluation import (
     format_ablation_table,
     format_ablation_tsv,
     format_report,
+    macro_f_pos_neg,
     report_kv,
 )
 from .features_message import format_feature_dump
@@ -36,7 +37,6 @@ from .pipeline import (
     index,
     load_corpus,
     run_ablation,
-    score,
 )
 
 
@@ -115,6 +115,8 @@ def cmd_train(args) -> int:
     if not (args.cv or args.model):
         raise ValueError("nothing to do: pass --model and/or --cv")
     _, labels, vectors = _featurize(args, args.input)
+    if not labels:
+        raise ValueError(f"no rows in {args.input}")
     dictionary, rows = index(vectors)
     del vectors
     solver = _given(args, _SOLVER_FLAGS)
@@ -151,7 +153,9 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     model = load_model(args.model)
     _, labels, vectors = _featurize(args, args.input)
-    report = score(model, vectors, labels)
+    if not labels:
+        raise ValueError(f"no rows in {args.input}")
+    report = macro_f_pos_neg(labels, [predict(model, v) for v in vectors])
     if args.kv:
         print(report_kv(report), end="")
     else:
@@ -162,6 +166,9 @@ def cmd_evaluate(args) -> int:
 def cmd_ablate(args) -> int:
     train_data = load_corpus(args.task, args.input, args.format)
     test_data = load_corpus(args.task, args.test, args.format)
+    for path, data in ((args.input, train_data), (args.test, test_data)):
+        if not data:
+            raise ValueError(f"no rows in {path}")
     groups = [g for g in args.groups.split(",") if g]
     rows = run_ablation(
         groups,

@@ -3,12 +3,12 @@
 This is the only module that knows the two tasks: ``message`` labels
 whole messages, ``term`` labels token spans inside them.  They differ
 only in how a corpus row becomes a feature vector, which :data:`TASKS`
-records.  The rest is one recipe: :func:`index` the training vectors,
-train a one-vs-rest SVM on them and :func:`score` its predictions by
-the pos/neg macro-F.  The CLI, cross-validation and the ablation harness
-(:func:`run_ablation`) all go through this module, so a given corpus,
-configuration and seed always produce the same model and the same
-report.
+records.  The rest is one recipe: :func:`index` the training and test
+vectors together, train a one-vs-rest SVM on the training rows and
+score its test-row predictions by the pos/neg macro-F.  The CLI,
+cross-validation and the ablation harness (:func:`run_ablation`) all go
+through this module, so a given corpus, configuration and seed always
+produce the same model and the same report.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .features_message import (
     vectorize,
 )
 from .features_term import build_split_vocabulary, extract_term_features
-from .linear_model import LinearModel, classify, predict, train
+from .linear_model import LinearModel, classify, train
 
 
 def prepare_messages(messages: Sequence[LabeledMessage]) -> list[LabeledMessage]:
@@ -272,13 +272,6 @@ def index(
     return dictionary, [vectorize(v, dictionary) for v in (*vectors, *held)]
 
 
-def score(
-    model: LinearModel, vectors: Sequence[FeatureVector], labels: Sequence[str]
-) -> EvalReport:
-    """Predict every vector and score the predictions against ``labels``."""
-    return macro_f_pos_neg(labels, [predict(model, v) for v in vectors])
-
-
 def cross_validate(
     dictionary: FeatureDictionary,
     rows: Sequence[IndexedVector],
@@ -354,17 +347,18 @@ def run_experiment(
     config: MessageFeatureConfig | None = None,
     **solver: float,
 ) -> ExperimentResult:
-    """Train on training rows and score on test rows.
+    """Train on training rows and score on test rows, indexed with them.
 
     ``config`` is as in :func:`featurize`; ``C``, ``tol``,
     ``max_epochs`` and ``seed`` go to :func:`linear_model.train`.
     """
-    features = (lexicons, clusters, config)
-    _, labels, vectors = featurize(task, train_rows, *features)
-    dictionary, rows = index(vectors)
-    model = train(rows, labels, dictionary, **solver)
-    _, gold, vectors = featurize(task, test_rows, *features)
-    return ExperimentResult(report=score(model, vectors, gold), model=model)
+    n, data = len(train_rows), [*train_rows, *test_rows]
+    _, labels, vectors = featurize(task, data, lexicons, clusters, config)
+    dictionary, rows = index(vectors[:n], vectors[n:])
+    del vectors
+    model = train(rows[:n], labels[:n], dictionary, **solver)
+    report = macro_f_pos_neg(labels[n:], [classify(model, r) for r in rows[n:]])
+    return ExperimentResult(report=report, model=model)
 
 
 @dataclass(frozen=True)
@@ -374,10 +368,6 @@ class AblationRow:
     group: str
     macro_f: float
     delta: float
-
-
-def _warn_absent(group: str, reason: str) -> None:
-    warnings.warn(f"ablation group '{group}' removes nothing: {reason}", stacklevel=3)
 
 
 def run_ablation(
@@ -394,10 +384,11 @@ def run_ablation(
     Every run passes ``C``, ``tol``, ``max_epochs`` and ``seed`` to
     :func:`linear_model.train`; only the features change.  The first row
     is the all-features baseline, followed by one row per group in the
-    requested order.  Each corpus is featurized and indexed once, and a
-    group's run keeps the columns whose names start with none of the
-    group's prefixes, so its model never sees them.  Only a group given
-    as a config (``negation``) featurizes both corpora again.
+    requested order.  Both corpora are featurized and indexed together
+    once, and a group's run keeps the columns whose names start with none
+    of the group's prefixes, so its model never sees them.  A group given
+    as a config (``negation``) featurizes and indexes both corpora again
+    with it instead; every run then trains and scores the same way.
 
     A group that removes nothing trains the same model as ``all``,
     reports a delta of 0.00 and warns, naming the group and why: a
@@ -408,38 +399,37 @@ def run_ablation(
     """
     spec = get_task(task)
     groups = ablation_groups(task, groups)
-    (_, labels, train_vectors), (_, gold, test_vectors) = (
-        featurize(task, r, lexicons, clusters) for r in (train_data, test_data)
-    )
-    negated = any("neg|count" in v.entries for v in (*train_vectors, *test_vectors))
-    dictionary, rows = index(train_vectors, test_vectors)
-    del train_vectors, test_vectors
+    n, data = len(train_data), [*train_data, *test_data]
+    _, labels, vectors = featurize(task, data, lexicons, clusters)
+    negated = any("neg|count" in v.entries for v in vectors)
+    dictionary, rows = index(vectors[:n], vectors[n:])
+    del vectors
     scores = []
     for group in [None, *groups]:
         removal = () if group is None else spec.removal(group, lexicons)
         if isinstance(removal, MessageFeatureConfig):
-            if not negated:
-                _warn_absent(group, "no training or test message has a negated context")
-            report = run_experiment(
-                task, train_data, test_data, lexicons, clusters, removal, **solver
-            ).report
+            _, _, vectors = featurize(task, data, lexicons, clusters, removal)
+            kept, selected = index(vectors[:n], vectors[n:])
+            del vectors
+            absent = not negated and "no training or test message has a negated context"
         else:
-            keep = np.array([not n.startswith(removal) for n in dictionary.names], bool)
-            if group is not None and keep.all():
-                _warn_absent(
-                    group,
-                    f"no training feature starts with {' or '.join(map(repr, removal))}"
-                    if removal
-                    else "no lexicon of its kind was given",
-                )
+            keep = np.array([not f.startswith(removal) for f in dictionary.names], bool)
             selected, kept = select_columns(rows, dictionary, keep)
-            model = train(selected[: len(labels)], labels, kept, **solver)
-            predicted = [classify(model, r) for r in selected[len(labels) :]]
-            report = macro_f_pos_neg(gold, predicted)
-        scores.append(report.macro_f)
-    baseline = scores[0]
+            absent = group is not None and keep.all() and (
+                f"no training feature starts with {' or '.join(map(repr, removal))}"
+                if removal
+                else "no lexicon of its kind was given"
+            )
+        if absent:
+            warnings.warn(
+                f"ablation group '{group}' removes nothing: {absent}", stacklevel=2
+            )
+        model = train(selected[:n], labels[:n], kept, **solver)
+        predicted = [classify(model, r) for r in selected[n:]]
+        scores.append(macro_f_pos_neg(labels[n:], predicted).macro_f)
+        del selected, kept, model
     return [
-        AblationRow(group=group, macro_f=value, delta=value - baseline)
+        AblationRow(group=group, macro_f=value, delta=value - scores[0])
         for group, value in zip(["all", *groups], scores)
     ]
 

@@ -24,7 +24,9 @@ model-file reader is a per-record loop in which each line must be the
 next record the writer would write.  The corpus, lexicon, cluster-map
 and seed loaders are the ones that each checked their own field count
 over a shared line reader, kept as written except that the cluster map
-is returned as a plain dict.
+is returned as a plain dict.  ``oracle_run_experiment`` is
+``pipeline.run_experiment`` as it was when it indexed the training rows
+alone and scored each test row through ``linear_model.predict``.
 """
 
 from __future__ import annotations
@@ -50,10 +52,12 @@ from tweetsent.corpus_io import (
     TermInstance,
 )
 from tweetsent import features_message
+from tweetsent.evaluation import macro_f_pos_neg
 from tweetsent.features_message import FeatureDictionary, IndexedVector
 from tweetsent.lexicon_builder import pseudo_label_by_emoticon, pseudo_label_by_hashtag
-from tweetsent.linear_model import LinearModel, ModelFormatError
+from tweetsent.linear_model import LinearModel, ModelFormatError, predict, train
 from tweetsent.negation import NEG_SUFFIX
+from tweetsent.pipeline import ExperimentResult, featurize, index
 from tweetsent.tokenizer import (
     _ELONGATED_RE,
     _NT_SPLIT_RE,
@@ -1200,3 +1204,15 @@ def oracle_load_seed_set(path):
             )
         (positive if polarity == POSITIVE else negative).append(term)
     return SeedSet.from_words(positive, negative)
+
+
+def oracle_run_experiment(
+    task, train_rows, test_rows, lexicons=(), clusters=None, config=None, **solver
+):
+    features = (lexicons, clusters, config)
+    _, labels, vectors = featurize(task, train_rows, *features)
+    dictionary, rows = index(vectors)
+    model = train(rows, labels, dictionary, **solver)
+    _, gold, vectors = featurize(task, test_rows, *features)
+    report = macro_f_pos_neg(gold, [predict(model, v) for v in vectors])
+    return ExperimentResult(report=report, model=model)

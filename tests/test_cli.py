@@ -472,6 +472,31 @@ def test_lexicon_affect_named_like_a_negated_one_exits_1_on_empty_input(
     assert err.startswith("error: lexicon 'lex' has affects 'positive' and ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("train", "--input", "{empty}", "--model", "{out}"),
+        ("train", "--input", "{empty}", "--cv", "2"),
+        ("evaluate", "--input", "{empty}", "--model", "{model}"),
+        ("ablate", "--input", "{empty}", "--test", "{test}", "--groups", "pos"),
+        ("ablate", "--input", "{train}", "--test", "{empty}", "--groups", "pos"),
+    ],
+)
+def test_an_empty_corpus_exits_1_naming_its_file(argv, message_files, tmp_path, capsys):
+    """A file with no rows is refused where it would train or be scored;
+    ``predict`` labels its rows, none."""
+    train, test = message_files
+    model, out, empty = (tmp_path / name for name in ("model.tsv", "out.tsv", "e.tsv"))
+    run(capsys, "train", "--input", str(train), "--model", str(model))
+    empty.write_text("# no rows\n\n")
+    paths = {"train": train, "test": test, "model": model, "out": out, "empty": empty}
+    refused = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert refused == (1, "", f"error: no rows in {empty}\n")
+    assert not out.exists()
+    predicted = run(capsys, "predict", "--input", str(empty), "--model", str(model))
+    assert predicted == (0, "", "")
+
+
 def test_cv_with_more_folds_than_rows_exits_1(message_files, capsys):
     train, _ = message_files
     code, out, err = run(capsys, "train", "--input", str(train), "--cv", "10")

@@ -445,6 +445,10 @@ def test_load_rejects_truncated_model(tmp_path):
          "non-finite tol at line 5"),
         ("classes\tnegative\ndim\t0\textra\nC\t1\ntol\t0.1\nw\t0\t1\n",
          "malformed record at line 3"),
+        ("classes\tnegative\ndim\t0\nC\tabc\ntol\t0.1\nw\t0\t1\n",
+         "malformed record at line 4"),
+        ("classes\tnegative\ndim\t0\nC\t1\ntol\t0.1\t0.2\nw\t0\t1\n",
+         "malformed record at line 5"),
         # A huge dim allocates nothing: its first missing feature is the fault.
         ("classes\tnegative\ndim\t1000000000000000\nC\t1\ntol\t0.1\nw\t0\t1\n",
          "expected feature 0 at line 6"),

@@ -414,6 +414,62 @@ def test_no_pipeline_function_redeclares_a_solver_setting():
     assert declared == set()
 
 
+def _second_scoring_paths(source: str) -> list[str]:
+    """Lines of ``source`` that import or read ``linear_model.predict``,
+    or call ``run_experiment`` from a function but
+    ``run_message_experiment``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.endswith("linear_model") and any(
+                alias.name == "predict" for alias in node.names
+            ):
+                found.append((node.lineno, "imports predict"))
+        elif isinstance(node, ast.Attribute) and node.attr == "predict":
+            if getattr(node.value, "id", None) == "linear_model":
+                found.append((node.lineno, "reads linear_model.predict"))
+        elif isinstance(node, ast.FunctionDef) and node.name != "run_message_experiment":
+            found += [
+                (inner.lineno, f"{node.name} calls run_experiment")
+                for inner in ast.walk(node)
+                if isinstance(inner, ast.Call)
+                and getattr(inner.func, "id", getattr(inner.func, "attr", None))
+                == "run_experiment"
+            ]
+    return [f"line {lineno}: {what}" for lineno, what in sorted(found)]
+
+
+def test_pipeline_scores_held_out_rows_one_way():
+    """Every pipeline run indexes its held-out rows with its training rows
+    and classifies them; none goes through ``predict`` or re-enters
+    ``run_experiment``."""
+    source = (PACKAGE / "pipeline.py").read_text(encoding="utf-8")
+    assert _second_scoring_paths(source) == []
+
+
+def test_second_scoring_paths_are_detected():
+    source = (
+        "from .linear_model import LinearModel, predict, train\n"
+        "from tweetsent.linear_model import predict as guess\n"
+        "from .evaluation import predict\n"
+        "from . import linear_model\n"
+        "def run_ablation():\n"
+        "    return run_experiment('message', [], [])\n"
+        "def run_message_experiment():\n"
+        "    return run_experiment('message', [], [])\n"
+        "def score(model, vector):\n"
+        "    return linear_model.predict(model, vector)\n"
+        "class Harness:\n"
+        "    def fit(self):\n"
+        "        return pipeline.run_experiment('term', [], [])\n"
+    )
+    assert _second_scoring_paths(source) == [
+        "line 1: imports predict", "line 2: imports predict",
+        "line 6: run_ablation calls run_experiment",
+        "line 10: reads linear_model.predict", "line 13: fit calls run_experiment",
+    ]
+
+
 def test_no_induction_function_but_build_lexicon_declares_a_default():
     """``build_lexicon`` alone holds the ``min_count`` and ``alpha``
     defaults; the functions it passes them to require them."""

@@ -1,10 +1,12 @@
 import hashlib
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import oracle_run_experiment
 
 from tweetsent import cli, features_message, features_term, pipeline
 from tweetsent.corpus_io import (
@@ -16,7 +18,11 @@ from tweetsent.corpus_io import (
     write_message_corpus,
     write_term_corpus,
 )
-from tweetsent.features_message import MessageFeatureConfig, extract_message_features
+from tweetsent.features_message import (
+    DEFAULT_MESSAGE_CONFIG,
+    MessageFeatureConfig,
+    extract_message_features,
+)
 from tweetsent.features_term import build_split_vocabulary
 from tweetsent.linear_model import predict, train
 from tweetsent.pipeline import (
@@ -294,6 +300,41 @@ def test_ablation_models_match_pinned_hashes(fixture, monkeypatch):
     assert digests == ABLATION_MODEL_SHA256[fixture]
 
 
+def _negated(messages):
+    """``messages`` with ``not`` put before the text of every other row."""
+    return [
+        LabeledMessage(m.id, f"not {m.text}" if i % 2 else m.text, m.label)
+        for i, m in enumerate(messages)
+    ]
+
+
+@pytest.mark.parametrize("fixture", ["plain", "tagged", "term", "negated"])
+def test_experiment_and_negation_run_match_the_predict_oracle(fixture, monkeypatch):
+    """Test rows indexed with the training rows score as ``predict`` scores
+    them, in ``run_experiment`` and in the ablation's ``negation`` run."""
+    if fixture == "negated":
+        negated = (_negated(TRAIN_MESSAGES), _negated(TEST_MESSAGES))
+        features = ("message", *negated, (), None)
+    else:
+        features = _golden(fixture)
+    task, train_data, test_data, lexicons, clusters = features
+    result = run_experiment(*features, C=0.05)
+    oracle = oracle_run_experiment(*features, C=0.05)
+    assert result.report == oracle.report
+    assert _model_digest(result.model) == _model_digest(oracle.model)
+    if task == "term":
+        return
+    unmarked = replace(DEFAULT_MESSAGE_CONFIG, negation=False)
+    oracle = oracle_run_experiment(*features, unmarked, C=0.05)
+    assert _model_digest(oracle.model) != _model_digest(result.model)
+    models = _record_models(monkeypatch)
+    rows = run_ablation(
+        ["negation"], train_data, test_data, task, lexicons, clusters, C=0.05
+    )
+    assert _model_digest(models[1]) == _model_digest(oracle.model)
+    assert rows[1].macro_f == oracle.report.macro_f
+
+
 # sha256 of each fold's model, as in ABLATION_MODEL_SHA256, when a golden
 # fixture's training corpus is cross-validated with k=3, seed=5 and C=0.05.
 CV_MODEL_SHA256 = {
@@ -488,13 +529,13 @@ def _count_index_calls(monkeypatch) -> dict[str, int]:
 
 def test_ablation_and_cross_validation_index_each_corpus_once(monkeypatch, tmp_path):
     """Only the ``negation`` run builds a second dictionary and indexes
-    the training corpus again; ``train --cv K --model`` indexes its
-    corpus once for both."""
+    both corpora again; ``train --cv K --model`` indexes its corpus once
+    for both."""
     calls = _count_index_calls(monkeypatch)
     groups = list(pipeline.TASKS["message"].ablations)
     run_ablation(groups, TRAIN_MESSAGES, TEST_MESSAGES)
     n, m = len(TRAIN_MESSAGES), len(TEST_MESSAGES)
-    assert calls == {"build_feature_dictionary": 2, "vectorize": 2 * n + m}
+    assert calls == {"build_feature_dictionary": 2, "vectorize": 2 * (n + m)}
     calls.update(build_feature_dictionary=0, vectorize=0)
     _, labels, vectors = featurize("message", TRAIN_MESSAGES)
     pipeline.cross_validate(*pipeline.index(vectors), labels, k=3, C=1.0)
