@@ -55,7 +55,7 @@ the names outright, so the memo pays only where surfaces repeat.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress, repeat
 from typing import Iterable, Mapping, Sequence
 
@@ -93,16 +93,16 @@ class FeatureVector:
 class FeatureDictionary:
     """Bijection between feature names and dense indices.
 
-    Built from ``names`` alone: ``index`` maps each name to its position
-    and takes no part in equality.  :func:`build_feature_dictionary`
-    sorts the names, so the mapping is independent of extraction order.
+    Defined by ``names`` alone: ``index``, built on first read, maps each
+    name to its position.  :func:`build_feature_dictionary` sorts the
+    names, so the mapping is independent of extraction order.
     """
 
     names: tuple[str, ...]
-    index: dict[str, int] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "index", dict(zip(self.names, range(len(self.names)))))
+    @cached_property
+    def index(self) -> dict[str, int]:
+        return dict(zip(self.names, range(len(self.names))))
 
     @property
     def size(self) -> int:
@@ -151,9 +151,9 @@ def vectorize(vector: FeatureVector, dictionary: FeatureDictionary) -> IndexedVe
 
 
 def select_columns(
-    rows: Sequence[IndexedVector], dictionary: FeatureDictionary, keep: np.ndarray
-) -> tuple[list[IndexedVector], FeatureDictionary]:
-    """Rows and dictionary cut to the columns that the boolean ``keep`` marks.
+    dictionary: FeatureDictionary, rows: Sequence[IndexedVector], keep: np.ndarray
+) -> tuple[FeatureDictionary, list[IndexedVector]]:
+    """Dictionary and rows cut to the columns that the boolean ``keep`` marks.
 
     Kept columns are renumbered in order; the others drop, as
     :func:`vectorize` drops names unknown to the dictionary.
@@ -163,7 +163,7 @@ def select_columns(
     for row in rows:
         kept = keep[row.indices]
         selected.append(IndexedVector(renumber[row.indices[kept]], row.values[kept]))
-    return selected, FeatureDictionary(tuple(compress(dictionary.names, keep)))
+    return FeatureDictionary(tuple(compress(dictionary.names, keep))), selected
 
 
 # The longest word n-gram, the word n-gram sizes that also get wildcard

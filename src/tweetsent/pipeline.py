@@ -215,15 +215,19 @@ def get_task(name: str) -> Task:
 
 
 def ablation_groups(task: str, groups: Sequence[str]) -> list[str]:
-    """``groups`` lowercased; ValueError unless each is a group of ``task``."""
-    valid = get_task(task).ablations
+    """``groups`` lowercased; ValueError unless each is a group of ``task``
+    and none is given twice."""
+    valid, lowered = get_task(task).ablations, []
     for g in groups:
         if g.lower() not in valid:
             raise ValueError(
                 f"unknown feature group '{g}' for {task} task; "
                 f"valid groups: {', '.join(valid)}"
             )
-    return [g.lower() for g in groups]
+        if g.lower() in lowered:
+            raise ValueError(f"feature group '{g.lower()}' is given twice")
+        lowered.append(g.lower())
+    return lowered
 
 
 def load_corpus(
@@ -322,13 +326,14 @@ def cross_validate(
         keep = np.zeros(dictionary.size, dtype=bool)
         for i in used:
             keep[rows[i].indices] = True
-        selected, kept = select_columns(rows, dictionary, keep)
+        kept, selected = select_columns(dictionary, rows, keep)
         model = train(
             [selected[i] for i in used], [labels[i] for i in used], kept,
             seed=seed, **solver,
         )
         predicted = [classify(model, selected[i]) for i in held]
         scores.append(macro_f_pos_neg([labels[i] for i in held], predicted).macro_f)
+        del kept, selected, model
     return scores
 
 
@@ -414,7 +419,7 @@ def run_ablation(
             absent = not negated and "no training or test message has a negated context"
         else:
             keep = np.array([not f.startswith(removal) for f in dictionary.names], bool)
-            selected, kept = select_columns(rows, dictionary, keep)
+            kept, selected = select_columns(dictionary, rows, keep)
             absent = group is not None and keep.all() and (
                 f"no training feature starts with {' or '.join(map(repr, removal))}"
                 if removal

@@ -39,7 +39,7 @@ def check_select_columns():
         dictionary = build_feature_dictionary(full)
         rows = [vectorize(v, dictionary) for v in full]
         mask = np.array([keep(name) for name in dictionary.names], dtype=bool)
-        selected, kept = select_columns(rows, dictionary, mask)
+        kept, selected = select_columns(dictionary, rows, mask)
         fit = fresh if fit_rows is None else [fresh[i] for i in fit_rows]
         want = build_feature_dictionary(fit)
         assert kept.names == want.names

@@ -174,7 +174,8 @@ def _tiny_message_corpus():
 
 def test_ablation_shape_and_noop_groups():
     train, test = _tiny_message_corpus()
-    rows = run_ablation(["clusters", "pos"], train, test, C=1.0)
+    with pytest.warns(UserWarning, match="removes nothing"):
+        rows = run_ablation(["clusters", "pos"], train, test, C=1.0)
     assert [r.group for r in rows] == ["all", "clusters", "pos"]
     assert rows[0].delta == 0.0
     # Nothing tagged and no clusters loaded: removal changes nothing.
@@ -192,7 +193,8 @@ def test_ablation_deterministic():
 
 def test_ablation_group_names_case_insensitive():
     train, test = _tiny_message_corpus()
-    rows = run_ablation(["Clusters"], train, test, C=1.0)
+    with pytest.warns(UserWarning, match="'clusters' removes nothing"):
+        rows = run_ablation(["Clusters"], train, test, C=1.0)
     assert rows[1].group == "clusters"
 
 
@@ -209,6 +211,9 @@ def test_ablation_errors():
         run_ablation(["bogus"], [], [], task="term")
     for group in TASKS["term"].ablations:
         assert group in str(err.value)
+    for groups in (["ngrams", "NGRAMS"], ["pos", "clusters", "pos"]):
+        with pytest.raises(ValueError, match=f"group '{groups[0]}' is given twice"):
+            run_ablation(groups, train, test)
 
 
 def test_format_ablation_tsv_golden():

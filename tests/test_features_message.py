@@ -1,9 +1,9 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from oracles import (
     oracle_apply_negation_suffix,
     oracle_char_ngram_features,
@@ -27,7 +27,7 @@ from tweetsent.features_message import (
     select_columns,
     vectorize,
 )
-from tweetsent.lexicon_builder import build_lexicon
+from tweetsent.lexicon_builder import build_lexicon, count_cooccurrences
 from tweetsent.linear_model import LinearModel, decision_values
 from tweetsent.negation import NegationAnnotation, mark_negation
 from tweetsent.pipeline import TASKS, extract_message_vectors, featurize
@@ -361,7 +361,7 @@ def test_selected_columns_leave_out_prefixes():
     full = build_feature_dictionary([FeatureVector(entries)])
     row = vectorize(FeatureVector(entries), full)
     keep = np.array([not n.startswith(("lex|", "x")) for n in full.names])
-    (selected,), dictionary = select_columns([row], full, keep)
+    dictionary, (selected,) = select_columns(full, [row], keep)
     assert dictionary.names == ("w|b", "y")
     assert dictionary.index == {"w|b": 0, "y": 1}
     assert selected.indices.tolist() == [0, 1]
@@ -638,6 +638,93 @@ def _check_row_features(words, tags, spans, config):
     assert list(got.entries.items()) == list(want.entries.items())
 
 
+_UNMARKED = replace(DEFAULT_MESSAGE_CONFIG, negation=False)
+# Hashtags, all-caps and elongated words, emoticons (":" closes a
+# context too) and a mention; negation words, each of which opens no
+# context when clause punctuation follows it or it comes last.
+_UNNEGATED_WORDS = [
+    "good", "Bad", "LOL", "GREAT", "#win", "#sooogood", "soooo", "day",
+    ":)", ":(", ":P", "@bob", "x",
+]
+_NEGATORS = ["not", "Never", "NO", "cannot", "dont"]
+_CLOSERS = [",", ".", "!", "?", ";", ":", "?!", "..."]
+_NEGATOR_LEXICONS = [
+    lex({"good": {"positive": 1.0}, "uni:not": {"positive": -0.5}}, name="U"),
+    lex({"bi:good day": {"positive": 1.5}, "bi:not ,": {"positive": -1.0}}, name="B"),
+    lex(
+        {"pair:good---day": {"positive": 0.5}, "pair:not---x": {"positive": -2.0},
+         "pair:lol---never": {"positive": 1.0}},
+        name="P",
+        kind="auto",
+    ),
+]
+_NEGATOR_CLUSTERS = {"good": 1, "bad": 2, "not": 3, "#win": 4, ":)": 5, "never": 6}
+
+
+@settings(max_examples=300)
+@example(
+    pieces=[("not", ","), ("good",), ("day",), ("Never", ".")], last="no", tags=None
+)
+@example(pieces=[("lol",), ("not", ":)"), ("x",)], last=None, tags=["N"] * 21)
+@given(
+    pieces=st.lists(
+        st.tuples(st.sampled_from(_UNNEGATED_WORDS))
+        | st.tuples(st.sampled_from(_NEGATORS), st.sampled_from(_CLOSERS)),
+        max_size=10,
+    ),
+    last=st.none() | st.sampled_from(_NEGATORS),
+    tags=st.none()
+    | st.lists(st.sampled_from(["A", "N", "V", "E", ","]), min_size=21, max_size=21),
+)
+def test_a_message_with_no_negated_context_ignores_negation_marking(
+    pieces, last, tags
+):
+    """The ablation's ``negation`` group removes nothing from such a
+    message: marking on and off extract the same features."""
+    words = [w for piece in pieces for w in piece]
+    message = _row_message([*words, *([last] if last else [])], tags)
+    assume(not mark_negation([t.surface for t in message.tokens]).spans)
+    lexicons, clusters = _NEGATOR_LEXICONS, _NEGATOR_CLUSTERS
+    marked = extract_message_features(message, lexicons, clusters)
+    unmarked = extract_message_features(message, lexicons, clusters, _UNMARKED)
+    assert list(marked.entries.items()) == list(unmarked.entries.items())
+
+
+# Lowercase words that are not function words, punctuation or mentions.
+_PAIR_WORDS = ["good", "day", "fun", "rain", "movie", "great"]
+
+
+@settings(max_examples=300)
+@example(words=["good", "day"])
+@example(words=["good", "day", "fun", "good", "day", "good"])
+@given(words=st.lists(st.sampled_from(_PAIR_WORDS), max_size=6))
+def test_induction_and_extraction_agree_on_what_a_pair_is(words):
+    """Each pair term counted by induction scores as often in a lexicon
+    holding it alone, and parts side by side make no pair for either."""
+    message = tokenize(" ".join(words))
+    counts = count_cooccurrences(
+        [(words, "positive")], frozenset(), min_count=1
+    ).term_count
+
+    def scored(head, tail):
+        pair = lex({f"pair:{head}{PAIR_SEPARATOR}{tail}": {"positive": 1.0}})
+        fv = extract_message_features(message, [pair], config=_UNMARKED)
+        return fv.get("lex|L|pair|cnt|positive")
+
+    parts = {*words, *map(" ".join, zip(words, words[1:]))}
+    for head in parts:
+        for tail in parts:
+            term = f"{head}{PAIR_SEPARATOR}{tail}"
+            assert scored(head, tail) == counts.get(term, 0)
+    if len(set(words)) == len(words):
+        # Each part occurs once, so parts side by side meet nowhere else.
+        for i in range(1, len(words)):
+            for head in {words[i - 1], " ".join(words[max(i - 2, 0) : i])}:
+                for tail in {words[i], " ".join(words[i : i + 2])}:
+                    assert f"{head}{PAIR_SEPARATOR}{tail}" not in counts
+                    assert scored(head, tail) == 0
+
+
 _COUNT_PREFIXES = ("pos|", "caps|", "ht|", "pnc|", "emo|", "elo|")
 # Punctuation runs, emoticons with and without a polarity, hashtags,
 # elongated words and hashtags, all-caps words, and non-punctuation
@@ -677,8 +764,15 @@ _NAMES = [f"f{k}" for k in range(12)]
 
 def test_feature_dictionary_indexes_its_names():
     names = ("b", "a", "c")
-    dictionary = FeatureDictionary(names)
+    dictionary, unread = FeatureDictionary(names), FeatureDictionary(names)
+    assert [f.name for f in fields(FeatureDictionary)] == ["names"]
+    assert "index" not in vars(dictionary)
     assert dictionary.index == {"b": 0, "a": 1, "c": 2}
+    assert dictionary.index is dictionary.index
+    assert "index" in vars(dictionary) and "index" not in vars(unread)
+    # Equality, hashing and repr see the names alone, map built or not.
+    assert unread == dictionary and hash(unread) == hash(dictionary)
+    assert repr(unread) == repr(dictionary) == f"FeatureDictionary(names={names!r})"
     assert [dictionary.names[i] for i in dictionary.index.values()] == list(names)
     stale = FeatureDictionary(names)
     object.__setattr__(stale, "index", {})

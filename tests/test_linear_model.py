@@ -96,6 +96,20 @@ _FIXTURE_LABELS = [
 ]
 
 
+def _capped(fit, *args, max_epochs, **solver):
+    """``fit(*args, max_epochs=max_epochs, **solver)``'s model, where a
+    run capped on purpose may warn: each :class:`ConvergenceWarning` must
+    name a class that ran all ``max_epochs`` sweeps."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always", ConvergenceWarning)
+        model = fit(*args, max_epochs=max_epochs, **solver)
+    stopped = {c for c, e in zip(model.class_order, model.epochs) if e == max_epochs}
+    for w in record:
+        assert w.category is ConvergenceWarning
+        assert str(w.message).split("'")[1] in stopped
+    return model
+
+
 def _fixture_model(C=1.0, max_epochs=100_000):
     return train(
         dense_rows(_FIXTURE_X), _FIXTURE_LABELS, make_dictionary(2),
@@ -139,7 +153,7 @@ def test_dual_objective_nondecreasing_per_epoch():
     for position, epochs_run in enumerate(full.epochs):
         history = []
         for k in range(1, epochs_run + 1):
-            model = _fixture_model(max_epochs=k)
+            model = _capped(_fixture_model, max_epochs=k)
             assert model.epochs[position] == k
             w = model.weights[position]
             history.append(model.alphas[position].sum() - 0.5 * (w * w).sum())
@@ -492,8 +506,8 @@ def test_random_problems_match_oracle():
 
 def _assert_matches_loop_oracle(vectors, labels, dim, C, tol, max_epochs, seed):
     """Train, then check every class against the numpy-scalar loop, bit for bit."""
-    model = train(
-        vectors, labels, make_dictionary(dim),
+    model = _capped(
+        train, vectors, labels, make_dictionary(dim),
         C=C, tol=tol, max_epochs=max_epochs, seed=seed,
     )
     rows = [(v.indices, v.values) for v in vectors]
@@ -616,8 +630,8 @@ def test_shrinking_does_not_stall_on_nearly_parallel_rows():
     # set (empty ones and the one at 1e-5) never get below tol: after
     # 2,000 sweeps one shrunk row's projected gradient is still 2.0.
     X, labels = _nearly_parallel_rows()
-    model = train(
-        dense_rows(X.tolist()), labels, make_dictionary(1),
+    model = _capped(
+        train, dense_rows(X.tolist()), labels, make_dictionary(1),
         C=10.0, tol=1e-6, max_epochs=2000, seed=0,
     )
     assert model.epochs[0] < 2000
@@ -691,8 +705,8 @@ def test_shrinking_reaches_the_unshrunk_solution(problem, C, seed):
     """
     vectors, labels, dim = problem
     cap = 10_000
-    model = train(
-        vectors, labels, make_dictionary(dim),
+    model = _capped(
+        train, vectors, labels, make_dictionary(dim),
         C=C, tol=1e-6, max_epochs=cap, seed=seed,
     )
     X = np.zeros((len(vectors), dim))

@@ -1,6 +1,7 @@
 import hashlib
 import re
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -147,7 +148,8 @@ def test_messages_are_tokenized_once(tmp_path, monkeypatch):
     )
     featurize("message", train_rows)
     groups = list(pipeline.TASKS["message"].ablations)
-    rows = run_ablation(groups, train_rows, test_rows)
+    with pytest.warns(UserWarning, match="removes nothing"):
+        rows = run_ablation(groups, train_rows, test_rows)
     assert len(rows) == len(groups) + 1
     assert len(seen) == len(TRAIN_MESSAGES) + len(TEST_MESSAGES)
 
@@ -292,7 +294,9 @@ def test_ablation_models_match_pinned_hashes(fixture, monkeypatch):
     task, train_data, test_data, lexicons, clusters = _golden(fixture)
     models = _record_models(monkeypatch)
     groups = list(pipeline.TASKS[task].ablations)
-    run_ablation(groups, train_data, test_data, task, lexicons, clusters, C=0.05)
+    absent = pytest.warns(UserWarning, match="'pos' removes nothing")
+    with absent if fixture == "plain" else nullcontext():
+        run_ablation(groups, train_data, test_data, task, lexicons, clusters, C=0.05)
     digests = {
         group: _model_digest(model)
         for group, model in zip(["all", *groups], models, strict=True)
@@ -533,7 +537,8 @@ def test_ablation_and_cross_validation_index_each_corpus_once(monkeypatch, tmp_p
     for both."""
     calls = _count_index_calls(monkeypatch)
     groups = list(pipeline.TASKS["message"].ablations)
-    run_ablation(groups, TRAIN_MESSAGES, TEST_MESSAGES)
+    with pytest.warns(UserWarning, match="removes nothing"):
+        run_ablation(groups, TRAIN_MESSAGES, TEST_MESSAGES)
     n, m = len(TRAIN_MESSAGES), len(TEST_MESSAGES)
     assert calls == {"build_feature_dictionary": 2, "vectorize": 2 * (n + m)}
     calls.update(build_feature_dictionary=0, vectorize=0)
@@ -546,6 +551,36 @@ def test_ablation_and_cross_validation_index_each_corpus_once(monkeypatch, tmp_p
     argv = ["train", "--input", str(corpus), "--cv", "3", "--model", str(model)]
     assert cli.main(argv) == 0
     assert calls == {"build_feature_dictionary": 1, "vectorize": n}
+
+
+def test_selected_dictionaries_build_no_name_map(monkeypatch):
+    """Only ``vectorize`` and the model loader read a name map: the
+    dictionary of each ablation group and CV fold goes to ``train`` and
+    ``classify`` alone, so it never builds one; each corpus dictionary
+    is read by ``vectorize`` and does."""
+    built, selected = [], []
+
+    def recording(calls, wrapped):
+        def call(*args):
+            dictionary, rows = wrapped(*args)
+            calls.append(dictionary)
+            return dictionary, rows
+
+        return call
+
+    monkeypatch.setattr(pipeline, "index", recording(built, pipeline.index))
+    monkeypatch.setattr(
+        pipeline, "select_columns", recording(selected, pipeline.select_columns)
+    )
+    groups = list(pipeline.TASKS["message"].ablations)
+    with pytest.warns(UserWarning, match="removes nothing"):
+        run_ablation(groups, TRAIN_MESSAGES, TEST_MESSAGES)
+    _, labels, vectors = featurize("message", TRAIN_MESSAGES)
+    pipeline.cross_validate(*pipeline.index(vectors), labels, k=3, C=1.0)
+    # "negation" indexes both corpora again; every other run selects.
+    assert (len(built), len(selected)) == (3, len(groups) + 3)
+    assert all("index" in vars(d) for d in built)
+    assert not any("index" in vars(d) for d in selected)
 
 
 @pytest.mark.parametrize(
@@ -566,7 +601,8 @@ def test_ablation_extracts_each_row_once_and_again_only_for_negation(
         return extract_message_features(tokens, *args)
 
     monkeypatch.setattr(pipeline, "extract_message_features", counting_extract)
-    rows = run_ablation(groups, TRAIN_MESSAGES, TEST_MESSAGES)
+    with pytest.warns(UserWarning, match="removes nothing"):
+        rows = run_ablation(groups, TRAIN_MESSAGES, TEST_MESSAGES)
     assert len(rows) == len(groups) + 1
     assert len(seen) == extractions * (len(TRAIN_MESSAGES) + len(TEST_MESSAGES))
 
