@@ -29,7 +29,7 @@ Terms are unigrams, optionally prefixed ``uni:``; bigrams ``bi:A B``;
 and pairs ``pair:A---B``, whose parts ``A`` and ``B`` are unigrams or
 space-joined bigrams.
 
-Cluster map::
+Cluster map (one id per token, matched against lowercased surfaces)::
 
     token<TAB>cluster-id
 
@@ -41,7 +41,10 @@ comment; ``#`` plus the lowercased word must tokenize as one hashtag::
 
 Labels are exactly ``positive``, ``negative`` or ``neutral``.  Literal
 tabs inside message text are escaped as ``\\t`` (and backslash as
-``\\\\``); the loaders undo the escaping.
+``\\\\``); the loaders undo the escaping.  The writers raise
+``ValueError``, before opening the file, for a row that would not read
+back as written: a line break in any field, a tab outside the text
+column, or a line that would be blank or a comment.
 
 Messages and term instances are tokenized once, when they are built.
 """
@@ -54,7 +57,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .tokenizer import TokenizedMessage, normalize, tokenize, tokens_from_tagged
 
@@ -129,10 +132,16 @@ class Lexicon:
 
     ``entries`` maps term -> affect -> score.  ``kind`` distinguishes
     hand-built lexicons ("manual") from corpus-induced ones ("auto"),
-    which ablation experiments toggle separately.  Unigrams and bigrams
-    are looked up by their text in ``unit_scores``; a pair ``A---B`` is
-    looked up by its head ``A`` and then its tail ``B`` in
-    ``pair_table``, so no pair text is ever built for a lookup.
+    which ablation experiments toggle separately.
+
+    ``tables``, built on first use, maps each namespace the lexicon has
+    ("uni", "bi", "pair", in that order; unprefixed terms and unknown
+    prefixes are unigrams) to rows of one score per affect, None where a
+    term lacks the affect.  "uni" and "bi" map unit text to a row; any
+    term matches a unigram's plain surface, and a ``uni:`` term's affects
+    come before the unprefixed term's.  "pair" maps a pair ``A---B`` by
+    head ``A``, then by tail ``B``, so no pair text is built; a key splits
+    at every separator, since a part may hold a ``---`` token.
     """
 
     name: str
@@ -140,75 +149,36 @@ class Lexicon:
     entries: dict[str, dict[str, float]] = field(default_factory=dict)
     kind: str = "manual"
 
-    def namespaces(self) -> frozenset[str]:
-        """Term namespaces present: "uni", "bi", "pair".
-
-        Unprefixed terms count as unigrams.
-        """
-        return self._unit_views[0]
-
-    def unit_scores(self, namespace: str) -> dict[str, tuple[float | None, ...]]:
-        """Scores of the ``namespace`` units, keyed by unprefixed unit text.
-
-        Each value holds one score per affect in ``affects`` order, None
-        where the term lacks that affect.  A ``bi`` or ``pair`` unit is
-        the term under its ``bi:`` or ``pair:`` prefix.  A ``uni`` unit
-        takes each affect from its ``uni:`` term and, where that term is
-        absent or lacks the affect, from the unprefixed term.
-        """
-        return self._unit_views[1][namespace]
-
-    # Entries are fixed after construction, so the views below are built
-    # on first use and kept.
-
     @cached_property
-    def _unit_views(
-        self,
-    ) -> tuple[frozenset[str], dict[str, dict[str, tuple[float | None, ...]]]]:
-        rows = {
-            term: tuple(map(by_affect.get, self.affects))
-            for term, by_affect in self.entries.items()
-        }
-        # Any term can match a unigram's plain-surface lookup.
-        tables: dict[str, dict[str, tuple[float | None, ...]]] = {
-            "uni": dict(rows),
-            "bi": {},
-            "pair": {},
-        }
+    def tables(self) -> dict[str, dict]:
+        tables: dict[str, dict] = {"uni": {}, "bi": {}, "pair": {}}
         found = set()
-        for term, row in rows.items():
+        width = len(PAIR_SEPARATOR)
+        for term, by_affect in self.entries.items():
+            row = tuple(map(by_affect.get, self.affects))
+            # A uni: term's row, set before or after, wins over this one.
+            tables["uni"].setdefault(term, row)
             namespace, sep, text = term.partition(":")
             if not sep or namespace not in tables:
                 found.add("uni")
                 continue
             found.add(namespace)
-            plain = rows.get(text) if namespace == "uni" else None
-            if plain is not None:
-                row = tuple(p if s is None else s for s, p in zip(row, plain))
-            tables[namespace][text] = row
-        return frozenset(found), tables
-
-    @cached_property
-    def pair_table(self) -> dict[str, dict[str, tuple[float | None, ...]]]:
-        """Pair scores by head text, then by tail text.
-
-        A key splits at every occurrence of the separator, since a part
-        may itself be or contain a ``---`` token: ``x ------y`` is found
-        under the heads ``x ``, ``x -``, ``x --`` and ``x ---``.
-        """
-        table: dict[str, dict[str, tuple[float | None, ...]]] = {}
-        width = len(PAIR_SEPARATOR)
-        for key, row in self.unit_scores("pair").items():
-            at = key.find(PAIR_SEPARATOR)
-            while at != -1:
-                table.setdefault(key[:at], {})[key[at + width :]] = row
-                at = key.find(PAIR_SEPARATOR, at + 1)
-        return table
+            if namespace == "uni":
+                by_affect = {**self.entries.get(text, {}), **by_affect}
+                tables["uni"][text] = tuple(map(by_affect.get, self.affects))
+            elif namespace == "bi":
+                tables["bi"][text] = row
+            else:
+                at = text.find(PAIR_SEPARATOR)
+                while at != -1:
+                    tables["pair"].setdefault(text[:at], {})[text[at + width :]] = row
+                    at = text.find(PAIR_SEPARATOR, at + 1)
+        return {ns: table for ns, table in tables.items() if ns in found}
 
     @cached_property
     def pair_tails(self) -> frozenset[str]:
         """Texts that occur as the second part of a pair, at any split."""
-        return frozenset().union(*self.pair_table.values())
+        return frozenset().union(*self.tables.get("pair", {}).values())
 
     @classmethod
     def from_word_lists(
@@ -413,19 +383,41 @@ def load_lexicon(path: str | Path, name: str | None = None, kind: str = "manual"
     )
 
 
+def _write_rows(
+    path: str | Path, items: Sequence, fields: Callable, header: Sequence[str] = ()
+) -> None:
+    """Write the ``header`` lines, then ``fields(item)`` tab-joined per
+    item, after checking every line, 64 at a time, before opening the file."""
+    if any("\n" in line or "\r" in line for line in header):
+        raise ValueError(f"header {header!r} holds a line break")
+    for s in range(0, len(items), 64):
+        rows = list(map(fields, items[s : s + 64]))
+        lines = list(map("\t".join, rows))
+        separators = sum(map("\n".join(lines).count, "\t\n\r"))
+        if separators == sum(map(len, rows)) - 1 and all(
+            line.lstrip()[:1] not in ("", "#") for line in lines
+        ):
+            continue
+        for row, line in zip(rows, lines):
+            if "\n" in line or "\r" in line or line.count("\t") >= len(row):
+                raise ValueError(f"row {row!r} holds a tab or line break in a field")
+            if line.lstrip()[:1] in ("", "#"):
+                raise ValueError(f"row {row!r} would read as a blank or comment line")
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in header)
+        fh.writelines("\t".join(fields(item)) + "\n" for item in items)
+
+
 def write_lexicon(lexicon: Lexicon, path: str | Path) -> None:
     """Write a lexicon sorted by (term, affect) with 6-decimal scores.
 
     An empty lexicon produces a header-only file.  Scores round-trip
     through :func:`load_lexicon` to within 1e-6.
     """
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# lexicon: {lexicon.name}\n")
-        fh.write(f"# affects: {' '.join(lexicon.affects)}\n")
-        for term in sorted(lexicon.entries):
-            for affect in sorted(lexicon.entries[term]):
-                fh.write(f"{term}\t{affect}\t{lexicon.entries[term][affect]:.6f}\n")
+    entries = lexicon.entries.items()
+    rows = sorted((t, a, f"{v:.6f}") for t, by in entries for a, v in by.items())
+    header = (f"# lexicon: {lexicon.name}", f"# affects: {' '.join(lexicon.affects)}")
+    _write_rows(path, rows, tuple, header)
 
 
 def _escape_text(text: str) -> str:
@@ -434,29 +426,25 @@ def _escape_text(text: str) -> str:
 
 def write_message_corpus(messages: list[LabeledMessage], path: str | Path) -> None:
     """Write a plain three-column message corpus."""
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        for m in messages:
-            fh.write(f"{m.id}\t{m.label}\t{_escape_text(m.text)}\n")
+    _write_rows(path, messages, lambda m: (m.id, m.label, _escape_text(m.text)))
 
 
 def write_term_corpus(instances: list[TermInstance], path: str | Path) -> None:
     """Write a five-column term corpus."""
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        for t in instances:
-            fh.write(
-                f"{t.id}\t{t.start}\t{t.end}\t{t.label}\t{_escape_text(t.text)}\n"
-            )
+    _write_rows(path, instances, lambda t: (
+        t.id, str(t.start), str(t.end), t.label, _escape_text(t.text)))
 
 
 def write_raw_corpus(rows: list[tuple[str, str]], path: str | Path) -> None:
     """Write an unlabeled two-column corpus."""
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        for row_id, text in rows:
-            fh.write(f"{row_id}\t{_escape_text(text)}\n")
+    _write_rows(path, rows, lambda row: (row[0], _escape_text(row[1])))
 
 
 def load_cluster_map(path: str | Path) -> dict[str, int]:
-    """Load a ``token<TAB>cluster-id`` map; ids must lie in [0, 999]."""
+    """Load a ``token<TAB>cluster-id`` map, one id in [0, 999] per token.
+
+    Tokens are matched against lowercased surfaces.
+    """
     path = Path(path)
     entries: dict[str, int] = {}
     for lineno, (token, cluster_s) in _rows(path, 2):
@@ -470,7 +458,11 @@ def load_cluster_map(path: str | Path) -> dict[str, int]:
             raise CorpusFormatError(
                 f"cluster id {cluster} out of range [0, 999] at line {lineno} of {path}"
             )
-        entries[token] = cluster
+        if entries.setdefault(token, cluster) != cluster:
+            raise CorpusFormatError(
+                f"token {token!r} is listed with cluster ids {entries[token]} and "
+                f"{cluster} at line {lineno} of {path}"
+            )
     return entries
 
 

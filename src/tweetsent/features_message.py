@@ -22,7 +22,7 @@ affect): ``lex|<name>|<uni/bi/pair>[|<scope>]|<stat>|<affect>``.  The
 scoring units of the three namespaces are the message's unigrams, its
 bigrams, and its pairs ``A---B``, where ``A`` and ``B`` are unigrams or
 bigrams and at least one token separates them.  A pair is matched by its
-head ``A`` in the lexicon's ``pair_table``, then by its tail ``B`` in
+head ``A`` in the lexicon's pair table, then by its tail ``B`` in
 that head's row; no pair text is built.  Pairs are visited in message
 order, by the tail's last token, then the head's first token (a bigram
 head before a unigram one), then the tail's first token, so the hits
@@ -252,7 +252,7 @@ def _pair_hits(
     that is (tail end, head start, longer head first, tail start), the
     order in which the loops below visit them, so nothing is sorted.
     """
-    table = lexicon.pair_table
+    table = lexicon.tables["pair"]
     # Heads with a row in the table, as (first token, last token, row by
     # tail text, scope mask): by first token, the bigram first.
     heads = []
@@ -303,22 +303,18 @@ def _lexicon_features(
     lexicons: Sequence[Lexicon],
 ) -> None:
     segments, masks, negated_bit = _scope_masks(message, annotation)
-    wanted = frozenset().union(*(lex.namespaces() for lex in lexicons))
     units_by_ns: dict[str, list[Unit]] = {"uni": list(zip(surfaces, masks))}
-    if "bi" in wanted or "pair" in wanted:
+    if any("bi" in lex.tables or "pair" in lex.tables for lex in lexicons):
         units_by_ns["bi"] = [
             (f"{surfaces[i]} {surfaces[i + 1]}", masks[i] & masks[i + 1])
             for i in range(len(surfaces) - 1)
         ]
     entries = fv.entries
     for lexicon in lexicons:
-        for namespace in ("uni", "bi", "pair"):
-            if namespace not in lexicon.namespaces():
-                continue
+        for namespace, table in lexicon.tables.items():
             if namespace == "pair":
                 hits = _pair_hits(units_by_ns["uni"], units_by_ns["bi"], lexicon)
             else:
-                table = lexicon.unit_scores(namespace)
                 hits = [
                     (mask, row)
                     for text, mask in units_by_ns[namespace]

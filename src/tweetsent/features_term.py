@@ -86,7 +86,7 @@ def build_split_vocabulary(lexicons: Sequence[Lexicon]) -> frozenset[str]:
     for lexicon in lexicons:
         for term in lexicon.entries:
             bare = term[4:] if term.startswith("uni:") else term
-            if ":" not in bare and bare.isalpha():
+            if bare.isalpha():
                 words.add(bare.lower())
     return frozenset(words)
 
@@ -133,7 +133,7 @@ def _lexicon_features(
     With ``flip_pos``, the scores of the words after that position are
     flipped first.
     """
-    table = lexicon.unit_scores("uni")
+    table = lexicon.tables.get("uni", {})
     signs = [1.0] * len(words)
     if flip_pos is not None:
         signs = flip_term_polarity(signs, flip_pos)

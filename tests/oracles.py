@@ -288,6 +288,54 @@ def _oracle_lexicon_lookup(lexicon, namespace, text, affect):
     return score
 
 
+def _oracle_namespace(term):
+    """The namespace of a lexicon term; unknown prefixes count as "uni"."""
+    for namespace in ("bi", "pair", "uni"):
+        if term.startswith(namespace + ":"):
+            return namespace
+    return "uni"
+
+
+def oracle_lexicon_tables(lexicon):
+    """``Lexicon.tables`` and ``pair_tails``, term by term and affect by affect.
+
+    Every term is a unigram key, and so is the text of a ``uni:`` term;
+    a unigram key takes each score from ``uni:`` plus the key, else from
+    the key itself.  A pair key is split at each position where the
+    separator starts.
+    """
+    present = {_oracle_namespace(term) for term in lexicon.entries}
+    tables = {}
+    for namespace in ("uni", "bi", "pair"):
+        if namespace not in present:
+            continue
+        table = {}
+        for term in lexicon.entries:
+            if namespace == "uni":
+                keys = [term, term[4:]] if term.startswith("uni:") else [term]
+                for key in keys:
+                    table[key] = tuple(
+                        _oracle_lexicon_lookup(lexicon, "uni", key, affect)
+                        for affect in lexicon.affects
+                    )
+                continue
+            if _oracle_namespace(term) != namespace:
+                continue
+            text = term[len(namespace) + 1 :]
+            row = tuple(_oracle_score(lexicon, term, a) for a in lexicon.affects)
+            if namespace == "bi":
+                table[text] = row
+                continue
+            for at in range(len(text)):
+                if text[at : at + 3] == "---":
+                    table.setdefault(text[:at], {})[text[at + 3 :]] = row
+        tables[namespace] = table
+    tails = set()
+    for by_tail in tables.get("pair", {}).values():
+        tails.update(by_tail)
+    return tables, frozenset(tails)
+
+
 def _oracle_emit_block(fv, prefix, affect, scores):
     if not scores:
         return
@@ -332,9 +380,8 @@ def oracle_lexicon_features(fv, message, surfaces, annotation, lexicons):
     Enumerates every unit of every namespace, including all O(n^2)
     pairs, and looks each one up separately per scope and affect.
     """
-    wanted = set()
-    for lex in lexicons:
-        wanted |= lex.namespaces()
+    namespaces = [{_oracle_namespace(t) for t in lex.entries} for lex in lexicons]
+    wanted = set().union(*namespaces)
     units_by_ns = {}
     if "uni" in wanted:
         units_by_ns["uni"] = [((i,), s) for i, s in enumerate(surfaces)]
@@ -347,9 +394,9 @@ def oracle_lexicon_features(fv, message, surfaces, annotation, lexicons):
         units_by_ns["pair"] = _oracle_pair_units(surfaces)
 
     scopes = _oracle_scopes(message)
-    for lexicon in lexicons:
+    for lexicon, present in zip(lexicons, namespaces):
         for namespace in ("uni", "bi", "pair"):
-            if namespace not in lexicon.namespaces():
+            if namespace not in present:
                 continue
             units = units_by_ns[namespace]
             for scope_name, members in scopes:
@@ -1170,6 +1217,11 @@ def oracle_load_cluster_map(path):
         if not 0 <= cluster <= 999:
             raise CorpusFormatError(
                 f"cluster id {cluster} out of range [0, 999] at line {lineno} of {path}"
+            )
+        if token in entries and entries[token] != cluster:
+            raise CorpusFormatError(
+                f"token {token!r} is listed with cluster ids {entries[token]} and "
+                f"{cluster} at line {lineno} of {path}"
             )
         entries[token] = cluster
     return entries

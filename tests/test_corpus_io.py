@@ -14,6 +14,7 @@ from oracles import (
     oracle_load_raw_corpus,
     oracle_load_seed_set,
     oracle_load_term_corpus,
+    oracle_lexicon_tables,
     oracle_unescape_text,
 )
 
@@ -35,6 +36,7 @@ from tweetsent.corpus_io import (
     write_raw_corpus,
     write_term_corpus,
 )
+from tweetsent.features_message import extract_message_features
 from tweetsent.tokenizer import normalize, tokenize
 
 
@@ -244,19 +246,52 @@ def test_lexicon_score_and_namespaces():
     assert lexicon.entries["good"]["positive"] == 1.0
     assert "negative" not in lexicon.entries["good"]
     assert "missing" not in lexicon.entries
-    assert lexicon.namespaces() == frozenset({"uni", "pair"})
+    assert list(lexicon.tables) == ["uni", "pair"]
+
+
+# Lexicon terms: plain and ``uni:`` words, bigrams, unknown prefixes, and
+# pairs whose parts may be or hold "---" tokens.
+_WORD = st.sampled_from(["good", "bad", "x", "-", "--", "---", "----", ":)"])
+_PART = st.one_of(_WORD, st.builds("{} {}".format, _WORD, _WORD))
+_TERM = st.one_of(
+    _WORD,
+    _WORD.map("uni:{}".format),
+    st.builds("bi:{} {}".format, _WORD, _WORD),
+    st.sampled_from(["http:x", "uni:", "bi:", "pair:", "pair:x", "uni:uni:good"]),
+    st.builds("pair:{}---{}".format, _PART, _PART),
+)
+_AFFECTS = ("positive", "negative", "anger")
+
+
+@given(
+    st.dictionaries(
+        _TERM,
+        st.dictionaries(
+            st.sampled_from(_AFFECTS), st.floats(-4, 4, allow_nan=False), max_size=3
+        ),
+        max_size=8,
+    )
+)
+def test_lexicon_tables_match_term_by_term_oracle(entries):
+    lexicon = Lexicon(name="t", affects=_AFFECTS, entries=entries)
+    tables, tails = oracle_lexicon_tables(lexicon)
+    assert list(lexicon.tables) == list(tables)
+    assert lexicon.tables == tables
+    assert lexicon.pair_tails == tails
 
 
 def test_loading_a_lexicon_builds_no_pair_table(tmp_path):
-    """The pair table is built on the first pair lookup, not in
+    """The lookup tables are built by the first extraction, not in
     ``load_lexicon``, whose time is a setup cost."""
     path = tmp_path / "lex.tsv"
     path.write_text("pair:a---b\tpositive\t0.5\npair:a---c d\tpositive\t1\n")
     lexicon = load_lexicon(path)
-    assert "pair_table" not in vars(lexicon)
+    assert "tables" not in vars(lexicon)
     assert "pair_tails" not in vars(lexicon)
-    assert lexicon.pair_table == {"a": {"b": (0.5,), "c d": (1.0,)}}
-    assert "pair_table" in vars(lexicon)
+    fv = extract_message_features(tokenize("a x c d"), [lexicon])
+    assert fv.get("lex|lex|pair|sum|positive") == 1.0
+    assert "tables" in vars(lexicon)
+    assert lexicon.tables == {"pair": {"a": {"b": (0.5,), "c d": (1.0,)}}}
 
 
 def test_cluster_map(tmp_path):
@@ -298,6 +333,11 @@ _LOADERS = {
         ("lexicon", "a\tpositive\t1\ngood\tpositive\tinf\n", "non-finite score 'inf'"),
         ("lexicon", "good\tpositive\t-1e400\n", "non-finite score '-1e400'"),
         ("cluster", "good\tx\n", "non-integer cluster id 'x'"),
+        (
+            "cluster",
+            "good\t1\nbad\t3\ngood\t1\ngood\t2\n",
+            "token 'good' is listed with cluster ids 1 and 2",
+        ),
         (
             "seed",
             "happy\tpositive\njoy\tpositive\nHappy\tnegative\n",
@@ -468,3 +508,87 @@ def test_loader_errors_count_every_line_end(tmp_path, loader, newline):
     message = f"expected {width} tab-separated fields at line 8 of {path}, got 1"
     want = (None, (CorpusFormatError, message), [])
     assert _outcome(load, path) == _outcome(oracle, path) == want
+
+
+# Field text for the writers, from the pieces the format gives meaning to:
+# tabs, line ends, comment marks, blanks (including ones that only
+# ``str.strip`` treats as blank) and backslash escapes.
+_WRITE_PIECES = [
+    "a", "good", ":)", "#", " ", "\t", "\n", "\r", "\\", "\\t", "\x0c", "\x1c",
+    "\x85", "\u00a0", "\u2028",
+]
+_WRITE_TEXT = st.lists(st.sampled_from(_WRITE_PIECES), max_size=4).map("".join)
+_WRITE_LABEL = st.sampled_from(CLASS_ORDER)
+
+
+def _write_and_reload(write, rows, load, path):
+    """``load(path)`` after ``write(rows, path)``, or None when the writer
+    refuses the rows, which it must do before it opens the file."""
+    path.unlink(missing_ok=True)
+    try:
+        write(rows, path)
+    except ValueError:
+        assert not path.exists()
+        return None
+    return load(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_WRITE_TEXT, _WRITE_LABEL, _WRITE_TEXT), max_size=3))
+def test_message_writer_round_trips_or_refuses(tmp_path_factory, rows):
+    messages = [LabeledMessage(i, text, label) for i, label, text in rows]
+    path = tmp_path_factory.getbasetemp() / "written_messages.tsv"
+    loaded = _write_and_reload(write_message_corpus, messages, load_message_corpus, path)
+    assert loaded in (None, messages)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(_WRITE_TEXT, _WRITE_TEXT), max_size=3))
+def test_raw_writer_round_trips_or_refuses(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "written_raw.tsv"
+    loaded = _write_and_reload(write_raw_corpus, rows, load_raw_corpus, path)
+    assert loaded in (None, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_term_writer_round_trips_or_refuses(tmp_path_factory, data):
+    instances = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        text = data.draw(_WRITE_TEXT.filter(lambda t: tokenize(normalize(t)).tokens))
+        last = len(tokenize(normalize(text)).tokens) - 1
+        start = data.draw(st.integers(0, last))
+        end = data.draw(st.integers(start, last))
+        label = data.draw(_WRITE_LABEL)
+        instances.append(TermInstance(data.draw(_WRITE_TEXT), text, label, start, end))
+    path = tmp_path_factory.getbasetemp() / "written_terms.tsv"
+    loaded = _write_and_reload(write_term_corpus, instances, load_term_corpus, path)
+    assert loaded in (None, instances)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _WRITE_TEXT,
+    st.dictionaries(
+        _WRITE_TEXT,
+        st.dictionaries(
+            st.sampled_from(["positive", "negative", "", "#x", "a\tb", "x\ny"]),
+            st.floats(-1e6, 1e6, allow_nan=False),
+            min_size=1,
+            max_size=2,
+        ),
+        max_size=3,
+    ),
+)
+def test_lexicon_writer_round_trips_or_refuses(tmp_path_factory, name, entries):
+    affects = tuple(sorted({a for by_affect in entries.values() for a in by_affect}))
+    lexicon = Lexicon(name=name, affects=affects, entries=entries)
+    path = tmp_path_factory.getbasetemp() / "written.lex"
+    loaded = _write_and_reload(write_lexicon, lexicon, load_lexicon, path)
+    if loaded is None:
+        return
+    assert loaded.entries.keys() == entries.keys()
+    for term, by_affect in entries.items():
+        assert loaded.entries[term].keys() == by_affect.keys()
+        for affect, score in by_affect.items():
+            assert loaded.entries[term][affect] == pytest.approx(score, abs=1e-6)

@@ -120,7 +120,7 @@ def test_bigram_and_pair_lexicons():
 def test_pair_key_is_found_at_every_separator():
     pair_lex = lex({"pair:x ------y": {"positive": 0.5}})
     splits = {"x ": "---y", "x -": "--y", "x --": "-y", "x ---": "y"}
-    assert pair_lex.pair_table == {h: {t: (0.5,)} for h, t in splits.items()}
+    assert pair_lex.tables == {"pair": {h: {t: (0.5,)} for h, t in splits.items()}}
     assert pair_lex.pair_tails == {"---y", "--y", "-y", "y"}
     # No part ends in a space, so the head "x " is never probed; the other
     # three splits each match one message.
@@ -171,21 +171,16 @@ class _KeyRecorder(dict):
         return super().get(key, default)
 
 
-def test_pair_features_build_no_pair_string(monkeypatch):
+def test_pair_features_build_no_pair_string():
     pair_lex = lex({"pair:good---day": {"positive": 1.0}})
     seen = []
     table = {
         head: _KeyRecorder(by_tail, seen)
-        for head, by_tail in pair_lex.pair_table.items()
+        for head, by_tail in pair_lex.tables["pair"].items()
     }
-    object.__setattr__(pair_lex, "pair_table", _KeyRecorder(table, seen))
-    unit_scores = Lexicon.unit_scores
-
-    def no_pair_units(self, namespace):
-        assert namespace != "pair", "pair scores looked up by pair text"
-        return unit_scores(self, namespace)
-
-    monkeypatch.setattr(Lexicon, "unit_scores", no_pair_units)
+    # The lexicon's only table records every key it is asked for, so a
+    # lookup by pair text would show up in ``seen``.
+    object.__setattr__(pair_lex, "tables", {"pair": _KeyRecorder(table, seen)})
     messages = [LabeledMessage("1", "good x day", "positive")]
     (fv,) = extract_message_vectors(messages, [pair_lex])
     assert fv.get("lex|L|pair|sum|positive") == 1.0

@@ -291,6 +291,54 @@ def test_negation_suffix_reads_are_detected():
     assert _neg_suffix_reads(source) == [1, 3, 5, 7]
 
 
+# A lexicon term names its namespace with a ``uni:``, ``bi:`` or ``pair:``
+# prefix, and a pair term joins its parts with ``PAIR_SEPARATOR``.  Only
+# ``corpus_io``, which turns terms into ``Lexicon.tables``,
+# ``lexicon_builder``, which writes induced terms, and ``features_term``,
+# whose hashtag-splitting vocabulary reads unigram terms, spell those keys;
+# every other module looks scores up in the tables.
+LEXICON_KEY_READERS = ("corpus_io", "lexicon_builder", "features_term")
+
+
+def _lexicon_key_spellings(source: str) -> list[int]:
+    """Lines of ``source`` with a string constant that starts with a term
+    prefix, or that import, name or look up ``PAIR_SEPARATOR``."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.startswith(("uni:", "bi:", "pair:")):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if any(alias.name == "PAIR_SEPARATOR" for alias in node.names):
+                lines.add(node.lineno)
+        elif getattr(node, "id", getattr(node, "attr", None)) == "PAIR_SEPARATOR":
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_only_corpus_io_turns_lexicon_keys_into_lookups():
+    found = [
+        f"{path.stem} line {line}"
+        for path in MODULES
+        if path.stem not in LEXICON_KEY_READERS
+        for line in _lexicon_key_spellings(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def test_lexicon_key_spellings_are_detected():
+    source = (
+        "from .corpus_io import PAIR_SEPARATOR\n"
+        "row = lexicon.entries.get('uni:' + word)\n"
+        "key = f'pair:{head}{corpus_io.PAIR_SEPARATOR}{tail}'\n"
+        '"""Looks ``bi:`` terms up in the tables."""\n'
+        "label = 'PAIR_SEPARATOR'  # 'bi:'\n"
+        "is_bigram = term.startswith('bi:')\n"
+        "from .corpus_io import PAIR_SEPARATOR as SEP\n"
+    )
+    assert _lexicon_key_spellings(source) == [1, 2, 3, 6, 7]
+
+
 def _dataclass_fields(source: str) -> set[str]:
     """Field names of the ``@dataclass`` classes defined in ``source``."""
     fields = set()
