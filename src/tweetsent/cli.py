@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from .corpus_io import (
+    MissingClassError,
     load_cluster_map,
     load_lexicon,
     load_raw_corpus,
@@ -70,7 +71,7 @@ def _load_lexicons(args) -> list:
 # given, so a left-out flag takes the default of the library function
 # it goes to: linear_model.train or lexicon_builder.build_lexicon.
 _SOLVER_FLAGS = ("C", "tol", "max_epochs", "seed")
-_INDUCTION_FLAGS = ("min_count", "alpha", "per_message", "pair_window")
+_INDUCTION_FLAGS = ("min_count", "alpha")
 
 
 def _add_train_args(parser: argparse.ArgumentParser) -> None:
@@ -199,8 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", help="hashtag<TAB>polarity seed file")
     p.add_argument("--min-count", type=int, default=argparse.SUPPRESS)
     p.add_argument("--alpha", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--per-message", action="store_true", default=argparse.SUPPRESS)
-    p.add_argument("--pair-window", type=int, default=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_lexicon)
 
@@ -244,6 +243,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except MissingClassError as err:
+        print(f"error: {err} in {args.input}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

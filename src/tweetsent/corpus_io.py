@@ -75,6 +75,10 @@ class CorpusFormatError(ValueError):
     """Raised when an input file does not match its documented format."""
 
 
+class MissingClassError(ValueError):
+    """Raised when training or induction input has no example of a class."""
+
+
 @dataclass(frozen=True)
 class LabeledMessage:
     """One message with a gold polarity label.
@@ -390,11 +394,12 @@ def _write_rows(
     item, after checking every line, 64 at a time, before opening the file."""
     if any("\n" in line or "\r" in line for line in header):
         raise ValueError(f"header {header!r} holds a line break")
+    blocks = [line + "\n" for line in header]
     for s in range(0, len(items), 64):
         rows = list(map(fields, items[s : s + 64]))
         lines = list(map("\t".join, rows))
-        separators = sum(map("\n".join(lines).count, "\t\n\r"))
-        if separators == sum(map(len, rows)) - 1 and all(
+        blocks.append("\n".join(lines) + "\n")
+        if sum(map(blocks[-1].count, "\t\n\r")) == sum(map(len, rows)) and all(
             line.lstrip()[:1] not in ("", "#") for line in lines
         ):
             continue
@@ -404,8 +409,7 @@ def _write_rows(
             if line.lstrip()[:1] in ("", "#"):
                 raise ValueError(f"row {row!r} would read as a blank or comment line")
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(line + "\n" for line in header)
-        fh.writelines("\t".join(fields(item)) + "\n" for item in items)
+        fh.writelines(blocks)
 
 
 def write_lexicon(lexicon: Lexicon, path: str | Path) -> None:

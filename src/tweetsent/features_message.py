@@ -26,17 +26,17 @@ head ``A`` in the lexicon's pair table, then by its tail ``B`` in
 that head's row; no pair text is built.  Pairs are visited in message
 order, by the tail's last token, then the head's first token (a bigram
 head before a unigram one), then the tail's first token, so the hits
-need no sort.  A unit belongs to a scope when all its tokens do.  The scope segment is omitted for the
-all-tokens scope and is ``pos:TAG``, ``hashtag`` or ``caps`` otherwise.
-The four stats are ``cnt`` (scoring units with a score above zero),
-``sum`` (of all scores), ``max`` (the largest score above zero, or 0
-when there is none) and ``last`` (score of the last unit, in order of
-its final token, with a score above zero).  A unigram takes each
-affect's score from its ``uni:`` term and, where that term is absent or
-lacks the affect, from the unprefixed term.  Units whose tokens all lie
-inside a negated context feed a separate block whose affect segment
-carries a ``_NEG`` suffix; the lexicon is still consulted with the
-plain surface.
+need no sort.  A unit belongs to a scope when all its tokens do.  The
+scope segment is omitted for the all-tokens scope and is ``pos:TAG``,
+``hashtag`` or ``caps`` otherwise.  The four stats are ``cnt`` (scoring
+units with a score above zero), ``sum`` (of all scores), ``max`` (the
+largest score above zero, or 0 when there is none) and ``last`` (score
+of the last unit, in order of its final token, with a score above
+zero).  A unigram takes each affect's score from its ``uni:`` term and,
+where that term is absent or lacks the affect, from the unprefixed
+term.  Units whose tokens all lie inside a negated context feed a
+separate block whose affect segment carries a ``_NEG`` suffix; the
+lexicon is still consulted with the plain surface.
 
 ``MessageFeatureConfig`` chooses only negation marking and the bare
 unigram baseline.  Every other group is left out of a run by removing

@@ -10,13 +10,9 @@ the two classes:
 Positive scores indicate association with positive messages.  Candidate
 terms are unigrams, contiguous bigrams, and ordered non-contiguous
 pairs of unigram/bigram parts separated by at least one token, written
-``A---B``.  Candidates are counted as integer codes in two passes:
-the first counts unigrams and bigrams, and the second stores only the
-occurrences of candidates that can still reach ``min_count``.  A pair
-is bounded by its parts' counts times their largest counts in one
-message, not by their counts alone: three messages ``alpha zed beta
-beta`` hold ``alpha---beta`` six times and ``alpha`` three times.  Only
-the terms that reach ``min_count`` are ever written out as text.
+``A---B``.  Every occurrence of a candidate counts;
+:func:`count_cooccurrences` counts them in two passes over integer
+codes and turns only the terms that reach ``min_count`` into text.
 """
 
 from __future__ import annotations
@@ -31,7 +27,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corpus_io import NEGATIVE, PAIR_SEPARATOR, POSITIVE, Lexicon, SeedSet
+from .corpus_io import (
+    NEGATIVE, PAIR_SEPARATOR, POSITIVE, Lexicon, MissingClassError, SeedSet
+)
 from .tokenizer import TokenizedMessage, emoticon_polarity, is_emoticon, normalize, tokenize
 from .wordlists import default_function_words
 
@@ -127,19 +125,10 @@ def _message_parts(
 
 
 def _pair_codes(
-    part_id: np.ndarray,
-    part_first: np.ndarray,
-    part_last: np.ndarray,
-    pair_window: int | None,
+    part_id: np.ndarray, part_first: np.ndarray, part_last: np.ndarray
 ) -> np.ndarray:
-    """Codes of one message's pairs, head-major."""
-    # The tail starts at least one token after the head ends, and at
-    # most ``pair_window`` tokens after when set.
-    gap = part_first - part_last[:, None]
-    linked = gap >= 2
-    if pair_window is not None:
-        linked &= gap < 2 + pair_window
-    head, tail = np.nonzero(linked)
+    """Codes of one message's pairs, head-major; a token or more between parts."""
+    head, tail = np.nonzero(part_first - part_last[:, None] >= 2)
     return part_id[head] << 32 | (part_id[tail] + 1)
 
 
@@ -177,8 +166,6 @@ class CooccurrenceCounts:
 def count_cooccurrences(
     corpus: Iterable[tuple[list[str], str]],
     function_words: frozenset[str] | None = None,
-    per_message: bool = False,
-    pair_window: int | None = None,
     *,
     min_count: int,
 ) -> CooccurrenceCounts:
@@ -186,15 +173,13 @@ def count_cooccurrences(
 
     Unigrams are bare tokens, bigrams are space-joined, and ordered
     non-contiguous pairs of unigram/bigram parts (at least one token in
-    between, at most ``pair_window`` when set) are joined by ``---``.
-    Candidates containing pure-punctuation or ``@``-initial tokens are
-    dropped everywhere; pairs also drop function words.
+    between) are joined by ``---``.  Candidates containing
+    pure-punctuation or ``@``-initial tokens are dropped everywhere;
+    pairs also drop function words.
 
-    Each occurrence counts once; with ``per_message`` a candidate counts
-    at most once per message.  Every occurrence goes into
+    Every occurrence counts, once in its term and once in
     ``class_count``.  Only terms with at least ``min_count`` occurrences
-    are kept, in order of first occurrence; with ``per_message``, in
-    order of first message and then text.  ``corpus`` is read once.  A
+    are kept, in order of first occurrence.  ``corpus`` is read once.  A
     class other than positive or negative raises ``ValueError``.
 
     Candidates are integer codes of interned unigram and bigram texts,
@@ -210,10 +195,9 @@ def count_cooccurrences(
     count in one message.  A message holds A---B at most as often as
     the product of its counts of A and B, so a pair can occur more
     often than either part: three messages ``alpha zed beta beta`` hold
-    ``alpha---beta`` six times and ``alpha`` three times.  With
-    ``per_message`` every most(X) is 1.  One stable sort of the stored
-    codes gives each term's count, and only the kept terms are turned
-    back into text.
+    ``alpha---beta`` six times and ``alpha`` three times.  One stable
+    sort of the stored codes gives each term's count, and only the kept
+    terms are turned back into text.
     """
     if function_words is None:
         function_words = default_function_words()
@@ -254,8 +238,7 @@ def count_cooccurrences(
         for lo in range(0, len(positive), _BATCH)
     ]
 
-    # count(X) counts X's occurrences, or with per_message the messages
-    # holding it; most(X) is its largest count in one message.
+    # count(X) is X's occurrences, and most(X) its largest count in one message.
     count = np.zeros(len(ids), dtype=np.int64)
     most = np.ones(len(ids), dtype=np.int64)
     for lo, hi in ranges:
@@ -264,11 +247,8 @@ def count_cooccurrences(
         key += singles[single_at[lo] : single_at[hi]] * n
         key, in_message = np.unique(key, return_counts=True)
         single = key // n
-        if per_message:
-            np.add.at(count, single, 1)
-        else:
-            np.add.at(count, single, in_message)
-            np.maximum.at(most, single, in_message)
+        np.add.at(count, single, in_message)
+        np.maximum.at(most, single, in_message)
     # Indexed by a code's low half (tail id + 1, or 0 for a single), so
     # that a single's test reduces to count >= min_count.
     tail_count = np.concatenate(([min_count], count))
@@ -283,13 +263,10 @@ def count_cooccurrences(
         chunks = []
         for j in range(hi - lo):
             p0, p1 = p_at[j], p_at[j + 1]
-            codes = np.concatenate((
+            chunks.append(np.concatenate((
                 singles[s_at[j] : s_at[j + 1]] << 32,
-                _pair_codes(
-                    part_id[p0:p1], part_first[p0:p1], part_last[p0:p1], pair_window
-                ),
-            ))
-            chunks.append(np.unique(codes) if per_message else codes)
+                _pair_codes(part_id[p0:p1], part_first[p0:p1], part_last[p0:p1]),
+            )))
         lengths = np.array([len(c) for c in chunks])
         class_count[POSITIVE] += int(lengths[positive[lo:hi]].sum())
         class_count[NEGATIVE] += int(lengths[~positive[lo:hi]].sum())
@@ -325,11 +302,12 @@ def count_cooccurrences(
     flags = np.repeat(positive, sizes)[order]
     flags[np.repeat(~kept, run_count)] = False
     starts, run_count = starts[kept], run_count[kept]
-    first = order[starts]
+    rank = np.argsort(order[starts])  # the kept terms by first occurrence
     del order, kept
     run_positive = np.add.reduceat(flags, starts, dtype=np.int64)
     del flags, starts
 
+    kept_codes = kept_codes[rank]
     texts = list(ids)
     heads = (kept_codes >> 32).tolist()
     tails = (kept_codes & _TAIL_MASK).tolist()
@@ -337,15 +315,6 @@ def count_cooccurrences(
         texts[h] if t == 0 else texts[h] + PAIR_SEPARATOR + texts[t - 1]
         for h, t in zip(heads, tails)
     ]
-    if per_message:
-        # By first message, then text: sort by text, then stably by message.
-        by_text = sorted(range(len(terms)), key=terms.__getitem__)
-        rank = np.array(by_text, dtype=np.int64)
-        message = np.searchsorted(np.cumsum(sizes), first[rank], side="right")
-        rank = rank[np.argsort(message, kind="stable")]
-    else:
-        rank = np.argsort(first)
-    terms = [terms[j] for j in rank.tolist()]
     return CooccurrenceCounts(
         term_count=Counter(dict(zip(terms, run_count[rank].tolist()))),
         positive_count=Counter(dict(zip(terms, run_positive[rank].tolist()))),
@@ -410,8 +379,6 @@ def build_lexicon(
     seeds: SeedSet | None = None,
     min_count: int = 5,
     alpha: float = 0.5,
-    per_message: bool = False,
-    pair_window: int | None = None,
     function_words: frozenset[str] | None = None,
     name: str | None = None,
 ) -> Lexicon:
@@ -425,15 +392,13 @@ def build_lexicon(
     dropped before any is scored.  Every entry carries the
     positive-direction score under ``positive`` and its negation under
     ``negative``, with namespace prefixes ``uni:``, ``bi:`` and
-    ``pair:``.  ``min_count`` must be at least 1, ``alpha`` finite and
-    positive, and ``pair_window`` None or at least 1.
+    ``pair:``.  ``min_count`` must be at least 1 and ``alpha`` finite
+    and positive.
     """
     if min_count < 1:
         raise ValueError(f"min_count must be at least 1, got {min_count}")
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"alpha must be finite and positive, got {alpha}")
-    if pair_window is not None and pair_window < 1:
-        raise ValueError(f"pair_window must be at least 1, got {pair_window}")
     if labeling not in ("hashtag", "emoticon"):
         raise ValueError(f"unknown labeling scheme '{labeling}'")
     if labeling == "hashtag" and seeds is None:
@@ -444,17 +409,13 @@ def build_lexicon(
     labeled = _labeled_streams(corpus, labeling, seeds)
     first = next(labeled, None)
     if first is None:
-        raise ValueError("no labeled messages")
+        raise MissingClassError("no labeled messages")
     counts = count_cooccurrences(
-        chain([first], labeled),
-        function_words,
-        per_message,
-        pair_window,
-        min_count=min_count,
+        chain([first], labeled), function_words, min_count=min_count
     )
     for cls in (POSITIVE, NEGATIVE):
         if counts.class_count[cls] == 0:
-            raise ValueError(f"no {cls} candidates after labeling")
+            raise MissingClassError(f"no {cls} candidates after labeling")
 
     entries: dict[str, dict[str, float]] = {}
     for term in counts.term_count:

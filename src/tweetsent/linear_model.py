@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus_io import CLASS_ORDER
+from .corpus_io import CLASS_ORDER, MissingClassError
 from .features_message import (
     FeatureDictionary,
     FeatureVector,
@@ -217,7 +217,7 @@ def train(
             raise ValueError(f"label '{label}' not in classes {classes}")
     for cls in classes:
         if cls not in present:
-            raise ValueError(f"class '{cls}' absent from training data")
+            raise MissingClassError(f"class '{cls}' absent from training data")
     dim = dictionary.size
     rows = []
     # Squared norms plus 1 for the bias, shared by every class.  A NaN in

@@ -24,6 +24,7 @@ from .corpus_io import (
     CLASS_ORDER,
     LabeledMessage,
     Lexicon,
+    MissingClassError,
     TermInstance,
     load_message_corpus,
     load_raw_corpus,
@@ -320,7 +321,9 @@ def cross_validate(
     training = [[i for g in range(k) if g != f for i in folds[g]] for f in range(k)]
     for f, used in enumerate(training):
         if absent := sorted(set(CLASS_ORDER).difference(labels[i] for i in used)):
-            raise ValueError(f"fold {f}: class '{absent[0]}' absent from training rows")
+            raise MissingClassError(
+                f"fold {f}: class '{absent[0]}' absent from training rows"
+            )
     scores = []
     for used, held in zip(training, folds):
         keep = np.zeros(dictionary.size, dtype=bool)

@@ -83,7 +83,6 @@ def _blocked(token: str) -> bool:
 def oracle_candidates(
     tokens: list[str],
     function_words: frozenset[str] = frozenset(),
-    pair_window: int | None = None,
 ) -> list[str]:
     """All candidate terms of a message as a multiset."""
     n = len(tokens)
@@ -102,10 +101,8 @@ def oracle_candidates(
 
     spans = [(i, i) for i in range(n)] + [(i, i + 1) for i in range(n - 1)]
     for a, b in itertools.product(spans, repeat=2):
-        gap = b[0] - a[1] - 1
-        if gap < 1 or (pair_window is not None and gap > pair_window):
-            continue
-        if usable(a) and usable(b):
+        # At least one token separates the two parts.
+        if b[0] - a[1] - 1 >= 1 and usable(a) and usable(b):
             left = " ".join(tokens[a[0] : a[1] + 1])
             right = " ".join(tokens[b[0] : b[1] + 1])
             out.append(f"{left}---{right}")
@@ -115,17 +112,12 @@ def oracle_candidates(
 def oracle_counts(
     corpus: list[tuple[list[str], str]],
     function_words: frozenset[str] = frozenset(),
-    per_message: bool = False,
-    pair_window: int | None = None,
 ):
     """(term -> class -> count, class -> count) over a labeled stream."""
     term_class: dict[str, dict[str, int]] = {}
     class_count = {"positive": 0, "negative": 0}
     for tokens, label in corpus:
-        cands = oracle_candidates(list(tokens), function_words, pair_window)
-        if per_message:
-            cands = sorted(set(cands))
-        for term in cands:
+        for term in oracle_candidates(list(tokens), function_words):
             by = term_class.setdefault(term, {"positive": 0, "negative": 0})
             by[label] += 1
             class_count[label] += 1
@@ -163,13 +155,9 @@ def oracle_lexicon(
     min_count: int = 1,
     alpha: float = 0.5,
     function_words: frozenset[str] = frozenset(),
-    per_message: bool = False,
-    pair_window: int | None = None,
 ) -> dict[str, float]:
     """Namespaced term -> positive-direction score."""
-    term_class, class_count = oracle_counts(
-        corpus, function_words, per_message, pair_window
-    )
+    term_class, class_count = oracle_counts(corpus, function_words)
     entries = {}
     for term, by in term_class.items():
         if by["positive"] + by["negative"] < min_count:
@@ -633,7 +621,7 @@ def _dict_is_pure_punctuation(token: str) -> bool:
     return bool(token) and all(c in _PUNCT for c in token) and not is_emoticon(token)
 
 
-def _dict_candidates(tokens, function_words, pair_window):
+def _dict_candidates(tokens, function_words):
     """(namespace, text) of each candidate, in the order they are built."""
 
     def blocked(tok: str) -> bool:
@@ -662,10 +650,8 @@ def _dict_candidates(tokens, function_words, pair_window):
             parts.append((i, i + 1, f"{a} {b}"))
     for _head_start, head_end, head_text in parts:
         for tail_start, _tail_end, tail_text in parts:
-            gap = tail_start - head_end - 1
-            if gap < 1 or (pair_window is not None and gap > pair_window):
-                continue
-            out.append(("pair", f"{head_text}---{tail_text}"))
+            if tail_start - head_end - 1 >= 1:  # at least one token between
+                out.append(("pair", f"{head_text}---{tail_text}"))
     return out
 
 
@@ -690,8 +676,6 @@ def oracle_induced_entries(
     seeds=None,
     min_count=5,
     alpha=0.5,
-    per_message=False,
-    pair_window=None,
     function_words=None,
 ):
     """Entries of an induced lexicon, counted into per-term class dicts."""
@@ -719,10 +703,7 @@ def oracle_induced_entries(
     term_class_count: dict[tuple[str, str], dict[str, int]] = {}
     class_count = {POSITIVE: 0, NEGATIVE: 0}
     for tokens, label in streams:
-        candidates = _dict_candidates(tokens, function_words, pair_window)
-        if per_message:
-            candidates = sorted(set(candidates), key=lambda c: (c[1], c[0]))
-        for term in candidates:
+        for term in _dict_candidates(tokens, function_words):
             by_class = term_class_count.setdefault(term, {})
             by_class[label] = by_class.get(label, 0) + 1
             class_count[label] += 1

@@ -317,7 +317,7 @@ def test_missing_class_exits_1(tmp_path, capsys):
         str(tmp_path / "m.tsv"),
     )
     assert code == 1
-    assert "error: class 'neutral' absent from training data" in err
+    assert err == f"error: class 'neutral' absent from training data in {only_two}\n"
 
 
 def test_cross_validation_fold_missing_a_class_exits_1(tmp_path, capsys, monkeypatch):
@@ -333,7 +333,7 @@ def test_cross_validation_fold_missing_a_class_exits_1(tmp_path, capsys, monkeyp
     with pytest.warns(UserWarning, match="fewer than 3"):
         code, out, err = run(capsys, "train", "--input", str(seven), "--cv", "3")
     assert (code, out) == (1, "")
-    assert err == "error: fold 2: class 'neutral' absent from training rows\n"
+    assert err == f"error: fold 2: class 'neutral' absent from training rows in {seven}\n"
 
 
 @pytest.mark.parametrize(
@@ -498,6 +498,51 @@ def test_an_empty_corpus_exits_1_naming_its_file(argv, message_files, tmp_path, 
     assert predicted == (0, "", "")
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ("train", "--input", "{labeled}", "--model", "{out}"),
+            "class 'negative' absent from training data in {labeled}",
+        ),
+        (
+            ("train", "--input", "{labeled}", "--cv", "2"),
+            "fold 0: class 'negative' absent from training rows in {labeled}",
+        ),
+        (
+            ("ablate", "--input", "{labeled}", "--test", "{test}", "--groups", "pos"),
+            "class 'negative' absent from training data in {labeled}",
+        ),
+        (
+            ("build-lexicon", "--input", "{plain}", "--labeling", "emoticon",
+             "--out", "{out}"),
+            "no labeled messages in {plain}",
+        ),
+        (
+            ("build-lexicon", "--input", "{smiles}", "--labeling", "emoticon",
+             "--min-count", "1", "--out", "{out}"),
+            "no negative candidates after labeling in {smiles}",
+        ),
+    ],
+)
+def test_a_corpus_without_a_class_exits_1_naming_its_file(
+    argv, message, message_files, tmp_path, capsys
+):
+    """Training rows with no ``negative`` row, and raw rows that label no
+    message or no negative one, are refused with the input file named."""
+    _, test = message_files
+    labeled, plain, smiles, out = (
+        tmp_path / name for name in ("l.tsv", "p.tsv", "s.tsv", "out.tsv")
+    )
+    write_message_corpus([m for m in TRAIN_MESSAGES if m.label != "negative"], labeled)
+    write_raw_corpus([("1", "good fun"), ("2", "bad day")], plain)
+    write_raw_corpus([("1", "good fun :)"), ("2", "great day :)")], smiles)
+    paths = {"labeled": labeled, "plain": plain, "smiles": smiles, "out": out}
+    refused = run(capsys, *(arg.format(test=test, **paths) for arg in argv))
+    assert refused == (1, "", f"error: {message.format(**paths)}\n")
+    assert not out.exists()
+
+
 def test_cv_with_more_folds_than_rows_exits_1(message_files, capsys):
     train, _ = message_files
     code, out, err = run(capsys, "train", "--input", str(train), "--cv", "10")
@@ -530,7 +575,6 @@ def test_build_lexicon(tmp_path, capsys):
     [
         ("--alpha", "nan", "alpha must be finite and positive, got nan"),
         ("--alpha", "0", "alpha must be finite and positive, got 0.0"),
-        ("--pair-window", "0", "pair_window must be at least 1, got 0"),
         ("--min-count", "0", "min_count must be at least 1, got 0"),
         ("--min-count", "-3", "min_count must be at least 1, got -3"),
     ],

@@ -73,11 +73,9 @@ _LEXICON_CORPUS = [
 ]
 
 
-def _candidates(tokens, function_words=None, pair_window=None):
+def _candidates(tokens, function_words=None):
     """Occurrences of each candidate term of one message."""
-    counts = count_cooccurrences(
-        [(tokens, POSITIVE)], function_words, pair_window=pair_window, min_count=1
-    )
+    counts = count_cooccurrences([(tokens, POSITIVE)], function_words, min_count=1)
     return counts.term_count
 
 
@@ -103,16 +101,6 @@ def test_candidates_keep_emoticons_drop_pure_punctuation():
     assert got == Counter([":)", ":)---x", "x"])
 
 
-def test_candidates_pair_window():
-    wide = _candidates(["a", "b", "c", "d"], function_words=NO_FILTER)
-    assert "a---d" in wide
-    narrow = _candidates(["a", "b", "c", "d"], function_words=NO_FILTER, pair_window=1)
-    assert "a---d" not in narrow
-    assert "a---c" in narrow
-    assert "a b---d" in narrow
-    assert "a---c d" in narrow
-
-
 def test_candidates_pair_example_with_default_filtering():
     got = _candidates(["nice", "the", "day"])
     assert "the" in got
@@ -124,12 +112,11 @@ def test_candidates_pair_example_with_default_filtering():
         st.sampled_from(["aa", "bb", "cc", "dd", "ee", "@u", "!!", "the", "The"]),
         max_size=7,
     ),
-    st.sampled_from([None, 1, 2]),
 )
-def test_candidates_match_enumeration_oracle(tokens, pair_window):
+def test_candidates_match_enumeration_oracle(tokens):
     function_words = frozenset({"the"})
-    got = _candidates(tokens, function_words, pair_window)
-    assert got == Counter(oracle_candidates(tokens, function_words, pair_window))
+    got = _candidates(tokens, function_words)
+    assert got == Counter(oracle_candidates(tokens, function_words))
 
 
 @given(st.lists(st.sampled_from(["aa", "bb", "the", "on", "zz"]), max_size=6))
@@ -152,14 +139,13 @@ BATCHES = [1, 2, 3, 256]
         max_size=6,
     ),
     st.integers(min_value=1, max_value=4),
-    st.booleans(),
     st.sampled_from(BATCHES),
 )
-def test_count_min_count_keeps_frequent_terms_in_order(corpus, k, per_message, batch):
+def test_count_min_count_keeps_frequent_terms_in_order(corpus, k, batch):
     function_words = frozenset({"the"})
     with mock.patch.object(lexicon_builder, "_BATCH", batch):
-        counts = count_cooccurrences(corpus, function_words, per_message, min_count=k)
-    want_terms, want_classes = oracle_counts(corpus, function_words, per_message)
+        counts = count_cooccurrences(corpus, function_words, min_count=k)
+    want_terms, want_classes = oracle_counts(corpus, function_words)
     # The oracle's dict holds terms in order of first counting.
     kept = [
         term for term, by in want_terms.items() if by[POSITIVE] + by[NEGATIVE] >= k
@@ -189,23 +175,18 @@ def _count_items(counts):
         ),
         max_size=12,
     ),
-    st.booleans(),
-    st.sampled_from([None, 1, 2]),
     st.integers(min_value=1, max_value=8),
     st.sampled_from(BATCHES),
 )
-def test_count_min_count_equals_the_full_count_cut_at_min_count(
-    corpus, per_message, pair_window, k, batch
-):
+def test_count_min_count_equals_the_full_count_cut_at_min_count(corpus, k, batch):
     # Five words repeat inside messages, so pairs can outnumber their
     # parts; the filter on stored occurrences must keep every such pair.
     function_words = frozenset({"the"})
-    options = dict(per_message=per_message, pair_window=pair_window)
-    full = count_cooccurrences(corpus, function_words, **options, min_count=1)
+    full = count_cooccurrences(corpus, function_words, min_count=1)
     with mock.patch.object(lexicon_builder, "_BATCH", batch):
-        got = count_cooccurrences(corpus, function_words, **options, min_count=k)
+        got = count_cooccurrences(corpus, function_words, min_count=k)
         once = count_cooccurrences(
-            (message for message in corpus), function_words, **options, min_count=k
+            (message for message in corpus), function_words, min_count=k
         )
     kept = [term for term, n in full.term_count.items() if n >= k]
     assert _count_items(got) == (
@@ -262,26 +243,9 @@ def test_count_doubling():
             assert _by_class(twice, term)[label] == 2 * count
 
 
-def test_count_per_message_collapse():
-    corpus = [(["x", "x"], POSITIVE)]
-    plain = count_cooccurrences(corpus, function_words=NO_FILTER, min_count=1)
-    assert _by_class(plain, "x")[POSITIVE] == 2
-    assert plain.class_count[POSITIVE] == 3
-    collapsed = count_cooccurrences(
-        corpus, function_words=NO_FILTER, per_message=True, min_count=1
-    )
-    assert _by_class(collapsed, "x")[POSITIVE] == 1
-    assert collapsed.class_count[POSITIVE] == 2
-
-
-@pytest.mark.parametrize("per_message", [False, True])
-def test_count_fixture_matches_oracle(per_message):
-    counts = count_cooccurrences(
-        _COUNT_FIXTURE, function_words=NO_FILTER, per_message=per_message, min_count=1
-    )
-    want_terms, want_classes = oracle_counts(
-        _COUNT_FIXTURE, per_message=per_message
-    )
+def test_count_fixture_matches_oracle():
+    counts = count_cooccurrences(_COUNT_FIXTURE, function_words=NO_FILTER, min_count=1)
+    want_terms, want_classes = oracle_counts(_COUNT_FIXTURE)
     assert set(counts.term_count) == set(want_terms)
     for term, by_class in want_terms.items():
         for label in (POSITIVE, NEGATIVE):
@@ -536,8 +500,6 @@ def test_build_lexicon_errors():
         ({"alpha": math.inf}, "alpha must be finite and positive, got inf"),
         ({"alpha": 0.0}, "alpha must be finite and positive, got 0.0"),
         ({"alpha": -1.0}, "alpha must be finite and positive, got -1.0"),
-        ({"pair_window": 0}, "pair_window must be at least 1, got 0"),
-        ({"pair_window": -1}, "pair_window must be at least 1, got -1"),
         ({"min_count": 0}, "min_count must be at least 1, got 0"),
         ({"min_count": -3}, "min_count must be at least 1, got -3"),
     ],
@@ -555,27 +517,15 @@ def test_build_lexicon_rejects_seeds_with_emoticon_labeling():
         build_lexicon(corpus, "emoticon", seeds=seeds, min_count=1)
 
 
-@pytest.mark.parametrize(
-    "per_message,pair_window", [(False, None), (True, None), (False, 2)]
-)
-def test_build_lexicon_matches_oracle(per_message, pair_window):
+def test_build_lexicon_matches_oracle():
     corpus = [(str(i), text) for i, (text, _) in enumerate(_LEXICON_CORPUS)]
     labels = [POSITIVE] * 10 + [NEGATIVE] * 10
     stream = [
         (tokens, label)
         for (_, tokens), label in zip(_LEXICON_CORPUS, labels)
     ]
-    lexicon = build_lexicon(
-        corpus,
-        "emoticon",
-        min_count=1,
-        per_message=per_message,
-        pair_window=pair_window,
-        function_words=NO_FILTER,
-    )
-    want = oracle_lexicon(
-        stream, min_count=1, per_message=per_message, pair_window=pair_window
-    )
+    lexicon = build_lexicon(corpus, "emoticon", min_count=1, function_words=NO_FILTER)
+    want = oracle_lexicon(stream, min_count=1)
     assert set(lexicon.entries) == set(want)
     for key, score in want.items():
         assert lexicon.entries[key][POSITIVE] == pytest.approx(score, abs=1e-9)
@@ -605,29 +555,16 @@ def _float_bits(entries):
         max_size=10,
     ),
     st.sampled_from(["emoticon", "hashtag"]),
-    st.booleans(),
-    st.sampled_from([None, 1, 2]),
     st.integers(min_value=1, max_value=5),
 )
-@example(
-    [(["aa", "@u", "bb"], ":)"), (["bb", "!!", "aa"], ":(")], "emoticon", False, None, 1
-)
-@example(
-    [(["aa", "bb", "aa"], "#go"), (["bb", "the", "bb"], "#ugh")], "hashtag", False, None, 2
-)
-def test_build_lexicon_matches_dict_counting_oracle(
-    messages, labeling, per_message, pair_window, min_count
-):
+@example([(["aa", "@u", "bb"], ":)"), (["bb", "!!", "aa"], ":(")], "emoticon", 1)
+@example([(["aa", "bb", "aa"], "#go"), (["bb", "the", "bb"], "#ugh")], "hashtag", 2)
+def test_build_lexicon_matches_dict_counting_oracle(messages, labeling, min_count):
     corpus = [
         (str(i), " ".join(words + [signal])) for i, (words, signal) in enumerate(messages)
     ]
     seeds = SeedSet.from_words(["go"], ["ugh"]) if labeling == "hashtag" else None
-    options = dict(
-        seeds=seeds,
-        min_count=min_count,
-        per_message=per_message,
-        pair_window=pair_window,
-    )
+    options = dict(seeds=seeds, min_count=min_count)
     try:
         want = oracle_induced_entries(corpus, labeling, **options)
     except ValueError as err:
@@ -641,36 +578,18 @@ def test_build_lexicon_matches_dict_counting_oracle(
 
 # sha256 of the written lexicon induced from make_emoticon_corpus(n=300,
 # seed=7) with min_count 2, and its uni/bi/pair entry counts.
-INDUCED_LEXICON_SHA256 = {
-    "default": (
-        "008eeb9edcc2fe142f97f68cf8f114e8c49e5944faa4df4f537d617ed183b164",
-        (315, 22, 312),
-    ),
-    "per_message": (
-        "c3c5f7dcdda86426c82710821477bb39b0f42b4413f9c7745e8caf2be7e52863",
-        (315, 22, 223),
-    ),
-    "pair_window": (
-        "8e5b0c5e45ae5835bd44485a5e75ade6a04ba968c2435f94acc8eca9d2e0ab04",
-        (315, 22, 68),
-    ),
-}
-
-
-@pytest.mark.parametrize(
-    "variant,options",
-    [
-        ("default", {}),
-        ("per_message", {"per_message": True}),
-        ("pair_window", {"pair_window": 2}),
-    ],
+INDUCED_LEXICON_SHA256 = (
+    "008eeb9edcc2fe142f97f68cf8f114e8c49e5944faa4df4f537d617ed183b164",
+    (315, 22, 312),
 )
-def test_induced_lexicon_bytes_are_pinned(tmp_path, variant, options):
+
+
+def test_induced_lexicon_bytes_are_pinned(tmp_path):
     rows = make_emoticon_corpus(n=300, seed=7)[0]
-    lexicon = build_lexicon(rows, "emoticon", min_count=2, **options)
+    lexicon = build_lexicon(rows, "emoticon", min_count=2)
     path = tmp_path / "induced.tsv"
     write_lexicon(lexicon, path)
     namespaces = [key.split(":", 1)[0] for key in lexicon.entries]
     shape = tuple(namespaces.count(ns) for ns in ("uni", "bi", "pair"))
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert (digest, shape) == INDUCED_LEXICON_SHA256[variant]
+    assert (digest, shape) == INDUCED_LEXICON_SHA256

@@ -444,9 +444,6 @@ def test_late_token_edits_are_detected():
     ]
 
 
-SOLVER = ("C", "tol", "max_epochs", "seed")
-
-
 def test_no_pipeline_function_redeclares_a_solver_setting():
     """``linear_model.train`` alone holds the solver defaults; pipeline
     functions pass ``**solver`` on (``cross_validate`` keeps ``seed``,
@@ -542,29 +539,24 @@ def test_no_induction_function_but_build_lexicon_declares_a_default():
 
 
 @pytest.mark.parametrize(
-    "command, flags, given",
+    "command, flags",
     [
-        (
-            ["train", "--input", "in.tsv", "--model", "m.tsv"],
-            SOLVER,
-            ["--C", "1", "--tol", "1", "--max-epochs", "1", "--seed", "1"],
-        ),
+        (["train", "--input", "in.tsv", "--model", "m.tsv"], _SOLVER_FLAGS),
         (
             ["ablate", "--input", "in.tsv", "--test", "t.tsv", "--groups", "pos"],
-            SOLVER,
-            ["--C", "1", "--tol", "1", "--max-epochs", "1", "--seed", "1"],
+            _SOLVER_FLAGS,
         ),
         (
             ["build-lexicon", "--input", "in.tsv", "--labeling", "emoticon",
              "--out", "o.tsv"],
-            ("min_count", "alpha", "per_message", "pair_window"),
-            ["--min-count", "1", "--alpha", "1", "--per-message", "--pair-window", "1"],
+            _INDUCTION_FLAGS,
         ),
     ],
 )
-def test_left_out_cli_flags_stay_out_of_the_parsed_arguments(command, flags, given):
+def test_left_out_cli_flags_stay_out_of_the_parsed_arguments(command, flags):
     """The CLI declares no default of its own for a flag that a library
     function takes, so the function's default applies."""
+    given = [arg for f in flags for arg in ("--" + f.replace("_", "-"), "1")]
     parser = build_parser()
     assert [f for f in flags if hasattr(parser.parse_args(command), f)] == []
     assert all(hasattr(parser.parse_args(command + given), f) for f in flags)
@@ -640,17 +632,17 @@ def test_script_setting_defaults_are_detected():
         "parser = argparse.ArgumentParser()\n"
         "parser.add_argument('--min-count', type=int, default=5)\n"
         "parser.add_argument('--alpha', type=float, default=argparse.SUPPRESS)\n"
-        "parser.add_argument('--per-message', action='store_true')\n"
+        "parser.add_argument('--max-epochs', type=int)\n"
         "parser.add_argument('--seed', type=int, default=7)\n"
         "parser.add_argument('--C', type=float, default=0.005)\n"
         "parser.add_argument('--messages', type=int, default=100)\n"
         "args = parser.parse_args()\n"
         "rows = corpus(n=args.messages, seed=args.seed)\n"
     )
-    assert _script_setting_defaults(source) == ["min_count", "per_message", "C"]
+    assert _script_setting_defaults(source) == ["min_count", "max_epochs", "C"]
     trained = source + "fit(rows, seed=args.seed)\n"
     assert _script_setting_defaults(trained) == [
-        "min_count", "per_message", "seed", "C"
+        "min_count", "max_epochs", "seed", "C"
     ]
 
 
